@@ -1,10 +1,15 @@
 """Per-label semantic edge masks and their truncated Euclidean distance fields.
 
-The distance transform is computed exactly as two 1-D passes over squared
-distances: a vertical nearest-edge sweep per column, then a horizontal
-min-plus reduction with the quadratic kernel. All intermediate values are
-integers held in float64, so the squared distances are exact (0 ULP) and
-the result equals a brute-force nearest-edge-pixel search.
+The distance transform is exact and runs in small unsigned integers. A
+field truncated at d_max only needs min(d^2, w^2) with w = ceil(d_max), so
+every distance is capped at w: a vertical sweep gives capped per-column
+distances, then a horizontal min-plus pass with the quadratic kernel over
+offsets below w yields min(d^2, w^2). A capped column or an offset of w or
+more costs at least w^2, so it never wins below w^2, and rows whose columns
+are all capped are skipped. Pass sums stay below 2 * w^2 (uint16 up to
+w = 181, else uint32), so integer arithmetic is exact; a (w^2 + 1)-entry
+table applies the same float64 min(sqrt(k), d_max) to every value k. The
+field thus equals a brute-force nearest-edge-pixel search (0 ULP).
 """
 
 from __future__ import annotations
@@ -54,93 +59,110 @@ class SemanticEdgeField:
         return self.distance.shape
 
 
-def squared_edge_distance(pixels: np.ndarray, window: int | None = None) -> np.ndarray:
-    """Exact squared Euclidean distance to the nearest edge pixel.
+def _capped_squared_distance(mask: np.ndarray, cap: int) -> np.ndarray:
+    """min(d^2, cap^2) per pixel of a (..., H, W) bool stack, as unsigned ints.
 
-    ``window`` bounds the horizontal search radius; pass None for the full
-    untruncated transform. Values are exact integers (in float64); empty
-    masks yield +inf everywhere. Leading batch dimensions are allowed; the
-    last two axes are (height, width).
+    d is the distance to the nearest edge pixel in the same (H, W) slice.
     """
-    mask = np.asarray(pixels).astype(bool)
+    # Pass sums stay below 2 * cap^2.
+    dtype = np.promote_types(np.uint16, np.min_scalar_type(2 * cap * cap))
+    height, width = mask.shape[-2:]
+    if mask.size == 0:
+        return np.zeros(mask.shape, dtype)
+
+    # Pass 1: per-column distance to the nearest edge row, capped at cap.
+    col = np.where(mask, dtype.type(0), dtype.type(cap))
+    for row in range(1, height):
+        np.minimum(col[..., row, :], col[..., row - 1, :] + 1, out=col[..., row, :])
+    for row in range(height - 2, -1, -1):
+        np.minimum(col[..., row, :], col[..., row + 1, :] + 1, out=col[..., row, :])
+    sq = np.square(col, out=col).reshape(-1, width)
+
+    # Pass 2: horizontal min-plus with the quadratic kernel over offsets
+    # below cap, only on rows with a column distance below cap.
+    near = (sq < cap * cap).any(axis=1)
+    part = sq[near]
+    best = part.copy()
+    cost = np.empty_like(part)
+    for shift in range(1, min(cap, width)):
+        np.add(part, shift * shift, out=cost)
+        np.minimum(best[:, shift:], cost[:, :-shift], out=best[:, shift:])
+        np.minimum(best[:, :-shift], cost[:, shift:], out=best[:, :-shift])
+    sq[near] = best
+    return sq.reshape(mask.shape)
+
+
+def squared_edge_distance(pixels: np.ndarray, window: int | None = None) -> np.ndarray:
+    """Exact squared Euclidean distance to the nearest edge pixel, in float64.
+
+    With the default ``window=None`` every value is an exact integer and an
+    empty mask yields +inf everywhere. A ``window`` caps the result at
+    ``window**2``. Leading batch dimensions are allowed; the last two axes
+    are (height, width).
+    """
+    mask = np.asarray(pixels, dtype=bool)
     if mask.ndim < 2:
         raise ValueError("mask must have at least 2 dimensions")
-    height, width = mask.shape[-2:]
-
-    # Pass 1: per-column 1-D distance to the nearest edge row.
-    col_dist = np.where(mask, 0.0, np.inf)
-    for row in range(1, height):
-        np.minimum(col_dist[..., row, :], col_dist[..., row - 1, :] + 1.0, out=col_dist[..., row, :])
-    for row in range(height - 2, -1, -1):
-        np.minimum(col_dist[..., row, :], col_dist[..., row + 1, :] + 1.0, out=col_dist[..., row, :])
-    col_sq = np.square(col_dist)
-
-    # Pass 2: horizontal min-plus with the quadratic kernel. A candidate
-    # column offset s can only win within |s| <= window, since it already
-    # costs s^2.
-    if window is None:
-        window = width - 1
-    window = min(int(window), width - 1)
-    dist_sq = col_sq.copy()
-    for shift in range(1, window + 1):
-        cost = float(shift * shift)
-        np.minimum(dist_sq[..., shift:], col_sq[..., :-shift] + cost, out=dist_sq[..., shift:])
-        np.minimum(dist_sq[..., :-shift], col_sq[..., shift:] + cost, out=dist_sq[..., :-shift])
+    if window is not None and window < 1:
+        raise ValueError("window must be at least 1")
+    limit = np.inf if window is None else int(window)
+    # Real distances are below height + width - 1; a cap there marks empty masks.
+    cap = int(min(limit, sum(mask.shape[-2:]) - 1))
+    sq = _capped_squared_distance(mask, cap)
+    dist_sq = sq.astype(np.float64)
+    if cap < limit:
+        dist_sq[sq == cap * cap] = limit * limit
     return dist_sq
 
 
-def distance_transform(mask: SemanticEdgeMask, d_max: float = DEFAULT_TRUNCATION_PX) -> SemanticEdgeField:
-    """Truncated Euclidean distance field of an edge mask.
-
-    V(x) = min(d_max, distance to nearest edge pixel); an all-empty mask
-    yields V == d_max everywhere. Gradients are left unset; see gradients().
-    """
-    if d_max <= 0:
-        raise ValueError("d_max must be positive")
-    window = int(np.ceil(d_max))
-    dist_sq = squared_edge_distance(mask.pixels, window=window)
-    distance = np.minimum(np.sqrt(dist_sq), float(d_max))
-    distance.setflags(write=False)
-    return SemanticEdgeField(label=mask.label, distance=distance, d_max=float(d_max))
-
-
 def gradients(field: SemanticEdgeField) -> SemanticEdgeField:
-    """Populate G_u, G_v: central differences inside, one-sided at borders."""
-    height, width = field.distance.shape
-    grad_v = np.gradient(field.distance, axis=0) if height > 1 else np.zeros_like(field.distance)
-    grad_u = np.gradient(field.distance, axis=1) if width > 1 else np.zeros_like(field.distance)
+    """Populate G_u, G_v: central differences inside, one-sided at borders.
+
+    ``field.distance`` may carry leading batch axes; the last two are (v, u).
+    """
+    distance = field.distance
+    height, width = distance.shape[-2:]
+    grad_v = np.gradient(distance, axis=-2) if height > 1 else np.zeros_like(distance)
+    grad_u = np.gradient(distance, axis=-1) if width > 1 else np.zeros_like(distance)
     grad_u.setflags(write=False)
     grad_v.setflags(write=False)
     return replace(field, grad_u=grad_u, grad_v=grad_v)
 
 
-def build_field(mask: SemanticEdgeMask, d_max: float = DEFAULT_TRUNCATION_PX) -> SemanticEdgeField:
-    """distance_transform followed by gradients."""
-    return gradients(distance_transform(mask, d_max=d_max))
-
-
 def build_fields(masks: list[SemanticEdgeMask], d_max: float = DEFAULT_TRUNCATION_PX) -> dict[str, SemanticEdgeField]:
-    """Distance fields with gradients for several same-shape masks at once."""
+    """Truncated distance fields with gradients for same-shape masks, by label.
+
+    V(x) = min(d_max, distance to the nearest edge pixel); an empty mask
+    yields V == d_max everywhere.
+    """
     if not masks:
         return {}
-    if d_max <= 0:
+    if not d_max > 0:
         raise ValueError("d_max must be positive")
+    d_max = float(d_max)
     stack = np.stack([m.pixels for m in masks])
-    dist_sq = squared_edge_distance(stack, window=int(np.ceil(d_max)))
-    distance = np.minimum(np.sqrt(dist_sq), float(d_max))
-    height, width = distance.shape[1:]
-    grad_v = np.gradient(distance, axis=1) if height > 1 else np.zeros_like(distance)
-    grad_u = np.gradient(distance, axis=2) if width > 1 else np.zeros_like(distance)
-    fields = {}
-    for i, mask in enumerate(masks):
-        fields[mask.label] = SemanticEdgeField(
-            label=mask.label,
-            distance=distance[i],
-            grad_u=grad_u[i],
-            grad_v=grad_v[i],
-            d_max=float(d_max),
-        )
-    return fields
+    height, width = stack.shape[1:]
+    cap = int(min(np.ceil(d_max), height + width - 1))
+    table = np.minimum(np.sqrt(np.arange(cap * cap + 1.0)), d_max)
+    # As in squared_edge_distance, a cap below ceil(d_max) marks empty masks.
+    table[-1] = d_max
+    distance = table[_capped_squared_distance(stack, cap)]
+    distance.setflags(write=False)
+    stacked = gradients(SemanticEdgeField("", distance, d_max=d_max))
+    return {
+        mask.label: SemanticEdgeField(mask.label, distance[i], stacked.grad_u[i], stacked.grad_v[i], d_max)
+        for i, mask in enumerate(masks)
+    }
+
+
+def distance_transform(mask: SemanticEdgeMask, d_max: float = DEFAULT_TRUNCATION_PX) -> SemanticEdgeField:
+    """build_fields for one mask, with the gradients left unset; see gradients()."""
+    return replace(build_fields([mask], d_max=d_max)[mask.label], grad_u=None, grad_v=None)
+
+
+def build_field(mask: SemanticEdgeMask, d_max: float = DEFAULT_TRUNCATION_PX) -> SemanticEdgeField:
+    """build_fields for one mask."""
+    return build_fields([mask], d_max=d_max)[mask.label]
 
 
 def coarsen_mask(mask: SemanticEdgeMask, scale: int = 4) -> SemanticEdgeMask:
@@ -243,28 +265,3 @@ def build_edge_masks(
     for index, name in enumerate(labels, start=1):
         masks.append(SemanticEdgeMask(name, keep & (label_image == index), frame_id=frame_id))
     return masks
-
-
-def detect_edges(gray: np.ndarray, threshold: float = 10.0) -> np.ndarray:
-    """Reference edge detector: gradient magnitude threshold + thinning.
-
-    Central-difference gradients with non-maximum suppression along the
-    dominant gradient axis. Meant for synthetic rasters, not real imagery.
-    """
-    img = np.asarray(gray, dtype=float)
-    gv, gu = np.gradient(img)
-    mag = np.hypot(gu, gv)
-    strong = mag > threshold
-    # Suppress non-maxima along the dominant gradient axis.
-    horiz = np.abs(gu) >= np.abs(gv)
-    left = np.zeros_like(mag)
-    right = np.zeros_like(mag)
-    left[:, 1:] = mag[:, :-1]
-    right[:, :-1] = mag[:, 1:]
-    up = np.zeros_like(mag)
-    down = np.zeros_like(mag)
-    up[1:, :] = mag[:-1, :]
-    down[:-1, :] = mag[1:, :]
-    keep_u = (mag >= left) & (mag >= right)
-    keep_v = (mag >= up) & (mag >= down)
-    return strong & np.where(horiz, keep_u, keep_v)

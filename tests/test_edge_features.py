@@ -1,7 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeloc import edge_features as ef
+from edgeloc import synthetic as syn
+from edgeloc.geometry import CameraIntrinsics
 
 
 def brute_force_squared(mask):
@@ -10,9 +16,14 @@ def brute_force_squared(mask):
     height, width = mask.shape
     if len(ys) == 0:
         return np.full((height, width), np.inf)
-    vv, uu = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-    d2 = (vv[..., None] - ys) ** 2 + (uu[..., None] - xs) ** 2
-    return d2.min(axis=-1).astype(float)
+    uu = np.arange(width)[:, None]
+    rows = [((v - ys) ** 2 + (uu - xs) ** 2).min(axis=1) for v in range(height)]
+    return np.array(rows, dtype=float)
+
+
+def oracle_distance(mask, d_max):
+    """The truncated field V = min(sqrt(d^2), d_max) from the oracle."""
+    return np.minimum(np.sqrt(brute_force_squared(mask)), float(d_max))
 
 
 def random_mask(rng):
@@ -129,6 +140,142 @@ class TestGradients:
             assert norm.max() <= np.sqrt(2.0) + 1e-6
 
 
+@st.composite
+def seeded_masks(draw):
+    """A random bool raster up to 64x64; its pixels come from a drawn seed and density."""
+    height = draw(st.integers(1, 64))
+    width = draw(st.integers(1, 64))
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.sampled_from([0.0, 0.002, 0.02, 0.1, 0.3, 1.0]))
+    return np.random.default_rng(seed).random((height, width)) < density
+
+
+@st.composite
+def masks_and_d_max(draw):
+    mask = draw(seeded_masks())
+    height, width = mask.shape
+    d_max = draw(
+        st.one_of(
+            st.floats(1.0, 40.0).filter(lambda d: not d.is_integer()),
+            st.floats(0.01, 0.99),
+            st.just(20.0),
+            st.floats(float(height + width), 4.0 * (height + width)),
+        )
+    )
+    return mask, d_max
+
+
+def assert_field_is_oracle(field, mask, d_max):
+    assert field.distance.tobytes() == oracle_distance(mask, d_max).tobytes()
+
+
+class TestKernelProperties:
+    """The capped integer kernel against the brute-force oracle, byte for byte."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(masks_and_d_max())
+    def test_truncated_field_matches_oracle(self, case):
+        mask, d_max = case
+        assert_field_is_oracle(ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max), mask, d_max)
+
+    @settings(deadline=None, max_examples=100)
+    @given(seeded_masks(), st.integers(1, 130))
+    def test_squared_distance_matches_oracle(self, mask, window):
+        oracle = brute_force_squared(mask)
+        assert ef.squared_edge_distance(mask).tobytes() == oracle.tobytes()
+        capped = ef.squared_edge_distance(mask, window=window)
+        assert capped.tobytes() == np.minimum(oracle, float(window * window)).tobytes()
+
+    @settings(deadline=None)
+    @given(st.integers(1, 64), st.booleans(), st.integers(0, 2**32 - 1), st.floats(0.5, 80.0))
+    def test_one_pixel_rasters(self, length, wide, seed, d_max):
+        shape = (1, length) if wide else (length, 1)
+        mask = np.random.default_rng(seed).random(shape) < 0.1
+        assert ef.squared_edge_distance(mask).tobytes() == brute_force_squared(mask).tobytes()
+        field = ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max)
+        assert_field_is_oracle(field, mask, d_max)
+        across = field.grad_v if wide else field.grad_u
+        assert (across == 0.0).all()
+
+    @settings(deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 64), st.floats(0.1, 200.0))
+    def test_empty_and_full_masks(self, height, width, d_max):
+        empty = np.zeros((height, width), dtype=bool)
+        full = np.ones((height, width), dtype=bool)
+        assert np.isposinf(ef.squared_edge_distance(empty)).all()
+        assert (ef.squared_edge_distance(full) == 0.0).all()
+        fields = ef.build_fields([ef.SemanticEdgeMask("e", empty), ef.SemanticEdgeMask("f", full)], d_max=d_max)
+        assert (fields["e"].distance == d_max).all()
+        assert (fields["f"].distance == 0.0).all()
+        for field in fields.values():
+            assert (field.grad_u == 0.0).all() and (field.grad_v == 0.0).all()
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_zero_size_rasters(self, shape):
+        mask = np.zeros(shape, dtype=bool)
+        assert ef.squared_edge_distance(mask).shape == shape
+        assert ef.squared_edge_distance(np.stack([mask] * 3)).shape == (3,) + shape
+        assert ef.build_field(ef.SemanticEdgeMask("x", mask)).distance.shape == shape
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.integers(1, 48),
+        st.integers(1, 48),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+        st.floats(0.5, 30.0),
+    )
+    def test_batched_equals_alone(self, height, width, seeds, d_max):
+        masks = [
+            ef.SemanticEdgeMask(f"l{i}", np.random.default_rng(seed).random((height, width)) < 0.05)
+            for i, seed in enumerate(seeds)
+        ]
+        batched = ef.build_fields(masks, d_max=d_max)
+        for mask in masks:
+            alone = ef.build_field(mask, d_max=d_max)
+            for attr in ("distance", "grad_u", "grad_v"):
+                assert getattr(batched[mask.label], attr).tobytes() == getattr(alone, attr).tobytes()
+
+    @pytest.mark.parametrize("cap, dtype", [(181, np.uint16), (182, np.uint32)])
+    def test_integer_width_switch(self, cap, dtype):
+        # Columns with no edge hold cap^2, so the pass sums reach nearly
+        # 2 * cap^2: past 65535 at cap = 182, which uint16 would wrap.
+        mask = np.zeros((2, 400), dtype=bool)
+        mask[0, [3, 350]] = True
+        mask[1, 180] = True
+        assert ef._capped_squared_distance(mask, cap).dtype == dtype
+        for d_max in (cap - 0.5, float(cap)):
+            assert_field_is_oracle(ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max), mask, d_max)
+        oracle = brute_force_squared(mask)
+        assert ef.squared_edge_distance(mask, window=cap).tobytes() == np.minimum(oracle, cap * cap).tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([180.5, 181.0, 181.5, 182.0]))
+    def test_thin_rasters_around_width_switch(self, seed, d_max):
+        mask = np.random.default_rng(seed).random((2, 400)) < 0.004
+        assert_field_is_oracle(ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max), mask, d_max)
+
+
+class TestFieldRegression:
+    """Fields of a small rendered frame, pinned to the oracle plus np.gradient."""
+
+    def test_synthetic_frame_fields_are_oracle_bytes(self):
+        scene = syn.generate_scene(3, "urban-straight", n_frames=2)
+        small = CameraIntrinsics(fx=130.0, fy=130.0, cx=79.5, cy=49.5, width=160, height=100)
+        scene = replace(scene, intrinsics=small)
+        label_image, edges, dynamic = syn.render_frame(scene, 1)
+        masks = ef.build_edge_masks(label_image, edges, dynamic, scene.compact_map.label_names)
+        assert sum(m.pixels.any() for m in masks) >= 2
+        d_max = 20.0
+        for stack in (masks, [ef.coarsen_mask(m, 4) for m in masks]):
+            fields = ef.build_fields(stack, d_max=d_max)
+            for mask in stack:
+                expected = oracle_distance(mask.pixels, d_max)
+                field = fields[mask.label]
+                assert field.distance.tobytes() == expected.tobytes()
+                assert field.grad_u.tobytes() == np.gradient(expected, axis=1).tobytes()
+                assert field.grad_v.tobytes() == np.gradient(expected, axis=0).tobytes()
+
+
 class TestSampleField:
     def make_field(self):
         grid = np.arange(12, dtype=float).reshape(3, 4)
@@ -226,13 +373,3 @@ class TestCoarsen:
         coarse = ef.coarsen_mask(ef.SemanticEdgeMask("x", mask), scale=4)
         assert coarse.pixels.shape == (2, 2)
         assert coarse.pixels[1, 0] and not coarse.pixels[0, 0]
-
-
-class TestDetectEdges:
-    def test_bright_band_boundaries_found(self):
-        img = np.zeros((20, 20))
-        img[8:12, :] = 100.0
-        edges = ef.detect_edges(img, threshold=10.0)
-        assert edges[7:9, 5].any() or edges[8, 5]
-        assert edges[11:13, 5].any()
-        assert not edges[2, 5] and not edges[17, 5]
