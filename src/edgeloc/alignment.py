@@ -1,6 +1,11 @@
 """Semantic edge alignment: residuals against per-label distance fields,
 analytic Jacobians, and a damped Gauss-Newton solver on SE(3).
 
+Each frame is aligned once, from its prior. Two recovery mechanisms widen
+the basin of that single attempt: a coarse-to-fine stage (``solve_two_scale``
+aligns on block-downsampled fields first) and escape probes (``solve`` tries
+fixed translation offsets once the damped iteration stalls on a poor fit).
+
 The optimizer's 6-DoF step delta = [d_t, d_theta] perturbs the camera pose
 as translation added in the world frame and rotation right-multiplied in
 the body frame:
@@ -19,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import PipelineConfig
-from .edge_features import SemanticEdgeField
+from .edge_features import COARSE_SCALE, SemanticEdgeField, bilinear_gather
 from .geometry import (
     MIN_PROJECTION_DEPTH,
     CameraIntrinsics,
@@ -163,35 +168,16 @@ def _evaluate(prepared: _Prepared, pose: Pose, with_jacobian: bool):
         return 0.0, 0, np.empty(0), (np.empty((0, 6)) if with_jacobian else None)
 
     li = prepared.label_index[valid]
-    uu = u[valid]
-    vv = v[valid]
-    height, width = prepared.distance.shape[1:]
-    iu = np.clip(np.floor(uu).astype(int), 0, width - 2)
-    iv = np.clip(np.floor(vv).astype(int), 0, height - 2)
-    fu = uu - iu
-    fv = vv - iv
-    w00 = (1.0 - fu) * (1.0 - fv)
-    w10 = fu * (1.0 - fv)
-    w01 = (1.0 - fu) * fv
-    w11 = fu * fv
-
-    def gather(grid_stack):
-        return (
-            grid_stack[li, iv, iu] * w00
-            + grid_stack[li, iv, iu + 1] * w10
-            + grid_stack[li, iv + 1, iu] * w01
-            + grid_stack[li, iv + 1, iu + 1] * w11
-        )
-
-    values = gather(prepared.distance)
+    gather = bilinear_gather(u[valid], v[valid], prepared.distance.shape[1:])
+    values = gather(prepared.distance, li)
     weights = prepared.weight[valid]
     sqrt_w = prepared.sqrt_weight[valid]
     energy = float(weights @ (values * values))
     residuals = sqrt_w * values
     jacobian = None
     if with_jacobian:
-        grad_u = gather(prepared.grad_u)
-        grad_v = gather(prepared.grad_v)
+        grad_u = gather(prepared.grad_u, li)
+        grad_v = gather(prepared.grad_v, li)
         cam_v = cam[valid]
         zv = cam_v[:, 2]
         a = grad_u * k.fx / zv
@@ -404,27 +390,23 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
     )
 
 
-def solve_two_scale(
-    problem: AlignmentProblem,
-    coarse_fields: dict[str, SemanticEdgeField],
-    scale: int = 4,
-) -> AlignmentResult:
-    """Coarse-to-fine solve: align on stride-``scale`` fields first.
+def solve_two_scale(problem: AlignmentProblem, coarse_fields: dict[str, SemanticEdgeField]) -> AlignmentResult:
+    """Coarse-to-fine solve: align on stride-``COARSE_SCALE`` fields first.
 
     The coarse fields (built from block-OR downsampled masks) keep their
     truncation radius in coarse pixels, widening the basin of attraction by
-    ``scale``; the full-resolution solve then starts inside it. Falls back
-    to the problem's own start pose when the coarse stage fails or lands
-    outside the pose-consistency gates.
+    ``COARSE_SCALE``; the full-resolution solve then starts inside it. Falls
+    back to the problem's own start pose when the coarse stage fails or
+    lands outside the pose-consistency gates.
     """
     k = problem.intrinsics
     coarse_k = CameraIntrinsics(
-        fx=k.fx / scale,
-        fy=k.fy / scale,
-        cx=k.cx / scale,
-        cy=k.cy / scale,
-        width=k.width // scale,
-        height=k.height // scale,
+        fx=k.fx / COARSE_SCALE,
+        fy=k.fy / COARSE_SCALE,
+        cx=k.cx / COARSE_SCALE,
+        cy=k.cy / COARSE_SCALE,
+        width=k.width // COARSE_SCALE,
+        height=k.height // COARSE_SCALE,
     )
     coarse_problem = replace(problem, fields=coarse_fields, intrinsics=coarse_k)
     coarse = solve(coarse_problem)
@@ -439,47 +421,9 @@ def solve_two_scale(
     return solve(replace(problem, initial=initial))
 
 
-def align_frame(
-    problem: AlignmentProblem,
-    coarse_fields: dict[str, SemanticEdgeField] | None = None,
-    scale: int = 4,
-) -> AlignmentResult:
-    """Validated frame alignment with restart fallback.
-
-    Runs the coarse-to-fine solve (plain solve when ``coarse_fields`` is
-    None) and applies the gates. If the result fails for a non-structural
-    reason, retries from deterministic translation offsets around the prior
-    (camera-frame forward/up/right, a quarter of the translation-jump gate
-    each way) and returns the first accepted retry, else the first result.
-    """
-
-    def attempt(initial: Pose | None) -> AlignmentResult:
-        prob = problem if initial is None else replace(problem, initial=initial)
-        if coarse_fields is not None:
-            result = solve_two_scale(prob, coarse_fields, scale)
-        else:
-            result = solve(prob)
-        return validate(result, problem.prior, problem.config)
-
-    first = attempt(None)
-    if first.accepted or first.reject_reason in (REJECT_TOO_FEW_SAMPLES, REJECT_LOW_INFORMATION):
-        return first
-    radius = 0.25 * problem.config.max_translation_jump_m
-    offsets_cam = [
-        np.array([0.0, 0.0, radius]),
-        np.array([0.0, 0.0, -radius]),
-        np.array([0.0, -radius, 0.0]),
-        np.array([0.0, radius, 0.0]),
-        np.array([radius, 0.0, 0.0]),
-        np.array([-radius, 0.0, 0.0]),
-    ]
-    prior = problem.prior
-    for offset in offsets_cam:
-        start = Pose(prior.rotation, prior.translation + prior.rotation @ offset)
-        retry = attempt(start)
-        if retry.accepted:
-            return retry
-    return first
+def align_frame(problem: AlignmentProblem, coarse_fields: dict[str, SemanticEdgeField]) -> AlignmentResult:
+    """One validated coarse-to-fine attempt from the problem's start pose."""
+    return validate(solve_two_scale(problem, coarse_fields), problem.prior, problem.config)
 
 
 def validate(result: AlignmentResult, prior: Pose, config: PipelineConfig) -> AlignmentResult:

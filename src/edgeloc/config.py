@@ -6,6 +6,7 @@ CLI flags override file values which override the defaults below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 
@@ -41,6 +42,20 @@ class PipelineConfig:
         return 1.0
 
 
+# Every numeric value must be finite and >= 0; these must also be > 0. A zero
+# lambda_init never grows under the x10 damping escalation, so a rejected
+# step would be retried forever.
+_POSITIVE_KEYS = frozenset({"dt_truncation_px", "sample_spacing_px", "max_iterations", "lambda_init"})
+
+
+def _checked(name: str, value):
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    if name in _POSITIVE_KEYS and value <= 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+    return value
+
+
 def _parse_label_weights(text: str) -> tuple[tuple[str, float], ...]:
     text = text.strip()
     if not text:
@@ -50,7 +65,7 @@ def _parse_label_weights(text: str) -> tuple[tuple[str, float], ...]:
         name, _, weight = item.partition(":")
         if not name.strip() or not weight.strip():
             raise ValueError(f"bad label weight entry {item!r}, expected name:weight")
-        pairs.append((name.strip(), float(weight)))
+        pairs.append((name.strip(), _checked(f"label weight {name.strip()!r}", float(weight))))
     return tuple(pairs)
 
 
@@ -58,9 +73,7 @@ def _coerce(name: str, text: str):
     kind = {f.name: f.type for f in fields(PipelineConfig)}[name]
     if name == "label_weights":
         return _parse_label_weights(text)
-    if kind == "int":
-        return int(text)
-    return float(text)
+    return _checked(name, int(text) if kind == "int" else float(text))
 
 
 def apply_overrides(config: PipelineConfig, overrides: dict[str, str]) -> PipelineConfig:
@@ -76,7 +89,7 @@ def apply_overrides(config: PipelineConfig, overrides: dict[str, str]) -> Pipeli
 
 def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
     """Parse ``key = value`` lines on top of ``base`` (or the defaults)."""
-    overrides: dict[str, str] = {}
+    config = base or PipelineConfig()
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -84,5 +97,8 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"config line {line_number}: expected 'key = value', got {raw!r}")
-        overrides[key.strip()] = value.strip()
-    return apply_overrides(base or PipelineConfig(), overrides)
+        try:
+            config = apply_overrides(config, {key.strip(): value.strip()})
+        except ValueError as err:
+            raise ValueError(f"config line {line_number}: {err}") from None
+    return config

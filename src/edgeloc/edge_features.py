@@ -20,6 +20,8 @@ import numpy as np
 
 DEFAULT_TRUNCATION_PX = 20.0
 DEFAULT_BOUNDARY_MARGIN_PX = 2
+# Stride of the coarse masks and fields behind the coarse-to-fine alignment.
+COARSE_SCALE = 4
 
 
 class OutOfBoundsPixel(ValueError):
@@ -165,7 +167,7 @@ def build_field(mask: SemanticEdgeMask, d_max: float = DEFAULT_TRUNCATION_PX) ->
     return build_fields([mask], d_max=d_max)[mask.label]
 
 
-def coarsen_mask(mask: SemanticEdgeMask, scale: int = 4) -> SemanticEdgeMask:
+def coarsen_mask(mask: SemanticEdgeMask, scale: int = COARSE_SCALE) -> SemanticEdgeMask:
     """Block-OR downsampling: a coarse pixel is set if any fine pixel was.
 
     Fields built from coarsened masks keep their truncation radius in
@@ -179,18 +181,35 @@ def coarsen_mask(mask: SemanticEdgeMask, scale: int = 4) -> SemanticEdgeMask:
     return SemanticEdgeMask(mask.label, blocks.any(axis=(1, 3)), frame_id=mask.frame_id)
 
 
-def _bilinear(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    height, width = grid.shape
-    iu = np.minimum(np.floor(u).astype(int), width - 2) if width > 1 else np.zeros_like(u, dtype=int)
-    iv = np.minimum(np.floor(v).astype(int), height - 2) if height > 1 else np.zeros_like(v, dtype=int)
-    iu = np.maximum(iu, 0)
-    iv = np.maximum(iv, 0)
+def bilinear_gather(u, v, shape: tuple[int, int]):
+    """Bilinear interpolation at sub-pixel (u, v) on grids of ``shape`` (H, W).
+
+    Returns ``gather(grids, *index)``, which interpolates ``grids[*index]``
+    at every location; leading indices select from a stacked grid. The
+    weights are computed once and shared by every grid gathered. A
+    one-pixel-wide or -tall grid interpolates along its other axis only.
+    """
+    height, width = shape
+    iu = np.clip(np.floor(u).astype(int), 0, max(width - 2, 0))
+    iv = np.clip(np.floor(v).astype(int), 0, max(height - 2, 0))
+    iu1 = np.minimum(iu + 1, width - 1)
+    iv1 = np.minimum(iv + 1, height - 1)
     fu = u - iu
     fv = v - iv
-    top = grid[iv, iu] * (1.0 - fu) + grid[iv, np.minimum(iu + 1, width - 1)] * fu
-    iv1 = np.minimum(iv + 1, height - 1)
-    bottom = grid[iv1, iu] * (1.0 - fu) + grid[iv1, np.minimum(iu + 1, width - 1)] * fu
-    return top * (1.0 - fv) + bottom * fv
+    w00 = (1.0 - fu) * (1.0 - fv)
+    w10 = fu * (1.0 - fv)
+    w01 = (1.0 - fu) * fv
+    w11 = fu * fv
+
+    def gather(grids, *index):
+        return (
+            grids[(*index, iv, iu)] * w00
+            + grids[(*index, iv, iu1)] * w10
+            + grids[(*index, iv1, iu)] * w01
+            + grids[(*index, iv1, iu1)] * w11
+        )
+
+    return gather
 
 
 def sample_field(field: SemanticEdgeField, u: float, v: float) -> tuple[float, float, float]:
@@ -203,24 +222,8 @@ def sample_field(field: SemanticEdgeField, u: float, v: float) -> tuple[float, f
         raise OutOfBoundsPixel(f"({u:.2f}, {v:.2f}) outside [0, {width - 1}] x [0, {height - 1}]")
     if field.grad_u is None or field.grad_v is None:
         raise ValueError("field gradients not computed; call gradients() first")
-    ua = np.asarray([u], dtype=float)
-    va = np.asarray([v], dtype=float)
-    return (
-        float(_bilinear(field.distance, ua, va)[0]),
-        float(_bilinear(field.grad_u, ua, va)[0]),
-        float(_bilinear(field.grad_v, ua, va)[0]),
-    )
-
-
-def sample_field_many(field: SemanticEdgeField, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized bilinear sampling; caller guarantees in-bounds locations."""
-    u = uv[:, 0]
-    v = uv[:, 1]
-    return (
-        _bilinear(field.distance, u, v),
-        _bilinear(field.grad_u, u, v),
-        _bilinear(field.grad_v, u, v),
-    )
+    gather = bilinear_gather(np.float64(u), np.float64(v), field.shape)
+    return (float(gather(field.distance)), float(gather(field.grad_u)), float(gather(field.grad_v)))
 
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:

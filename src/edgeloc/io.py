@@ -8,6 +8,7 @@ odometry input, ground truth, and estimated output.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -58,7 +59,10 @@ def parse_pose_line(line: str) -> tuple[int, Pose]:
     if len(tokens) != 8:
         raise ValueError(f"expected 8 fields, got {len(tokens)}: {line!r}")
     frame_id = int(tokens[0])
-    tx, ty, tz, qx, qy, qz, qw = (float(tok) for tok in tokens[1:])
+    values = [float(tok) for tok in tokens[1:]]
+    if not all(math.isfinite(value) for value in values):
+        raise ValueError(f"non-finite pose value: {line!r}")
+    tx, ty, tz, qx, qy, qz, qw = values
     return frame_id, Pose(quat_to_rotation(qx, qy, qz, qw), np.array([tx, ty, tz]))
 
 
@@ -67,16 +71,22 @@ def write_trajectory(path: str | Path, items: list[tuple[int, Pose]]) -> None:
     Path(path).write_text(text, encoding="ascii")
 
 
-def read_trajectory(path: str | Path) -> dict[int, Pose]:
-    """Read a trajectory file into an ordered frame_id -> Pose mapping."""
-    out: dict[int, Pose] = {}
-    for raw in Path(path).read_text(encoding="ascii").splitlines():
+def _pose_lines(path: str | Path):
+    """(frame_id, Pose) per non-comment line; errors name ``path:line``."""
+    for line_number, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        frame_id, pose = parse_pose_line(line)
-        out[frame_id] = pose
-    return out
+        try:
+            item = parse_pose_line(line)
+        except ValueError as err:
+            raise ValueError(f"{path}:{line_number}: {err}") from None
+        yield item
+
+
+def read_trajectory(path: str | Path) -> dict[int, Pose]:
+    """Read a trajectory file into an ordered frame_id -> Pose mapping."""
+    return dict(_pose_lines(path))
 
 
 def write_intrinsics(path: str | Path, intrinsics: CameraIntrinsics) -> None:
@@ -111,8 +121,6 @@ def write_initial_pose(path: str | Path, frame_id: int, pose: Pose) -> None:
 
 
 def read_initial_pose(path: str | Path) -> tuple[int, Pose]:
-    for raw in Path(path).read_text(encoding="ascii").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return parse_pose_line(line)
+    for item in _pose_lines(path):
+        return item
     raise ValueError(f"{path}: empty initial-pose file")

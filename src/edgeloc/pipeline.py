@@ -116,9 +116,6 @@ class FrameRecord:
         )
 
 
-_COARSE_SCALE = 4
-
-
 def _load_fields(
     frames_dir: Path,
     frame_id: int,
@@ -139,7 +136,7 @@ def _load_fields(
         frame_id=frame_id,
     )
     fine = build_fields(masks, d_max=config.dt_truncation_px)
-    coarse = build_fields([coarsen_mask(m, _COARSE_SCALE) for m in masks], d_max=config.dt_truncation_px)
+    coarse = build_fields([coarsen_mask(m) for m in masks], d_max=config.dt_truncation_px)
     return fine, coarse
 
 
@@ -244,7 +241,7 @@ def run_dataset(
                 intrinsics=manifest.intrinsics,
                 config=config,
             )
-            result = align_frame(problem, coarse_fields, _COARSE_SCALE)
+            result = align_frame(problem, coarse_fields)
             if debug_dir is not None:
                 out_dir = Path(debug_dir)
                 out_dir.mkdir(parents=True, exist_ok=True)

@@ -234,6 +234,34 @@ class TestSolve:
         assert np.linalg.norm(result.pose.translation - gt.translation) < 1e-2
         assert math.degrees(rotation_angle(gt.rotation.T @ result.pose.rotation)) < 0.05
 
+    def test_rejected_frame_gets_one_coarse_and_one_fine_solve(self, monkeypatch):
+        # A prior 1.5 m off to the side cannot be pulled back in; the frame
+        # is dropped after its single coarse-to-fine attempt, with no retry.
+        scene = syn.generate_scene(2, "urban-straight", n_frames=3)
+        cfg = PipelineConfig()
+        gt = scene.pose_of(1)
+        prior = Pose(gt.rotation, gt.translation + gt.rotation @ np.array([1.5, 0.0, 0.0]))
+        labels, edges, dynamic = syn.render_frame(scene, 1)
+        masks = build_edge_masks(labels, edges, dynamic, scene.compact_map.label_names)
+        fields = build_fields(masks, d_max=cfg.dt_truncation_px)
+        coarse = build_fields([coarsen_mask(m) for m in masks], d_max=cfg.dt_truncation_px)
+        samples = select_landmarks(scene.compact_map, prior, scene.intrinsics, cfg)
+        problem = al.AlignmentProblem(
+            samples=samples, fields=fields, prior=prior, intrinsics=scene.intrinsics, config=cfg
+        )
+        single = al.validate(al.solve_two_scale(problem, coarse), prior, cfg)
+        assert not single.accepted
+
+        solved = []
+        original = al.solve
+        monkeypatch.setattr(al, "solve", lambda p: solved.append(p.intrinsics.width) or original(p))
+        result = al.align_frame(problem, coarse)
+        assert solved == [scene.intrinsics.width // ef.COARSE_SCALE, scene.intrinsics.width]
+        assert not result.accepted
+        assert result.reject_reason == single.reject_reason
+        assert np.array_equal(result.pose.translation, single.pose.translation)
+        assert np.array_equal(result.pose.rotation, single.pose.rotation)
+
     def test_single_lane_line_not_accepted(self):
         from dataclasses import replace
 

@@ -101,6 +101,19 @@ class TestRunCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_odometry_is_error_naming_the_line(self, tmp_path, capsys):
+        root = tmp_path / "ds"
+        assert main(["synth", "--preset", "sparse", "--seed", "3", "--out", str(root), "--frames", "4"]) == 0
+        odometry = root / "odometry.txt"
+        lines = odometry.read_text(encoding="ascii").splitlines()
+        tokens = lines[2].split()
+        tokens[2] = "nan"
+        lines[2] = " ".join(tokens)
+        odometry.write_text("\n".join(lines) + "\n", encoding="ascii")
+        code = main(["run", "--dataset", str(root), "--out", str(tmp_path / "t.txt")])
+        assert code == 2
+        assert f"error: {odometry}:3: non-finite pose value" in capsys.readouterr().err
+
     def test_byte_identical_outputs(self, dataset, tmp_path):
         t1, l1 = tmp_path / "a.txt", tmp_path / "a.jsonl"
         t2, l2 = tmp_path / "b.txt", tmp_path / "b.jsonl"

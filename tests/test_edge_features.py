@@ -311,16 +311,16 @@ class TestSampleField:
         value, _, _ = ef.sample_field(field, 4.25, 3.5)
         assert abs(value - expected) < 1e-12
 
-    def test_vectorized_matches_scalar(self):
-        field = self.make_field()
-        rng = np.random.default_rng(12)
-        uv = np.column_stack([rng.uniform(0, 3, 30), rng.uniform(0, 2, 30)])
-        values, gus, gvs = ef.sample_field_many(field, uv)
-        for i in range(30):
-            value, gu, gv = ef.sample_field(field, uv[i, 0], uv[i, 1])
-            assert abs(values[i] - value) < 1e-12
-            assert abs(gus[i] - gu) < 1e-12
-            assert abs(gvs[i] - gv) < 1e-12
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1)])
+    def test_one_pixel_wide_or_tall_field(self, shape):
+        grid = np.arange(5.0)[: shape[0] * shape[1]].reshape(shape) * 2.0
+        field = ef.gradients(ef.SemanticEdgeField("x", grid, d_max=100.0))
+        for i in range(grid.size):
+            v, u = np.unravel_index(i, shape)
+            assert ef.sample_field(field, float(u), float(v))[0] == grid[v, u]
+        if grid.size > 1:
+            u, v = (1.5, 0.0) if shape[1] > 1 else (0.0, 1.5)
+            assert ef.sample_field(field, u, v)[0] == 3.0
 
 
 class TestBuildEdgeMasks:

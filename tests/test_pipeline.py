@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from edgeloc import synthetic as syn
 from edgeloc.config import PipelineConfig, parse_config_text
 from edgeloc.evaluation import TrajectoryOverlapError, evaluate_trajectories
 from edgeloc.geometry import Pose, rotation_zyx
-from edgeloc.io import read_trajectory, write_trajectory
+from edgeloc.io import parse_pose_line, read_initial_pose, read_trajectory, write_trajectory
 from edgeloc.pipeline import DatasetManifest, ManifestError, run_dataset
 
 
@@ -218,6 +219,27 @@ class TestEvaluate:
         assert "rmse_norm_m" in text
 
 
+class TestPoseFiles:
+    LINE = "3 1.0 2.0 3.0 0.0 0.0 0.0 1.0"
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("field", [1, 3, 4, 7])
+    def test_non_finite_value_rejected(self, token, field):
+        tokens = self.LINE.split()
+        tokens[field] = token
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_pose_line(" ".join(tokens))
+
+    def test_errors_name_file_and_line(self, tmp_path):
+        path = tmp_path / "odometry.txt"
+        path.write_text(f"# header\n{self.LINE}\n\n4 1.0 nan 3.0 0.0 0.0 0.0 1.0\n", encoding="ascii")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: non-finite"):
+            read_trajectory(path)
+        path.write_text("# header\n3 1.0 2.0 3.0 0.0 0.0 0.0 0.0\n", encoding="ascii")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: zero-norm quaternion"):
+            read_initial_pose(path)
+
+
 class TestConfigFile:
     def test_parse_and_override(self):
         text = """
@@ -240,6 +262,30 @@ class TestConfigFile:
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
             parse_config_text("just some words\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "max_iterations = -5",
+            "max_iterations = 0",
+            "dt_truncation_px = nan",
+            "dt_truncation_px = 0",
+            "sample_spacing_px = 0.0",
+            "lambda_init = 0",
+            "depth_tolerance_m = -0.1",
+            "max_translation_jump_m = inf",
+            "min_samples = -1",
+            "label_weights = lane_line:2.0, lamp_pole:-1",
+            "label_weights = lane_line:nan",
+        ],
+    )
+    def test_out_of_range_value_rejected_with_line(self, line):
+        with pytest.raises(ValueError, match=r"^config line 3: .*must be"):
+            parse_config_text(f"# tuning\nmax_iterations = 40\n{line}\n")
+
+    def test_zero_allowed_where_only_non_negative_required(self):
+        cfg = parse_config_text("min_samples = 0\nstep_tol = 0\nlabel_weights = pole:0\n")
+        assert cfg.min_samples == 0 and cfg.step_tol == 0.0 and cfg.weight_for("pole") == 0.0
 
     def test_defaults_match_documented_values(self):
         cfg = PipelineConfig()
