@@ -1,13 +1,14 @@
 """Distance fields from semantic edge masks.
 
 Builds a small edge mask, computes its truncated Euclidean distance
-transform and gradient maps, and prints them as character art so the
-valley structure is visible in a terminal.
+transform and its horizontal gradient, sampled at every pixel centre, and
+prints them as character art so the valley structure is visible in a
+terminal.
 """
 
 import numpy as np
 
-from edgeloc import SemanticEdgeMask, build_field
+from edgeloc import SemanticEdgeMask, build_field, sample_field
 
 SHADES = " .:-=+*#%@"
 
@@ -30,7 +31,9 @@ def main():
     print("\ndistance transform V (dark = close to an edge):")
     print(ascii_grid(field.distance, 0.0, field.d_max))
     print("\nhorizontal gradient G_u (dark = negative, bright = positive):")
-    print(ascii_grid(field.grad_u, -1.0, 1.0))
+    height, width = field.shape
+    grad_u = [[sample_field(field, u, v)[1] for u in range(width)] for v in range(height)]
+    print(ascii_grid(np.array(grad_u), -1.0, 1.0))
 
     print("\nstats:")
     print(f"  V range      [{field.distance.min():.2f}, {field.distance.max():.2f}] px")

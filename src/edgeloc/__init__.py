@@ -24,8 +24,6 @@ from .edge_features import (
     build_field,
     build_fields,
     coarsen_mask,
-    distance_transform,
-    gradients,
     sample_field,
 )
 from .evaluation import ErrorReport, evaluate_trajectories
@@ -63,11 +61,9 @@ __all__ = [
     "build_fields",
     "coarsen_mask",
     "compose",
-    "distance_transform",
     "evaluate_trajectories",
     "exp",
     "generate_scene",
-    "gradients",
     "inverse",
     "log",
     "map_statistics",

@@ -83,9 +83,6 @@ class AlignmentProblem:
         for label in self.samples.points_by_label:
             if label not in self.fields:
                 raise ValueError(f"no edge field for sampled label {label!r}")
-            field = self.fields[label]
-            if field.grad_u is None or field.grad_v is None:
-                raise ValueError(f"field for label {label!r} has no gradients")
 
     @property
     def start_pose(self) -> Pose:
@@ -108,7 +105,7 @@ class AlignmentResult:
 
 
 class _Prepared:
-    """World-frame sample points, weights, and stacked field grids, fixed
+    """World-frame sample points, weights, and stacked distance grids, fixed
     for the whole solve. Samples keep their label-block ordering."""
 
     def __init__(self, problem: AlignmentProblem):
@@ -117,13 +114,8 @@ class _Prepared:
         index_blocks = []
         weight_blocks = []
         distance_stack = []
-        grad_u_stack = []
-        grad_v_stack = []
         for i, (label, points_r) in enumerate(problem.samples.points_by_label.items()):
-            field = problem.fields[label]
-            distance_stack.append(field.distance)
-            grad_u_stack.append(field.grad_u)
-            grad_v_stack.append(field.grad_v)
+            distance_stack.append(problem.fields[label].distance)
             world_blocks.append(problem.prior.apply(points_r))
             index_blocks.append(np.full(points_r.shape[0], i, dtype=int))
             weight_blocks.append(np.full(points_r.shape[0], problem.config.weight_for(label)))
@@ -132,15 +124,11 @@ class _Prepared:
             self.label_index = np.concatenate(index_blocks)
             self.weight = np.concatenate(weight_blocks)
             self.distance = np.stack(distance_stack)
-            self.grad_u = np.stack(grad_u_stack)
-            self.grad_v = np.stack(grad_v_stack)
         else:
             self.world = np.empty((0, 3))
             self.label_index = np.empty(0, dtype=int)
             self.weight = np.empty(0)
             self.distance = np.empty((0, 1, 1))
-            self.grad_u = np.empty((0, 1, 1))
-            self.grad_v = np.empty((0, 1, 1))
         self.sqrt_weight = np.sqrt(self.weight)
         self.total_samples = self.world.shape[0]
 
@@ -169,15 +157,16 @@ def _evaluate(prepared: _Prepared, pose: Pose, with_jacobian: bool):
 
     li = prepared.label_index[valid]
     gather = bilinear_gather(u[valid], v[valid], prepared.distance.shape[1:])
-    values = gather(prepared.distance, li)
+    if with_jacobian:
+        values, grad_u, grad_v = gather(prepared.distance, li, gradient=True)
+    else:
+        values = gather(prepared.distance, li)
     weights = prepared.weight[valid]
     sqrt_w = prepared.sqrt_weight[valid]
     energy = float(weights @ (values * values))
     residuals = sqrt_w * values
     jacobian = None
     if with_jacobian:
-        grad_u = gather(prepared.grad_u, li)
-        grad_v = gather(prepared.grad_v, li)
         cam_v = cam[valid]
         zv = cam_v[:, 2]
         a = grad_u * k.fx / zv

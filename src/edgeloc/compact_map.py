@@ -13,6 +13,7 @@ meters in the world frame written with at most 6 decimals (mm resolution).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,9 +145,12 @@ def _format_coord(value: float) -> str:
 
 def _parse_float(token: str, line_number: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise MapFormatError(f"expected a number, got {token!r}", line_number=line_number) from None
+    if not math.isfinite(value):
+        raise MapFormatError(f"expected a finite number, got {token!r}", line_number=line_number)
+    return value
 
 
 def parse_map(data: bytes | str) -> CompactMap:

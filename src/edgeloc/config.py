@@ -1,7 +1,8 @@
 """Flat runtime configuration: one key space for every pipeline stage.
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments.
-CLI flags override file values which override the defaults below.
+CLI flags override file values which override the defaults below. Every
+value is checked when a config is built, from a file, a flag or code.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ class PipelineConfig:
     # pose predictor
     odometry_window: int = 1000
 
+    def __post_init__(self):
+        for field in fields(self):
+            if field.name == "label_weights":
+                for name, weight in self.label_weights:
+                    _check(f"label weight {name!r}", weight)
+            else:
+                _check(field.name, getattr(self, field.name))
+
     def weight_for(self, label: str) -> float:
         for name, weight in self.label_weights:
             if name == label:
@@ -48,12 +57,11 @@ class PipelineConfig:
 _POSITIVE_KEYS = frozenset({"dt_truncation_px", "sample_spacing_px", "max_iterations", "lambda_init"})
 
 
-def _checked(name: str, value):
+def _check(name: str, value) -> None:
     if not math.isfinite(value) or value < 0:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
     if name in _POSITIVE_KEYS and value <= 0:
         raise ValueError(f"{name} must be > 0, got {value}")
-    return value
 
 
 def _parse_label_weights(text: str) -> tuple[tuple[str, float], ...]:
@@ -65,7 +73,7 @@ def _parse_label_weights(text: str) -> tuple[tuple[str, float], ...]:
         name, _, weight = item.partition(":")
         if not name.strip() or not weight.strip():
             raise ValueError(f"bad label weight entry {item!r}, expected name:weight")
-        pairs.append((name.strip(), _checked(f"label weight {name.strip()!r}", float(weight))))
+        pairs.append((name.strip(), float(weight)))
     return tuple(pairs)
 
 
@@ -73,7 +81,7 @@ def _coerce(name: str, text: str):
     kind = {f.name: f.type for f in fields(PipelineConfig)}[name]
     if name == "label_weights":
         return _parse_label_weights(text)
-    return _checked(name, int(text) if kind == "int" else float(text))
+    return int(text) if kind == "int" else float(text)
 
 
 def apply_overrides(config: PipelineConfig, overrides: dict[str, str]) -> PipelineConfig:

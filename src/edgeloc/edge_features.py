@@ -10,11 +10,14 @@ are all capped are skipped. Pass sums stay below 2 * w^2 (uint16 up to
 w = 181, else uint32), so integer arithmetic is exact; a (w^2 + 1)-entry
 table applies the same float64 min(sqrt(k), d_max) to every value k. The
 field thus equals a brute-force nearest-edge-pixel search (0 ULP).
+
+A field stores only this grid; its slope G_u, G_v is taken from the grid
+where it is sampled, see bilinear_gather.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,12 +51,10 @@ class SemanticEdgeMask:
 
 @dataclass(frozen=True, eq=False)
 class SemanticEdgeField:
-    """Truncated distance field V plus its image gradients G_u, G_v."""
+    """Truncated distance field V of one label; G_u, G_v are sampled from it."""
 
     label: str
     distance: np.ndarray  # (H, W) float64, pixels
-    grad_u: np.ndarray | None = None
-    grad_v: np.ndarray | None = None
     d_max: float = DEFAULT_TRUNCATION_PX
 
     @property
@@ -117,22 +118,8 @@ def squared_edge_distance(pixels: np.ndarray, window: int | None = None) -> np.n
     return dist_sq
 
 
-def gradients(field: SemanticEdgeField) -> SemanticEdgeField:
-    """Populate G_u, G_v: central differences inside, one-sided at borders.
-
-    ``field.distance`` may carry leading batch axes; the last two are (v, u).
-    """
-    distance = field.distance
-    height, width = distance.shape[-2:]
-    grad_v = np.gradient(distance, axis=-2) if height > 1 else np.zeros_like(distance)
-    grad_u = np.gradient(distance, axis=-1) if width > 1 else np.zeros_like(distance)
-    grad_u.setflags(write=False)
-    grad_v.setflags(write=False)
-    return replace(field, grad_u=grad_u, grad_v=grad_v)
-
-
 def build_fields(masks: list[SemanticEdgeMask], d_max: float = DEFAULT_TRUNCATION_PX) -> dict[str, SemanticEdgeField]:
-    """Truncated distance fields with gradients for same-shape masks, by label.
+    """Truncated distance fields for same-shape masks, by label.
 
     V(x) = min(d_max, distance to the nearest edge pixel); an empty mask
     yields V == d_max everywhere.
@@ -150,16 +137,7 @@ def build_fields(masks: list[SemanticEdgeMask], d_max: float = DEFAULT_TRUNCATIO
     table[-1] = d_max
     distance = table[_capped_squared_distance(stack, cap)]
     distance.setflags(write=False)
-    stacked = gradients(SemanticEdgeField("", distance, d_max=d_max))
-    return {
-        mask.label: SemanticEdgeField(mask.label, distance[i], stacked.grad_u[i], stacked.grad_v[i], d_max)
-        for i, mask in enumerate(masks)
-    }
-
-
-def distance_transform(mask: SemanticEdgeMask, d_max: float = DEFAULT_TRUNCATION_PX) -> SemanticEdgeField:
-    """build_fields for one mask, with the gradients left unset; see gradients()."""
-    return replace(build_fields([mask], d_max=d_max)[mask.label], grad_u=None, grad_v=None)
+    return {mask.label: SemanticEdgeField(mask.label, distance[i], d_max) for i, mask in enumerate(masks)}
 
 
 def build_field(mask: SemanticEdgeMask, d_max: float = DEFAULT_TRUNCATION_PX) -> SemanticEdgeField:
@@ -188,6 +166,12 @@ def bilinear_gather(u, v, shape: tuple[int, int]):
     at every location; leading indices select from a stacked grid. The
     weights are computed once and shared by every grid gathered. A
     one-pixel-wide or -tall grid interpolates along its other axis only.
+
+    ``gather(grids, *index, gradient=True)`` returns (V, G_u, G_v). Each
+    corner's slope along an axis of n pixels is NumPy's gradient, (D[hi] -
+    D[lo]) / max(hi - lo, 1) with lo = max(i - 1, 0), hi = min(i + 1, n - 1),
+    weighted as V is, so G_u, G_v equal a gather over gradient grids byte
+    for byte. Half of those reads are V's own corners; 8 are extra.
     """
     height, width = shape
     iu = np.clip(np.floor(u).astype(int), 0, max(width - 2, 0))
@@ -201,29 +185,46 @@ def bilinear_gather(u, v, shape: tuple[int, int]):
     w01 = (1.0 - fu) * fv
     w11 = fu * fv
 
-    def gather(grids, *index):
-        return (
-            grids[(*index, iv, iu)] * w00
-            + grids[(*index, iv, iu1)] * w10
-            + grids[(*index, iv1, iu)] * w01
-            + grids[(*index, iv1, iu1)] * w11
+    def gather(grids, *index, gradient=False):
+        d00 = grids[(*index, iv, iu)]
+        d10 = grids[(*index, iv, iu1)]
+        d01 = grids[(*index, iv1, iu)]
+        d11 = grids[(*index, iv1, iu1)]
+        value = d00 * w00 + d10 * w10 + d01 * w01 + d11 * w11
+        if not gradient:
+            return value
+        # Outer neighbours of the corner pairs: hi(iu) = iu1 and lo(iu1) = iu.
+        iu0, iu2 = np.maximum(iu - 1, 0), np.minimum(iu1 + 1, width - 1)
+        iv0, iv2 = np.maximum(iv - 1, 0), np.minimum(iv1 + 1, height - 1)
+        su0, su1 = np.maximum(iu1 - iu0, 1), np.maximum(iu2 - iu, 1)
+        sv0, sv1 = np.maximum(iv1 - iv0, 1), np.maximum(iv2 - iv, 1)
+        grad_u = (
+            (d10 - grids[(*index, iv, iu0)]) / su0 * w00
+            + (grids[(*index, iv, iu2)] - d00) / su1 * w10
+            + (d11 - grids[(*index, iv1, iu0)]) / su0 * w01
+            + (grids[(*index, iv1, iu2)] - d01) / su1 * w11
         )
+        grad_v = (
+            (d01 - grids[(*index, iv0, iu)]) / sv0 * w00
+            + (d11 - grids[(*index, iv0, iu1)]) / sv0 * w10
+            + (grids[(*index, iv2, iu)] - d00) / sv1 * w01
+            + (grids[(*index, iv2, iu1)] - d10) / sv1 * w11
+        )
+        return value, grad_u, grad_v
 
     return gather
 
 
 def sample_field(field: SemanticEdgeField, u: float, v: float) -> tuple[float, float, float]:
-    """Bilinear (V, G_u, G_v) at a sub-pixel location.
+    """Bilinear (V, G_u, G_v) at a sub-pixel location; see bilinear_gather.
 
     Valid domain is 0 <= u <= width-1, 0 <= v <= height-1 (inclusive).
     """
     height, width = field.shape
     if not (0.0 <= u <= width - 1 and 0.0 <= v <= height - 1):
         raise OutOfBoundsPixel(f"({u:.2f}, {v:.2f}) outside [0, {width - 1}] x [0, {height - 1}]")
-    if field.grad_u is None or field.grad_v is None:
-        raise ValueError("field gradients not computed; call gradients() first")
     gather = bilinear_gather(np.float64(u), np.float64(v), field.shape)
-    return (float(gather(field.distance)), float(gather(field.grad_u)), float(gather(field.grad_v)))
+    return tuple(float(x) for x in gather(field.distance, gradient=True))
 
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:

@@ -206,6 +206,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.fx, self.fy, self.cx, self.cy)):
+            raise ValueError("fx, fy, cx and cy must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):

@@ -98,21 +98,19 @@ def write_intrinsics(path: str | Path, intrinsics: CameraIntrinsics) -> None:
 
 
 def read_intrinsics(path: str | Path) -> CameraIntrinsics:
-    for raw in Path(path).read_text(encoding="ascii").splitlines():
+    """The first non-comment line, ``fx fy cx cy width height``; errors name ``path:line``."""
+    for line_number, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if len(tokens) != 6:
-            raise ValueError(f"{path}: expected 'fx fy cx cy width height'")
-        return CameraIntrinsics(
-            fx=float(tokens[0]),
-            fy=float(tokens[1]),
-            cx=float(tokens[2]),
-            cy=float(tokens[3]),
-            width=int(tokens[4]),
-            height=int(tokens[5]),
-        )
+        try:
+            if len(tokens) != 6:
+                raise ValueError("expected 'fx fy cx cy width height'")
+            fx, fy, cx, cy = (float(tok) for tok in tokens[:4])
+            return CameraIntrinsics(fx, fy, cx, cy, width=int(tokens[4]), height=int(tokens[5]))
+        except ValueError as err:
+            raise ValueError(f"{path}:{line_number}: {err}") from None
     raise ValueError(f"{path}: empty intrinsics file")
 
 

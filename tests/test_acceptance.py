@@ -83,7 +83,7 @@ def _ramp_field(rng, label="x", shape=(240, 320)):
     vv, uu = np.meshgrid(np.arange(shape[0], dtype=float), np.arange(shape[1], dtype=float), indexing="ij")
     a, b = rng.uniform(-1.0, 1.0, 2)
     grid = a * uu + b * vv + rng.uniform(100.0, 400.0)
-    return ef.gradients(ef.SemanticEdgeField(label, grid, d_max=1e9))
+    return ef.SemanticEdgeField(label, grid, d_max=1e9)
 
 
 def test_criterion_2_jacobian_matches_finite_differences():

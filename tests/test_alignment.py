@@ -18,7 +18,7 @@ def ramp_field(label, a, b, c, shape=(240, 320)):
     """An affine distance surface: gradients are exact, no ridges anywhere."""
     vv, uu = np.meshgrid(np.arange(shape[0], dtype=float), np.arange(shape[1], dtype=float), indexing="ij")
     grid = a * uu + b * vv + c
-    return ef.gradients(ef.SemanticEdgeField(label, grid, d_max=1e9))
+    return ef.SemanticEdgeField(label, grid, d_max=1e9)
 
 
 def single_sample_problem(field, point_r, prior=None, config=None):
@@ -55,7 +55,7 @@ class TestResidual:
         grid[2, 4] = 8.0
         grid[3, 3] = 2.0
         grid[3, 4] = 6.0
-        field = ef.gradients(ef.SemanticEdgeField("lane", grid, d_max=100.0))
+        field = ef.SemanticEdgeField("lane", grid, d_max=100.0)
         k = CameraIntrinsics(fx=10.0, fy=10.0, cx=3.0, cy=2.0, width=8, height=8)
         # choose a camera point projecting to (u, v) = (3.5, 2.25)
         point = np.array([0.5 / 10.0, 0.25 / 10.0, 1.0])

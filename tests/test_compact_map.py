@@ -54,6 +54,26 @@ class TestParse:
             cm.parse_map(text)
         assert err.value.line_number == 3
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_coordinate_reports_line_number(self, token):
+        text = f"CMAP 1\nLABEL lane_line road\n\nSEG lane_line 0 0 0 1 {token} 0\n"
+        with pytest.raises(cm.MapFormatError, match="finite") as err:
+            cm.parse_map(text)
+        assert err.value.line_number == 4
+
+    def test_non_finite_wireframe_coordinate_reports_line_number(self):
+        text = "CMAP 1\nLABEL s nonroad\nWF s 4 10 -0.6 2.8 10 0.6 2.8 10 nan 3.6 10 -0.6 3.6\n"
+        with pytest.raises(cm.MapFormatError, match="finite") as err:
+            cm.parse_map(text)
+        assert err.value.line_number == 3
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_radius_reports_line_number(self, token):
+        text = f"CMAP 1\nLABEL lamp_pole nonroad\nSEG lamp_pole 0 0 0 0 0 6 radius={token}\n"
+        with pytest.raises(cm.MapFormatError, match="finite") as err:
+            cm.parse_map(text)
+        assert err.value.line_number == 3
+
     def test_missing_header(self):
         with pytest.raises(cm.MapFormatError):
             cm.parse_map("LABEL lane_line road\n")

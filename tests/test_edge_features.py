@@ -26,6 +26,22 @@ def oracle_distance(mask, d_max):
     return np.minimum(np.sqrt(brute_force_squared(mask)), float(d_max))
 
 
+def gradients(distance):
+    """Reference G_u, G_v grids: np.gradient, with zeros on a one-pixel axis."""
+    height, width = distance.shape[-2:]
+    grad_u = np.gradient(distance, axis=-1) if width > 1 else np.zeros_like(distance)
+    grad_v = np.gradient(distance, axis=-2) if height > 1 else np.zeros_like(distance)
+    return grad_u, grad_v
+
+
+def centre_slopes(field):
+    """G_u, G_v sampled at every pixel centre through bilinear_gather."""
+    height, width = field.shape
+    vv, uu = np.meshgrid(np.arange(height, dtype=float), np.arange(width, dtype=float), indexing="ij")
+    _, grad_u, grad_v = ef.bilinear_gather(uu, vv, field.shape)(field.distance, gradient=True)
+    return grad_u, grad_v
+
+
 def random_mask(rng):
     height = int(rng.integers(1, 65))
     width = int(rng.integers(1, 65))
@@ -35,13 +51,13 @@ def random_mask(rng):
 
 class TestDistanceTransform:
     def test_all_ones_mask_is_zero(self):
-        field = ef.distance_transform(ef.SemanticEdgeMask("x", np.ones((8, 9), bool)))
+        field = ef.build_field(ef.SemanticEdgeMask("x", np.ones((8, 9), bool)))
         assert (field.distance == 0.0).all()
 
     def test_single_pixel_pythagorean(self):
         mask = np.zeros((10, 10), dtype=bool)
         mask[0, 0] = True
-        field = ef.distance_transform(ef.SemanticEdgeMask("x", mask), d_max=50.0)
+        field = ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=50.0)
         assert field.distance[4, 3] == 5.0  # (u, v) = (3, 4)
 
     def test_matches_brute_force_exactly(self):
@@ -53,14 +69,14 @@ class TestDistanceTransform:
             assert np.array_equal(ours, oracle)
 
     def test_empty_mask_is_truncation_value(self):
-        field = ef.distance_transform(ef.SemanticEdgeMask("x", np.zeros((6, 6), bool)), d_max=20.0)
+        field = ef.build_field(ef.SemanticEdgeMask("x", np.zeros((6, 6), bool)), d_max=20.0)
         assert (field.distance == 20.0).all()
 
     def test_truncation_bound(self):
         rng = np.random.default_rng(5)
         for d_max in (3.0, 7.5, 20.0):
             mask = random_mask(rng)
-            field = ef.distance_transform(ef.SemanticEdgeMask("x", mask), d_max=d_max)
+            field = ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max)
             assert field.distance.max() <= d_max
 
     def test_untruncated_with_large_d_max(self):
@@ -69,7 +85,7 @@ class TestDistanceTransform:
         while not mask.any():
             mask = random_mask(rng)
         height, width = mask.shape
-        field = ef.distance_transform(ef.SemanticEdgeMask("x", mask), d_max=float(width + height))
+        field = ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=float(width + height))
         assert np.array_equal(np.square(field.distance).round(6), brute_force_squared(mask).round(6))
 
     def test_transpose_symmetry(self):
@@ -83,7 +99,7 @@ class TestDistanceTransform:
         rng = np.random.default_rng(8)
         mask_a = rng.random((32, 32)) < 0.1
         mask_b = rng.random((32, 32)) < 0.1
-        field_a = ef.distance_transform(ef.SemanticEdgeMask("a", mask_a))
+        field_a = ef.build_field(ef.SemanticEdgeMask("a", mask_a))
         both = ef.build_fields(
             [ef.SemanticEdgeMask("a", mask_a), ef.SemanticEdgeMask("b", mask_b)]
         )
@@ -95,22 +111,21 @@ class TestDistanceTransform:
         batched = ef.build_fields(masks, d_max=15.0)
         for mask in masks:
             single = ef.build_field(mask, d_max=15.0)
-            assert np.array_equal(batched[mask.label].distance, single.distance)
-            assert np.array_equal(batched[mask.label].grad_u, single.grad_u)
+            assert batched[mask.label].distance.tobytes() == single.distance.tobytes()
 
 
 class TestGradients:
     def test_empty_mask_gradients_zero(self):
-        field = ef.build_field(ef.SemanticEdgeMask("x", np.zeros((8, 8), bool)))
-        assert (field.grad_u == 0).all() and (field.grad_v == 0).all()
+        grad_u, grad_v = centre_slopes(ef.build_field(ef.SemanticEdgeMask("x", np.zeros((8, 8), bool))))
+        assert (grad_u == 0).all() and (grad_v == 0).all()
 
     def test_unit_slope_along_axis(self):
         mask = np.zeros((21, 21), dtype=bool)
         mask[10, 10] = True
-        field = ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=50.0)
+        grad_u, grad_v = centre_slopes(ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=50.0))
         # along +u from the center: V grows one pixel per pixel
-        assert np.allclose(field.grad_u[10, 12:19], 1.0)
-        assert np.allclose(field.grad_v[10, 12:19], 0.0)
+        assert np.allclose(grad_u[10, 12:19], 1.0)
+        assert np.allclose(grad_v[10, 12:19], 0.0)
 
     def test_central_difference_definition_interior(self):
         rng = np.random.default_rng(10)
@@ -119,8 +134,9 @@ class TestGradients:
         v = field.distance
         expected_u = (v[5, 8 + 1] - v[5, 8 - 1]) / 2.0
         expected_v = (v[5 + 1, 8] - v[5 - 1, 8]) / 2.0
-        assert field.grad_u[5, 8] == expected_u
-        assert field.grad_v[5, 8] == expected_v
+        _, grad_u, grad_v = ef.sample_field(field, 8.0, 5.0)
+        assert grad_u == expected_u
+        assert grad_v == expected_v
 
     def test_gradient_lipschitz_bounds(self):
         # The Euclidean distance field is 1-Lipschitz, so each central or
@@ -133,10 +149,10 @@ class TestGradients:
                 continue
             height, width = mask.shape
             d_max = float(width + height)
-            field = ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max)
-            assert np.abs(field.grad_u).max() <= 1.0 + 1e-6
-            assert np.abs(field.grad_v).max() <= 1.0 + 1e-6
-            norm = np.hypot(field.grad_u, field.grad_v)
+            grad_u, grad_v = centre_slopes(ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max))
+            assert np.abs(grad_u).max() <= 1.0 + 1e-6
+            assert np.abs(grad_v).max() <= 1.0 + 1e-6
+            norm = np.hypot(grad_u, grad_v)
             assert norm.max() <= np.sqrt(2.0) + 1e-6
 
 
@@ -194,7 +210,8 @@ class TestKernelProperties:
         assert ef.squared_edge_distance(mask).tobytes() == brute_force_squared(mask).tobytes()
         field = ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max)
         assert_field_is_oracle(field, mask, d_max)
-        across = field.grad_v if wide else field.grad_u
+        grad_u, grad_v = centre_slopes(field)
+        across = grad_v if wide else grad_u
         assert (across == 0.0).all()
 
     @settings(deadline=None)
@@ -208,7 +225,8 @@ class TestKernelProperties:
         assert (fields["e"].distance == d_max).all()
         assert (fields["f"].distance == 0.0).all()
         for field in fields.values():
-            assert (field.grad_u == 0.0).all() and (field.grad_v == 0.0).all()
+            grad_u, grad_v = centre_slopes(field)
+            assert (grad_u == 0.0).all() and (grad_v == 0.0).all()
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
     def test_zero_size_rasters(self, shape):
@@ -232,8 +250,7 @@ class TestKernelProperties:
         batched = ef.build_fields(masks, d_max=d_max)
         for mask in masks:
             alone = ef.build_field(mask, d_max=d_max)
-            for attr in ("distance", "grad_u", "grad_v"):
-                assert getattr(batched[mask.label], attr).tobytes() == getattr(alone, attr).tobytes()
+            assert batched[mask.label].distance.tobytes() == alone.distance.tobytes()
 
     @pytest.mark.parametrize("cap, dtype", [(181, np.uint16), (182, np.uint32)])
     def test_integer_width_switch(self, cap, dtype):
@@ -255,8 +272,66 @@ class TestKernelProperties:
         assert_field_is_oracle(ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max), mask, d_max)
 
 
+@st.composite
+def grids_and_points(draw):
+    """A (layers, H, W) float stack and sample points on it.
+
+    The stack is uniform noise, plateaued noise, or truncated distance fields
+    of seeded masks; one-pixel axes are drawn often. A third of the points
+    sit on integer pixel centres and some on each of the four borders.
+    """
+    height = draw(st.one_of(st.just(1), st.integers(1, 24)))
+    width = draw(st.one_of(st.just(1), st.integers(1, 24)))
+    layers = draw(st.integers(1, 3))
+    source = draw(st.sampled_from(["noise", "plateau", "field"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if source == "field":
+        d_max = draw(st.sampled_from([0.5, 3.0, 7.5, 20.0]))
+        masks = [ef.SemanticEdgeMask(f"l{i}", rng.random((height, width)) < 0.05) for i in range(layers)]
+        grids = np.stack([field.distance for field in ef.build_fields(masks, d_max=d_max).values()])
+    else:
+        grids = rng.random((layers, height, width)) * draw(st.sampled_from([1.0, 10.0, 100.0]))
+        if source == "plateau":
+            grids = np.minimum(grids, np.quantile(grids, 0.3))
+    count = 64
+    u = rng.uniform(0.0, width - 1, count)
+    v = rng.uniform(0.0, height - 1, count)
+    centre = rng.random(count) < 0.3
+    u[centre] = np.round(u[centre])
+    v[centre] = np.round(v[centre])
+    u[:4], v[4:8], u[8:12], v[12:16] = 0.0, 0.0, width - 1.0, height - 1.0
+    return grids, u, v, rng.integers(0, layers, count)
+
+
+class TestSampledGradient:
+    """G_u, G_v taken at the sample equal a bilinear gather over np.gradient grids."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(grids_and_points())
+    def test_matches_gather_over_reference_grids(self, case):
+        grids, u, v, index = case
+        gather = ef.bilinear_gather(u, v, grids.shape[1:])
+        value, grad_u, grad_v = gather(grids, index, gradient=True)
+        ref_u, ref_v = gradients(grids)
+        assert value.tobytes() == gather(grids, index).tobytes()
+        assert grad_u.tobytes() == gather(ref_u, index).tobytes()
+        assert grad_v.tobytes() == gather(ref_v, index).tobytes()
+
+    @settings(deadline=None, max_examples=50)
+    @given(grids_and_points())
+    def test_sample_field_matches_reference_grids(self, case):
+        grids, u, v, index = case
+        field = ef.SemanticEdgeField("x", grids[0], d_max=100.0)
+        ref_u, ref_v = gradients(field.distance)
+        for point_u, point_v in zip(u[:16], v[:16]):
+            gather = ef.bilinear_gather(np.float64(point_u), np.float64(point_v), field.shape)
+            expected = (gather(field.distance), gather(ref_u), gather(ref_v))
+            assert ef.sample_field(field, point_u, point_v) == tuple(float(x) for x in expected)
+
+
 class TestFieldRegression:
-    """Fields of a small rendered frame, pinned to the oracle plus np.gradient."""
+    """Fields of a small rendered frame pinned to the oracle, and their slopes
+    at every pixel centre to np.gradient of the oracle."""
 
     def test_synthetic_frame_fields_are_oracle_bytes(self):
         scene = syn.generate_scene(3, "urban-straight", n_frames=2)
@@ -272,15 +347,15 @@ class TestFieldRegression:
                 expected = oracle_distance(mask.pixels, d_max)
                 field = fields[mask.label]
                 assert field.distance.tobytes() == expected.tobytes()
-                assert field.grad_u.tobytes() == np.gradient(expected, axis=1).tobytes()
-                assert field.grad_v.tobytes() == np.gradient(expected, axis=0).tobytes()
+                grad_u, grad_v = centre_slopes(field)
+                assert grad_u.tobytes() == np.gradient(expected, axis=1).tobytes()
+                assert grad_v.tobytes() == np.gradient(expected, axis=0).tobytes()
 
 
 class TestSampleField:
     def make_field(self):
         grid = np.arange(12, dtype=float).reshape(3, 4)
-        field = ef.SemanticEdgeField("x", grid, d_max=100.0)
-        return ef.gradients(field)
+        return ef.SemanticEdgeField("x", grid, d_max=100.0)
 
     def test_integer_pixel_exact(self):
         field = self.make_field()
@@ -289,7 +364,7 @@ class TestSampleField:
 
     def test_midpoint_average(self):
         grid = np.array([[2.0, 4.0], [2.0, 4.0]])
-        field = ef.gradients(ef.SemanticEdgeField("x", grid, d_max=10.0))
+        field = ef.SemanticEdgeField("x", grid, d_max=10.0)
         value, _, _ = ef.sample_field(field, 0.5, 0.0)
         assert value == 3.0
 
@@ -305,7 +380,7 @@ class TestSampleField:
         grid[4, 4] = 3.0
         grid[3, 5] = 2.0
         grid[4, 5] = 4.0
-        field = ef.gradients(ef.SemanticEdgeField("x", grid, d_max=10.0))
+        field = ef.SemanticEdgeField("x", grid, d_max=10.0)
         # at (u, v) = (4.25, 3.5): weights .75*.5, .25*.5, .75*.5, .25*.5
         expected = 1.0 * 0.375 + 2.0 * 0.125 + 3.0 * 0.375 + 4.0 * 0.125
         value, _, _ = ef.sample_field(field, 4.25, 3.5)
@@ -314,7 +389,7 @@ class TestSampleField:
     @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1)])
     def test_one_pixel_wide_or_tall_field(self, shape):
         grid = np.arange(5.0)[: shape[0] * shape[1]].reshape(shape) * 2.0
-        field = ef.gradients(ef.SemanticEdgeField("x", grid, d_max=100.0))
+        field = ef.SemanticEdgeField("x", grid, d_max=100.0)
         for i in range(grid.size):
             v, u = np.unravel_index(i, shape)
             assert ef.sample_field(field, float(u), float(v))[0] == grid[v, u]

@@ -193,6 +193,14 @@ class TestIntrinsicsType:
         with pytest.raises(ValueError):
             geo.CameraIntrinsics(10.0, 10.0, 120.0, 10.0, 100, 100)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 1, 2, 3])
+    def test_rejects_non_finite(self, index, value):
+        args = [10.0, 10.0, 50.0, 50.0]
+        args[index] = value
+        with pytest.raises(ValueError, match="finite"):
+            geo.CameraIntrinsics(*args, 100, 100)
+
 
 class TestQuaternions:
     def test_round_trip(self):

@@ -9,7 +9,7 @@ from edgeloc import synthetic as syn
 from edgeloc.config import PipelineConfig, parse_config_text
 from edgeloc.evaluation import TrajectoryOverlapError, evaluate_trajectories
 from edgeloc.geometry import Pose, rotation_zyx
-from edgeloc.io import parse_pose_line, read_initial_pose, read_trajectory, write_trajectory
+from edgeloc.io import parse_pose_line, read_initial_pose, read_intrinsics, read_trajectory, write_trajectory
 from edgeloc.pipeline import DatasetManifest, ManifestError, run_dataset
 
 
@@ -239,6 +239,32 @@ class TestPoseFiles:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: zero-norm quaternion"):
             read_initial_pose(path)
 
+    def test_intrinsics_errors_name_file_and_line(self, tmp_path):
+        path = tmp_path / "intrinsics.txt"
+        path.write_text("# fx fy cx cy width height\n\n250 nan 159.5 119.5 320 240\n", encoding="ascii")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: .*finite"):
+            read_intrinsics(path)
+        path.write_text("# fx fy cx cy width height\n250 250 159.5\n", encoding="ascii")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: expected 'fx fy cx cy width height'"):
+            read_intrinsics(path)
+        path.write_text("250 250 159.5 119.5 320 240\n", encoding="ascii")
+        assert read_intrinsics(path).fy == 250.0
+
+
+BAD_CONFIG_LINES = [
+    "max_iterations = -5",
+    "max_iterations = 0",
+    "dt_truncation_px = nan",
+    "dt_truncation_px = 0",
+    "sample_spacing_px = 0.0",
+    "lambda_init = 0",
+    "depth_tolerance_m = -0.1",
+    "max_translation_jump_m = inf",
+    "min_samples = -1",
+    "label_weights = lane_line:2.0, lamp_pole:-1",
+    "label_weights = lane_line:nan",
+]
+
 
 class TestConfigFile:
     def test_parse_and_override(self):
@@ -263,25 +289,20 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             parse_config_text("just some words\n")
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "max_iterations = -5",
-            "max_iterations = 0",
-            "dt_truncation_px = nan",
-            "dt_truncation_px = 0",
-            "sample_spacing_px = 0.0",
-            "lambda_init = 0",
-            "depth_tolerance_m = -0.1",
-            "max_translation_jump_m = inf",
-            "min_samples = -1",
-            "label_weights = lane_line:2.0, lamp_pole:-1",
-            "label_weights = lane_line:nan",
-        ],
-    )
+    @pytest.mark.parametrize("line", BAD_CONFIG_LINES)
     def test_out_of_range_value_rejected_with_line(self, line):
         with pytest.raises(ValueError, match=r"^config line 3: .*must be"):
             parse_config_text(f"# tuning\nmax_iterations = 40\n{line}\n")
+
+    @pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+    def test_out_of_range_value_rejected_in_code(self, line):
+        key, _, text = (part.strip() for part in line.partition("="))
+        if key == "label_weights":
+            value = tuple((name.strip(), float(weight)) for name, weight in (item.split(":") for item in text.split(",")))
+        else:
+            value = type(getattr(PipelineConfig(), key))(float(text))
+        with pytest.raises(ValueError, match="must be"):
+            PipelineConfig(**{key: value})
 
     def test_zero_allowed_where_only_non_negative_required(self):
         cfg = parse_config_text("min_samples = 0\nstep_tol = 0\nlabel_weights = pole:0\n")
