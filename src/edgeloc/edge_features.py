@@ -155,8 +155,9 @@ def coarsen_mask(mask: SemanticEdgeMask, scale: int = COARSE_SCALE) -> SemanticE
     pixels = mask.pixels
     height, width = pixels.shape
     ch, cw = height // scale, width // scale
-    blocks = pixels[: ch * scale, : cw * scale].reshape(ch, scale, cw, scale)
-    return SemanticEdgeMask(mask.label, blocks.any(axis=(1, 3)), frame_id=mask.frame_id)
+    # One axis at a time: OR the rows of each block, then its columns.
+    rows = pixels[: ch * scale, : cw * scale].reshape(ch, scale, cw * scale).any(axis=1)
+    return SemanticEdgeMask(mask.label, rows.reshape(ch, cw, scale).any(axis=2), frame_id=mask.frame_id)
 
 
 def bilinear_gather(u, v, shape: tuple[int, int]):

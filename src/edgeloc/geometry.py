@@ -124,8 +124,11 @@ class Pose:
         if rotation.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {rotation.shape}")
         err = np.abs(rotation.T @ rotation - np.eye(3)).max()
-        if err > _ORTHONORMAL_GUARD or np.linalg.det(rotation) < 0.0:
+        # Written so that a NaN error fails the guard.
+        if not err <= _ORTHONORMAL_GUARD or np.linalg.det(rotation) < 0.0:
             raise ValueError(f"rotation is not orthonormal (error {err:.3e})")
+        if not np.isfinite(translation).all():
+            raise ValueError(f"translation must be finite, got {translation}")
         rotation.setflags(write=False)
         translation.setflags(write=False)
         object.__setattr__(self, "rotation", rotation)

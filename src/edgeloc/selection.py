@@ -5,6 +5,13 @@ Occluders are wireframe interiors (filled planar polygons) and pole
 cylinders (approximated by the quad spanned by their two silhouette
 lines). Plain line segments do not occlude. Depth is interpolated
 perspective-correct (affine in 1/z), which is exact for planar polygons.
+
+Edges are sampled in one array pass over the whole landmark list: the
+landmarks' points are packed and moved into the camera frame together,
+every edge is clipped against the six view planes at once (Liang &
+Barsky, ACM TOG 1984), sampled perspective-correctly, rounded to a pixel
+and depth-tested. Each sample keeps the index of its landmark.
+``select_landmarks`` and the synthetic renderer share this pass.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compact_map import CompactMap, LineSegmentLandmark, WireframeLandmark
+from .compact_map import CompactMap, WireframeLandmark
 from .config import PipelineConfig
 from .geometry import CameraIntrinsics, Pose, project_points
 
@@ -54,30 +61,6 @@ class DepthBuffer:
     def __init__(self, width: int, height: int):
         self.values = np.full((height, width), np.inf)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-    def visible(self, uv: np.ndarray, depth: np.ndarray, tolerance: float) -> np.ndarray:
-        """True where depth <= buffered depth at the nearest pixel + tolerance."""
-        height, width = self.values.shape
-        iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, width - 1)
-        iv = np.clip(np.rint(uv[:, 1]).astype(int), 0, height - 1)
-        return depth <= self.values[iv, iu] + tolerance
-
-
-def _view_planes(intrinsics: CameraIntrinsics, near: float, far: float) -> list[tuple[np.ndarray, float]]:
-    """Half-spaces n.p + d >= 0 bounding the visible frustum (camera frame)."""
-    k = intrinsics
-    return [
-        (np.array([0.0, 0.0, 1.0]), -near),
-        (np.array([0.0, 0.0, -1.0]), far),
-        (np.array([k.fx, 0.0, k.cx]), 0.0),
-        (np.array([-k.fx, 0.0, k.width - 1 - k.cx]), 0.0),
-        (np.array([0.0, k.fy, k.cy]), 0.0),
-        (np.array([0.0, -k.fy, k.height - 1 - k.cy]), 0.0),
-    ]
-
 
 def clip_segment_to_view(
     p0: np.ndarray,
@@ -85,24 +68,32 @@ def clip_segment_to_view(
     intrinsics: CameraIntrinsics,
     near: float = NEAR_CLIP_M,
     far: float = math.inf,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Clip a camera-frame segment against the view frustum; None if outside."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    t0, t1 = 0.0, 1.0
-    for normal, offset in _view_planes(intrinsics, near, far):
-        c0 = float(normal @ p0 + offset)
-        c1 = float(normal @ p1 + offset)
-        if c0 < 0.0 and c1 < 0.0:
-            return None
-        if c0 < 0.0:
-            t0 = max(t0, c0 / (c0 - c1))
-        elif c1 < 0.0:
-            t1 = min(t1, c0 / (c0 - c1))
-    if t0 >= t1:
-        return None
-    direction = p1 - p0
-    return p0 + t0 * direction, p0 + t1 * direction
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clip camera-frame segments p0[i] -> p1[i], (N, 3) each, to the view frustum.
+
+    Returns (inside, q0, q1): which segments keep a visible part, and the
+    clipped endpoints of those segments.
+    """
+    p0 = np.asarray(p0, dtype=float).reshape(-1, 3)
+    p1 = np.asarray(p1, dtype=float).reshape(-1, 3)
+    k = intrinsics
+    # The view frustum as the half-spaces p @ normals + offsets >= 0.
+    normals = np.array(
+        [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [k.fx, 0.0, k.cx], [-k.fx, 0.0, k.width - 1 - k.cx],
+         [0.0, k.fy, k.cy], [0.0, -k.fy, k.height - 1 - k.cy]]
+    ).T
+    offsets = np.array([-near, far, 0.0, 0.0, 0.0, 0.0])
+    c0 = p0 @ normals + offsets
+    c1 = p1 @ normals + offsets
+    out0, out1 = c0 < 0.0, c1 < 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = c0 / (c0 - c1)
+    t0 = np.where(out0 & ~out1, crossing, 0.0).max(axis=1)
+    t1 = np.where(out1 & ~out0, crossing, 1.0).min(axis=1)
+    inside = ~(out0 & out1).any(axis=1) & (t0 < t1)
+    direction = (p1 - p0)[inside]
+    p0 = p0[inside]
+    return inside, p0 + t0[inside, None] * direction, p0 + t1[inside, None] * direction
 
 
 def _clip_polygon_near(points: np.ndarray, near: float) -> np.ndarray:
@@ -166,87 +157,92 @@ def rasterize_polygon(buffer: DepthBuffer, polygon: np.ndarray, intrinsics: Came
         _rasterize_triangle(buffer.values, clipped[[0, i, i + 1]], intrinsics)
 
 
-def pole_silhouette(q0: np.ndarray, q1: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Silhouette edges of a cylinder around segment q0->q1 (camera frame).
+def pole_silhouette(q0: np.ndarray, q1: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
+    """Silhouette edges of cylinders around the segments q0 -> q1 (camera frame).
 
-    Returns (left, right), each a (2, 3) segment offset by the radius
+    Takes (..., 3) endpoints and a radius per cylinder. Returns (left,
+    right), each (..., 2, 3): the segment offset by the radius
     perpendicular to both the axis and the viewing ray.
     """
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
-    axis = q1 - q0
-    offsets = []
-    for endpoint in (q0, q1):
-        side = np.cross(axis, endpoint)
-        norm = np.linalg.norm(side)
-        if norm < 1e-9:
-            # Axis through the camera ray; pick any perpendicular.
-            helper = np.array([1.0, 0.0, 0.0])
-            if abs(axis[0]) > abs(axis[1]):
-                helper = np.array([0.0, 1.0, 0.0])
-            side = np.cross(axis, helper)
-            norm = np.linalg.norm(side)
-        offsets.append(side / norm)
-    left = np.array([q0 - radius * offsets[0], q1 - radius * offsets[1]])
-    right = np.array([q0 + radius * offsets[0], q1 + radius * offsets[1]])
-    return left, right
+    axis = (q1 - q0)[..., None, :]
+    ends = np.stack([q0, q1], axis=-2)
+    side = np.cross(axis, ends)
+    # A stacked (1, 3) @ (3, 1) is the same dot product np.linalg.norm takes;
+    # norm is (..., 2, 1).
+    norm = np.sqrt(side[..., None, :] @ side[..., None])[..., 0]
+    through = norm < 1e-9
+    if through.any():
+        # Axis through the camera ray; pick any perpendicular.
+        helper = np.where(np.abs(axis[..., :1]) > np.abs(axis[..., 1:2]), [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+        side = np.where(through, np.cross(axis, helper), side)
+        norm = np.sqrt(side[..., None, :] @ side[..., None])[..., 0]
+    offset = np.asarray(radius, dtype=float)[..., None, None] * (side / norm)
+    return ends - offset, ends + offset
 
 
-def _min_filter(values: np.ndarray, radius: int) -> np.ndarray:
-    """Separable sliding-minimum over a (2r+1) square window."""
-    out = values
-    for axis in (0, 1):
-        acc = out.copy()
-        for shift in range(1, radius + 1):
-            for sign in (1, -1):
-                rolled = np.roll(out, sign * shift, axis=axis)
-                if axis == 0:
-                    if sign > 0:
-                        rolled[:shift, :] = np.inf
-                    else:
-                        rolled[-shift:, :] = np.inf
-                else:
-                    if sign > 0:
-                        rolled[:, :shift] = np.inf
-                    else:
-                        rolled[:, -shift:] = np.inf
-                np.minimum(acc, rolled, out=acc)
-        out = acc
+def silhouette_margin_depth(buffer: DepthBuffer, margin_px: int, iv: np.ndarray, iu: np.ndarray) -> np.ndarray:
+    """Min occluder depth at silhouette pixels within ``margin_px`` of each
+    pixel (iv[i], iu[i]), in the (2 margin_px + 1)^2 window around it.
+
+    A pixel is a silhouette pixel when a 4-neighbor is much deeper (or
+    outside the image); smooth surfaces like a road seen at grazing angles
+    do not qualify. Pixels away from every silhouette get +inf.
+    """
+    r = margin_px
+    padded = np.pad(buffer.values, r + 1, constant_values=np.inf)
+    depth = padded[1:-1, 1:-1]
+    threshold = depth * 1.5 + 1.0
+    deeper = (
+        (padded[:-2, 1:-1] > threshold)
+        | (padded[2:, 1:-1] > threshold)
+        | (padded[1:-1, :-2] > threshold)
+        | (padded[1:-1, 2:] > threshold)
+    )
+    # An empty pixel's threshold is +inf, so it never becomes a seed.
+    seeds = np.where(deeper, depth, np.inf)
+    # Pixel (v, u) is seeds[v + r, u + r], so its window starts at seeds[v, u].
+    stride = seeds.shape[1]
+    window = (iv * stride + iu)[:, None] + np.arange(2 * r + 1)
+    out = np.full(iv.shape, np.inf)
+    for dv in range(2 * r + 1):
+        np.minimum(out, seeds.ravel()[window + dv * stride].min(axis=1), out=out)
     return out
 
 
-def silhouette_margin_depth(buffer: DepthBuffer, margin_px: int) -> np.ndarray:
-    """Min occluder depth at silhouette discontinuities within margin_px.
+def _pack(landmarks, config: PipelineConfig):
+    """Flatten landmarks into world points and edges given as point-row pairs.
 
-    A pixel is a silhouette pixel when a 4-neighbor is much deeper (or
-    empty); smooth surfaces like a road seen at grazing angles do not
-    qualify. Pixels away from every silhouette hold +inf.
+    Returns (points, edges, owner, poles, radii, wireframes): ``owner`` is
+    each edge's index into ``landmarks``. A pole lists its axis twice, for
+    its left and right silhouette lines; ``poles`` holds the edge row of
+    the first copy and ``radii`` the radius. ``wireframes`` holds each
+    polygon's (start, stop) point rows.
     """
-    depth = buffer.values
-    silhouette = np.zeros(depth.shape, dtype=bool)
-    finite = np.isfinite(depth)
-    threshold = depth * 1.5 + 1.0
-    for axis, sign in ((0, 1), (0, -1), (1, 1), (1, -1)):
-        neighbor = np.roll(depth, sign, axis=axis)
-        if axis == 0:
-            if sign > 0:
-                neighbor[0, :] = np.inf
-            else:
-                neighbor[-1, :] = np.inf
+    chunks, edges, owner, poles, radii, wireframes = [], [], [], [], [], []
+    rows = 0
+    for index, landmark in enumerate(landmarks):
+        if isinstance(landmark, WireframeLandmark):
+            n = landmark.points.shape[0]
+            chunks.append(landmark.points)
+            edges += [(rows + i, rows + (i + 1) % n) for i in range(n)]
+            owner += [index] * n
+            wireframes.append((rows, rows + n))
         else:
-            if sign > 0:
-                neighbor[:, 0] = np.inf
-            else:
-                neighbor[:, -1] = np.inf
-        silhouette |= finite & (neighbor > threshold)
-    seeded = np.where(silhouette, depth, np.inf)
-    return _min_filter(seeded, margin_px)
-
-
-def _pole_radius(landmark: LineSegmentLandmark, config: PipelineConfig) -> float:
-    if landmark.pole_radius is not None:
-        return landmark.pole_radius
-    return config.default_pole_radius_m
+            n = 2
+            chunks += (landmark.p0, landmark.p1)
+            copies = 1
+            if landmark.is_pole:
+                copies = 2
+                poles.append(len(edges))
+                radii.append(config.default_pole_radius_m if landmark.pole_radius is None else landmark.pole_radius)
+            edges += [(rows, rows + 1)] * copies
+            owner += [index] * copies
+        rows += n
+    points = np.vstack(chunks) if chunks else np.empty((0, 3))
+    edges, owner, poles = (np.array(x, dtype=np.intp) for x in (edges, owner, poles))
+    return points, edges.reshape(-1, 2), owner, poles, np.array(radii, dtype=float), wireframes
 
 
 def rasterize_occluders(
@@ -258,65 +254,76 @@ def rasterize_occluders(
     """Depth-buffer wireframe interiors and pole cylinders seen from the prior."""
     config = config or PipelineConfig()
     buffer = DepthBuffer(intrinsics.width, intrinsics.height)
-    to_camera = prior.inverse()
-    for landmark in landmarks:
-        if isinstance(landmark, WireframeLandmark):
-            rasterize_polygon(buffer, to_camera.apply(landmark.points), intrinsics)
-        elif isinstance(landmark, LineSegmentLandmark) and landmark.is_pole:
-            q0 = to_camera.apply(landmark.p0)
-            q1 = to_camera.apply(landmark.p1)
-            left, right = pole_silhouette(q0, q1, _pole_radius(landmark, config))
-            quad = np.array([left[0], left[1], right[1], right[0]])
-            rasterize_polygon(buffer, quad, intrinsics)
+    points, edges, _, poles, radii, wireframes = _pack(landmarks, config)
+    camera = prior.inverse().apply(points)
+    for start, stop in wireframes:
+        rasterize_polygon(buffer, camera[start:stop], intrinsics)
+    left, right = pole_silhouette(camera[edges[poles, 0]], camera[edges[poles, 1]], radii)
+    for quad in np.concatenate([left, right[:, ::-1]], axis=1):
+        rasterize_polygon(buffer, quad, intrinsics)
     return buffer
 
 
-def _edge_segments(landmark, to_camera: Pose, config: PipelineConfig):
-    """Camera-frame edge segments whose visible parts get sampled."""
-    if isinstance(landmark, WireframeLandmark):
-        points = to_camera.apply(landmark.points)
-        n = points.shape[0]
-        return [(points[i], points[(i + 1) % n]) for i in range(n)]
-    q0 = to_camera.apply(landmark.p0)
-    q1 = to_camera.apply(landmark.p1)
-    if landmark.is_pole:
-        left, right = pole_silhouette(q0, q1, _pole_radius(landmark, config))
-        return [(left[0], left[1]), (right[0], right[1])]
-    return [(q0, q1)]
-
-
 def sample_landmark_edges(
-    landmark,
+    landmarks,
     prior: Pose,
     intrinsics: CameraIntrinsics,
     spacing: float | None = None,
     config: PipelineConfig | None = None,
-) -> np.ndarray:
-    """Sample a landmark's visible edges at <= ``spacing`` px intervals.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the landmarks' visible edges at <= ``spacing`` px intervals.
 
-    Returns (N, 3) points in the prior camera frame; sampling is uniform in
-    image space (perspective-correct along each 3D edge), endpoints included.
+    Returns (points, owner): (N, 3) points in the prior camera frame, and
+    each point's index into ``landmarks``. Sampling is uniform in image
+    space (perspective-correct along each 3D edge), endpoints included;
+    points come in landmark order, and in edge order within a landmark.
     """
     config = config or PipelineConfig()
     if spacing is None:
         spacing = config.sample_spacing_px
-    to_camera = prior.inverse()
-    chunks = []
-    for q0, q1 in _edge_segments(landmark, to_camera, config):
-        clipped = clip_segment_to_view(q0, q1, intrinsics, NEAR_CLIP_M, config.max_selection_range_m)
-        if clipped is None:
-            continue
-        qa, qb = clipped
-        uv, _ = project_points(np.array([qa, qb]), intrinsics)
-        length_px = float(np.hypot(*(uv[1] - uv[0])))
-        n_intervals = max(1, int(math.ceil(length_px / spacing)))
-        s = np.linspace(0.0, 1.0, n_intervals + 1)
-        za, zb = qa[2], qb[2]
-        t = s * za / ((1.0 - s) * zb + s * za)
-        chunks.append(qa + t[:, None] * (qb - qa))
-    if not chunks:
-        return np.empty((0, 3))
-    return np.vstack(chunks)
+    points, edges, owner, poles, radii, _ = _pack(landmarks, config)
+    camera = prior.inverse().apply(points)
+    q0, q1 = camera[edges[:, 0]], camera[edges[:, 1]]
+    left, right = pole_silhouette(q0[poles], q1[poles], radii)
+    q0[poles], q1[poles] = left[:, 0], left[:, 1]
+    q0[poles + 1], q1[poles + 1] = right[:, 0], right[:, 1]
+    inside, qa, qb = clip_segment_to_view(q0, q1, intrinsics, NEAR_CLIP_M, config.max_selection_range_m)
+    uv, _ = project_points(np.concatenate([qa, qb]), intrinsics)
+    length_px = np.hypot(*(uv[len(qa):] - uv[: len(qa)]).T)
+    intervals = np.maximum(1, np.ceil(length_px / spacing).astype(np.intp))
+    # s runs over np.linspace(0, 1, n + 1) per edge: k * (1 / n), then exactly 1.
+    edge = np.repeat(np.arange(len(qa)), intervals + 1)
+    last = np.cumsum(intervals + 1) - 1
+    k = np.arange(edge.size) - np.repeat(last - intervals, intervals + 1)
+    s = k * (1.0 / intervals)[edge]
+    s[last] = 1.0
+    za, zb = qa[edge, 2], qb[edge, 2]
+    t = s * za / ((1.0 - s) * zb + s * za)
+    return qa[edge] + t[:, None] * (qb - qa)[edge], owner[inside][edge]
+
+
+def visible_samples(
+    landmarks,
+    prior: Pose,
+    intrinsics: CameraIntrinsics,
+    buffer: DepthBuffer,
+    spacing: float | None = None,
+    config: PipelineConfig | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Edge samples that pass the z-test against ``buffer`` at their pixel.
+
+    Returns (points, owner, iv, iu): ``sample_landmark_edges``' points and
+    owners that are no deeper than the buffer plus the depth tolerance,
+    and the pixel each rounds to.
+    """
+    config = config or PipelineConfig()
+    points, owner = sample_landmark_edges(landmarks, prior, intrinsics, spacing, config)
+    height, width = buffer.values.shape
+    uv, _ = project_points(points, intrinsics)
+    iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, width - 1)
+    iv = np.clip(np.rint(uv[:, 1]).astype(int), 0, height - 1)
+    keep = points[:, 2] <= buffer.values[iv, iu] + config.depth_tolerance_m
+    return points[keep], owner[keep], iv[keep], iu[keep]
 
 
 def select_landmarks(
@@ -327,32 +334,21 @@ def select_landmarks(
 ) -> LandmarkSamples:
     """Full selection pipeline: cull, depth-buffer occluders, sample, z-test."""
     config = config or PipelineConfig()
-    buffer = rasterize_occluders(compact_map.landmarks, prior, intrinsics, config)
-    margin_depth = None
+    landmarks = compact_map.landmarks
+    buffer = rasterize_occluders(landmarks, prior, intrinsics, config)
+    points, owner, iv, iu = visible_samples(landmarks, prior, intrinsics, buffer, config=config)
     if config.occlusion_margin_px > 0:
-        margin_depth = silhouette_margin_depth(buffer, config.occlusion_margin_px)
-    points_by_label: dict[str, list[np.ndarray]] = {name: [] for name in compact_map.label_names}
-    ids_by_label: dict[str, list[np.ndarray]] = {name: [] for name in compact_map.label_names}
-    for landmark in compact_map.landmarks:
-        points = sample_landmark_edges(landmark, prior, intrinsics, config=config)
-        if points.shape[0] == 0:
-            continue
-        uv, _ = project_points(points, intrinsics)
-        keep = buffer.visible(uv, points[:, 2], config.depth_tolerance_m)
-        if margin_depth is not None:
-            height, width = buffer.shape
-            iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, width - 1)
-            iv = np.clip(np.rint(uv[:, 1]).astype(int), 0, height - 1)
-            keep &= points[:, 2] <= margin_depth[iv, iu] + _OCCLUSION_MARGIN_GAP_M
-        if not keep.any():
-            continue
-        kept = points[keep]
-        points_by_label[landmark.label.name].append(kept)
-        ids_by_label[landmark.label.name].append(np.full(kept.shape[0], landmark.landmark_id, dtype=int))
-    final_points = {}
-    final_ids = {}
-    for name in compact_map.label_names:
-        if points_by_label[name]:
-            final_points[name] = np.vstack(points_by_label[name])
-            final_ids[name] = np.concatenate(ids_by_label[name])
-    return LandmarkSamples(final_points, final_ids)
+        margin_depth = silhouette_margin_depth(buffer, config.occlusion_margin_px, iv, iu)
+        keep = points[:, 2] <= margin_depth + _OCCLUSION_MARGIN_GAP_M
+        points, owner = points[keep], owner[keep]
+    names = compact_map.label_names
+    label = np.array([names.index(lm.label.name) for lm in landmarks], dtype=int)[owner]
+    ids = np.array([lm.landmark_id for lm in landmarks], dtype=int)[owner]
+    points_by_label = {}
+    ids_by_label = {}
+    for index, name in enumerate(names):
+        mine = label == index
+        if mine.any():
+            points_by_label[name] = points[mine]
+            ids_by_label[name] = ids[mine]
+    return LandmarkSamples(points_by_label, ids_by_label)

@@ -23,15 +23,9 @@ from .compact_map import (
     serialize_map,
 )
 from .config import PipelineConfig
-from .geometry import CameraIntrinsics, Pose, project_points, rotation_zyx, so3_exp
+from .geometry import CameraIntrinsics, Pose, rotation_zyx, so3_exp
 from .io import format_pose_line, write_initial_pose, write_intrinsics, write_pgm, write_trajectory
-from .selection import (
-    DepthBuffer,
-    rasterize_occluders,
-    rasterize_polygon,
-    sample_landmark_edges,
-    select_landmarks,
-)
+from .selection import DepthBuffer, rasterize_occluders, rasterize_polygon, select_landmarks, visible_samples
 
 # Philox stream purposes.
 _STREAM_MAP = 1
@@ -384,35 +378,29 @@ def render_frame(scene: SyntheticScene, frame_id: int) -> tuple[np.ndarray, np.n
     intrinsics = scene.intrinsics
     config = PipelineConfig()
     height, width = intrinsics.height, intrinsics.width
+    landmarks = scene.compact_map.landmarks
 
-    buffer = rasterize_occluders(scene.compact_map.landmarks, pose, intrinsics, config)
+    buffer = rasterize_occluders(landmarks, pose, intrinsics, config)
     active_boxes = [box for box in scene.noise.occluders if box.active(frame_id)]
     dynamic = _render_boxes(active_boxes, pose, intrinsics, buffer)
 
-    label_index = {name: i + 1 for i, name in enumerate(scene.compact_map.label_names)}
+    points, owner, iv, iu = visible_samples(
+        landmarks, pose, intrinsics, buffer, spacing=_RENDER_SPACING_PX, config=config
+    )
+    # Where edges of different landmarks fall on the same pixel, the nearest
+    # one owns the pixel's label, like a real segmentation would; ties go to
+    # the earlier landmark.
+    pixel = iv * width + iu
+    order = np.lexsort((owner, points[:, 2], pixel))
+    pixel, owner = pixel[order], owner[order]
+    first = np.ones(pixel.shape, dtype=bool)
+    first[1:] = pixel[1:] != pixel[:-1]
+    names = scene.compact_map.label_names
+    label_index = np.array([names.index(lm.label.name) + 1 for lm in landmarks], dtype=np.uint8)
     edges = np.zeros((height, width), dtype=bool)
     labels = np.zeros((height, width), dtype=np.uint8)
-    # Where edges of different landmarks fall on the same pixel, the nearest
-    # one owns the pixel's label, like a real segmentation would.
-    edge_depth = np.full((height, width), np.inf)
-    for landmark in scene.compact_map.landmarks:
-        points = sample_landmark_edges(landmark, pose, intrinsics, spacing=_RENDER_SPACING_PX, config=config)
-        if points.shape[0] == 0:
-            continue
-        uv, _ = project_points(points, intrinsics)
-        visible = buffer.visible(uv, points[:, 2], config.depth_tolerance_m)
-        if not visible.any():
-            continue
-        iu = np.clip(np.rint(uv[visible, 0]).astype(int), 0, width - 1)
-        iv = np.clip(np.rint(uv[visible, 1]).astype(int), 0, height - 1)
-        depth = points[visible, 2]
-        order = np.argsort(-depth, kind="stable")  # write far-to-near
-        iu, iv, depth = iu[order], iv[order], depth[order]
-        better = depth < edge_depth[iv, iu]
-        iu, iv, depth = iu[better], iv[better], depth[better]
-        edges[iv, iu] = True
-        labels[iv, iu] = label_index[landmark.label.name]
-        edge_depth[iv, iu] = depth
+    edges.flat[pixel[first]] = True
+    labels.flat[pixel[first]] = label_index[owner[first]]
 
     if scene.noise.edge_jitter_px > 0.0 or scene.noise.edge_dropout > 0.0:
         rng = _rng(scene.seed, _STREAM_RENDER, frame_id)

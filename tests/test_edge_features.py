@@ -448,3 +448,17 @@ class TestCoarsen:
         coarse = ef.coarsen_mask(ef.SemanticEdgeMask("x", mask), scale=4)
         assert coarse.pixels.shape == (2, 2)
         assert coarse.pixels[1, 0] and not coarse.pixels[0, 0]
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 5), st.integers(1, 23), st.integers(1, 23), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
+    def test_matches_four_axis_block_or(self, scale, height, width, density, seed):
+        # Oracle: OR over both block axes of the 4-D reshape at once. Shapes
+        # need not be multiples of the scale; smaller than one block gives
+        # an empty coarse mask.
+        mask = np.random.default_rng(seed).random((height, width)) < density
+        ch, cw = height // scale, width // scale
+        expected = mask[: ch * scale, : cw * scale].reshape(ch, scale, cw, scale).any(axis=(1, 3))
+        coarse = ef.coarsen_mask(ef.SemanticEdgeMask("x", mask, frame_id=3), scale=scale)
+        assert coarse.pixels.shape == (ch, cw)
+        assert coarse.pixels.tobytes() == expected.tobytes()
+        assert coarse.label == "x" and coarse.frame_id == 3

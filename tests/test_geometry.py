@@ -171,6 +171,18 @@ class TestPoseType:
         with pytest.raises(ValueError):
             geo.Pose(np.eye(3) * 2.0, np.zeros(3))
 
+    def test_rejects_nan_rotation(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            geo.Pose(np.full((3, 3), np.nan), np.zeros(3))
+
+    def test_rejects_nan_translation(self):
+        with pytest.raises(ValueError, match="finite"):
+            geo.Pose(np.eye(3), [np.nan, 0.0, 0.0])
+
+    def test_rejects_infinite_translation(self):
+        with pytest.raises(ValueError, match="finite"):
+            geo.Pose(np.eye(3), [np.inf, 0.0, 0.0])
+
     def test_immutable_arrays(self):
         pose = geo.Pose.identity()
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeloc import selection as sel
+from edgeloc import synthetic as syn
 from edgeloc.compact_map import CompactMap, LineSegmentLandmark, SemanticLabel, WireframeLandmark
 from edgeloc.config import PipelineConfig
-from edgeloc.geometry import CameraIntrinsics, Pose, project_points
+from edgeloc.geometry import CameraIntrinsics, Pose, project_points, so3_exp
 
 K = CameraIntrinsics(fx=200.0, fy=200.0, cx=159.5, cy=119.5, width=320, height=240)
 
@@ -59,12 +62,13 @@ def ray_hits_quad(point, corners):
 class TestSampling:
     def test_landmark_behind_camera_gives_no_samples(self):
         lm = segment([0.0, 0.0, -5.0], [1.0, 0.0, -5.0])
-        assert sel.sample_landmark_edges(lm, EYE, K).shape[0] == 0
+        pts, _ = sel.sample_landmark_edges([lm], EYE, K)
+        assert pts.shape[0] == 0
 
     def test_forty_px_projection_with_spacing_four_gives_eleven(self):
         # endpoints at z=2: u spans 200*1.0/2 - (-?) ... choose x0=0, x1=0.4
         lm = segment([0.0, 0.0, 2.0], [0.4, 0.0, 2.0])
-        pts = sel.sample_landmark_edges(lm, EYE, K, spacing=4.0)
+        pts, _ = sel.sample_landmark_edges([lm], EYE, K, spacing=4.0)
         uv, _ = project_points(pts, K)
         length = np.hypot(*(uv[-1] - uv[0]))
         assert math.isclose(length, 40.0, abs_tol=1e-9)
@@ -72,19 +76,20 @@ class TestSampling:
 
     def test_consecutive_samples_within_spacing(self):
         lm = segment([-1.0, 0.3, 1.0], [2.0, -0.5, 14.0])
-        pts = sel.sample_landmark_edges(lm, EYE, K, spacing=4.0)
+        pts, _ = sel.sample_landmark_edges([lm], EYE, K, spacing=4.0)
         uv, _ = project_points(pts, K)
         gaps = np.hypot(*np.diff(uv, axis=0).T)
         assert gaps.max() <= 4.0 + 1e-9
 
     def test_segment_fully_outside_frustum(self):
         lm = segment([100.0, 0.0, 2.0], [101.0, 0.0, 2.0])
-        assert sel.sample_landmark_edges(lm, EYE, K).shape[0] == 0
+        pts, _ = sel.sample_landmark_edges([lm], EYE, K)
+        assert pts.shape[0] == 0
 
     def test_half_clipped_segment_samples_in_bounds(self):
         # crosses the left image border; oracle: every sample projects in-bounds
         lm = segment([-10.0, 0.0, 5.0], [0.0, 0.0, 5.0])
-        pts = sel.sample_landmark_edges(lm, EYE, K)
+        pts, _ = sel.sample_landmark_edges([lm], EYE, K)
         assert pts.shape[0] > 0
         uv, valid = project_points(pts, K)
         assert valid.all()
@@ -95,14 +100,14 @@ class TestSampling:
 
     def test_wireframe_all_edges_sampled(self):
         wf = quad((0.0, 0.0), 0.5, 0.3, 4.0)
-        pts = sel.sample_landmark_edges(wf, EYE, K)
+        pts, _ = sel.sample_landmark_edges([wf], EYE, K)
         uv, _ = project_points(pts, K)
         # samples must cover all four sides: spread in both u and v
         assert np.ptp(uv[:, 0]) > 40 and np.ptp(uv[:, 1]) > 20
 
     def test_pole_has_two_silhouette_edges(self):
         lm = segment([0.0, 1.0, 6.0], [0.0, -1.0, 6.0], label=POLE, radius=0.15)
-        pts = sel.sample_landmark_edges(lm, EYE, K)
+        pts, _ = sel.sample_landmark_edges([lm], EYE, K)
         uv, _ = project_points(pts, K)
         # two vertical stripes of samples separated by the diameter
         us = np.sort(np.unique(np.round(uv[:, 0], 3)))
@@ -170,7 +175,7 @@ class TestSelectLandmarks:
         # oracle over the raw (unoccluded) samples; the buffer is pixel
         # quantized, so samples within one pixel of the quad's silhouette
         # can legitimately fall either way
-        raw = sel.sample_landmark_edges(pole, EYE, K, config=cfg)
+        raw, _ = sel.sample_landmark_edges([pole], EYE, K, config=cfg)
         corners = sign.points
         uv_raw, _ = project_points(raw, K)
         sil_v = K.fy * 0.6 / 5.0
@@ -191,7 +196,7 @@ class TestSelectLandmarks:
         kept = sel.select_landmarks(cmap, EYE, K, cfg).points_by_label.get(
             "lamp_pole", np.empty((0, 3))
         )
-        raw = sel.sample_landmark_edges(pole, EYE, K, config=cfg)
+        raw, _ = sel.sample_landmark_edges([pole], EYE, K, config=cfg)
         corners = sign.points
         uv_raw, _ = project_points(raw, K)
         sil_half_u = K.fx * 0.6 / 5.0
@@ -264,15 +269,15 @@ class TestSelectLandmarks:
         wf = quad((0.0, 0.0), 0.7, 0.5, 5.0, lid=0)
         samples = sel.select_landmarks(make_map([wf]), EYE, K)
         pts = samples.points_by_label["traffic_sign"]
-        raw = sel.sample_landmark_edges(wf, EYE, K)
+        raw, _ = sel.sample_landmark_edges([wf], EYE, K)
         assert pts.shape[0] == raw.shape[0]
 
     def test_pole_default_radius_from_config(self):
         lm = segment([1.0, 2.0, 8.0], [1.0, -2.0, 8.0], label=POLE, lid=0)
         wide = PipelineConfig(default_pole_radius_m=0.5)
         narrow = PipelineConfig(default_pole_radius_m=0.05)
-        pts_wide = sel.sample_landmark_edges(lm, EYE, K, config=wide)
-        pts_narrow = sel.sample_landmark_edges(lm, EYE, K, config=narrow)
+        pts_wide, _ = sel.sample_landmark_edges([lm], EYE, K, config=wide)
+        pts_narrow, _ = sel.sample_landmark_edges([lm], EYE, K, config=narrow)
         spread_wide = np.ptp(pts_wide[:, 0])
         spread_narrow = np.ptp(pts_narrow[:, 0])
         assert spread_wide > spread_narrow
@@ -280,21 +285,216 @@ class TestSelectLandmarks:
 
 class TestClip:
     def test_clip_keeps_interior(self):
-        out = sel.clip_segment_to_view(np.array([0.0, 0.0, 2.0]), np.array([0.1, 0.0, 3.0]), K)
-        assert out is not None
-        q0, q1 = out
-        assert np.allclose(q0, [0.0, 0.0, 2.0]) and np.allclose(q1, [0.1, 0.0, 3.0])
+        inside, q0, q1 = sel.clip_segment_to_view(np.array([[0.0, 0.0, 2.0]]), np.array([[0.1, 0.0, 3.0]]), K)
+        assert inside.all()
+        assert np.allclose(q0[0], [0.0, 0.0, 2.0]) and np.allclose(q1[0], [0.1, 0.0, 3.0])
 
     def test_clip_against_near_plane(self):
-        out = sel.clip_segment_to_view(np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, 4.0]), K)
-        assert out is not None
-        q0, _ = out
-        assert q0[2] >= sel.NEAR_CLIP_M - 1e-12
+        inside, q0, _ = sel.clip_segment_to_view(np.array([[0.0, 0.0, -1.0]]), np.array([[0.0, 0.0, 4.0]]), K)
+        assert inside.all()
+        assert q0[0, 2] >= sel.NEAR_CLIP_M - 1e-12
 
     def test_clip_respects_max_range(self):
-        out = sel.clip_segment_to_view(
-            np.array([0.0, 0.0, 10.0]), np.array([0.0, 0.0, 500.0]), K, far=150.0
+        inside, _, q1 = sel.clip_segment_to_view(
+            np.array([[0.0, 0.0, 10.0]]), np.array([[0.0, 0.0, 500.0]]), K, far=150.0
         )
-        assert out is not None
-        _, q1 = out
-        assert q1[2] <= 150.0 + 1e-9
+        assert inside.all()
+        assert q1[0, 2] <= 150.0 + 1e-9
+
+    def test_parallel_to_a_plane(self):
+        # Rows 0-2 run parallel to the near plane: inside the view, in front
+        # of the plane, and in it (a point on a plane is inside). Rows 3-4
+        # run along the left border plane, just inside it and just outside.
+        x_left = -K.cx / K.fx * 4.0
+        p0 = np.array(
+            [
+                [-0.2, 0.0, 2.0],
+                [-0.2, 0.0, 0.01],
+                [-0.01, 0.0, sel.NEAR_CLIP_M],
+                [x_left + 0.01, -0.5, 4.0],
+                [x_left - 0.01, -0.5, 4.0],
+            ]
+        )
+        p1 = p0 + np.array([[0.4, 0.1, 0.0], [0.4, 0.1, 0.0], [0.02, 0.005, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        inside, q0, q1 = sel.clip_segment_to_view(p0, p1, K)
+        assert inside.tolist() == [True, False, True, True, False]
+        assert np.array_equal(q0, p0[inside]) and np.array_equal(q1, p1[inside])
+
+    def test_fully_outside(self):
+        p0 = np.array([[100.0, 0.0, 2.0], [0.0, 0.0, -3.0], [0.0, 0.0, 200.0]])
+        p1 = np.array([[101.0, 0.0, 2.0], [0.5, 0.0, -1.0], [0.0, 0.0, 300.0]])
+        inside, q0, q1 = sel.clip_segment_to_view(p0, p1, K, far=150.0)
+        assert not inside.any()
+        assert q0.shape == q1.shape == (0, 3)
+
+    def test_rows_clip_independently(self):
+        p0 = np.array([[0.0, 0.0, 2.0], [100.0, 0.0, 2.0], [0.0, 0.0, -1.0]])
+        p1 = np.array([[0.1, 0.0, 3.0], [101.0, 0.0, 2.0], [0.0, 0.0, 4.0]])
+        inside, q0, q1 = sel.clip_segment_to_view(p0, p1, K)
+        assert inside.tolist() == [True, False, True]
+        for row, i in enumerate(np.flatnonzero(inside)):
+            _, alone0, alone1 = sel.clip_segment_to_view(p0[i : i + 1], p1[i : i + 1], K)
+            assert np.array_equal(alone0[0], q0[row]) and np.array_equal(alone1[0], q1[row])
+
+
+class TestPoleSilhouette:
+    def test_axis_along_the_viewing_ray(self):
+        # cross(axis, endpoint) vanishes; the offset falls back to a fixed
+        # perpendicular of the axis.
+        left, right = sel.pole_silhouette([0.0, 0.0, 2.0], [0.0, 0.0, 6.0], 0.2)
+        ends = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 6.0]])
+        assert np.array_equal(left, ends - [0.0, 0.2, 0.0])
+        assert np.array_equal(right, ends + [0.0, 0.2, 0.0])
+
+    def test_batch_equals_single(self):
+        rng = np.random.default_rng(3)
+        q0 = rng.uniform(-3.0, 3.0, size=(7, 3))
+        q1 = q0 + rng.uniform(-2.0, 2.0, size=(7, 3))
+        q0[2], q1[2] = [0.0, 0.0, 2.0], [0.0, 0.0, 5.0]  # along the ray
+        radii = rng.uniform(0.05, 0.5, size=7)
+        left, right = sel.pole_silhouette(q0, q1, radii)
+        assert left.shape == right.shape == (7, 2, 3)
+        for i in range(7):
+            one_left, one_right = sel.pole_silhouette(q0[i], q1[i], float(radii[i]))
+            assert one_left.tobytes() == left[i].tobytes() and one_right.tobytes() == right[i].tobytes()
+            # offsets are the radius long and perpendicular to the axis
+            offset = (right[i] - left[i]) / 2.0
+            assert np.allclose(np.linalg.norm(offset, axis=1), radii[i])
+            assert np.allclose(offset @ (q1[i] - q0[i]), 0.0, atol=1e-9)
+
+
+class TestEmpty:
+    def test_no_landmarks_no_samples(self):
+        points, owner = sel.sample_landmark_edges([], EYE, K)
+        assert points.shape == (0, 3) and owner.shape == (0,)
+
+    def test_empty_map_selects_nothing(self):
+        samples = sel.select_landmarks(make_map([]), EYE, K)
+        assert samples.total_count() == 0 and samples.labels == ()
+
+
+@st.composite
+def camera_landmarks(draw):
+    """Random landmarks around the camera: segments, poles with and without
+    an explicit radius, and planar polygons, some outside the view or
+    behind the camera."""
+    n = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    out = []
+    for lid in range(n):
+        kind = draw(st.sampled_from(["segment", "pole", "pole_default", "wireframe"]))
+        centre = rng.uniform([-6.0, -4.0, -3.0], [6.0, 4.0, 25.0])
+        if kind == "wireframe":
+            e1, e2 = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
+            count = draw(st.integers(3, 6))
+            angles = 2.0 * np.pi * np.arange(count) / count
+            size = rng.uniform(0.2, 3.0)
+            points = centre + size * (np.cos(angles)[:, None] * e1 + np.sin(angles)[:, None] * e2)
+            out.append(WireframeLandmark(SIGN, points, landmark_id=lid))
+        else:
+            direction = rng.normal(size=3)
+            other = centre + rng.uniform(0.1, 6.0) * direction / np.linalg.norm(direction)
+            label = ROAD if kind == "segment" else POLE
+            radius = rng.uniform(0.05, 0.4) if kind == "pole" else None
+            out.append(segment(centre, other, label=label, lid=lid, radius=radius))
+    return out, seed
+
+
+class TestBatchedSampler:
+    @settings(deadline=None, max_examples=150)
+    @given(camera_landmarks(), st.sampled_from([0.45, 4.0]))
+    def test_batch_equals_concatenated_single_calls(self, drawn, spacing):
+        landmarks, seed = drawn
+        rng = np.random.default_rng(seed + 1)
+        prior = Pose(so3_exp(rng.normal(scale=0.2, size=3)), rng.normal(scale=1.0, size=3))
+        points, owner = sel.sample_landmark_edges(landmarks, prior, K, spacing=spacing)
+        singles = [sel.sample_landmark_edges([lm], prior, K, spacing=spacing) for lm in landmarks]
+        expected_points = np.concatenate([pts for pts, _ in singles])
+        expected_owner = np.concatenate([index + own for index, (_, own) in enumerate(singles)])
+        assert points.tobytes() == expected_points.tobytes()
+        assert owner.tobytes() == expected_owner.tobytes()
+
+
+def brute_force_margin(values, margin_px, iv, iu):
+    """The silhouette seeds pixel by pixel, then a plain window minimum."""
+    height, width = values.shape
+    seeds = np.full((height, width), np.inf)
+    for v in range(height):
+        for u in range(width):
+            depth = values[v, u]
+            neighbors = [
+                values[v + dv, u + du] if 0 <= v + dv < height and 0 <= u + du < width else np.inf
+                for dv, du in ((-1, 0), (1, 0), (0, -1), (0, 1))
+            ]
+            if np.isfinite(depth) and max(neighbors) > depth * 1.5 + 1.0:
+                seeds[v, u] = depth
+    out = []
+    for v, u in zip(iv, iu):
+        window = seeds[max(0, v - margin_px) : v + margin_px + 1, max(0, u - margin_px) : u + margin_px + 1]
+        out.append(window.min())
+    return np.array(out)
+
+
+class TestSilhouetteMargin:
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 14), st.integers(1, 14), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    def test_equals_brute_force_window_minimum(self, height, width, margin_px, seed):
+        rng = np.random.default_rng(seed)
+        buffer = sel.DepthBuffer(width, height)
+        for _ in range(rng.integers(0, 4)):
+            v0, u0 = rng.integers(0, height), rng.integers(0, width)
+            v1, u1 = rng.integers(v0, height) + 1, rng.integers(u0, width) + 1
+            patch = buffer.values[v0:v1, u0:u1]
+            np.minimum(patch, rng.uniform(0.5, 30.0, size=patch.shape), out=patch)
+        iv = rng.integers(0, height, size=20)
+        iu = rng.integers(0, width, size=20)
+        got = sel.silhouette_margin_depth(buffer, margin_px, iv, iu)
+        assert got.tobytes() == brute_force_margin(buffer.values, margin_px, iv, iu).tobytes()
+
+
+def samples_digest(samples):
+    h = hashlib.sha256()
+    for name in samples.labels:
+        h.update(name.encode())
+        h.update(samples.points_by_label[name].tobytes())
+        h.update(samples.source_ids_by_label[name].astype(np.int64).tobytes())
+    return h.hexdigest()
+
+
+def corner_map_with_wall(scene):
+    """The scene's map plus a 4 x 3.2 m wireframe wall 9 m ahead of frame 8."""
+    pose = scene.pose_of(8)
+    forward = pose.rotation @ np.array([0.0, 0.0, 1.0])
+    right = pose.rotation @ np.array([1.0, 0.0, 0.0])
+    right = np.array([right[0], right[1], 0.0]) / np.hypot(right[0], right[1])
+    foot = pose.translation + 9.0 * forward + 1.5 * right
+    foot[2] = 0.0
+    up = np.array([0.0, 0.0, 1.0])
+    corners = [
+        foot - 2.0 * right + 0.3 * up,
+        foot + 2.0 * right + 0.3 * up,
+        foot + 2.0 * right + 3.5 * up,
+        foot - 2.0 * right + 3.5 * up,
+    ]
+    cmap = scene.compact_map
+    sign = next(label for label in cmap.labels if label.name == "traffic_sign")
+    wall = WireframeLandmark(sign, corners, landmark_id=len(cmap.landmarks))
+    return CompactMap(cmap.labels, cmap.landmarks + (wall,))
+
+
+class TestPinnedSelection:
+    def test_selected_samples_are_pinned(self):
+        # Digest of the points and ids per label over 21 priors (exact, 0.5 m
+        # and 2 m off) on a small urban-corner scene with a wall added to
+        # its map, as the per-landmark selector produced them.
+        scene = syn.generate_scene(5, "urban-corner", n_frames=16)
+        cmap = corner_map_with_wall(scene)
+        rng = np.random.default_rng(0)
+        h = hashlib.sha256()
+        for frame_id in (0, 3, 6, 8, 10, 13, 15):
+            pose = scene.pose_of(frame_id)
+            for offset_m, angle in ((0.0, 0.0), (0.5, 0.01), (2.0, 0.03)):
+                prior = syn.perturb_pose_random(pose, offset_m, angle, rng)
+                h.update(samples_digest(sel.select_landmarks(cmap, prior, scene.intrinsics)).encode())
+        assert h.hexdigest() == "abcfe81ef3e58bf05eed14f951ef08c0a2d614c16fddd45bb16057bb081bd4a5"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from dataclasses import replace
@@ -80,7 +81,7 @@ class TestRenderFrame:
         cfg = PipelineConfig()
         cloud = []
         for lm in scene.compact_map.landmarks:
-            pts = sample_landmark_edges(lm, pose, scene.intrinsics, spacing=0.2, config=cfg)
+            pts, _ = sample_landmark_edges([lm], pose, scene.intrinsics, spacing=0.2, config=cfg)
             if pts.shape[0]:
                 uv, _ = project_points(pts, scene.intrinsics)
                 cloud.append(uv)
@@ -229,3 +230,45 @@ class TestSelectorRendererConsistency:
                 assert d <= 1.0
                 checked += 1
         assert checked > 50
+
+
+class TestPinnedRender:
+    def test_rasters_are_pinned(self):
+        # Digest of the (labels, edges, dynamic) rasters of a clean frame, a
+        # frame behind an occluder wall and a jittered frame with dropout,
+        # as the per-landmark renderer produced them.
+        scene = syn.generate_scene(5, "urban-corner", n_frames=16)
+        wall = syn.make_occluder_wall(scene, 6, 9)
+        noisy = replace(scene, noise=syn.NoiseConfig(edge_jitter_px=1.0, edge_dropout=0.1, occluders=(wall,)))
+        h = hashlib.sha256()
+        for frame_scene, frame_id in ((scene, 2), (noisy, 7), (noisy, 12)):
+            for raster in syn.render_frame(frame_scene, frame_id):
+                h.update(raster.tobytes())
+        assert h.hexdigest() == "7c1b1cc6c093ab04eb4971e30d93c506c28b26cb2986d69b4532ed0a89f84710"
+
+    def test_nearest_landmark_owns_a_shared_pixel(self):
+        # A far line crossed by a nearer one listed after it: the crossing
+        # pixel takes the nearer one's label. A twin of the far line, at
+        # equal depth everywhere, leaves every pixel to the earlier landmark.
+        from edgeloc.compact_map import CompactMap, LineSegmentLandmark, SemanticLabel
+
+        base = syn.generate_scene(4, "sparse", n_frames=1)
+        pose = base.pose_of(0)
+        first, second = SemanticLabel("first", "road"), SemanticLabel("second", "road")
+
+        def line(label, p0, p1, lid):
+            return LineSegmentLandmark(label, pose.apply(p0), pose.apply(p1), landmark_id=lid)
+
+        far = line(first, [-3.0, 0.5, 12.0], [3.0, 0.5, 12.0], 0)
+        near = line(second, [0.1, -2.0, 6.0], [0.1, 2.0, 6.0], 1)
+        twin = line(second, [-3.0, 0.5, 12.0], [3.0, 0.5, 12.0], 1)
+        uv, _ = project_points(np.array([[0.2, 0.5, 12.0], [-1.0, 0.5, 12.0]]), base.intrinsics)
+        (u_cross, u_far), v = np.rint(uv[:, 0]).astype(int), int(np.rint(uv[0, 1]))
+
+        scene = replace(base, compact_map=CompactMap((first, second), (far, near)))
+        labels, _, _ = syn.render_frame(scene, 0)
+        assert labels[v, u_cross] == 2 and labels[v, u_far] == 1
+
+        scene = replace(base, compact_map=CompactMap((first, second), (far, twin)))
+        labels, edges, _ = syn.render_frame(scene, 0)
+        assert edges[v, u_far] and set(np.unique(labels[edges > 0])) == {1}
