@@ -5,6 +5,8 @@ Each frame is aligned once, from its prior. Two recovery mechanisms widen
 the basin of that single attempt: a coarse-to-fine stage (``solve_two_scale``
 aligns on block-downsampled fields first) and escape probes (``solve`` tries
 fixed translation offsets once the damped iteration stalls on a poor fit).
+A probe round projects and scores all of its candidate poses in one array
+pass; ``_evaluate`` serves the single poses of the damped iteration.
 
 The optimizer's 6-DoF step delta = [d_t, d_theta] perturbs the camera pose
 as translation added in the world frame and rotation right-multiplied in
@@ -133,6 +135,18 @@ class _Prepared:
         self.total_samples = self.world.shape[0]
 
 
+def _project(k: CameraIntrinsics, cam: np.ndarray):
+    """Pixel coordinates (u, v) of camera-frame points (..., 3), and which of
+    them are active: in front of the camera and inside the image bounds."""
+    z = cam[..., 2]
+    valid = z > MIN_PROJECTION_DEPTH
+    safe_z = np.where(valid, z, 1.0)
+    u = k.fx * cam[..., 0] / safe_z + k.cx
+    v = k.fy * cam[..., 1] / safe_z + k.cy
+    valid &= (u >= 0.0) & (u <= k.width - 1) & (v >= 0.0) & (v <= k.height - 1)
+    return u, v, valid
+
+
 def _evaluate(prepared: _Prepared, pose: Pose, with_jacobian: bool):
     """Residuals (and optionally Jacobian rows) at ``pose``.
 
@@ -145,12 +159,7 @@ def _evaluate(prepared: _Prepared, pose: Pose, with_jacobian: bool):
     if prepared.total_samples == 0:
         return 0.0, 0, np.empty(0), (np.empty((0, 6)) if with_jacobian else None)
     cam = (prepared.world - pose.translation) @ rotation  # row-wise R^T (p_w - t)
-    z = cam[:, 2]
-    valid = z > MIN_PROJECTION_DEPTH
-    safe_z = np.where(valid, z, 1.0)
-    u = k.fx * cam[:, 0] / safe_z + k.cx
-    v = k.fy * cam[:, 1] / safe_z + k.cy
-    valid &= (u >= 0.0) & (u <= k.width - 1) & (v >= 0.0) & (v <= k.height - 1)
+    u, v, valid = _project(k, cam)
     count = int(valid.sum())
     if count == 0:
         return 0.0, 0, np.empty(0), (np.empty((0, 6)) if with_jacobian else None)
@@ -223,19 +232,41 @@ def energy(problem: AlignmentProblem, pose: Pose) -> tuple[float, int]:
 def _probe_escape(prepared: _Prepared, pose: Pose, energy_now: float, count_now: int, min_samples: int, magnitudes):
     """Best strictly-lower-energy pose among fixed translation probes, or None.
 
+    Candidates are ``pose`` moved by ``magnitude * direction`` in the camera
+    frame, direction-major over ``_PROBE_DIRECTIONS``. All of them are
+    scored in one array pass: one stacked projection, one validity mask and
+    one bilinear gather over every valid sample. Each candidate's energy is
+    its own slice's dot product, with the same values in the same order as
+    ``_evaluate`` at that pose, so the first strictly lowest candidate in
+    loop order wins and only the winner becomes a ``Pose``.
+
     A candidate must keep nearly all samples active: dumping samples out of
     the image bounds lowers the total energy without improving anything.
     """
-    best = None
-    count_floor = max(min_samples, int(0.95 * count_now))
-    for direction in _PROBE_DIRECTIONS:
-        for magnitude in magnitudes:
-            candidate = Pose(pose.rotation, pose.translation + pose.rotation @ (magnitude * direction))
-            energy_new, count_new, _, _ = _evaluate(prepared, candidate, with_jacobian=False)
-            if count_new >= count_floor and energy_new < energy_now - 1e-9:
-                if best is None or energy_new < best[0]:
-                    best = (energy_new, count_new, candidate)
-    return best
+    rotation = pose.rotation
+    translations = np.array(
+        [
+            pose.translation + rotation @ (magnitude * direction)
+            for direction in _PROBE_DIRECTIONS
+            for magnitude in magnitudes
+        ]
+    )
+    # Per candidate R^T (p_w - t); not kept, so the gather below can reuse its memory.
+    u, v, valid = _project(prepared.intrinsics, (prepared.world[None] - translations[:, None]) @ rotation)
+    counts = valid.sum(axis=1)
+    sample = np.nonzero(valid)[1]  # candidate-major, so each candidate's samples are one slice
+    values = bilinear_gather(u[valid], v[valid], prepared.distance.shape[1:])(
+        prepared.distance, prepared.label_index[sample]
+    )
+    weights = prepared.weight[sample]
+    stops = np.cumsum(counts).tolist()
+    # Empty slices stay in: a candidate with no active samples has energy 0.0.
+    energies = np.array([weights[s:e] @ (values[s:e] * values[s:e]) for s, e in zip([0] + stops, stops)])
+    eligible = np.flatnonzero((counts >= max(min_samples, int(0.95 * count_now))) & (energies < energy_now - 1e-9))
+    if eligible.size == 0:
+        return None
+    best = eligible[np.argmin(energies[eligible])]  # argmin keeps the first of equal energies
+    return float(energies[best]), int(counts[best]), Pose(rotation, translations[best])
 
 
 def solve(problem: AlignmentProblem) -> AlignmentResult:

@@ -15,6 +15,7 @@ Dataset layout (what the synthetic harness emits):
 from __future__ import annotations
 
 import json
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,8 @@ from .geometry import CameraIntrinsics, Pose
 from .io import read_initial_pose, read_intrinsics, read_pgm, read_trajectory, write_pgm
 from .predictor import PosePredictor
 from .selection import select_landmarks
+
+_log = logging.getLogger(__name__)
 
 
 class ManifestError(ValueError):
@@ -177,6 +180,9 @@ def run_dataset(
     with alignment of the current one; results are identical to the serial
     run because field construction is a pure function of the frame files.
     ``debug_dir`` writes a reprojection overlay raster per processed frame.
+    A frame whose selection or alignment raises is logged with its traceback
+    and gets a ``skipped:error:<Type>`` record; the predictor is not
+    committed and the run goes on.
     """
     config = config or PipelineConfig()
     if compact_map is None:
@@ -233,15 +239,20 @@ def run_dataset(
                 records.append(FrameRecord(frame_id, f"skipped:io:{err}", 0, float("inf"), 0))
                 continue
 
-            samples = select_landmarks(compact_map, prior, manifest.intrinsics, config)
-            problem = AlignmentProblem(
-                samples=samples,
-                fields=fields,
-                prior=prior,
-                intrinsics=manifest.intrinsics,
-                config=config,
-            )
-            result = align_frame(problem, coarse_fields)
+            try:
+                samples = select_landmarks(compact_map, prior, manifest.intrinsics, config)
+                problem = AlignmentProblem(
+                    samples=samples,
+                    fields=fields,
+                    prior=prior,
+                    intrinsics=manifest.intrinsics,
+                    config=config,
+                )
+                result = align_frame(problem, coarse_fields)
+            except Exception as err:
+                _log.exception("frame %d skipped", frame_id)
+                records.append(FrameRecord(frame_id, f"skipped:error:{type(err).__name__}", 0, float("inf"), 0))
+                continue
             if debug_dir is not None:
                 out_dir = Path(debug_dir)
                 out_dir.mkdir(parents=True, exist_ok=True)

@@ -153,6 +153,17 @@ def rasterize_polygon(buffer: DepthBuffer, polygon: np.ndarray, intrinsics: Came
     clipped = _clip_polygon_near(np.asarray(polygon, dtype=float), NEAR_CLIP_M)
     if clipped.shape[0] < 3:
         return
+    # Cull with _rasterize_triangle's own pixel bounds: each fan triangle's
+    # bounding box lies inside the polygon's, so a polygon culled here would
+    # have filled no pixel.
+    height, width = buffer.values.shape
+    uv, _ = project_points(clipped, intrinsics)
+    u_min, v_min = uv.min(axis=0)
+    u_max, v_max = uv.max(axis=0)
+    if max(0, math.ceil(u_min - 1e-9)) > min(width - 1, math.floor(u_max + 1e-9)):
+        return
+    if max(0, math.ceil(v_min - 1e-9)) > min(height - 1, math.floor(v_max + 1e-9)):
+        return
     for i in range(1, clipped.shape[0] - 1):
         _rasterize_triangle(buffer.values, clipped[[0, i, i + 1]], intrinsics)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeloc import alignment as al
 from edgeloc import edge_features as ef
@@ -444,3 +446,218 @@ class TestProblemType:
         prior = Pose(np.eye(3), [1.0, 2.0, 3.0])
         problem = single_sample_problem(field, [0.0, 0.0, 5.0], prior=prior)
         assert problem.start_pose is prior
+
+
+def reference_probe_escape(prepared, pose, energy_now, count_now, min_samples, magnitudes):
+    """The probe scan as one ``_evaluate`` per candidate: the oracle of the batched scan."""
+    best = None
+    count_floor = max(min_samples, int(0.95 * count_now))
+    for direction in al._PROBE_DIRECTIONS:
+        for magnitude in magnitudes:
+            candidate = Pose(pose.rotation, pose.translation + pose.rotation @ (magnitude * direction))
+            energy_new, count_new, _, _ = al._evaluate(prepared, candidate, with_jacobian=False)
+            if count_new >= count_floor and energy_new < energy_now - 1e-9:
+                if best is None or energy_new < best[0]:
+                    best = (energy_new, count_new, candidate)
+    return best
+
+
+def probe_key(best):
+    if best is None:
+        return None
+    energy_value, count, pose = best
+    return energy_value, count, pose.translation.tobytes(), pose.rotation.tobytes()
+
+
+def assert_probe_matches_reference(prepared, pose, energy_now, count_now, min_samples, magnitudes):
+    got = al._probe_escape(prepared, pose, energy_now, count_now, min_samples, magnitudes)
+    want = reference_probe_escape(prepared, pose, energy_now, count_now, min_samples, magnitudes)
+    assert probe_key(got) == probe_key(want)
+    return got
+
+
+def prepared_problem(grids, points_by_label, intrinsics, config=None):
+    """_Prepared of world-frame samples, one field per label."""
+    labels = list(points_by_label)
+    samples = LandmarkSamples(
+        {label: np.asarray(points_by_label[label], float).reshape(-1, 3) for label in labels},
+        {label: np.zeros(len(points_by_label[label]), dtype=int) for label in labels},
+    )
+    fields = {
+        label: ef.SemanticEdgeField(label, grid, d_max=float(grid.max(initial=0.0))) for label, grid in zip(labels, grids)
+    }
+    problem = al.AlignmentProblem(
+        samples=samples, fields=fields, prior=Pose.identity(), intrinsics=intrinsics, config=config or PipelineConfig()
+    )
+    return al._Prepared(problem)
+
+
+@st.composite
+def probe_scans(draw):
+    """Random fields, samples, pose and scan thresholds for one probe scan.
+
+    Grids are small and their values few, so plateaus and exact energy ties
+    are common; samples reach behind the camera and off the image."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    height, width = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    intrinsics = CameraIntrinsics(
+        fx=draw(st.floats(2.0, 40.0)), fy=draw(st.floats(2.0, 40.0)),
+        cx=(width - 1) / 2.0, cy=(height - 1) / 2.0, width=width, height=height,
+    )
+    n_labels = draw(st.integers(1, 3))
+    levels = draw(st.integers(1, 4))
+    grids = [
+        rng.integers(0, levels, size=(height, width)).astype(float) * draw(st.sampled_from([0.5, 1.0, 3.0]))
+        for _ in range(n_labels)
+    ]
+    weights = tuple((f"l{i}", draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))) for i in range(n_labels))
+    pose = Pose(so3_exp(rng.normal(size=3) * draw(st.sampled_from([0.0, 0.05, 1.0]))), rng.normal(size=3))
+    points_by_label = {}
+    for label, _ in weights:
+        n = draw(st.integers(0, 25))
+        cam = np.column_stack([rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n), rng.uniform(-0.5, 4.0, n)])
+        points_by_label[label] = pose.apply(cam)
+    prepared = prepared_problem(grids, points_by_label, intrinsics, PipelineConfig(label_weights=weights))
+    energy_here, count_here, _, _ = al._evaluate(prepared, pose, with_jacobian=False)
+    energy_now = draw(st.sampled_from([energy_here, math.inf, energy_here * 0.5]))
+    count_now = draw(st.sampled_from([count_here, 0, prepared.total_samples]))
+    min_samples = draw(st.sampled_from([0, 1, 5, 30]))
+    magnitudes = draw(st.sampled_from([al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M]))
+    return prepared, pose, energy_now, count_now, min_samples, magnitudes
+
+
+SMALL_K = CameraIntrinsics(fx=50.0, fy=50.0, cx=15.5, cy=11.5, width=32, height=24)
+
+
+def constant_field_scan(points=None):
+    """Samples on a field of 2.0 everywhere, so a candidate's energy is 4.0
+    per active sample. By default nine samples 2 m ahead: every candidate
+    that keeps them all active has the same energy."""
+    if points is None:
+        points = [[x, y, 2.0] for x in (-0.2, 0.0, 0.2) for y in (-0.2, 0.0, 0.2)]
+    return prepared_problem([np.full((24, 32), 2.0)], {"lane": points}, SMALL_K)
+
+
+def points_at_pixels(u, v, z):
+    """Camera-frame points that project to pixels (u, v) at depths z under SMALL_K."""
+    u, v, z = (np.asarray(a, float) for a in (u, v, z))
+    return np.column_stack([(u - SMALL_K.cx) * z / SMALL_K.fx, (v - SMALL_K.cy) * z / SMALL_K.fy, z])
+
+
+class TestProbeScan:
+    @settings(deadline=None, max_examples=200)
+    @given(probe_scans())
+    def test_matches_per_candidate_reference(self, scan):
+        assert_probe_matches_reference(*scan)
+
+    @pytest.mark.parametrize("magnitudes", [al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M])
+    def test_exact_tie_goes_to_the_first_candidate(self, magnitudes):
+        prepared = constant_field_scan()
+        pose = Pose.identity()
+        best = assert_probe_matches_reference(prepared, pose, math.inf, 9, 0, magnitudes)
+        first = pose.translation + pose.rotation @ (magnitudes[0] * al._PROBE_DIRECTIONS[0])
+        assert best[:2] == (36.0, 9)
+        assert best[2].translation.tobytes() == first.tobytes()
+
+    def test_ties_are_broken_direction_major(self):
+        # Four samples near the left border. Every sample is lost, for the
+        # lowest energy 0.0, first by direction 18 at 0.1 m in
+        # direction-major order; magnitude-major order would reach
+        # direction 21 at 0.05 m first.
+        prepared = constant_field_scan(points_at_pixels([2.6, 0.2, 1.0, 0.5], [10, 18, 5, 1], [0.5, 2.5, 2.4, 0.9]))
+        pose = Pose.identity()
+        for index, magnitude in ((18, 0.1), (21, 0.05)):
+            moved = Pose(np.eye(3), magnitude * al._PROBE_DIRECTIONS[index])
+            assert al._evaluate(prepared, moved, with_jacobian=False)[:2] == (0.0, 0)
+        best = assert_probe_matches_reference(prepared, pose, math.inf, 0, 0, al._PROBE_MAGNITUDES_NEAR_M)
+        assert best[2].translation.tobytes() == (0.1 * al._PROBE_DIRECTIONS[18]).tobytes()
+
+    def test_count_floor_is_95_percent_of_the_current_count(self):
+        # Eleven samples: some candidates keep 9, none keep 10. The floor
+        # int(0.95 * 11) = 10 rules the 9s out, so a candidate keeping all
+        # 11 wins even though a 9 has less energy.
+        prepared = constant_field_scan(
+            points_at_pixels(
+                [0.2, 2.6, 2.8, 0.8, 0.0, 1.4, 0.5, 2.9, 2.7, 2.9, 1.8],
+                [12, 19, 15, 6, 21, 10, 18, 12, 4, 7, 13],
+                [1.9, 1.2, 1.1, 1.8, 2.0, 1.9, 1.3, 1.8, 3.0, 1.5, 2.6],
+            )
+        )
+        kept = {
+            al._evaluate(prepared, Pose(np.eye(3), magnitude * direction), with_jacobian=False)[1]
+            for direction in al._PROBE_DIRECTIONS
+            for magnitude in al._PROBE_MAGNITUDES_NEAR_M
+        }
+        assert 9 in kept and 10 not in kept
+        best = assert_probe_matches_reference(prepared, Pose.identity(), math.inf, 11, 0, al._PROBE_MAGNITUDES_NEAR_M)
+        assert best[:2] == (44.0, 11)
+
+    def test_energy_must_be_lower_by_the_margin(self):
+        prepared = constant_field_scan()
+        pose = Pose.identity()
+        assert assert_probe_matches_reference(prepared, pose, 36.0, 9, 0, al._PROBE_MAGNITUDES_NEAR_M) is None
+        # The least energy_now that a 36.0 candidate beats, and the float below it.
+        edge = 36.0 + 1e-9
+        for _ in range(4):
+            edge = np.nextafter(edge, 0.0)
+        while not 36.0 < edge - 1e-9:
+            edge = np.nextafter(edge, math.inf)
+        short = np.nextafter(edge, 0.0)
+        assert not 36.0 < short - 1e-9
+        assert assert_probe_matches_reference(prepared, pose, edge, 9, 0, al._PROBE_MAGNITUDES_NEAR_M) is not None
+        assert assert_probe_matches_reference(prepared, pose, short, 9, 0, al._PROBE_MAGNITUDES_NEAR_M) is None
+
+    def test_count_floor_is_inclusive(self):
+        prepared = constant_field_scan()
+        pose = Pose.identity()
+        # int(0.95 * 9) = 8 and min_samples 9: every candidate keeps all 9.
+        assert assert_probe_matches_reference(prepared, pose, math.inf, 9, 9, al._PROBE_MAGNITUDES_NEAR_M) is not None
+        assert assert_probe_matches_reference(prepared, pose, math.inf, 9, 10, al._PROBE_MAGNITUDES_NEAR_M) is None
+
+    def test_candidates_behind_the_camera_or_off_the_image_lose_samples(self):
+        # A sample 4 cm ahead at the left image border: candidates that move
+        # forward put it behind the camera, those that move right push it
+        # off the image.
+        grid = np.arange(24 * 32, dtype=float).reshape(24, 32) % 7.0 + 1.0
+        points = [[-0.0124, 0.0, 0.04], [0.0, 0.0, 3.0], [0.3, 0.1, 2.0]]
+        prepared = prepared_problem([grid], {"lane": points}, SMALL_K)
+        pose = Pose.identity()
+        for magnitudes in (al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M):
+            for min_samples in (0, 2, 3):
+                assert_probe_matches_reference(prepared, pose, math.inf, 0, min_samples, magnitudes)
+        forward = Pose(np.eye(3), [0.0, 0.0, 0.05])  # the sample ends up 1 cm behind the camera
+        right = Pose(np.eye(3), [0.05, 0.0, 0.0])  # and off the left border here
+        for moved in (forward, right):
+            assert al._evaluate(prepared, moved, with_jacobian=False)[1] == 2
+
+    def test_zero_min_samples_lets_an_empty_candidate_win(self):
+        # One sample at the left border on a field that is positive
+        # everywhere: a candidate that moves right (or forward) loses it and
+        # scores 0.0, the lowest energy there is.
+        prepared = prepared_problem([np.full((24, 32), 3.0)], {"lane": [[-15.4 / 50.0, 0.0, 1.0]]}, SMALL_K)
+        pose = Pose.identity()
+        best = assert_probe_matches_reference(prepared, pose, 9.0, 0, 0, al._PROBE_MAGNITUDES_NEAR_M)
+        assert best[:2] == (0.0, 0)
+        first_right = Pose(np.eye(3), al._PROBE_MAGNITUDES_NEAR_M[0] * al._PROBE_DIRECTIONS[17])  # (1, -1, -1)
+        assert al._evaluate(prepared, first_right, with_jacobian=False)[:2] == (0.0, 0)
+
+    def test_no_samples(self):
+        prepared = prepared_problem([np.ones((24, 32))], {"lane": np.empty((0, 3))}, K)
+        assert prepared.total_samples == 0
+        pose = Pose(so3_exp([0.1, -0.2, 0.3]), [1.0, 2.0, 3.0])
+        for magnitudes in (al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M):
+            best = assert_probe_matches_reference(prepared, pose, 1.0, 0, 0, magnitudes)
+            assert best[:2] == (0.0, 0)
+            assert assert_probe_matches_reference(prepared, pose, 1.0, 0, 1, magnitudes) is None
+            assert assert_probe_matches_reference(prepared, pose, 0.0, 0, 0, magnitudes) is None
+
+    def test_matches_reference_on_a_rendered_frame(self):
+        # A real frame with the prior 1 m off, where probes matter.
+        problem = _small_synthetic_problem()
+        prepared = al._Prepared(problem)
+        rng = np.random.default_rng(5)
+        for offset in (0.0, 0.3, 1.0):
+            pose = syn.perturb_pose_random(problem.prior, offset, 0.01, rng)
+            energy_here, count_here, _, _ = al._evaluate(prepared, pose, with_jacobian=False)
+            for magnitudes in (al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M):
+                assert_probe_matches_reference(prepared, pose, energy_here, count_here, 30, magnitudes)

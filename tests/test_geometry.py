@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from edgeloc import geometry as geo
 
@@ -242,3 +244,51 @@ class TestEuler:
             assert math.isclose(yaw, y2, abs_tol=1e-9)
             assert math.isclose(pitch, p2, abs_tol=1e-9)
             assert math.isclose(roll, r2, abs_tol=1e-9)
+
+
+def rotation_vectors(max_angle=math.pi - 1e-2):
+    """Rotation vectors of angle below ``max_angle``, tiny ones included.
+
+    so3_log's rounding error grows like 1 / (pi - angle)^2 (6.5e-10 rad at
+    1e-3 rad from a half turn, 4e-12 at 1e-2), so "away from pi" here
+    means at least 1e-2 rad from it."""
+    component = st.floats(-1.0, 1.0, allow_nan=False)
+    scale = st.sampled_from([1e-12, 1e-8, 1e-4, 1e-2, 1.0])
+
+    def build(args):
+        x, y, z, s, angle = args
+        axis = np.array([x, y, z])
+        norm = np.linalg.norm(axis)
+        assume(norm > 1e-3)
+        return axis / norm * (s * angle)
+
+    return st.tuples(component, component, component, scale, st.floats(0.0, max_angle)).map(build)
+
+
+class TestRoundTripProperties:
+    @settings(deadline=None, max_examples=300)
+    @given(rotation_vectors())
+    def test_so3_log_inverts_exp_away_from_pi(self, theta):
+        back = geo.so3_log(geo.so3_exp(theta))
+        assert np.abs(back - theta).max() <= 1e-9 * max(1.0, np.linalg.norm(theta))
+
+    @settings(deadline=None, max_examples=300)
+    @given(rotation_vectors(), st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3))
+    def test_pose_log_inverts_exp(self, theta, rho):
+        xi = np.concatenate([rho, theta])
+        pose = geo.exp(xi)
+        back = geo.log(pose)
+        assert np.abs(back[3:] - theta).max() <= 1e-9
+        assert np.abs(back[:3] - xi[:3]).max() <= 1e-9 * (1.0 + np.abs(xi[:3]).max())
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    def test_quaternion_round_trip_up_to_sign(self, q):
+        q = np.array(q)
+        norm = np.linalg.norm(q)
+        assume(norm > 1e-3)
+        rotation = geo.quat_to_rotation(*q)
+        back = np.array(geo.rotation_to_quat(rotation))
+        unit = q / norm
+        assert min(np.abs(back - unit).max(), np.abs(back + unit).max()) <= 1e-12
+        assert np.abs(geo.quat_to_rotation(*back) - rotation).max() <= 1e-12

@@ -1,15 +1,26 @@
+import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from edgeloc import alignment as al
+from edgeloc import pipeline
 from edgeloc import synthetic as syn
 from edgeloc.config import PipelineConfig, parse_config_text
 from edgeloc.evaluation import TrajectoryOverlapError, evaluate_trajectories
 from edgeloc.geometry import Pose, rotation_zyx
-from edgeloc.io import parse_pose_line, read_initial_pose, read_intrinsics, read_trajectory, write_trajectory
+from edgeloc.io import (
+    format_pose_line,
+    parse_pose_line,
+    read_initial_pose,
+    read_intrinsics,
+    read_trajectory,
+    write_trajectory,
+)
 from edgeloc.pipeline import DatasetManifest, ManifestError, run_dataset
 
 
@@ -146,6 +157,72 @@ class TestRun:
         by_id = {r.frame_id: r for r in records}
         assert by_id[5].status.startswith("skipped:io")
         assert by_id[6].status == "accepted"
+
+    @pytest.mark.parametrize("stage", ["select_landmarks", "align_frame"])
+    def test_exception_in_a_frame_is_skipped_and_logged(self, monkeypatch, caplog, small_dataset, stage):
+        _, root = small_dataset
+        manifest = DatasetManifest.from_directory(root)
+        clean_trajectory, clean_records = run_dataset(manifest)
+        original = getattr(pipeline, stage)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 5:  # frame 4
+                raise ZeroDivisionError("injected")
+            return original(*args, **kwargs)
+
+        committed = []
+        commit = pipeline.PosePredictor.commit
+
+        def recording_commit(self, frame_id, *args, **kwargs):
+            committed.append(frame_id)
+            return commit(self, frame_id, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, stage, failing)
+        monkeypatch.setattr(pipeline.PosePredictor, "commit", recording_commit)
+        trajectory, records = run_dataset(manifest)
+        by_id = {r.frame_id: r for r in records}
+        assert by_id[4].status == "skipped:error:ZeroDivisionError"
+        assert [r.exc_info[0] for r in caplog.records] == [ZeroDivisionError]
+        assert [r.frame_id for r in records] == [r.frame_id for r in clean_records]
+        assert 4 not in committed and 4 not in dict(trajectory)
+        assert by_id[5].status == "accepted"
+        assert [f for f, _ in trajectory] == [f for f, _ in clean_trajectory if f != 4]
+
+
+class TestPinnedCornerRecovery:
+    def test_probe_rounds_trajectory_and_log_are_pinned(self, monkeypatch, tmp_path):
+        # Urban corner, 0.3 m/m odometry drift and a wall over frames 22-27:
+        # priors land far off and solves take far probe rounds. Digests of
+        # the trajectory and log as the per-candidate probe scan gave them.
+        noise = syn.NoiseConfig(odometry_drift_per_m=0.3, edge_jitter_px=1.0, edge_dropout=0.1)
+        scene = syn.generate_scene(5, "urban-corner", n_frames=30, noise=noise)
+        scene = replace(scene, noise=replace(noise, occluders=(syn.make_occluder_wall(scene, 22, 27),)))
+        root = syn.write_dataset(scene, tmp_path / "corner")
+        solves, far_rounds = [], []
+        solve, probe = al.solve, al._probe_escape
+
+        def recording_solve(problem):
+            solves.append(solve(problem))
+            return solves[-1]
+
+        def recording_probe(*args):
+            escape = probe(*args)
+            far_rounds.append(escape is not None and args[-1] == al._PROBE_MAGNITUDES_FAR_M)
+            return escape
+
+        monkeypatch.setattr(al, "solve", recording_solve)
+        monkeypatch.setattr(al, "_probe_escape", recording_probe)
+        trajectory, records = run_dataset(DatasetManifest.from_directory(root))
+        assert any(len(r.energy_history) - 1 - r.iterations > 0 for r in solves)
+        assert any(far_rounds)
+        trajectory_text = "".join(format_pose_line(f, p) + "\n" for f, p in trajectory)
+        log_text = "".join(r.to_json() + "\n" for r in records)
+        trajectory_sha = hashlib.sha256(trajectory_text.encode()).hexdigest()
+        log_sha = hashlib.sha256(log_text.encode()).hexdigest()
+        assert trajectory_sha == "bb9a99ed7472b506fc62caca4a147d185e7c6baa2e88f4a306ba6fc978352158"
+        assert log_sha == "0816f0fdedd7be23c52298699f8bb9ab11185aa3e3891e09940dd5f02ca93ea2"
 
 
 class TestEvaluate:

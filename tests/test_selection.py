@@ -143,6 +143,38 @@ class TestRasterizer:
         buffer = sel.rasterize_occluders([lm], EYE, K)
         assert np.isinf(buffer.values).all()
 
+    def test_off_screen_wall_is_culled_before_rasterizing(self, monkeypatch):
+        # A wall wholly left of the view, one straddling the near plane off
+        # its right edge, and one above the top: no triangle is rasterized.
+        walls = [
+            quad((-6.0, 0.0), 1.0, 1.0, 4.0, lid=1),
+            WireframeLandmark(
+                SIGN, [[3.0, -1.0, -2.0], [9.0, -1.0, 6.0], [9.0, 1.0, 6.0], [3.0, 1.0, -2.0]], landmark_id=2
+            ),
+            quad((0.0, -4.0), 2.0, 0.5, 3.0, lid=3),
+        ]
+        calls = []
+        monkeypatch.setattr(sel, "_rasterize_triangle", lambda *args: calls.append(args))
+        buffer = sel.rasterize_occluders(walls, EYE, K)
+        assert np.isinf(buffer.values).all()
+        assert calls == []
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_culled_fill_equals_fan_of_every_triangle(self, seed):
+        # Polygons on and off the image, some across the near plane.
+        rng = np.random.default_rng(seed)
+        buffer = sel.DepthBuffer(K.width, K.height)
+        expected = np.full((K.height, K.width), np.inf)
+        for _ in range(6):
+            center = rng.uniform([-8.0, -6.0, -1.0], [8.0, 6.0, 8.0])
+            polygon = center + rng.normal(scale=rng.choice([0.05, 1.0, 3.0]), size=(rng.integers(3, 6), 3))
+            sel.rasterize_polygon(buffer, polygon, K)
+            clipped = sel._clip_polygon_near(polygon, sel.NEAR_CLIP_M)
+            for i in range(1, clipped.shape[0] - 1):
+                sel._rasterize_triangle(expected, clipped[[0, i, i + 1]], K)
+        assert buffer.values.tobytes() == expected.tobytes()
+
     def test_slanted_polygon_depth_is_exact(self):
         # plane z = 4 + x: perspective-correct interpolation is exact
         wf = WireframeLandmark(
