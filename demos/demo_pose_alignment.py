@@ -37,7 +37,7 @@ def main():
     coarse = build_fields([coarsen_mask(m) for m in masks], d_max=cfg.dt_truncation_px)
 
     samples = select_landmarks(scene.compact_map, prior, scene.intrinsics, cfg)
-    counts = {label: pts.shape[0] for label, pts in samples.points_by_label.items()}
+    counts = dict(zip(samples.labels, np.bincount(samples.label).tolist()))
     print(f"selected {samples.total_count()} edge samples: {counts}")
 
     problem = AlignmentProblem(

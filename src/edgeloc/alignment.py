@@ -82,7 +82,7 @@ class AlignmentProblem:
     config: PipelineConfig = PipelineConfig()
 
     def __post_init__(self):
-        for label in self.samples.points_by_label:
+        for label in self.samples.labels:
             if label not in self.fields:
                 raise ValueError(f"no edge field for sampled label {label!r}")
 
@@ -108,30 +108,20 @@ class AlignmentResult:
 
 class _Prepared:
     """World-frame sample points, weights, and stacked distance grids, fixed
-    for the whole solve. Samples keep their label-block ordering."""
+    for the whole solve. Samples keep their order, and ``label_index``
+    indexes the stack: one grid per sampled label, in ``samples.labels``
+    order."""
 
     def __init__(self, problem: AlignmentProblem):
+        samples = problem.samples
         self.intrinsics = problem.intrinsics
-        world_blocks = []
-        index_blocks = []
-        weight_blocks = []
-        distance_stack = []
-        for i, (label, points_r) in enumerate(problem.samples.points_by_label.items()):
-            distance_stack.append(problem.fields[label].distance)
-            world_blocks.append(problem.prior.apply(points_r))
-            index_blocks.append(np.full(points_r.shape[0], i, dtype=int))
-            weight_blocks.append(np.full(points_r.shape[0], problem.config.weight_for(label)))
-        if world_blocks:
-            self.world = np.vstack(world_blocks)
-            self.label_index = np.concatenate(index_blocks)
-            self.weight = np.concatenate(weight_blocks)
-            self.distance = np.stack(distance_stack)
-        else:
-            self.world = np.empty((0, 3))
-            self.label_index = np.empty(0, dtype=int)
-            self.weight = np.empty(0)
-            self.distance = np.empty((0, 1, 1))
+        self.world = problem.prior.apply(samples.points)
+        self.label_index = samples.label
+        weights = np.array([problem.config.weight_for(label) for label in samples.labels], dtype=float)
+        self.weight = weights[samples.label]
         self.sqrt_weight = np.sqrt(self.weight)
+        grids = [problem.fields[label].distance for label in samples.labels]
+        self.distance = np.stack(grids) if grids else np.empty((0, 1, 1))
         self.total_samples = self.world.shape[0]
 
 
@@ -215,10 +205,8 @@ def jacobian_row(problem: AlignmentProblem, pose: Pose, point_r: np.ndarray, lab
 
 
 def _single_prepared(problem: AlignmentProblem, point_r: np.ndarray, label: str) -> _Prepared:
-    single = LandmarkSamples(
-        {label: np.asarray(point_r, dtype=float).reshape(1, 3)},
-        {label: np.array([-1])},
-    )
+    point_r = np.asarray(point_r, dtype=float).reshape(1, 3)
+    single = LandmarkSamples((label,), point_r, np.zeros(1, dtype=int), np.array([-1]))
     return _Prepared(replace(problem, samples=single))
 
 

@@ -46,8 +46,8 @@ class SemanticLabel:
     category: str  # "road" | "nonroad"
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("label name must be non-empty")
+        if self.name.split() != [self.name] or "#" in self.name:  # else it would not parse back
+            raise ValueError(f"label name must be one token without whitespace or '#', got {self.name!r}")
         if self.category not in VALID_CATEGORIES:
             raise ValueError(f"unknown label category {self.category!r}")
 
@@ -69,6 +69,8 @@ class LineSegmentLandmark:
         object.__setattr__(self, "p1", p1)
         if np.linalg.norm(p1 - p0) <= MIN_SEGMENT_LENGTH_M:
             raise ValueError(f"degenerate segment (shorter than {MIN_SEGMENT_LENGTH_M} m)")
+        if self.pole_radius is not None and not 0.0 < self.pole_radius < math.inf:
+            raise ValueError(f"pole radius must be finite and > 0, got {self.pole_radius}")
 
     @property
     def is_pole(self) -> bool:
@@ -97,7 +99,8 @@ class WireframeLandmark:
         centered = points - points.mean(axis=0)
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
         deviation = np.abs(centered @ vt[-1]).max()
-        if deviation > MAX_PLANARITY_DEVIATION_M:
+        # Written so that a NaN deviation (coordinates that overflow) fails.
+        if not deviation <= MAX_PLANARITY_DEVIATION_M:
             raise ValueError(f"wireframe is not planar (max deviation {deviation:.3f} m)")
 
     def edges(self):

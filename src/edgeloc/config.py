@@ -7,7 +7,7 @@ value is checked when a config is built, from a file, a flag or code.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 
@@ -58,7 +58,8 @@ _POSITIVE_KEYS = frozenset({"dt_truncation_px", "sample_spacing_px", "max_iterat
 
 
 def _check(name: str, value) -> None:
-    if not math.isfinite(value) or value < 0:
+    # Not math.isfinite: an int too large for a float would raise OverflowError.
+    if not 0 <= value <= sys.float_info.max:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
     if name in _POSITIVE_KEYS and value <= 0:
         raise ValueError(f"{name} must be > 0, got {value}")

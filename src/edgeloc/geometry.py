@@ -59,24 +59,27 @@ def so3_exp(theta: np.ndarray) -> np.ndarray:
 def so3_log(rotation: np.ndarray) -> np.ndarray:
     """Rotation vector of a rotation matrix.
 
-    Raises RotationNearPi within 1e-6 rad of a half turn, where the axis
-    becomes numerically ambiguous.
+    The angle is atan2(|w|, (tr R - 1) / 2), where w = sin(angle) * axis is
+    the antisymmetric part of R. Past a quarter turn the axis comes from the
+    symmetric part, with its sign from w. Raises RotationNearPi within 1e-6
+    rad of a half turn, where that sign becomes numerically ambiguous.
     """
-    rotation = np.asarray(rotation, dtype=float)
-    cos_angle = min(1.0, max(-1.0, 0.5 * (np.trace(rotation) - 1.0)))
-    angle = math.acos(cos_angle)
+    r = np.asarray(rotation, dtype=float)
+    w = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    sin_angle = math.sqrt(float(w @ w))
+    cos_angle = 0.5 * (np.trace(r) - 1.0)
+    angle = math.atan2(sin_angle, cos_angle)
     if angle > math.pi - 1e-6:
         raise RotationNearPi(f"rotation angle {angle:.9f} rad is too close to pi")
-    axis_times_sin = 0.5 * np.array(
-        [
-            rotation[2, 1] - rotation[1, 2],
-            rotation[0, 2] - rotation[2, 0],
-            rotation[1, 0] - rotation[0, 1],
-        ]
-    )
     if angle < SMALL_ANGLE:
-        return axis_times_sin
-    return axis_times_sin * (angle / math.sin(angle))
+        return w
+    if angle <= 0.5 * math.pi:
+        return w * (angle / sin_angle)
+    # (R + R^T) / 2 - cos(angle) I = (1 - cos(angle)) axis axis^T; its column with
+    # the largest diagonal entry is the best-conditioned multiple of the axis.
+    outer = 0.5 * (r + r.T) - cos_angle * np.eye(3)
+    axis = outer[:, np.argmax(np.diag(outer))]
+    return axis * (math.copysign(angle, float(axis @ w)) / math.sqrt(float(axis @ axis)))
 
 
 # The closed-form V / V^-1 coefficients divide differences of cosines by
@@ -249,6 +252,8 @@ def quat_to_rotation(qx: float, qy: float, qz: float, qw: float) -> np.ndarray:
     norm = math.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
     if norm < 1e-12:
         raise ValueError("zero-norm quaternion")
+    if norm == math.inf:
+        raise ValueError("quaternion norm overflows")
     x, y, z, w = qx / norm, qy / norm, qz / norm, qw / norm
     return np.array(
         [

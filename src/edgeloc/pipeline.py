@@ -157,13 +157,12 @@ def write_debug_overlay(path, fields, samples, prior, pose, intrinsics) -> None:
     canvas = (stack.min(axis=0) * 200.0).astype(np.uint8)
     height, width = canvas.shape
     camera = pose.inverse()
-    for pts in samples.points_by_label.values():
-        uv, valid = project_points(camera.apply(prior.apply(pts)), intrinsics)
-        uv = uv[valid]
-        iu = np.rint(uv[:, 0]).astype(int)
-        iv = np.rint(uv[:, 1]).astype(int)
-        keep = (iu >= 0) & (iu < width) & (iv >= 0) & (iv < height)
-        canvas[iv[keep], iu[keep]] = 255
+    uv, valid = project_points(camera.apply(prior.apply(samples.points)), intrinsics)
+    uv = uv[valid]
+    iu = np.rint(uv[:, 0]).astype(int)
+    iv = np.rint(uv[:, 1]).astype(int)
+    keep = (iu >= 0) & (iu < width) & (iv >= 0) & (iv < height)
+    canvas[iv[keep], iu[keep]] = 255
     write_pgm(path, canvas)
 
 

@@ -36,23 +36,23 @@ _OCCLUSION_MARGIN_GAP_M = 2.0
 
 @dataclass(frozen=True, eq=False)
 class LandmarkSamples:
-    """Visible 3D edge samples grouped by label, in the prior camera frame."""
+    """Visible 3D edge samples in the prior camera frame, as flat arrays.
 
-    points_by_label: dict[str, np.ndarray]  # label -> (N, 3) float64
-    source_ids_by_label: dict[str, np.ndarray]  # label -> (N,) int
+    ``labels`` holds the sampled label names in map order, and ``label``
+    indexes it. Samples come in label blocks in that order; within a
+    block, in landmark order and edge order within a landmark.
+    """
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.points_by_label.keys())
+    labels: tuple[str, ...]
+    points: np.ndarray  # (N, 3) float64
+    label: np.ndarray  # (N,) int, index into labels
+    landmark_id: np.ndarray  # (N,) int
 
     def total_count(self) -> int:
-        return sum(pts.shape[0] for pts in self.points_by_label.values())
+        return self.points.shape[0]
 
     def landmark_ids(self) -> set[int]:
-        out: set[int] = set()
-        for ids in self.source_ids_by_label.values():
-            out.update(int(i) for i in ids)
-        return out
+        return set(self.landmark_id.tolist())
 
 
 class DepthBuffer:
@@ -355,11 +355,6 @@ def select_landmarks(
     names = compact_map.label_names
     label = np.array([names.index(lm.label.name) for lm in landmarks], dtype=int)[owner]
     ids = np.array([lm.landmark_id for lm in landmarks], dtype=int)[owner]
-    points_by_label = {}
-    ids_by_label = {}
-    for index, name in enumerate(names):
-        mine = label == index
-        if mine.any():
-            points_by_label[name] = points[mine]
-            ids_by_label[name] = ids[mine]
-    return LandmarkSamples(points_by_label, ids_by_label)
+    sampled, label = np.unique(label, return_inverse=True)
+    order = np.argsort(label, kind="stable")
+    return LandmarkSamples(tuple(names[i] for i in sampled), points[order], label[order], ids[order])

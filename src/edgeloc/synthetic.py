@@ -362,8 +362,10 @@ def _render_boxes(boxes, pose: Pose, intrinsics: CameraIntrinsics, buffer: Depth
     to_camera = pose.inverse()
     for box in boxes:
         for face in box.faces():
-            rasterize_polygon(buffer, to_camera.apply(face), intrinsics)
             rasterize_polygon(mask_buffer, to_camera.apply(face), intrinsics)
+    # Depth fills are exact minima, so one min over the boxes' own buffer
+    # equals filling every face into ``buffer`` as well.
+    np.minimum(buffer.values, mask_buffer.values, out=buffer.values)
     return np.isfinite(mask_buffer.values)
 
 

@@ -107,7 +107,7 @@ def test_criterion_2_jacobian_matches_finite_differences():
         cam = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4), rng.uniform(2.0, 40.0)])
         cam[:2] *= cam[2]
         world = pose.apply(cam)
-        samples = LandmarkSamples({"x": world.reshape(1, 3)}, {"x": np.array([0])})
+        samples = LandmarkSamples(("x",), world.reshape(1, 3), np.zeros(1, dtype=int), np.zeros(1, dtype=int))
         problem = al.AlignmentProblem(samples=samples, fields={"x": field}, prior=Pose.identity(), intrinsics=k)
         u = k.fx * cam[0] / cam[2] + k.cx
         v = k.fy * cam[1] / cam[2] + k.cy
@@ -243,14 +243,10 @@ def test_criterion_5_occlusion_robustness(tmp_path):
         _, _, dynamic = syn.render_frame(scene, frame_id)
         pose = scene.pose_of(frame_id)
         samples = select_landmarks(scene.compact_map, pose, scene.intrinsics, cfg)
-        total, covered = 0, 0
-        for pts in samples.points_by_label.values():
-            uv, _ = project_points(pts, scene.intrinsics)
-            iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, scene.intrinsics.width - 1)
-            iv = np.clip(np.rint(uv[:, 1]).astype(int), 0, scene.intrinsics.height - 1)
-            covered += int((dynamic[iv, iu] > 0).sum())
-            total += pts.shape[0]
-        covered_fractions.append(covered / total)
+        uv, _ = project_points(samples.points, scene.intrinsics)
+        iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, scene.intrinsics.width - 1)
+        iv = np.clip(np.rint(uv[:, 1]).astype(int), 0, scene.intrinsics.height - 1)
+        covered_fractions.append(int((dynamic[iv, iu] > 0).sum()) / samples.total_count())
     assert min(covered_fractions) > 0.8
 
     root = syn.write_dataset(scene, tmp_path / "ds")

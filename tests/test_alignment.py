@@ -23,8 +23,17 @@ def ramp_field(label, a, b, c, shape=(240, 320)):
     return ef.SemanticEdgeField(label, grid, d_max=1e9)
 
 
+def block_samples(blocks):
+    """LandmarkSamples of ``{label: points}`` blocks, in dict order; landmark ids are 0."""
+    labels = tuple(blocks)
+    points = [np.asarray(blocks[name], float).reshape(-1, 3) for name in labels]
+    label = np.repeat(np.arange(len(labels)), [len(p) for p in points])
+    points = np.concatenate(points or [np.empty((0, 3))])
+    return LandmarkSamples(labels, points, label, np.zeros(label.size, dtype=int))
+
+
 def single_sample_problem(field, point_r, prior=None, config=None):
-    samples = LandmarkSamples({field.label: np.asarray(point_r, float).reshape(1, 3)}, {field.label: np.array([0])})
+    samples = block_samples({field.label: point_r})
     return al.AlignmentProblem(
         samples=samples,
         fields={field.label: field},
@@ -61,7 +70,7 @@ class TestResidual:
         k = CameraIntrinsics(fx=10.0, fy=10.0, cx=3.0, cy=2.0, width=8, height=8)
         # choose a camera point projecting to (u, v) = (3.5, 2.25)
         point = np.array([0.5 / 10.0, 0.25 / 10.0, 1.0])
-        samples = LandmarkSamples({"lane": point.reshape(1, 3)}, {"lane": np.array([0])})
+        samples = block_samples({"lane": point})
         problem = al.AlignmentProblem(samples=samples, fields={"lane": field}, prior=Pose.identity(), intrinsics=k)
         # manual bilinear at (3.5, 2.25): rows 2,3 cols 3,4
         expected = (4.0 * 0.5 + 8.0 * 0.5) * 0.75 + (2.0 * 0.5 + 6.0 * 0.5) * 0.25
@@ -89,10 +98,7 @@ class TestEnergy:
     def test_three_four_gives_twenty_five(self):
         field_a = ramp_field("a", 0.0, 0.0, 3.0)
         field_b = ramp_field("b", 0.0, 0.0, 4.0)
-        samples = LandmarkSamples(
-            {"a": np.array([[0.0, 0.0, 5.0]]), "b": np.array([[0.1, 0.0, 5.0]])},
-            {"a": np.array([0]), "b": np.array([1])},
-        )
+        samples = block_samples({"a": [[0.0, 0.0, 5.0]], "b": [[0.1, 0.0, 5.0]]})
         problem = al.AlignmentProblem(
             samples=samples, fields={"a": field_a, "b": field_b}, prior=Pose.identity(), intrinsics=K
         )
@@ -112,7 +118,7 @@ class TestEnergy:
             points[label] = pts
         weights = (("a", 2.0), ("b", 0.5))
         cfg = PipelineConfig(label_weights=weights)
-        samples = LandmarkSamples(points, {lab: np.arange(40) for lab in points})
+        samples = block_samples(points)
         problem = al.AlignmentProblem(samples=samples, fields=fields, prior=Pose.identity(), intrinsics=K, config=cfg)
         pose = Pose.identity()
         value, count = al.energy(problem, pose)
@@ -200,7 +206,7 @@ def noiseless_grid_setup():
     for c in cols:
         for v in np.linspace(10, 230, 30):
             pts.append([(c - K.cx) * z / K.fx, (v - K.cy) * z / K.fy, z])
-    samples = LandmarkSamples({"lane": np.array(pts)}, {"lane": np.zeros(len(pts), dtype=int)})
+    samples = block_samples({"lane": pts})
     return al.AlignmentProblem(
         samples=samples, fields={"lane": field}, prior=Pose.identity(), intrinsics=K
     )
@@ -437,9 +443,15 @@ class TestValidate:
 
 class TestProblemType:
     def test_missing_field_rejected(self):
-        samples = LandmarkSamples({"lane": np.zeros((1, 3))}, {"lane": np.array([0])})
+        samples = block_samples({"lane": np.zeros((1, 3))})
         with pytest.raises(ValueError):
             al.AlignmentProblem(samples=samples, fields={}, prior=Pose.identity(), intrinsics=K)
+
+    def test_missing_field_of_one_sampled_label_rejected(self):
+        samples = block_samples({"lane": np.zeros((1, 3)), "pole": np.zeros((2, 3))})
+        fields = {"lane": ramp_field("lane", 0.0, 0.0, 1.0)}
+        with pytest.raises(ValueError, match="'pole'"):
+            al.AlignmentProblem(samples=samples, fields=fields, prior=Pose.identity(), intrinsics=K)
 
     def test_initial_defaults_to_prior(self):
         field = ramp_field("lane", 0.1, 0.0, 5.0)
@@ -476,18 +488,17 @@ def assert_probe_matches_reference(prepared, pose, energy_now, count_now, min_sa
     return got
 
 
-def prepared_problem(grids, points_by_label, intrinsics, config=None):
+def prepared_problem(grids, blocks, intrinsics, config=None):
     """_Prepared of world-frame samples, one field per label."""
-    labels = list(points_by_label)
-    samples = LandmarkSamples(
-        {label: np.asarray(points_by_label[label], float).reshape(-1, 3) for label in labels},
-        {label: np.zeros(len(points_by_label[label]), dtype=int) for label in labels},
-    )
     fields = {
-        label: ef.SemanticEdgeField(label, grid, d_max=float(grid.max(initial=0.0))) for label, grid in zip(labels, grids)
+        label: ef.SemanticEdgeField(label, grid, d_max=float(grid.max(initial=0.0))) for label, grid in zip(blocks, grids)
     }
     problem = al.AlignmentProblem(
-        samples=samples, fields=fields, prior=Pose.identity(), intrinsics=intrinsics, config=config or PipelineConfig()
+        samples=block_samples(blocks),
+        fields=fields,
+        prior=Pose.identity(),
+        intrinsics=intrinsics,
+        config=config or PipelineConfig(),
     )
     return al._Prepared(problem)
 
@@ -512,12 +523,12 @@ def probe_scans(draw):
     ]
     weights = tuple((f"l{i}", draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))) for i in range(n_labels))
     pose = Pose(so3_exp(rng.normal(size=3) * draw(st.sampled_from([0.0, 0.05, 1.0]))), rng.normal(size=3))
-    points_by_label = {}
+    blocks = {}
     for label, _ in weights:
         n = draw(st.integers(0, 25))
         cam = np.column_stack([rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n), rng.uniform(-0.5, 4.0, n)])
-        points_by_label[label] = pose.apply(cam)
-    prepared = prepared_problem(grids, points_by_label, intrinsics, PipelineConfig(label_weights=weights))
+        blocks[label] = pose.apply(cam)
+    prepared = prepared_problem(grids, blocks, intrinsics, PipelineConfig(label_weights=weights))
     energy_here, count_here, _, _ = al._evaluate(prepared, pose, with_jacobian=False)
     energy_now = draw(st.sampled_from([energy_here, math.inf, energy_here * 0.5]))
     count_now = draw(st.sampled_from([count_here, 0, prepared.total_samples]))

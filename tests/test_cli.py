@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -83,6 +84,9 @@ class TestRunCommand:
         overlay = read_pgm(debug / "000003.pgm")
         assert overlay.shape == (400, 640)
         assert (overlay == 255).any()  # reprojected samples marked bright
+        # Pinned overlay bytes: a change in which samples are drawn, or where, moves them.
+        digest = hashlib.sha256((debug / "000003.pgm").read_bytes()).hexdigest()
+        assert digest == "3fe6ec93a81347694da4e81d64b28b65a300d056d72541848f7dde567c84a0cf"
 
     def test_run_with_config_overrides(self, dataset, tmp_path):
         traj = tmp_path / "t.txt"

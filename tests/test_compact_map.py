@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from edgeloc import compact_map as cm
 
@@ -194,8 +196,143 @@ class TestInvariants:
         assert len(edges) == 4
         assert np.array_equal(edges[-1][1], wf.points[0])
 
+    @pytest.mark.parametrize("name", ["a b", "a#b", "\r", "a\u2028"])
+    def test_label_name_that_would_not_parse_back_rejected(self, name):
+        # Serialized, it would give a LABEL line that parse_map cannot read.
+        with pytest.raises(ValueError, match="one token"):
+            cm.SemanticLabel(name, "road")
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_pole_radius_must_be_finite_and_positive(self, radius):
+        # A NaN radius serialized as "radius=nan", which parse_map rejects.
+        label = cm.SemanticLabel("lamp_pole", "nonroad")
+        with pytest.raises(ValueError, match="pole radius"):
+            cm.LineSegmentLandmark(label, [0, 0, 0], [0, 0, 6], pole_radius=radius)
+        text = f"CMAP 1\nLABEL lamp_pole nonroad\nSEG lamp_pole 0 0 0 0 0 6 radius={radius}\n"
+        with pytest.raises(cm.MapFormatError, match="line 3"):
+            cm.parse_map(text)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_wireframe_with_overflowing_coordinates_rejected(self):
+        # Its planarity deviation is NaN, which must fail the check.
+        text = "CMAP 1\nLABEL a road\nWF a 4 1e308 0 0 -1e308 0 0 -1e308 1e308 5 1e308 1e308 0\n"
+        with pytest.raises(cm.MapFormatError, match="not planar"):
+            cm.parse_map(text)
+
     def test_pole_detection_by_label_name(self):
         label = cm.SemanticLabel("lamp_pole", "nonroad")
         seg = cm.LineSegmentLandmark(label, [0, 0, 0], [0, 0, 6], landmark_id=0)
         assert seg.pole_radius is None
         assert seg.is_pole
+
+
+# Coordinates at the format's 6-decimal resolution, up to 1000 km.
+coords = st.integers(-10**12, 10**12).map(lambda micro: micro / 1e6)
+
+
+@st.composite
+def label_registries(draw):
+    """One to four labels with any names the model accepts."""
+    labels = []
+    for name in draw(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=4, unique=True)):
+        try:
+            labels.append(cm.SemanticLabel(name, draw(st.sampled_from(cm.VALID_CATEGORIES))))
+        except ValueError:
+            pass
+    assume(labels)
+    return tuple(labels)
+
+
+@st.composite
+def segments(draw, label, landmark_id):
+    p0 = [draw(coords) for _ in range(3)]
+    p1 = [draw(coords) for _ in range(3)]
+    radius = draw(st.none() | st.integers(1, 10**7).map(lambda micro: micro / 1e6))
+    try:
+        return cm.LineSegmentLandmark(label, p0, p1, pole_radius=radius, landmark_id=landmark_id)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def wireframes(draw, label, landmark_id):
+    """A polygon in a plane normal to one axis; vertices anywhere in it."""
+    n = draw(st.integers(3, 6))
+    normal = draw(st.integers(0, 2))
+    points = np.array([[draw(coords) for _ in range(3)] for _ in range(n)])
+    points[:, normal] = draw(coords)
+    try:
+        return cm.WireframeLandmark(label, points, landmark_id=landmark_id)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def compact_maps(draw):
+    labels = draw(label_registries())
+    landmarks = []
+    for landmark_id in range(draw(st.integers(0, 6))):
+        label = draw(st.sampled_from(labels))
+        kind = draw(st.sampled_from([segments, wireframes]))
+        landmarks.append(draw(kind(label, landmark_id)))
+    return cm.CompactMap(labels, tuple(landmarks))
+
+
+class TestRoundTripProperty:
+    @settings(deadline=None, max_examples=300)
+    @given(compact_maps())
+    def test_parse_inverts_serialize(self, compact_map):
+        data = cm.serialize_map(compact_map)
+        parsed = cm.parse_map(data)
+        assert cm.maps_equal(parsed, compact_map)
+        assert cm.serialize_map(parsed) == data
+
+
+# Tokens a map line could carry: numbers of every size and spelling, names,
+# and record keywords.
+numbers = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**400), 10**400).map(str),
+    st.sampled_from(["1e400", "-1e400", "1_0", "0x10", "infinity", "-0", "1e-320", "٣"]),
+)
+tokens = st.one_of(
+    numbers,
+    st.sampled_from(["a", "pole", "road", "nonroad", "LABEL", "SEG", "WF", "CMAP", "#", "="]),
+    numbers.map(lambda number: "radius=" + number),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def map_texts(draw):
+    """Map text near the grammar: a header and labels, then records whose
+    coordinate counts often, but not always, match their keyword."""
+    lines = ["CMAP 1", "LABEL a road", "LABEL pole nonroad"]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["SEG", "WF", "LABEL", "any"]))
+        if kind == "SEG":
+            body = ["SEG", draw(st.sampled_from(["a", "pole", "b"]))] + draw(st.lists(numbers, min_size=6, max_size=6))
+            body += draw(st.lists(numbers.map(lambda number: "radius=" + number), max_size=1))
+        elif kind == "WF":
+            n = draw(st.integers(-1, 5))
+            body = ["WF", draw(st.sampled_from(["a", "pole"])), str(n)] + draw(
+                st.lists(numbers, min_size=max(3 * n, 0), max_size=max(3 * n, 0) + 1)
+            )
+        else:
+            body = draw(st.lists(tokens, max_size=10))
+            if kind == "LABEL":
+                body = ["LABEL"] + body
+        lines.append(" ".join(body))
+    return "\n".join(lines[draw(st.integers(0, 1)):])
+
+
+class TestFuzzedText:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflows on coordinates near 1e308
+    @settings(deadline=None, max_examples=500)
+    @given(map_texts() | st.text())
+    def test_parse_map_raises_only_value_errors(self, text):
+        for data in (text, text.encode("utf-8", "surrogatepass")):
+            try:
+                cm.parse_map(data)
+            except ValueError:
+                pass

@@ -2,17 +2,19 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeloc import alignment as al
 from edgeloc import pipeline
 from edgeloc import synthetic as syn
 from edgeloc.config import PipelineConfig, parse_config_text
 from edgeloc.evaluation import TrajectoryOverlapError, evaluate_trajectories
-from edgeloc.geometry import Pose, rotation_zyx
+from edgeloc.geometry import Pose, quat_to_rotation, rotation_zyx
 from edgeloc.io import (
     format_pose_line,
     parse_pose_line,
@@ -296,8 +298,40 @@ class TestEvaluate:
         assert "rmse_norm_m" in text
 
 
+# Number tokens of every size and spelling, for fuzzing the text parsers.
+numbers = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**400), 10**400).map(str),
+    st.sampled_from(["1e400", "-1e400", "1_0", "0x10", "infinity", "-0", "1e-320", "٣"]),
+)
+
+
 class TestPoseFiles:
     LINE = "3 1.0 2.0 3.0 0.0 0.0 0.0 1.0"
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(numbers | st.text(max_size=4), min_size=7, max_size=9).map(" ".join) | st.text())
+    def test_fuzzed_line_raises_only_value_errors(self, line):
+        try:
+            parse_pose_line(line)
+        except ValueError:
+            pass
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
+    def test_rotation_is_that_of_the_normalized_quaternion(self, q):
+        try:
+            _, pose = parse_pose_line("0 0 0 0 " + " ".join(repr(x) for x in q))
+        except ValueError:
+            return  # a norm too small or too large to normalize is rejected
+        unit = np.array(q) / max(abs(x) for x in q)
+        unit /= np.linalg.norm(unit)
+        assert np.abs(pose.rotation - quat_to_rotation(*unit)).max() <= 1e-9
+
+    def test_quaternion_whose_norm_overflows_rejected(self):
+        # Its squares overflow to inf, and q / inf would give the identity rotation.
+        with pytest.raises(ValueError, match="quaternion"):
+            parse_pose_line("0 0 0 0 1e200 0 0 0")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
     @pytest.mark.parametrize("field", [1, 3, 4, 7])
@@ -380,6 +414,29 @@ class TestConfigFile:
             value = type(getattr(PipelineConfig(), key))(float(text))
         with pytest.raises(ValueError, match="must be"):
             PipelineConfig(**{key: value})
+
+    @settings(deadline=None, max_examples=500)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([field.name for field in fields(PipelineConfig)]) | st.text(max_size=4),
+                st.sampled_from([" = ", "=", " "]),
+                numbers | numbers.map(lambda number: "lane_line:" + number) | st.text(max_size=6),
+            ).map("".join),
+            max_size=4,
+        ).map("\n".join)
+        | st.text()
+    )
+    def test_fuzzed_text_raises_only_value_errors(self, text):
+        try:
+            parse_config_text(text)
+        except ValueError:
+            pass
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        # Converted to float it raises OverflowError; it must be a ValueError naming the line.
+        with pytest.raises(ValueError, match="^config line 1: max_iterations must be finite"):
+            parse_config_text("max_iterations = 1" + "0" * 400)
 
     def test_zero_allowed_where_only_non_negative_required(self):
         cfg = parse_config_text("min_samples = 0\nstep_tol = 0\nlabel_weights = pole:0\n")

@@ -194,6 +194,13 @@ def make_map(landmarks, labels=(ROAD, SIGN, POLE)):
     return CompactMap(labels, tuple(landmarks))
 
 
+def label_points(samples, name):
+    """The points of one label's block; (0, 3) when the label has no samples."""
+    if name not in samples.labels:
+        return np.empty((0, 3))
+    return samples.points[samples.label == samples.labels.index(name)]
+
+
 class TestSelectLandmarks:
     def test_sign_occludes_pole_behind_it(self):
         # A sign quad at 5 m exactly in front of a pole at 10 m: pole samples
@@ -203,7 +210,7 @@ class TestSelectLandmarks:
         cfg = PipelineConfig(occlusion_margin_px=0)
         cmap = make_map([sign, pole])
         samples = sel.select_landmarks(cmap, EYE, K, cfg)
-        kept = samples.points_by_label.get("lamp_pole", np.empty((0, 3)))
+        kept = label_points(samples, "lamp_pole")
         # oracle over the raw (unoccluded) samples; the buffer is pixel
         # quantized, so samples within one pixel of the quad's silhouette
         # can legitimately fall either way
@@ -225,9 +232,7 @@ class TestSelectLandmarks:
         margin = 8
         cfg = PipelineConfig(occlusion_margin_px=margin)
         cmap = make_map([sign, pole])
-        kept = sel.select_landmarks(cmap, EYE, K, cfg).points_by_label.get(
-            "lamp_pole", np.empty((0, 3))
-        )
+        kept = label_points(sel.select_landmarks(cmap, EYE, K, cfg), "lamp_pole")
         raw, _ = sel.sample_landmark_edges([pole], EYE, K, config=cfg)
         corners = sign.points
         uv_raw, _ = project_points(raw, K)
@@ -253,7 +258,7 @@ class TestSelectLandmarks:
         lm = segment([-0.5, 0.0, 4.0], [0.5, 0.0, 4.0])
         cfg = PipelineConfig()
         samples = sel.select_landmarks(make_map([lm]), EYE, K, cfg)
-        uv, _ = project_points(samples.points_by_label["lane_line"], K)
+        uv, _ = project_points(label_points(samples, "lane_line"), K)
         visible_len = np.hypot(*(uv.max(axis=0) - uv.min(axis=0)))
         expected = math.ceil(visible_len / cfg.sample_spacing_px)
         assert abs(samples.total_count() - (expected + 1)) <= 1
@@ -266,19 +271,19 @@ class TestSelectLandmarks:
         cmap = make_map(landmarks)
         samples = sel.select_landmarks(cmap, EYE, K, cfg)
         buffer = sel.rasterize_occluders(cmap.landmarks, EYE, K, cfg)
-        for pts in samples.points_by_label.values():
-            uv, _ = project_points(pts, K)
-            iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, K.width - 1)
-            iv = np.clip(np.rint(uv[:, 1]).astype(int), 0, K.height - 1)
-            assert (pts[:, 2] <= buffer.values[iv, iu] + cfg.depth_tolerance_m + 1e-9).all()
+        pts = samples.points
+        uv, _ = project_points(pts, K)
+        iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, K.width - 1)
+        iv = np.clip(np.rint(uv[:, 1]).astype(int), 0, K.height - 1)
+        assert (pts[:, 2] <= buffer.values[iv, iu] + cfg.depth_tolerance_m + 1e-9).all()
 
     def test_adding_occluder_never_increases_other_samples(self):
         lane = segment([-2.0, 0.8, 6.0], [2.0, 0.8, 6.0], lid=0)
         blocker = quad((0.0, 0.8), 0.8, 0.5, 3.0, lid=1)
         without = sel.select_landmarks(make_map([lane]), EYE, K)
         with_blocker = sel.select_landmarks(make_map([lane, blocker]), EYE, K)
-        n_without = without.points_by_label.get("lane_line", np.empty((0, 3))).shape[0]
-        n_with = with_blocker.points_by_label.get("lane_line", np.empty((0, 3))).shape[0]
+        n_without = label_points(without, "lane_line").shape[0]
+        n_with = label_points(with_blocker, "lane_line").shape[0]
         assert n_with <= n_without
 
     def test_frame_correctness_world_round_trip(self):
@@ -290,7 +295,7 @@ class TestSelectLandmarks:
         lane_world = segment(prior.apply(np.array([-1.0, 0.2, 6.0])), prior.apply(np.array([2.0, 0.3, 7.0])), lid=0)
         cmap = make_map([lane_world])
         samples = sel.select_landmarks(cmap, prior, K)
-        pts_r = samples.points_by_label["lane_line"]
+        pts_r = label_points(samples, "lane_line")
         uv_direct, _ = project_points(pts_r, K)
         world = prior.apply(pts_r)
         back_to_r = prior.inverse().apply(world)
@@ -300,7 +305,7 @@ class TestSelectLandmarks:
     def test_wireframe_self_occlusion_exempt(self):
         wf = quad((0.0, 0.0), 0.7, 0.5, 5.0, lid=0)
         samples = sel.select_landmarks(make_map([wf]), EYE, K)
-        pts = samples.points_by_label["traffic_sign"]
+        pts = label_points(samples, "traffic_sign")
         raw, _ = sel.sample_landmark_edges([wf], EYE, K)
         assert pts.shape[0] == raw.shape[0]
 
@@ -487,10 +492,11 @@ class TestSilhouetteMargin:
 
 def samples_digest(samples):
     h = hashlib.sha256()
-    for name in samples.labels:
+    for index, name in enumerate(samples.labels):
+        mine = samples.label == index
         h.update(name.encode())
-        h.update(samples.points_by_label[name].tobytes())
-        h.update(samples.source_ids_by_label[name].astype(np.int64).tobytes())
+        h.update(samples.points[mine].tobytes())
+        h.update(samples.landmark_id[mine].astype(np.int64).tobytes())
     return h.hexdigest()
 
 
@@ -516,6 +522,18 @@ def corner_map_with_wall(scene):
 
 
 class TestPinnedSelection:
+    def test_samples_come_in_label_blocks_in_map_order(self):
+        scene = syn.generate_scene(5, "urban-corner", n_frames=16)
+        cmap = corner_map_with_wall(scene)
+        samples = sel.select_landmarks(cmap, scene.pose_of(8), scene.intrinsics)
+        assert samples.labels == tuple(name for name in cmap.label_names if name in samples.labels)
+        assert np.bincount(samples.label, minlength=len(samples.labels)).min() > 0
+        step = np.diff(samples.label)
+        assert (step >= 0).all()
+        # Within a block, landmark order; this map's ids are its landmark indices.
+        assert (np.diff(samples.landmark_id)[step == 0] >= 0).all()
+        assert samples.points.shape == (samples.total_count(), 3)
+
     def test_selected_samples_are_pinned(self):
         # Digest of the points and ids per label over 21 priors (exact, 0.5 m
         # and 2 m off) on a small urban-corner scene with a wall added to
