@@ -6,7 +6,10 @@ the basin of that single attempt: a coarse-to-fine stage (``solve_two_scale``
 aligns on block-downsampled fields first) and escape probes (``solve`` tries
 fixed translation offsets once the damped iteration stalls on a poor fit).
 A probe round projects and scores all of its candidate poses in one array
-pass; ``_evaluate`` serves the single poses of the damped iteration.
+pass; ``_evaluate`` serves the single poses of the damped iteration. Each
+pose the iteration visits is projected and read from the fields once: the
+evaluation that accepts a pose also finishes its Jacobian rows for the next
+step and, at the end, for the gating quantities.
 
 The optimizer's 6-DoF step delta = [d_t, d_theta] perturbs the camera pose
 as translation added in the world frame and rotation right-multiplied in
@@ -137,46 +140,51 @@ def _project(k: CameraIntrinsics, cam: np.ndarray):
     return u, v, valid
 
 
-def _evaluate(prepared: _Prepared, pose: Pose, with_jacobian: bool):
-    """Residuals (and optionally Jacobian rows) at ``pose``.
+def _no_samples():
+    return 0.0, 0, np.empty(0), lambda: np.empty((0, 6))
+
+
+def _evaluate(prepared: _Prepared, pose: Pose):
+    """Residuals at ``pose``, and the means to finish their Jacobian rows.
 
     Out-of-bounds or behind-camera samples are dropped for this evaluation.
     Rows are scaled by sqrt(label weight) so J^T J and J^T r realize the
-    weighted normal equations. Returns (energy, count, residuals, jacobian).
+    weighted normal equations. Returns (energy, count, residuals,
+    jacobian_rows): ``jacobian_rows()`` builds the (count, 6) rows from this
+    evaluation's projection, mask, weights and field reads, adding only the
+    slope reads, so a pose the solver keeps is projected once.
     """
+    if prepared.total_samples == 0:
+        return _no_samples()
     k = prepared.intrinsics
     rotation = pose.rotation
-    if prepared.total_samples == 0:
-        return 0.0, 0, np.empty(0), (np.empty((0, 6)) if with_jacobian else None)
     cam = (prepared.world - pose.translation) @ rotation  # row-wise R^T (p_w - t)
     u, v, valid = _project(k, cam)
     count = int(valid.sum())
     if count == 0:
-        return 0.0, 0, np.empty(0), (np.empty((0, 6)) if with_jacobian else None)
+        return _no_samples()
 
-    li = prepared.label_index[valid]
-    gather = bilinear_gather(u[valid], v[valid], prepared.distance.shape[1:])
-    if with_jacobian:
-        values, grad_u, grad_v = gather(prepared.distance, li, gradient=True)
-    else:
-        values = gather(prepared.distance, li)
-    weights = prepared.weight[valid]
+    values, slope = bilinear_gather(u[valid], v[valid], prepared.distance.shape[1:])(
+        prepared.distance, prepared.label_index[valid]
+    )
     sqrt_w = prepared.sqrt_weight[valid]
-    energy = float(weights @ (values * values))
-    residuals = sqrt_w * values
-    jacobian = None
-    if with_jacobian:
+    energy = float(prepared.weight[valid] @ (values * values))
+
+    def jacobian_rows():
+        grad_u, grad_v = slope()
         cam_v = cam[valid]
         zv = cam_v[:, 2]
         a = grad_u * k.fx / zv
         b = grad_v * k.fy / zv
         c = -(a * cam_v[:, 0] + b * cam_v[:, 1]) / zv
         g3 = np.stack([a, b, c], axis=1)
-        jacobian = np.empty((g3.shape[0], 6))
+        jacobian = np.empty((count, 6))
         jacobian[:, :3] = -(g3 @ rotation.T)
         jacobian[:, 3:] = np.cross(g3, cam_v)
         jacobian *= sqrt_w[:, None]
-    return energy, count, residuals, jacobian
+        return jacobian
+
+    return energy, count, sqrt_w * values, jacobian_rows
 
 
 def perturb_pose(pose: Pose, xi: np.ndarray) -> Pose:
@@ -188,8 +196,7 @@ def perturb_pose(pose: Pose, xi: np.ndarray) -> Pose:
 def residual(problem: AlignmentProblem, pose: Pose, point_r: np.ndarray, label: str) -> float | None:
     """Residual of one frame-r sample; None when dropped at this pose."""
     single = _single_prepared(problem, point_r, label)
-    energy_value, count, residuals, _ = _evaluate(single, pose, with_jacobian=False)
-    del energy_value
+    _, count, residuals, _ = _evaluate(single, pose)
     if count == 0:
         return None
     return float(residuals[0] / math.sqrt(problem.config.weight_for(label)))
@@ -198,10 +205,10 @@ def residual(problem: AlignmentProblem, pose: Pose, point_r: np.ndarray, label: 
 def jacobian_row(problem: AlignmentProblem, pose: Pose, point_r: np.ndarray, label: str) -> np.ndarray | None:
     """Analytic 6-vector Jacobian row of one sample; None when dropped."""
     single = _single_prepared(problem, point_r, label)
-    _, count, _, jac = _evaluate(single, pose, with_jacobian=True)
+    _, count, _, jacobian_rows = _evaluate(single, pose)
     if count == 0:
         return None
-    return jac[0] / math.sqrt(problem.config.weight_for(label))
+    return jacobian_rows()[0] / math.sqrt(problem.config.weight_for(label))
 
 
 def _single_prepared(problem: AlignmentProblem, point_r: np.ndarray, label: str) -> _Prepared:
@@ -213,7 +220,7 @@ def _single_prepared(problem: AlignmentProblem, point_r: np.ndarray, label: str)
 def energy(problem: AlignmentProblem, pose: Pose) -> tuple[float, int]:
     """Total weighted squared residual and the active-sample count."""
     prepared = _Prepared(problem)
-    value, count, _, _ = _evaluate(prepared, pose, with_jacobian=False)
+    value, count, _, _ = _evaluate(prepared, pose)
     return value, count
 
 
@@ -239,11 +246,17 @@ def _probe_escape(prepared: _Prepared, pose: Pose, energy_now: float, count_now:
             for magnitude in magnitudes
         ]
     )
-    # Per candidate R^T (p_w - t); not kept, so the gather below can reuse its memory.
-    u, v, valid = _project(prepared.intrinsics, (prepared.world[None] - translations[:, None]) @ rotation)
+    # Per candidate R^T (p_w - t). The differences are built as contiguous
+    # (C, 3N) rows, the same values as world[None] - translations[:, None]
+    # without its length-3 inner axis; neither they nor the camera points are
+    # kept, so the gather below can reuse their memory.
+    shape = (len(translations), prepared.total_samples, 3)
+    differences = prepared.world.reshape(1, -1) - np.tile(translations, (1, shape[1]))
+    u, v, valid = _project(prepared.intrinsics, differences.reshape(shape) @ rotation)
+    del differences
     counts = valid.sum(axis=1)
     sample = np.nonzero(valid)[1]  # candidate-major, so each candidate's samples are one slice
-    values = bilinear_gather(u[valid], v[valid], prepared.distance.shape[1:])(
+    values, _ = bilinear_gather(u[valid], v[valid], prepared.distance.shape[1:])(
         prepared.distance, prepared.label_index[sample]
     )
     weights = prepared.weight[sample]
@@ -272,7 +285,9 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
     prepared = _Prepared(problem)
     pose = problem.start_pose
 
-    energy_now, count_now, _, _ = _evaluate(prepared, pose, with_jacobian=False)
+    # The evaluation of ``pose``: every accepted pose keeps the one that tested it.
+    current = _evaluate(prepared, pose)
+    energy_now, count_now = current[:2]
     if count_now < cfg.min_samples:
         return AlignmentResult(
             pose=pose,
@@ -296,10 +311,11 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
 
     while True:
         while iterations < cfg.max_iterations:
-            _, count_now, residuals, jacobian = _evaluate(prepared, pose, with_jacobian=True)
+            _, count_now, residuals, jacobian_rows = current
             if count_now < cfg.min_samples:
                 diverged = True
                 break
+            jacobian = jacobian_rows()
             hessian = jacobian.T @ jacobian
             gradient = jacobian.T @ residuals
             diag_floor = 1e-12 * max(float(np.trace(hessian)), 1.0)
@@ -325,11 +341,13 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
                 )
                 delta = delta * scale
                 candidate = perturb_pose(pose, delta)
-                energy_new, count_new, _, _ = _evaluate(prepared, candidate, with_jacobian=False)
+                trial = _evaluate(prepared, candidate)
+                energy_new, count_new = trial[:2]
                 if energy_new <= energy_now + _ENERGY_SLACK:
                     step_norm = float(np.linalg.norm(delta))
                     rel_decrease = (energy_now - energy_new) / max(energy_now, 1e-300)
                     pose = candidate
+                    current = trial
                     energy_now = energy_new
                     count_now = count_new
                     damping = max(damping / 10.0, 1e-12)
@@ -350,6 +368,7 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
             active_counts.append(count_now)
             if iterations % 100 == 0:
                 pose = orthonormalize(pose)
+                current = _evaluate(prepared, pose)
             if step_norm < cfg.step_tol or rel_decrease < cfg.energy_tol:
                 converged = True
                 break
@@ -366,15 +385,17 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
         if escape is None:
             break
         energy_now, count_now, pose = escape
+        current = _evaluate(prepared, pose)
         history.append(energy_now)
         active_counts.append(count_now)
         probe_rounds += 1
         converged = False
         damping = cfg.lambda_init
 
-    # Final evaluation at the solution for gating quantities.
-    energy_final, count_final, _, jacobian_final = _evaluate(prepared, pose, with_jacobian=True)
+    # Gating quantities from the evaluation of the solution.
+    energy_final, count_final, _, jacobian_rows = current
     if count_final > 0:
+        jacobian_final = jacobian_rows()
         info_min_eig = float(np.linalg.eigvalsh(jacobian_final.T @ jacobian_final)[0])
         mean_error = energy_final / count_final
     else:

@@ -67,7 +67,15 @@ class LineSegmentLandmark:
         p1.setflags(write=False)
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "p1", p1)
-        if np.linalg.norm(p1 - p0) <= MIN_SEGMENT_LENGTH_M:
+        # math.dist, unlike numpy, overflows to inf without a warning. A
+        # non-finite endpoint makes the length NaN or inf, so it fails too.
+        length = math.dist(p0.tolist(), p1.tolist())
+        if not MIN_SEGMENT_LENGTH_M < length < math.inf:
+            for name, point in (("p0", p0), ("p1", p1)):
+                if not np.isfinite(point).all():
+                    raise ValueError(f"segment endpoint {name} is not finite: {point.tolist()}")
+            if length == math.inf:
+                raise ValueError("segment length overflows")
             raise ValueError(f"degenerate segment (shorter than {MIN_SEGMENT_LENGTH_M} m)")
         if self.pole_radius is not None and not 0.0 < self.pole_radius < math.inf:
             raise ValueError(f"pole radius must be finite and > 0, got {self.pole_radius}")
@@ -93,12 +101,18 @@ class WireframeLandmark:
         n = points.shape[0]
         if n < 3:
             raise ValueError(f"wireframe needs at least 3 points, got {n}")
-        gaps = np.linalg.norm(np.roll(points, -1, axis=0) - points, axis=1)
-        if gaps.min() <= MIN_SEGMENT_LENGTH_M:
-            raise ValueError("consecutive wireframe points closer than 0.01 m")
-        centered = points - points.mean(axis=0)
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        deviation = np.abs(centered @ vt[-1]).max()
+        if not np.isfinite(points).all():
+            bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
+            raise ValueError(f"wireframe point {bad} is not finite: {points[bad].tolist()}")
+        # Finite coordinates near the float limit overflow to inf or NaN
+        # here, and the checks below reject them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = np.linalg.norm(np.roll(points, -1, axis=0) - points, axis=1)
+            if gaps.min() <= MIN_SEGMENT_LENGTH_M:
+                raise ValueError("consecutive wireframe points closer than 0.01 m")
+            centered = points - points.mean(axis=0)
+            _, _, vt = np.linalg.svd(centered, full_matrices=False)
+            deviation = np.abs(centered @ vt[-1]).max()
         # Written so that a NaN deviation (coordinates that overflow) fails.
         if not deviation <= MAX_PLANARITY_DEVIATION_M:
             raise ValueError(f"wireframe is not planar (max deviation {deviation:.3f} m)")

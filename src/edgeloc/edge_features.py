@@ -163,55 +163,69 @@ def coarsen_mask(mask: SemanticEdgeMask, scale: int = COARSE_SCALE) -> SemanticE
 def bilinear_gather(u, v, shape: tuple[int, int]):
     """Bilinear interpolation at sub-pixel (u, v) on grids of ``shape`` (H, W).
 
-    Returns ``gather(grids, *index)``, which interpolates ``grids[*index]``
-    at every location; leading indices select from a stacked grid. The
-    weights are computed once and shared by every grid gathered. A
-    one-pixel-wide or -tall grid interpolates along its other axis only.
+    Returns ``gather(grids, layer=None)``, which interpolates one (H, W)
+    grid, or the grid ``layer`` of an (L, H, W) stack at each location, and
+    returns ``(V, slope)``. The weights and corner indices are computed once
+    and shared by every grid gathered. Each corner is read from the
+    flattened stack with one index array, ``(layer * H + iv) * W + iu`` plus
+    a column and a row offset. A one-pixel-wide or -tall grid interpolates
+    along its other axis only.
 
-    ``gather(grids, *index, gradient=True)`` returns (V, G_u, G_v). Each
-    corner's slope along an axis of n pixels is NumPy's gradient, (D[hi] -
-    D[lo]) / max(hi - lo, 1) with lo = max(i - 1, 0), hi = min(i + 1, n - 1),
-    weighted as V is, so G_u, G_v equal a gather over gradient grids byte
-    for byte. Half of those reads are V's own corners; 8 are extra.
+    ``slope()`` returns (G_u, G_v) from V's four corner reads plus 8 more.
+    Each corner's slope along an axis of n pixels is NumPy's gradient,
+    (D[hi] - D[lo]) / max(hi - lo, 1) with lo = max(i - 1, 0),
+    hi = min(i + 1, n - 1), weighted as V is, so G_u, G_v equal a gather
+    over gradient grids byte for byte.
     """
     height, width = shape
-    iu = np.clip(np.floor(u).astype(int), 0, max(width - 2, 0))
-    iv = np.clip(np.floor(v).astype(int), 0, max(height - 2, 0))
-    iu1 = np.minimum(iu + 1, width - 1)
-    iv1 = np.minimum(iv + 1, height - 1)
+    iu = np.minimum(np.maximum(np.floor(u).astype(int), 0), max(width - 2, 0))
+    iv = np.minimum(np.maximum(np.floor(v).astype(int), 0), max(height - 2, 0))
     fu = u - iu
     fv = v - iv
     w00 = (1.0 - fu) * (1.0 - fv)
     w10 = fu * (1.0 - fv)
     w01 = (1.0 - fu) * fv
     w11 = fu * fv
+    # Steps from the (iu, iv) corner to the far column and row: none on a
+    # one-pixel axis. dv is the row step in flat-index units.
+    du, step_v = int(width > 1), int(height > 1)
+    dv = step_v * width
 
-    def gather(grids, *index, gradient=False):
-        d00 = grids[(*index, iv, iu)]
-        d10 = grids[(*index, iv, iu1)]
-        d01 = grids[(*index, iv1, iu)]
-        d11 = grids[(*index, iv1, iu1)]
+    def gather(grids, layer=None):
+        flat = np.ravel(grids)
+        base = iv * width + iu if layer is None else (layer * height + iv) * width + iu
+        d00 = flat.take(base)
+        d10 = flat.take(base + du)
+        d01 = flat.take(base + dv)
+        d11 = flat.take(base + (du + dv))
         value = d00 * w00 + d10 * w10 + d01 * w01 + d11 * w11
-        if not gradient:
-            return value
-        # Outer neighbours of the corner pairs: hi(iu) = iu1 and lo(iu1) = iu.
-        iu0, iu2 = np.maximum(iu - 1, 0), np.minimum(iu1 + 1, width - 1)
-        iv0, iv2 = np.maximum(iv - 1, 0), np.minimum(iv1 + 1, height - 1)
-        su0, su1 = np.maximum(iu1 - iu0, 1), np.maximum(iu2 - iu, 1)
-        sv0, sv1 = np.maximum(iv1 - iv0, 1), np.maximum(iv2 - iv, 1)
-        grad_u = (
-            (d10 - grids[(*index, iv, iu0)]) / su0 * w00
-            + (grids[(*index, iv, iu2)] - d00) / su1 * w10
-            + (d11 - grids[(*index, iv1, iu0)]) / su0 * w01
-            + (grids[(*index, iv1, iu2)] - d01) / su1 * w11
-        )
-        grad_v = (
-            (d01 - grids[(*index, iv0, iu)]) / sv0 * w00
-            + (d11 - grids[(*index, iv0, iu1)]) / sv0 * w10
-            + (grids[(*index, iv2, iu)] - d00) / sv1 * w01
-            + (grids[(*index, iv2, iu1)] - d10) / sv1 * w11
-        )
-        return value, grad_u, grad_v
+
+        def slope():
+            # Outer neighbours of the corner pairs, as offsets from (iu, iv):
+            # hi(iu) is the far column and lo(far column) is iu.
+            left = np.maximum(iu - 1, 0) - iu
+            right = np.minimum(iu + du + 1, width - 1) - iu
+            up = np.maximum(iv - 1, 0) - iv
+            down = np.minimum(iv + step_v + 1, height - 1) - iv
+            su0, su1 = np.maximum(du - left, 1), np.maximum(right, 1)
+            sv0, sv1 = np.maximum(step_v - up, 1), np.maximum(down, 1)
+            up *= width
+            down *= width
+            grad_u = (
+                (d10 - flat.take(base + left)) / su0 * w00
+                + (flat.take(base + right) - d00) / su1 * w10
+                + (d11 - flat.take(base + dv + left)) / su0 * w01
+                + (flat.take(base + dv + right) - d01) / su1 * w11
+            )
+            grad_v = (
+                (d01 - flat.take(base + up)) / sv0 * w00
+                + (d11 - flat.take(base + du + up)) / sv0 * w10
+                + (flat.take(base + down) - d00) / sv1 * w01
+                + (flat.take(base + du + down) - d10) / sv1 * w11
+            )
+            return grad_u, grad_v
+
+        return value, slope
 
     return gather
 
@@ -224,8 +238,8 @@ def sample_field(field: SemanticEdgeField, u: float, v: float) -> tuple[float, f
     height, width = field.shape
     if not (0.0 <= u <= width - 1 and 0.0 <= v <= height - 1):
         raise OutOfBoundsPixel(f"({u:.2f}, {v:.2f}) outside [0, {width - 1}] x [0, {height - 1}]")
-    gather = bilinear_gather(np.float64(u), np.float64(v), field.shape)
-    return tuple(float(x) for x in gather(field.distance, gradient=True))
+    value, slope = bilinear_gather(np.float64(u), np.float64(v), field.shape)(field.distance)
+    return tuple(float(x) for x in (value, *slope()))
 
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:

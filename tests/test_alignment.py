@@ -343,8 +343,9 @@ class TestSolve:
 
         prep0 = al._Prepared(problem)
         prep1 = al._Prepared(moved)
-        _, _, r0, j0 = al._evaluate(prep0, pose, True)
-        _, _, r1, j1 = al._evaluate(prep1, moved_pose, True)
+        _, _, r0, rows0 = al._evaluate(prep0, pose)
+        _, _, r1, rows1 = al._evaluate(prep1, moved_pose)
+        j0, j1 = rows0(), rows1()
         step0 = np.linalg.solve(j0.T @ j0 + 1e-6 * np.eye(6), -j0.T @ r0)
         step1 = np.linalg.solve(j1.T @ j1 + 1e-6 * np.eye(6), -j1.T @ r1)
         # translation block transforms with the gauge rotation, rotation
@@ -467,7 +468,7 @@ def reference_probe_escape(prepared, pose, energy_now, count_now, min_samples, m
     for direction in al._PROBE_DIRECTIONS:
         for magnitude in magnitudes:
             candidate = Pose(pose.rotation, pose.translation + pose.rotation @ (magnitude * direction))
-            energy_new, count_new, _, _ = al._evaluate(prepared, candidate, with_jacobian=False)
+            energy_new, count_new, _, _ = al._evaluate(prepared, candidate)
             if count_new >= count_floor and energy_new < energy_now - 1e-9:
                 if best is None or energy_new < best[0]:
                     best = (energy_new, count_new, candidate)
@@ -529,7 +530,7 @@ def probe_scans(draw):
         cam = np.column_stack([rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n), rng.uniform(-0.5, 4.0, n)])
         blocks[label] = pose.apply(cam)
     prepared = prepared_problem(grids, blocks, intrinsics, PipelineConfig(label_weights=weights))
-    energy_here, count_here, _, _ = al._evaluate(prepared, pose, with_jacobian=False)
+    energy_here, count_here, _, _ = al._evaluate(prepared, pose)
     energy_now = draw(st.sampled_from([energy_here, math.inf, energy_here * 0.5]))
     count_now = draw(st.sampled_from([count_here, 0, prepared.total_samples]))
     min_samples = draw(st.sampled_from([0, 1, 5, 30]))
@@ -579,7 +580,7 @@ class TestProbeScan:
         pose = Pose.identity()
         for index, magnitude in ((18, 0.1), (21, 0.05)):
             moved = Pose(np.eye(3), magnitude * al._PROBE_DIRECTIONS[index])
-            assert al._evaluate(prepared, moved, with_jacobian=False)[:2] == (0.0, 0)
+            assert al._evaluate(prepared, moved)[:2] == (0.0, 0)
         best = assert_probe_matches_reference(prepared, pose, math.inf, 0, 0, al._PROBE_MAGNITUDES_NEAR_M)
         assert best[2].translation.tobytes() == (0.1 * al._PROBE_DIRECTIONS[18]).tobytes()
 
@@ -595,7 +596,7 @@ class TestProbeScan:
             )
         )
         kept = {
-            al._evaluate(prepared, Pose(np.eye(3), magnitude * direction), with_jacobian=False)[1]
+            al._evaluate(prepared, Pose(np.eye(3), magnitude * direction))[1]
             for direction in al._PROBE_DIRECTIONS
             for magnitude in al._PROBE_MAGNITUDES_NEAR_M
         }
@@ -639,7 +640,7 @@ class TestProbeScan:
         forward = Pose(np.eye(3), [0.0, 0.0, 0.05])  # the sample ends up 1 cm behind the camera
         right = Pose(np.eye(3), [0.05, 0.0, 0.0])  # and off the left border here
         for moved in (forward, right):
-            assert al._evaluate(prepared, moved, with_jacobian=False)[1] == 2
+            assert al._evaluate(prepared, moved)[1] == 2
 
     def test_zero_min_samples_lets_an_empty_candidate_win(self):
         # One sample at the left border on a field that is positive
@@ -650,7 +651,7 @@ class TestProbeScan:
         best = assert_probe_matches_reference(prepared, pose, 9.0, 0, 0, al._PROBE_MAGNITUDES_NEAR_M)
         assert best[:2] == (0.0, 0)
         first_right = Pose(np.eye(3), al._PROBE_MAGNITUDES_NEAR_M[0] * al._PROBE_DIRECTIONS[17])  # (1, -1, -1)
-        assert al._evaluate(prepared, first_right, with_jacobian=False)[:2] == (0.0, 0)
+        assert al._evaluate(prepared, first_right)[:2] == (0.0, 0)
 
     def test_no_samples(self):
         prepared = prepared_problem([np.ones((24, 32))], {"lane": np.empty((0, 3))}, K)
@@ -669,6 +670,68 @@ class TestProbeScan:
         rng = np.random.default_rng(5)
         for offset in (0.0, 0.3, 1.0):
             pose = syn.perturb_pose_random(problem.prior, offset, 0.01, rng)
-            energy_here, count_here, _, _ = al._evaluate(prepared, pose, with_jacobian=False)
+            energy_here, count_here, _, _ = al._evaluate(prepared, pose)
             for magnitudes in (al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M):
                 assert_probe_matches_reference(prepared, pose, energy_here, count_here, 30, magnitudes)
+
+
+class TestEvaluationReuse:
+    """The solver finishes Jacobian rows from the evaluation that accepted a
+    pose instead of projecting that pose again."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(probe_scans(), st.integers(0, 2**32 - 1))
+    def test_kept_evaluation_finishes_the_rows_of_a_fresh_one(self, scan, seed):
+        # probe_scans draws samples behind the camera and off the image.
+        prepared, pose = scan[:2]
+        kept = al._evaluate(prepared, pose)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):  # other poses evaluated and finished in between, as in solve
+            al._evaluate(prepared, al.perturb_pose(pose, rng.normal(size=6) * 0.2))[3]()
+        fresh = al._evaluate(prepared, Pose(pose.rotation.copy(), pose.translation.copy()))
+        assert kept[:2] == fresh[:2]
+        assert kept[2].tobytes() == fresh[2].tobytes()
+        rows = kept[3]()
+        assert rows.shape == (kept[1], 6)
+        assert rows.tobytes() == fresh[3]().tobytes()
+
+    def test_rows_of_a_pose_that_loses_samples(self):
+        # Nine samples, one behind the camera and one beyond the right border.
+        points = points_at_pixels([4.0, 10.0, 16.5, 22.0, 28.0, 31.0, 5.0, 12.0, 20.0], [11.5] * 9, [2.0] * 9)
+        points[7, 2] = -1.0
+        points[8, 0] = 3.0
+        prepared = prepared_problem([np.add.outer(np.arange(24.0), np.arange(32.0) ** 1.5)], {"lane": points}, SMALL_K)
+        pose = Pose.identity()
+        energy_value, count, residuals, rows = al._evaluate(prepared, pose)
+        assert count == 7 and rows().shape == (7, 6)
+        fresh = al._evaluate(prepared, Pose(np.eye(3), np.zeros(3)))
+        assert (energy_value, count, residuals.tobytes()) == (fresh[0], fresh[1], fresh[2].tobytes())
+        assert rows().tobytes() == fresh[3]().tobytes()
+
+    def test_solve_evaluates_each_pose_once(self, monkeypatch):
+        # A pinned frame with the prior 1 m off, so steps are rejected and a
+        # probe escapes.
+        scene = syn.generate_scene(4, "urban-corner", n_frames=2)
+        cfg = PipelineConfig()
+        prior = syn.perturb_pose_random(scene.pose_of(0), 1.0, math.radians(1.0), np.random.default_rng(0))
+        masks = build_edge_masks(*syn.render_frame(scene, 0), scene.compact_map.label_names)
+        problem = al.AlignmentProblem(
+            samples=select_landmarks(scene.compact_map, prior, scene.intrinsics, cfg),
+            fields=build_fields(masks, d_max=cfg.dt_truncation_px),
+            prior=prior,
+            intrinsics=scene.intrinsics,
+            config=cfg,
+        )
+        seen = []
+        evaluate = al._evaluate
+
+        def recording(prepared, pose):
+            seen.append(pose.rotation.tobytes() + pose.translation.tobytes())
+            return evaluate(prepared, pose)
+
+        monkeypatch.setattr(al, "_evaluate", recording)
+        result = al.solve(problem)
+        probe_rounds = len(result.energy_history) - 1 - result.iterations
+        assert result.iterations > 0 and probe_rounds > 0
+        assert len(seen) > result.iterations + probe_rounds
+        assert len(set(seen)) == len(seen)

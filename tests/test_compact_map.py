@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -212,12 +214,34 @@ class TestInvariants:
         with pytest.raises(cm.MapFormatError, match="line 3"):
             cm.parse_map(text)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_wireframe_with_overflowing_coordinates_rejected(self):
         # Its planarity deviation is NaN, which must fail the check.
         text = "CMAP 1\nLABEL a road\nWF a 4 1e308 0 0 -1e308 0 0 -1e308 1e308 5 1e308 1e308 0\n"
         with pytest.raises(cm.MapFormatError, match="not planar"):
             cm.parse_map(text)
+
+    @pytest.mark.parametrize("p0", [[math.nan, 0, 0], [math.inf, 0, 0], [0, -math.inf, 0]])
+    def test_segment_with_non_finite_endpoint_rejected(self, p0):
+        # A NaN or infinite length used to pass the minimum-length check.
+        label = cm.SemanticLabel("a", "road")
+        with pytest.raises(ValueError, match="endpoint p0 is not finite"):
+            cm.LineSegmentLandmark(label, p0, [1, 0, 0])
+        with pytest.raises(ValueError, match="endpoint p1 is not finite"):
+            cm.LineSegmentLandmark(label, [1, 0, 0], p0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_segment_whose_length_overflows_rejected(self):
+        text = "CMAP 1\nLABEL a road\nSEG a 1e308 0 0 -1e308 0 0\n"
+        with pytest.raises(cm.MapFormatError, match="overflows") as err:
+            cm.parse_map(text)
+        assert err.value.line_number == 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_wireframe_with_non_finite_vertex_names_it(self, bad):
+        points = [[0, 0, 0], [1, 0, 0], [bad, 1, 0], [0, 1, 0]]
+        with pytest.raises(ValueError, match="wireframe point 2 is not finite"):
+            cm.WireframeLandmark(cm.SemanticLabel("a", "road"), points)
 
     def test_pole_detection_by_label_name(self):
         label = cm.SemanticLabel("lamp_pole", "nonroad")
@@ -327,7 +351,7 @@ def map_texts(draw):
 
 
 class TestFuzzedText:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflows on coordinates near 1e308
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # coordinates near 1e308 must not overflow numpy
     @settings(deadline=None, max_examples=500)
     @given(map_texts() | st.text())
     def test_parse_map_raises_only_value_errors(self, text):

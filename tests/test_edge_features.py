@@ -38,8 +38,49 @@ def centre_slopes(field):
     """G_u, G_v sampled at every pixel centre through bilinear_gather."""
     height, width = field.shape
     vv, uu = np.meshgrid(np.arange(height, dtype=float), np.arange(width, dtype=float), indexing="ij")
-    _, grad_u, grad_v = ef.bilinear_gather(uu, vv, field.shape)(field.distance, gradient=True)
-    return grad_u, grad_v
+    _, slope = ef.bilinear_gather(uu, vv, field.shape)(field.distance)
+    return slope()
+
+
+def three_index_gather(u, v, grids, index):
+    """(V, G_u, G_v) read corner by corner with a (layer, row, column) index
+    per corner: the oracle of bilinear_gather's flat reads."""
+    height, width = grids.shape[1:]
+    iu = np.clip(np.floor(u).astype(int), 0, max(width - 2, 0))
+    iv = np.clip(np.floor(v).astype(int), 0, max(height - 2, 0))
+    iu1, iv1 = np.minimum(iu + 1, width - 1), np.minimum(iv + 1, height - 1)
+    iu0, iu2 = np.maximum(iu - 1, 0), np.minimum(iu1 + 1, width - 1)
+    iv0, iv2 = np.maximum(iv - 1, 0), np.minimum(iv1 + 1, height - 1)
+    su0, su1 = np.maximum(iu1 - iu0, 1), np.maximum(iu2 - iu, 1)
+    sv0, sv1 = np.maximum(iv1 - iv0, 1), np.maximum(iv2 - iv, 1)
+    fu, fv = u - iu, v - iv
+    w00, w10, w01, w11 = (1.0 - fu) * (1.0 - fv), fu * (1.0 - fv), (1.0 - fu) * fv, fu * fv
+
+    def at(row, col):
+        return grids[(index, row, col)]
+
+    d00, d10, d01, d11 = at(iv, iu), at(iv, iu1), at(iv1, iu), at(iv1, iu1)
+    value = d00 * w00 + d10 * w10 + d01 * w01 + d11 * w11
+    grad_u = (
+        (d10 - at(iv, iu0)) / su0 * w00
+        + (at(iv, iu2) - d00) / su1 * w10
+        + (d11 - at(iv1, iu0)) / su0 * w01
+        + (at(iv1, iu2) - d01) / su1 * w11
+    )
+    grad_v = (
+        (d01 - at(iv0, iu)) / sv0 * w00
+        + (d11 - at(iv0, iu1)) / sv0 * w10
+        + (at(iv2, iu) - d00) / sv1 * w01
+        + (at(iv2, iu1) - d10) / sv1 * w11
+    )
+    return value, grad_u, grad_v
+
+
+def assert_flat_reads_match(grids, u, v, index):
+    value, slope = ef.bilinear_gather(u, v, grids.shape[1:])(grids, index)
+    got = (value, *slope())
+    for flat, reference in zip(got, three_index_gather(u, v, grids, index)):
+        assert flat.tobytes() == reference.tobytes()
 
 
 def random_mask(rng):
@@ -311,11 +352,38 @@ class TestSampledGradient:
     def test_matches_gather_over_reference_grids(self, case):
         grids, u, v, index = case
         gather = ef.bilinear_gather(u, v, grids.shape[1:])
-        value, grad_u, grad_v = gather(grids, index, gradient=True)
+        value, slope = gather(grids, index)
+        grad_u, grad_v = slope()
         ref_u, ref_v = gradients(grids)
-        assert value.tobytes() == gather(grids, index).tobytes()
-        assert grad_u.tobytes() == gather(ref_u, index).tobytes()
-        assert grad_v.tobytes() == gather(ref_v, index).tobytes()
+        assert grad_u.tobytes() == gather(ref_u, index)[0].tobytes()
+        assert grad_v.tobytes() == gather(ref_v, index)[0].tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(grids_and_points())
+    def test_flat_reads_match_three_index_reads(self, case):
+        grids, u, v, index = case
+        assert_flat_reads_match(grids, u, v, index)
+        # The same values in a non-contiguous stack: every other row and column
+        # of a larger array, mirrored left to right.
+        layers, height, width = grids.shape
+        holder = np.full((layers, 2 * height, 2 * width), np.nan)
+        holder[:, ::2, ::-2] = grids
+        strided = holder[:, ::2, ::-2]
+        assert strided.size == 1 or not strided.flags.c_contiguous
+        assert_flat_reads_match(strided, u, v, index)
+
+    @pytest.mark.parametrize("shape", [(1, 7), (6, 1), (1, 1), (2, 2), (5, 9)])
+    def test_flat_reads_on_thin_grids_and_every_border(self, shape):
+        height, width = shape
+        rng = np.random.default_rng(height * 10 + width)
+        grids = rng.random((3, height, width)) * 10.0
+        inner_u = rng.uniform(0.0, width - 1, 8)
+        inner_v = rng.uniform(0.0, height - 1, 8)
+        # Points on the left, right, top and bottom borders and at the four corners.
+        u = np.concatenate([np.zeros(8), np.full(8, width - 1.0), inner_u, inner_u, [0.0, width - 1.0] * 2])
+        v = np.concatenate([inner_v, inner_v, np.zeros(8), np.full(8, height - 1.0), [0.0] * 2 + [height - 1.0] * 2])
+        index = np.arange(u.size) % 3
+        assert_flat_reads_match(grids, u, v, index)
 
     @settings(deadline=None, max_examples=50)
     @given(grids_and_points())
@@ -325,7 +393,7 @@ class TestSampledGradient:
         ref_u, ref_v = gradients(field.distance)
         for point_u, point_v in zip(u[:16], v[:16]):
             gather = ef.bilinear_gather(np.float64(point_u), np.float64(point_v), field.shape)
-            expected = (gather(field.distance), gather(ref_u), gather(ref_v))
+            expected = (gather(field.distance)[0], gather(ref_u)[0], gather(ref_v)[0])
             assert ef.sample_field(field, point_u, point_v) == tuple(float(x) for x in expected)
 
 
