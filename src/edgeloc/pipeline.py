@@ -120,14 +120,18 @@ class FrameRecord:
 
 
 def _load_fields(
-    frames_dir: Path,
+    manifest: DatasetManifest,
     frame_id: int,
     label_names: tuple[str, ...],
     config: PipelineConfig,
 ) -> tuple[dict[str, SemanticEdgeField], dict[str, SemanticEdgeField]]:
-    """Read one frame's rasters; build fine and coarse per-label fields."""
-    frame_dir = frames_dir / f"{frame_id:06d}"
+    """Read one frame's rasters and build fine and coarse per-label fields;
+    ValueError if the label raster's shape is not the intrinsics'."""
+    frame_dir = manifest.frames_dir / f"{frame_id:06d}"
     labels_img = read_pgm(frame_dir / "labels.pgm")
+    shape = (manifest.intrinsics.height, manifest.intrinsics.width)
+    if labels_img.shape != shape:
+        raise ValueError(f"{frame_dir / 'labels.pgm'}: raster shape {labels_img.shape}, intrinsics {shape}")
     edges_img = read_pgm(frame_dir / "edges.pgm")
     dynamic_img = read_pgm(frame_dir / "dynamic.pgm")
     masks = build_edge_masks(
@@ -199,7 +203,7 @@ def run_dataset(
 
     def fields_for(frame_id: int):
         if executor is None:
-            return _load_fields(manifest.frames_dir, frame_id, label_names, config)
+            return _load_fields(manifest, frame_id, label_names, config)
         future = futures.pop(frame_id)
         return future.result()
 
@@ -207,13 +211,13 @@ def run_dataset(
         if executor is not None:
             lookahead = prefetch_workers + 2
             for fid in frame_ids[:lookahead]:
-                futures[fid] = executor.submit(_load_fields, manifest.frames_dir, fid, label_names, config)
+                futures[fid] = executor.submit(_load_fields, manifest, fid, label_names, config)
             next_submit = len(futures)
 
         for frame_id in frame_ids:
             if executor is not None and next_submit < len(frame_ids):
                 fid = frame_ids[next_submit]
-                futures[fid] = executor.submit(_load_fields, manifest.frames_dir, fid, label_names, config)
+                futures[fid] = executor.submit(_load_fields, manifest, fid, label_names, config)
                 next_submit += 1
 
             if frame_id in odometry:

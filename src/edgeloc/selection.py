@@ -3,8 +3,10 @@ buffer, and sparse edge-point sampling in the prior camera frame.
 
 Occluders are wireframe interiors (filled planar polygons) and pole
 cylinders (approximated by the quad spanned by their two silhouette
-lines). Plain line segments do not occlude. Depth is interpolated
-perspective-correct (affine in 1/z), which is exact for planar polygons.
+lines). Plain line segments do not occlude. One array pass rasterizes
+every occluder polygon into an (H, W) minimum-depth array; depth is
+interpolated perspective-correct (affine in 1/z), which is exact for
+planar polygons.
 
 Edges are sampled in one array pass over the whole landmark list: the
 landmarks' points are packed and moved into the camera frame together,
@@ -33,6 +35,10 @@ NEAR_CLIP_M = 0.05
 # invisible in the live image even though the prior says otherwise.
 _OCCLUSION_MARGIN_GAP_M = 2.0
 
+# The polygon rasterizer tests at most this many bounding-box pixels per
+# array pass, which bounds its temporaries whatever the triangles cover.
+_PIXEL_BUDGET = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class LandmarkSamples:
@@ -53,13 +59,6 @@ class LandmarkSamples:
 
     def landmark_ids(self) -> set[int]:
         return set(self.landmark_id.tolist())
-
-
-class DepthBuffer:
-    """Per-pixel minimum depth (meters), initialized to +inf."""
-
-    def __init__(self, width: int, height: int):
-        self.values = np.full((height, width), np.inf)
 
 
 def clip_segment_to_view(
@@ -96,76 +95,76 @@ def clip_segment_to_view(
     return inside, p0 + t0[inside, None] * direction, p0 + t1[inside, None] * direction
 
 
-def _clip_polygon_near(points: np.ndarray, near: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a camera-frame polygon against z >= near."""
-    out = []
-    n = points.shape[0]
-    for i in range(n):
-        current = points[i]
-        following = points[(i + 1) % n]
-        c_in = current[2] >= near
-        f_in = following[2] >= near
-        if c_in:
-            out.append(current)
-        if c_in != f_in:
-            t = (near - current[2]) / (following[2] - current[2])
-            out.append(current + t * (following - current))
-    return np.array(out) if out else np.empty((0, 3))
+def rasterize_polygons(depth: np.ndarray, polygons: np.ndarray, intrinsics: CameraIntrinsics) -> None:
+    """Min-depth fill of camera-frame polygons, (P, n, 3), into the
+    C-contiguous (H, W) array ``depth``.
 
+    Every polygon is clipped against z >= NEAR_CLIP_M (Sutherland &
+    Hodgman, CACM 1974) and fanned into triangles (0, i, i + 1) of the
+    clipped vertices. A pixel center is inside a triangle when its three
+    edge functions (Pineda, SIGGRAPH 1988) are >= -eps; its depth is
+    interpolated affine in 1/z. A polygon with fewer vertices may be padded
+    by repeating its last vertex: that adds only zero-area triangles.
+    """
+    count, n, _ = polygons.shape
+    # Vertex i emits itself when inside, then the crossing of edge i -> i + 1
+    # when that edge crosses the plane; a stable sort packs each row.
+    following = np.roll(polygons, -1, axis=1)
+    inside = polygons[..., 2] >= NEAR_CLIP_M
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (NEAR_CLIP_M - polygons[..., 2]) / (following[..., 2] - polygons[..., 2])
+        crossing = polygons + t[..., None] * (following - polygons)
+    emitted = np.stack([inside, inside != np.roll(inside, -1, axis=1)], axis=2).reshape(count, 2 * n)
+    slots = np.stack([polygons, crossing], axis=2).reshape(count, 2 * n, 3)
+    clipped = np.take_along_axis(slots, np.argsort(~emitted, axis=1, kind="stable")[..., None], axis=1)
+    # Fan triangle k of a polygon has the clipped vertices (0, k + 1, k + 2).
+    poly, k = np.nonzero(np.arange(2, 2 * n) < emitted.sum(axis=1)[:, None])
+    corners = clipped[poly[:, None], np.stack([np.zeros_like(k), k + 1, k + 2], axis=1)]
 
-def _rasterize_triangle(values: np.ndarray, triangle: np.ndarray, intrinsics: CameraIntrinsics) -> None:
-    """Min-depth fill of one camera-frame triangle (already near-clipped)."""
-    height, width = values.shape
-    uv, valid = project_points(triangle, intrinsics)
-    if not valid.all():
-        return
-    inv_z = 1.0 / triangle[:, 2]
-    a, b, c = uv
-    area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if area2 < 0.0:
-        b, c = c, b
-        inv_z = inv_z[[0, 2, 1]]
-        area2 = -area2
-    if area2 < 1e-12:
-        return
-    u_lo = max(0, int(math.ceil(min(a[0], b[0], c[0]) - 1e-9)))
-    u_hi = min(width - 1, int(math.floor(max(a[0], b[0], c[0]) + 1e-9)))
-    v_lo = max(0, int(math.ceil(min(a[1], b[1], c[1]) - 1e-9)))
-    v_hi = min(height - 1, int(math.floor(max(a[1], b[1], c[1]) + 1e-9)))
-    if u_lo > u_hi or v_lo > v_hi:
-        return
-    uu, vv = np.meshgrid(np.arange(u_lo, u_hi + 1), np.arange(v_lo, v_hi + 1))
-    wa = (c[0] - b[0]) * (vv - b[1]) - (c[1] - b[1]) * (uu - b[0])
-    wb = (a[0] - c[0]) * (vv - c[1]) - (a[1] - c[1]) * (uu - c[0])
-    wc = (b[0] - a[0]) * (vv - a[1]) - (b[1] - a[1]) * (uu - a[0])
+    # Triangle set-up: (u, v, 1/z) x corners (a, b, c) x triangles, with b
+    # and c swapped where needed so that area2 >= 0.
+    uv, valid = project_points(corners.reshape(-1, 3), intrinsics)
+    setup = np.concatenate([uv.reshape(-1, 3, 2).T, (1.0 / corners[..., 2].T)[None]])
+    u, v = setup[:2]
+    area2 = (u[1] - u[0]) * (v[2] - v[0]) - (v[1] - v[0]) * (u[2] - u[0])
+    setup = np.take_along_axis(setup, np.where(area2 < 0.0, [[0], [2], [1]], [[0], [1], [2]])[None], axis=1)
+    size = np.array([[depth.shape[1]], [depth.shape[0]]])
+    lo = np.clip(np.ceil(setup[:2].min(axis=1) - 1e-9), 0, size)
+    hi = np.clip(np.floor(setup[:2].max(axis=1) + 1e-9), -1, size - 1)
+    keep = valid.reshape(-1, 3).all(axis=1) & (np.abs(area2) >= 1e-12) & (lo <= hi).all(axis=0)
+    (u, v, inv_z), area2 = setup[..., keep], np.abs(area2[keep])
+    (u_lo, v_lo), (u_hi, v_hi) = lo[:, keep].astype(np.intp), hi[:, keep].astype(np.intp)
+    # Edge e runs from corner e + 1 to corner e + 2 (mod 3); its function at
+    # a pixel is du_e * (pixel v - v_from) - dv_e * (pixel u - u_from).
+    u_from, v_from = u[[1, 2, 0]], v[[1, 2, 0]]
+    du, dv = u[[2, 0, 1]] - u_from, v[[2, 0, 1]] - v_from
     eps = 1e-9 * (area2 + 1.0)
-    inside = (wa >= -eps) & (wb >= -eps) & (wc >= -eps)
-    if not inside.any():
-        return
-    interp_inv_z = (wa * inv_z[0] + wb * inv_z[1] + wc * inv_z[2]) / area2
-    depth = np.where(interp_inv_z > 1e-12, 1.0 / np.maximum(interp_inv_z, 1e-12), np.inf)
-    patch = values[v_lo:v_hi + 1, u_lo:u_hi + 1]
-    np.minimum(patch, np.where(inside, depth, np.inf), out=patch)
 
-
-def rasterize_polygon(buffer: DepthBuffer, polygon: np.ndarray, intrinsics: CameraIntrinsics) -> None:
-    """Fan-triangulate a camera-frame polygon and rasterize it near-clipped."""
-    clipped = _clip_polygon_near(np.asarray(polygon, dtype=float), NEAR_CLIP_M)
-    if clipped.shape[0] < 3:
-        return
-    # Cull with _rasterize_triangle's own pixel bounds: each fan triangle's
-    # bounding box lies inside the polygon's, so a polygon culled here would
-    # have filled no pixel.
-    height, width = buffer.values.shape
-    uv, _ = project_points(clipped, intrinsics)
-    u_min, v_min = uv.min(axis=0)
-    u_max, v_max = uv.max(axis=0)
-    if max(0, math.ceil(u_min - 1e-9)) > min(width - 1, math.floor(u_max + 1e-9)):
-        return
-    if max(0, math.ceil(v_min - 1e-9)) > min(height - 1, math.floor(v_max + 1e-9)):
-        return
-    for i in range(1, clipped.shape[0] - 1):
-        _rasterize_triangle(buffer.values, clipped[[0, i, i + 1]], intrinsics)
+    # Pixel rows of every bounding box, sorted by width, in chunks of at most
+    # _PIXEL_BUDGET pixels once padded to the chunk's last (widest) row.
+    rows = v_hi - v_lo + 1
+    tri = np.repeat(np.arange(area2.size), rows)
+    row_v = np.arange(tri.size) - np.repeat(np.cumsum(rows) - rows - v_lo, rows)
+    row_w = (u_hi - u_lo + 1)[tri]
+    by_width = np.argsort(row_w)
+    tri, row_v, row_w = tri[by_width], row_v[by_width], row_w[by_width]
+    row_term = du[:, tri] * (row_v - v_from[:, tri])
+    start = 0
+    while start < tri.size:
+        fits = np.arange(1, min(tri.size - start, _PIXEL_BUDGET) + 1) * row_w[start : start + _PIXEL_BUDGET]
+        stop = start + max(1, np.count_nonzero(fits <= _PIXEL_BUDGET))
+        rows_tri, col = tri[start:stop], np.arange(row_w[stop - 1])
+        pixel_u = u_lo[rows_tri, None] + col
+        w = pixel_u - u_from[:, rows_tri, None]
+        w *= dv[:, rows_tri, None]
+        np.subtract(row_term[:, start:stop, None], w, out=w)
+        limit = -eps[rows_tri, None]
+        r, c = np.nonzero((w[0] >= limit) & (w[1] >= limit) & (w[2] >= limit) & (col < row_w[start:stop, None]))
+        hit_tri, w = rows_tri[r], w[:, r, c]
+        interp_inv_z = (w[0] * inv_z[0, hit_tri] + w[1] * inv_z[1, hit_tri] + w[2] * inv_z[2, hit_tri]) / area2[hit_tri]
+        values = np.where(interp_inv_z > 1e-12, 1.0 / np.maximum(interp_inv_z, 1e-12), np.inf)
+        np.minimum.at(depth.reshape(-1), row_v[start:stop][r] * depth.shape[1] + pixel_u[r, c], values)
+        start = stop
 
 
 def pole_silhouette(q0: np.ndarray, q1: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +192,7 @@ def pole_silhouette(q0: np.ndarray, q1: np.ndarray, radius) -> tuple[np.ndarray,
     return ends - offset, ends + offset
 
 
-def silhouette_margin_depth(buffer: DepthBuffer, margin_px: int, iv: np.ndarray, iu: np.ndarray) -> np.ndarray:
+def silhouette_margin_depth(depth: np.ndarray, margin_px: int, iv: np.ndarray, iu: np.ndarray) -> np.ndarray:
     """Min occluder depth at silhouette pixels within ``margin_px`` of each
     pixel (iv[i], iu[i]), in the (2 margin_px + 1)^2 window around it.
 
@@ -202,9 +201,9 @@ def silhouette_margin_depth(buffer: DepthBuffer, margin_px: int, iv: np.ndarray,
     do not qualify. Pixels away from every silhouette get +inf.
     """
     r = margin_px
-    padded = np.pad(buffer.values, r + 1, constant_values=np.inf)
-    depth = padded[1:-1, 1:-1]
-    threshold = depth * 1.5 + 1.0
+    padded = np.pad(depth, r + 1, constant_values=np.inf)
+    center = padded[1:-1, 1:-1]
+    threshold = center * 1.5 + 1.0
     deeper = (
         (padded[:-2, 1:-1] > threshold)
         | (padded[2:, 1:-1] > threshold)
@@ -212,7 +211,7 @@ def silhouette_margin_depth(buffer: DepthBuffer, margin_px: int, iv: np.ndarray,
         | (padded[1:-1, 2:] > threshold)
     )
     # An empty pixel's threshold is +inf, so it never becomes a seed.
-    seeds = np.where(deeper, depth, np.inf)
+    seeds = np.where(deeper, center, np.inf)
     # Pixel (v, u) is seeds[v + r, u + r], so its window starts at seeds[v, u].
     stride = seeds.shape[1]
     window = (iv * stride + iu)[:, None] + np.arange(2 * r + 1)
@@ -261,18 +260,20 @@ def rasterize_occluders(
     prior: Pose,
     intrinsics: CameraIntrinsics,
     config: PipelineConfig | None = None,
-) -> DepthBuffer:
-    """Depth-buffer wireframe interiors and pole cylinders seen from the prior."""
+) -> np.ndarray:
+    """(H, W) minimum depth in meters, +inf where empty, of wireframe
+    interiors and pole cylinders seen from the prior."""
     config = config or PipelineConfig()
-    buffer = DepthBuffer(intrinsics.width, intrinsics.height)
+    depth = np.full((intrinsics.height, intrinsics.width), np.inf)
     points, edges, _, poles, radii, wireframes = _pack(landmarks, config)
     camera = prior.inverse().apply(points)
-    for start, stop in wireframes:
-        rasterize_polygon(buffer, camera[start:stop], intrinsics)
     left, right = pole_silhouette(camera[edges[poles, 0]], camera[edges[poles, 1]], radii)
-    for quad in np.concatenate([left, right[:, ::-1]], axis=1):
-        rasterize_polygon(buffer, quad, intrinsics)
-    return buffer
+    # Pad every polygon to the largest vertex count by repeating its last vertex.
+    n = max([4] + [stop - start for start, stop in wireframes])
+    corners = np.array([np.minimum(np.arange(start, start + n), stop - 1) for start, stop in wireframes], dtype=np.intp)
+    quads = np.concatenate([left, right[:, ::-1]], axis=1)[:, np.minimum(np.arange(n), 3)]
+    rasterize_polygons(depth, np.concatenate([camera[corners.reshape(-1, n)], quads]), intrinsics)
+    return depth
 
 
 def sample_landmark_edges(
@@ -317,23 +318,23 @@ def visible_samples(
     landmarks,
     prior: Pose,
     intrinsics: CameraIntrinsics,
-    buffer: DepthBuffer,
+    depth: np.ndarray,
     spacing: float | None = None,
     config: PipelineConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Edge samples that pass the z-test against ``buffer`` at their pixel.
+    """Edge samples that pass the z-test against ``depth`` at their pixel.
 
     Returns (points, owner, iv, iu): ``sample_landmark_edges``' points and
-    owners that are no deeper than the buffer plus the depth tolerance,
+    owners that are no deeper than ``depth`` plus the depth tolerance,
     and the pixel each rounds to.
     """
     config = config or PipelineConfig()
     points, owner = sample_landmark_edges(landmarks, prior, intrinsics, spacing, config)
-    height, width = buffer.values.shape
+    height, width = depth.shape
     uv, _ = project_points(points, intrinsics)
     iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, width - 1)
     iv = np.clip(np.rint(uv[:, 1]).astype(int), 0, height - 1)
-    keep = points[:, 2] <= buffer.values[iv, iu] + config.depth_tolerance_m
+    keep = points[:, 2] <= depth[iv, iu] + config.depth_tolerance_m
     return points[keep], owner[keep], iv[keep], iu[keep]
 
 
@@ -346,10 +347,10 @@ def select_landmarks(
     """Full selection pipeline: cull, depth-buffer occluders, sample, z-test."""
     config = config or PipelineConfig()
     landmarks = compact_map.landmarks
-    buffer = rasterize_occluders(landmarks, prior, intrinsics, config)
-    points, owner, iv, iu = visible_samples(landmarks, prior, intrinsics, buffer, config=config)
+    depth = rasterize_occluders(landmarks, prior, intrinsics, config)
+    points, owner, iv, iu = visible_samples(landmarks, prior, intrinsics, depth, config=config)
     if config.occlusion_margin_px > 0:
-        margin_depth = silhouette_margin_depth(buffer, config.occlusion_margin_px, iv, iu)
+        margin_depth = silhouette_margin_depth(depth, config.occlusion_margin_px, iv, iu)
         keep = points[:, 2] <= margin_depth + _OCCLUSION_MARGIN_GAP_M
         points, owner = points[keep], owner[keep]
     names = compact_map.label_names

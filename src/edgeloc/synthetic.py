@@ -25,7 +25,7 @@ from .compact_map import (
 from .config import PipelineConfig
 from .geometry import CameraIntrinsics, Pose, rotation_zyx, so3_exp
 from .io import format_pose_line, write_initial_pose, write_intrinsics, write_pgm, write_trajectory
-from .selection import DepthBuffer, rasterize_occluders, rasterize_polygon, select_landmarks, visible_samples
+from .selection import rasterize_occluders, rasterize_polygons, select_landmarks, visible_samples
 
 # Philox stream purposes.
 _STREAM_MAP = 1
@@ -356,17 +356,15 @@ def make_occluder_wall(
     )
 
 
-def _render_boxes(boxes, pose: Pose, intrinsics: CameraIntrinsics, buffer: DepthBuffer) -> np.ndarray:
-    """Rasterize active boxes into ``buffer`` and return their silhouette mask."""
-    mask_buffer = DepthBuffer(intrinsics.width, intrinsics.height)
-    to_camera = pose.inverse()
-    for box in boxes:
-        for face in box.faces():
-            rasterize_polygon(mask_buffer, to_camera.apply(face), intrinsics)
+def _render_boxes(boxes, pose: Pose, intrinsics: CameraIntrinsics, depth: np.ndarray) -> np.ndarray:
+    """Rasterize active boxes into ``depth`` and return their silhouette mask."""
+    box_depth = np.full(depth.shape, np.inf)
+    faces = np.array([box.faces() for box in boxes]).reshape(-1, 4, 3)
+    rasterize_polygons(box_depth, pose.inverse().apply(faces), intrinsics)
     # Depth fills are exact minima, so one min over the boxes' own buffer
-    # equals filling every face into ``buffer`` as well.
-    np.minimum(buffer.values, mask_buffer.values, out=buffer.values)
-    return np.isfinite(mask_buffer.values)
+    # equals filling every face into ``depth`` as well.
+    np.minimum(depth, box_depth, out=depth)
+    return np.isfinite(box_depth)
 
 
 def render_frame(scene: SyntheticScene, frame_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -382,12 +380,12 @@ def render_frame(scene: SyntheticScene, frame_id: int) -> tuple[np.ndarray, np.n
     height, width = intrinsics.height, intrinsics.width
     landmarks = scene.compact_map.landmarks
 
-    buffer = rasterize_occluders(landmarks, pose, intrinsics, config)
+    depth = rasterize_occluders(landmarks, pose, intrinsics, config)
     active_boxes = [box for box in scene.noise.occluders if box.active(frame_id)]
-    dynamic = _render_boxes(active_boxes, pose, intrinsics, buffer)
+    dynamic = _render_boxes(active_boxes, pose, intrinsics, depth)
 
     points, owner, iv, iu = visible_samples(
-        landmarks, pose, intrinsics, buffer, spacing=_RENDER_SPACING_PX, config=config
+        landmarks, pose, intrinsics, depth, spacing=_RENDER_SPACING_PX, config=config
     )
     # Where edges of different landmarks fall on the same pixel, the nearest
     # one owns the pixel's label, like a real segmentation would; ties go to
@@ -409,14 +407,10 @@ def render_frame(scene: SyntheticScene, frame_id: int) -> tuple[np.ndarray, np.n
         pix = np.argwhere(edges)  # (N, 2) as (v, u), row-major order
         values = labels[pix[:, 0], pix[:, 1]]
         if scene.noise.edge_jitter_px > 0.0:
-            offsets = rng.normal(0.0, scene.noise.edge_jitter_px, size=pix.shape)
-            pix = np.rint(pix + offsets).astype(int)
-            pix[:, 0] = np.clip(pix[:, 0], 0, height - 1)
-            pix[:, 1] = np.clip(pix[:, 1], 0, width - 1)
+            pix = jitter_pixels(pix, scene.noise.edge_jitter_px, rng, (height, width))
         if scene.noise.edge_dropout > 0.0:
             keep = rng.random(pix.shape[0]) >= scene.noise.edge_dropout
-            pix = pix[keep]
-            values = values[keep]
+            pix, values = pix[keep], values[keep]
         edges = np.zeros((height, width), dtype=bool)
         labels = np.zeros((height, width), dtype=np.uint8)
         edges[pix[:, 0], pix[:, 1]] = True

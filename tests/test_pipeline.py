@@ -20,7 +20,9 @@ from edgeloc.io import (
     parse_pose_line,
     read_initial_pose,
     read_intrinsics,
+    read_pgm,
     read_trajectory,
+    write_pgm,
     write_trajectory,
 )
 from edgeloc.pipeline import DatasetManifest, ManifestError, run_dataset
@@ -159,6 +161,29 @@ class TestRun:
         by_id = {r.frame_id: r for r in records}
         assert by_id[5].status.startswith("skipped:io")
         assert by_id[6].status == "accepted"
+
+    @pytest.mark.parametrize("prefetch_workers", [0, 1])
+    def test_frame_raster_of_the_wrong_shape_is_skipped(self, tmp_path, small_dataset, prefetch_workers):
+        # Frame 10's rasters shrunk from 640x400 to 320x200: alignment must not
+        # run against fields of the wrong shape; the frame gets a skipped:io
+        # record that names the file and both shapes, and the run goes on.
+        import shutil
+
+        _, root = small_dataset
+        clone = tmp_path / "shrunk"
+        shutil.copytree(root, clone)
+        frame_dir = clone / "frames" / "000010"
+        for name in ("labels.pgm", "edges.pgm", "dynamic.pgm"):
+            write_pgm(frame_dir / name, read_pgm(frame_dir / name)[::2, ::2])
+        manifest = DatasetManifest.from_directory(clone)
+        assert (manifest.intrinsics.width, manifest.intrinsics.height) == (640, 400)
+        _, records = run_dataset(manifest, prefetch_workers=prefetch_workers)
+        by_id = {r.frame_id: r for r in records}
+        status = by_id[10].status
+        assert status.startswith("skipped:io:")
+        assert str(frame_dir / "labels.pgm") in status
+        assert "(200, 320)" in status and "(400, 640)" in status
+        assert by_id[11].status == "accepted"
 
     @pytest.mark.parametrize("stage", ["select_landmarks", "align_frame"])
     def test_exception_in_a_frame_is_skipped_and_logged(self, monkeypatch, caplog, small_dataset, stage):

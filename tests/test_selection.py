@@ -2,6 +2,7 @@ import hashlib
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,16 +115,75 @@ class TestSampling:
         assert us.max() - us.min() > 0.25 * K.fx / 6.0  # > one radius apart
 
 
+def clip_polygon_near(points, near):
+    """Reference oracle: Sutherland-Hodgman clip of one camera-frame
+    polygon against z >= near, vertex by vertex."""
+    out = []
+    n = points.shape[0]
+    for i in range(n):
+        current = points[i]
+        following = points[(i + 1) % n]
+        c_in = current[2] >= near
+        f_in = following[2] >= near
+        if c_in:
+            out.append(current)
+        if c_in != f_in:
+            t = (near - current[2]) / (following[2] - current[2])
+            out.append(current + t * (following - current))
+    return np.array(out) if out else np.empty((0, 3))
+
+
+def rasterize_triangle(values, triangle, intrinsics):
+    """Reference oracle: min-depth fill of one near-clipped camera-frame
+    triangle over its pixel bounding box."""
+    height, width = values.shape
+    uv, valid = project_points(triangle, intrinsics)
+    if not valid.all():
+        return
+    inv_z = 1.0 / triangle[:, 2]
+    a, b, c = uv
+    area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    if area2 < 0.0:
+        b, c = c, b
+        inv_z = inv_z[[0, 2, 1]]
+        area2 = -area2
+    if area2 < 1e-12:
+        return
+    u_lo = max(0, int(math.ceil(min(a[0], b[0], c[0]) - 1e-9)))
+    u_hi = min(width - 1, int(math.floor(max(a[0], b[0], c[0]) + 1e-9)))
+    v_lo = max(0, int(math.ceil(min(a[1], b[1], c[1]) - 1e-9)))
+    v_hi = min(height - 1, int(math.floor(max(a[1], b[1], c[1]) + 1e-9)))
+    if u_lo > u_hi or v_lo > v_hi:
+        return
+    uu, vv = np.meshgrid(np.arange(u_lo, u_hi + 1), np.arange(v_lo, v_hi + 1))
+    wa = (c[0] - b[0]) * (vv - b[1]) - (c[1] - b[1]) * (uu - b[0])
+    wb = (a[0] - c[0]) * (vv - c[1]) - (a[1] - c[1]) * (uu - c[0])
+    wc = (b[0] - a[0]) * (vv - a[1]) - (b[1] - a[1]) * (uu - a[0])
+    eps = 1e-9 * (area2 + 1.0)
+    inside = (wa >= -eps) & (wb >= -eps) & (wc >= -eps)
+    interp_inv_z = (wa * inv_z[0] + wb * inv_z[1] + wc * inv_z[2]) / area2
+    depth = np.where(interp_inv_z > 1e-12, 1.0 / np.maximum(interp_inv_z, 1e-12), np.inf)
+    patch = values[v_lo : v_hi + 1, u_lo : u_hi + 1]
+    np.minimum(patch, np.where(inside, depth, np.inf), out=patch)
+
+
+def pad_polygons(polygons):
+    """Stack polygons of mixed vertex counts, repeating each one's last vertex."""
+    n = max(len(polygon) for polygon in polygons)
+    return np.array([np.concatenate([p, np.repeat(p[-1:], n - len(p), axis=0)]) for p in polygons])
+
+
 class TestRasterizer:
     def test_empty_landmark_set_gives_infinite_buffer(self):
-        buffer = sel.rasterize_occluders([], EYE, K)
-        assert np.isinf(buffer.values).all()
+        depth = sel.rasterize_occluders([], EYE, K)
+        assert depth.shape == (K.height, K.width)
+        assert np.isinf(depth).all()
 
     def test_frontoparallel_unit_square_depth(self):
         wf = quad((0.0, 0.0), 0.5, 0.5, 4.0)
-        buffer = sel.rasterize_occluders([wf], EYE, K)
-        filled = np.isfinite(buffer.values)
-        depths = buffer.values[filled]
+        depth = sel.rasterize_occluders([wf], EYE, K)
+        filled = np.isfinite(depth)
+        depths = depth[filled]
         assert np.abs(depths - 4.0).max() < 1e-6
         side_px = K.fx * 1.0 / 4.0  # 50 px
         area = side_px**2
@@ -133,19 +193,19 @@ class TestRasterizer:
     def test_min_depth_wins_on_overlap(self):
         near = quad((0.0, 0.0), 0.4, 0.4, 3.0, lid=1)  # subtends +-26.7 px
         far = quad((0.0, 0.0), 1.5, 1.5, 6.0, lid=2)  # subtends +-50 px
-        buffer = sel.rasterize_occluders([far, near], EYE, K)
-        assert abs(buffer.values[120, 160] - 3.0) < 1e-6
+        depth = sel.rasterize_occluders([far, near], EYE, K)
+        assert abs(depth[120, 160] - 3.0) < 1e-6
         u_far_only = int(K.cx + 40)
-        assert abs(buffer.values[120, u_far_only] - 6.0) < 1e-6
+        assert abs(depth[120, u_far_only] - 6.0) < 1e-6
 
     def test_plain_segments_do_not_occlude(self):
         lm = segment([-1.0, 0.0, 5.0], [1.0, 0.0, 5.0])
-        buffer = sel.rasterize_occluders([lm], EYE, K)
-        assert np.isinf(buffer.values).all()
+        depth = sel.rasterize_occluders([lm], EYE, K)
+        assert np.isinf(depth).all()
 
-    def test_off_screen_wall_is_culled_before_rasterizing(self, monkeypatch):
+    def test_off_screen_wall_is_culled_before_rasterizing(self):
         # A wall wholly left of the view, one straddling the near plane off
-        # its right edge, and one above the top: no triangle is rasterized.
+        # its right edge, and one above the top: no pixel is filled.
         walls = [
             quad((-6.0, 0.0), 1.0, 1.0, 4.0, lid=1),
             WireframeLandmark(
@@ -153,27 +213,31 @@ class TestRasterizer:
             ),
             quad((0.0, -4.0), 2.0, 0.5, 3.0, lid=3),
         ]
-        calls = []
-        monkeypatch.setattr(sel, "_rasterize_triangle", lambda *args: calls.append(args))
-        buffer = sel.rasterize_occluders(walls, EYE, K)
-        assert np.isinf(buffer.values).all()
-        assert calls == []
+        depth = sel.rasterize_occluders(walls, EYE, K)
+        assert np.isinf(depth).all()
 
     @settings(deadline=None, max_examples=150)
-    @given(st.integers(0, 2**32 - 1))
-    def test_culled_fill_equals_fan_of_every_triangle(self, seed):
-        # Polygons on and off the image, some across the near plane.
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from([sel._PIXEL_BUDGET, 256]))
+    def test_culled_fill_equals_fan_of_every_triangle(self, seed, count, budget):
+        # One batch of polygons with 3 to 6 vertices, padded to a common
+        # count, on and off the image, some across the near plane: the
+        # batched fill equals the oracle's fan of every clipped polygon,
+        # also in chunks smaller than an image row.
         rng = np.random.default_rng(seed)
-        buffer = sel.DepthBuffer(K.width, K.height)
-        expected = np.full((K.height, K.width), np.inf)
-        for _ in range(6):
+        polygons = []
+        for _ in range(count):
             center = rng.uniform([-8.0, -6.0, -1.0], [8.0, 6.0, 8.0])
-            polygon = center + rng.normal(scale=rng.choice([0.05, 1.0, 3.0]), size=(rng.integers(3, 6), 3))
-            sel.rasterize_polygon(buffer, polygon, K)
-            clipped = sel._clip_polygon_near(polygon, sel.NEAR_CLIP_M)
+            polygons.append(center + rng.normal(scale=rng.choice([0.05, 1.0, 3.0]), size=(rng.integers(3, 7), 3)))
+        depth = np.full((K.height, K.width), np.inf)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sel, "_PIXEL_BUDGET", budget)
+            sel.rasterize_polygons(depth, pad_polygons(polygons), K)
+        expected = np.full((K.height, K.width), np.inf)
+        for polygon in polygons:
+            clipped = clip_polygon_near(polygon, sel.NEAR_CLIP_M)
             for i in range(1, clipped.shape[0] - 1):
-                sel._rasterize_triangle(expected, clipped[[0, i, i + 1]], K)
-        assert buffer.values.tobytes() == expected.tobytes()
+                rasterize_triangle(expected, clipped[[0, i, i + 1]], K)
+        assert depth.tobytes() == expected.tobytes()
 
     def test_slanted_polygon_depth_is_exact(self):
         # plane z = 4 + x: perspective-correct interpolation is exact
@@ -182,10 +246,10 @@ class TestRasterizer:
             [[-1.0, -1.0, 3.0], [1.0, -1.0, 5.0], [1.0, 1.0, 5.0], [-1.0, 1.0, 3.0]],
             landmark_id=3,
         )
-        buffer = sel.rasterize_occluders([wf], EYE, K)
-        vv, uu = np.nonzero(np.isfinite(buffer.values))
+        depth = sel.rasterize_occluders([wf], EYE, K)
+        vv, uu = np.nonzero(np.isfinite(depth))
         for v, u in list(zip(vv, uu))[:: max(1, len(vv) // 50)]:
-            z = buffer.values[v, u]
+            z = depth[v, u]
             x = (u - K.cx) * z / K.fx
             assert abs(z - (4.0 + x)) < 1e-6
 
@@ -270,12 +334,12 @@ class TestSelectLandmarks:
         cfg = PipelineConfig()
         cmap = make_map(landmarks)
         samples = sel.select_landmarks(cmap, EYE, K, cfg)
-        buffer = sel.rasterize_occluders(cmap.landmarks, EYE, K, cfg)
+        depth = sel.rasterize_occluders(cmap.landmarks, EYE, K, cfg)
         pts = samples.points
         uv, _ = project_points(pts, K)
         iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, K.width - 1)
         iv = np.clip(np.rint(uv[:, 1]).astype(int), 0, K.height - 1)
-        assert (pts[:, 2] <= buffer.values[iv, iu] + cfg.depth_tolerance_m + 1e-9).all()
+        assert (pts[:, 2] <= depth[iv, iu] + cfg.depth_tolerance_m + 1e-9).all()
 
     def test_adding_occluder_never_increases_other_samples(self):
         lane = segment([-2.0, 0.8, 6.0], [2.0, 0.8, 6.0], lid=0)
@@ -478,16 +542,16 @@ class TestSilhouetteMargin:
     @given(st.integers(1, 14), st.integers(1, 14), st.integers(0, 5), st.integers(0, 2**32 - 1))
     def test_equals_brute_force_window_minimum(self, height, width, margin_px, seed):
         rng = np.random.default_rng(seed)
-        buffer = sel.DepthBuffer(width, height)
+        depth = np.full((height, width), np.inf)
         for _ in range(rng.integers(0, 4)):
             v0, u0 = rng.integers(0, height), rng.integers(0, width)
             v1, u1 = rng.integers(v0, height) + 1, rng.integers(u0, width) + 1
-            patch = buffer.values[v0:v1, u0:u1]
+            patch = depth[v0:v1, u0:u1]
             np.minimum(patch, rng.uniform(0.5, 30.0, size=patch.shape), out=patch)
         iv = rng.integers(0, height, size=20)
         iu = rng.integers(0, width, size=20)
-        got = sel.silhouette_margin_depth(buffer, margin_px, iv, iu)
-        assert got.tobytes() == brute_force_margin(buffer.values, margin_px, iv, iu).tobytes()
+        got = sel.silhouette_margin_depth(depth, margin_px, iv, iu)
+        assert got.tobytes() == brute_force_margin(depth, margin_px, iv, iu).tobytes()
 
 
 def samples_digest(samples):
