@@ -176,21 +176,34 @@ def _evaluate(prepared: _Prepared, pose: Pose):
         zv = cam_v[:, 2]
         a = grad_u * k.fx / zv
         b = grad_v * k.fy / zv
-        c = -(a * cam_v[:, 0] + b * cam_v[:, 1]) / zv
-        g3 = np.stack([a, b, c], axis=1)
+        x, y = cam_v[:, 0], cam_v[:, 1]
+        c = -(a * x + b * y) / zv
+        g3 = np.empty((count, 3))
+        g3[:, 0], g3[:, 1], g3[:, 2] = a, b, c
         jacobian = np.empty((count, 6))
         jacobian[:, :3] = -(g3 @ rotation.T)
-        jacobian[:, 3:] = np.cross(g3, cam_v)
+        # The rotation block is cross(g3, cam), with np.cross's operations.
+        jacobian[:, 3] = b * zv - c * y
+        jacobian[:, 4] = c * x - a * zv
+        jacobian[:, 5] = a * y - b * x
         jacobian *= sqrt_w[:, None]
         return jacobian
 
     return energy, count, sqrt_w * values, jacobian_rows
 
 
+def _norm(vector: np.ndarray) -> float:
+    """Euclidean norm, computed as np.linalg.norm computes it."""
+    return math.sqrt(vector @ vector)
+
+
 def perturb_pose(pose: Pose, xi: np.ndarray) -> Pose:
-    """The optimizer's retraction: t += xi[:3] (world), R @= exp(xi[3:])."""
+    """The optimizer's retraction: t += xi[:3] (world), R @= exp(xi[3:]).
+
+    ``xi`` must be finite, as solve checks; the pose is built unchecked.
+    """
     xi = np.asarray(xi, dtype=float).reshape(6)
-    return Pose(pose.rotation @ so3_exp(xi[3:]), pose.translation + xi[:3])
+    return Pose._trusted(pose.rotation @ so3_exp(xi[3:]), pose.translation + xi[:3])
 
 
 def residual(problem: AlignmentProblem, pose: Pose, point_r: np.ndarray, label: str) -> float | None:
@@ -267,7 +280,7 @@ def _probe_escape(prepared: _Prepared, pose: Pose, energy_now: float, count_now:
     if eligible.size == 0:
         return None
     best = eligible[np.argmin(energies[eligible])]  # argmin keeps the first of equal energies
-    return float(energies[best]), int(counts[best]), Pose(rotation, translations[best])
+    return float(energies[best]), int(counts[best]), Pose._trusted(rotation, translations[best])
 
 
 def solve(problem: AlignmentProblem) -> AlignmentResult:
@@ -319,12 +332,13 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
             hessian = jacobian.T @ jacobian
             gradient = jacobian.T @ residuals
             diag_floor = 1e-12 * max(float(np.trace(hessian)), 1.0)
+            scaled_diag = np.diag(np.diag(hessian) + diag_floor)
             step_taken = False
             any_solvable = False
             step_norm = 0.0
             rel_decrease = math.inf
             while damping <= _MAX_DAMPING:
-                damped = hessian + damping * np.diag(np.diag(hessian) + diag_floor)
+                damped = hessian + damping * scaled_diag
                 try:
                     delta = np.linalg.solve(damped, -gradient)
                 except np.linalg.LinAlgError:
@@ -336,15 +350,15 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
                 any_solvable = True
                 scale = min(
                     1.0,
-                    _MAX_STEP_TRANSLATION_M / max(float(np.linalg.norm(delta[:3])), 1e-300),
-                    _MAX_STEP_ROTATION_RAD / max(float(np.linalg.norm(delta[3:])), 1e-300),
+                    _MAX_STEP_TRANSLATION_M / max(_norm(delta[:3]), 1e-300),
+                    _MAX_STEP_ROTATION_RAD / max(_norm(delta[3:]), 1e-300),
                 )
                 delta = delta * scale
                 candidate = perturb_pose(pose, delta)
                 trial = _evaluate(prepared, candidate)
                 energy_new, count_new = trial[:2]
                 if energy_new <= energy_now + _ENERGY_SLACK:
-                    step_norm = float(np.linalg.norm(delta))
+                    step_norm = _norm(delta)
                     rel_decrease = (energy_now - energy_new) / max(energy_now, 1e-300)
                     pose = candidate
                     current = trial

@@ -2,14 +2,20 @@
 
 The distance transform is exact and runs in small unsigned integers. A
 field truncated at d_max only needs min(d^2, w^2) with w = ceil(d_max), so
-every distance is capped at w: a vertical sweep gives capped per-column
-distances, then a horizontal min-plus pass with the quadratic kernel over
-offsets below w yields min(d^2, w^2). A capped column or an offset of w or
-more costs at least w^2, so it never wins below w^2, and rows whose columns
-are all capped are skipped. Pass sums stay below 2 * w^2 (uint16 up to
-w = 181, else uint32), so integer arithmetic is exact; a (w^2 + 1)-entry
-table applies the same float64 min(sqrt(k), d_max) to every value k. The
-field thus equals a brute-force nearest-edge-pixel search (0 ULP).
+every distance is capped at w, and a pixel w or more columns or rows from
+every edge pixel of its label is w^2. Each label is therefore computed in
+its crop: its edge box grown by w - 1 columns, with w - 1 padding rows
+above and below (fewer when the raster has fewer rows). Pass 1 scatters each edge pixel's column distances into
+the crop, k at k rows above and below for k = w - 1 down to 1 and then 0
+at the pixel, so the nearest edge row is written last. Pass 2 is a
+horizontal min-plus with the quadratic kernel over offsets below w, on the
+crop rows that have a column distance below w; it yields min(d^2, w^2),
+since a capped column or an offset of w or more costs at least w^2. Pass
+sums stay below 2 * w^2 (uint16 up to w = 181, else uint32), so integer
+arithmetic is exact. A (w^2 + 1)-entry table maps those rows to the output,
+the same float64 min(sqrt(k), d_max) for every value k; every other pixel
+is the table's last entry. The field thus equals a brute-force
+nearest-edge-pixel search (0 ULP).
 
 A field stores only this grid; its slope G_u, G_v is taken from the grid
 where it is sampled, see bilinear_gather.
@@ -62,37 +68,65 @@ class SemanticEdgeField:
         return self.distance.shape
 
 
-def _capped_squared_distance(mask: np.ndarray, cap: int) -> np.ndarray:
-    """min(d^2, cap^2) per pixel of a (..., H, W) bool stack, as unsigned ints.
+def _sum_dtype(cap: int) -> np.dtype:
+    """Unsigned integer type of the kernel's values: pass sums stay below 2 * cap^2."""
+    return np.promote_types(np.uint16, np.min_scalar_type(2 * cap * cap))
+
+
+def _edge_distance(mask: np.ndarray, cap: int, table: np.ndarray) -> np.ndarray:
+    """table[min(d^2, cap^2)] per pixel of a (..., H, W) bool stack.
 
     d is the distance to the nearest edge pixel in the same (H, W) slice.
+    Each slice is computed inside its edge box, grown by cap - 1 columns;
+    every other pixel is table[cap^2].
     """
-    # Pass sums stay below 2 * cap^2.
-    dtype = np.promote_types(np.uint16, np.min_scalar_type(2 * cap * cap))
-    height, width = mask.shape[-2:]
+    out = np.full(mask.shape, table[cap * cap])
     if mask.size == 0:
-        return np.zeros(mask.shape, dtype)
+        return out
+    height, width = mask.shape[-2:]
+    layers = out.reshape(-1, height, width)
+    dtype = _sum_dtype(cap)
+    # Padding rows, and the largest row offset scattered: an offset of
+    # height or more rows never lands in the raster.
+    pad = min(cap, height) - 1
+    # Edge pixels by flat index, so each slice's pixels are one row-major run.
+    edges = np.flatnonzero(mask)
+    rows, cols = np.divmod(edges % (height * width), width)
+    bounds = np.searchsorted(edges, np.arange(len(layers) + 1) * (height * width)).tolist()
+    for index, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if start == stop:
+            continue
+        r, c = rows[start:stop], cols[start:stop]
+        top, bottom = int(r[0]), int(r[-1])
+        left, right = max(int(c.min()) - cap + 1, 0), min(int(c.max()) + cap, width)
+        crop_w = right - left
+        # Pass 1: capped column distances, scattered from the edge pixels into
+        # a crop with ``pad`` rows above and below, so no index leaves it.
+        # Offsets go from far to near and a smaller value is written later,
+        # so each pixel keeps its nearest edge row.
+        origin = top - pad  # raster row of the crop's first row
+        col = np.full((bottom + pad + 1 - origin, crop_w), cap, dtype)
+        flat = col.reshape(-1)
+        base = (r - origin) * crop_w + (c - left)
+        for k in range(pad, 0, -1):
+            flat[base - k * crop_w] = k
+            flat[base + k * crop_w] = k
+        flat[base] = 0
+        first = max(origin, 0)
+        col = col[first - origin : min(bottom + pad + 1, height) - origin]
 
-    # Pass 1: per-column distance to the nearest edge row, capped at cap.
-    col = np.where(mask, dtype.type(0), dtype.type(cap))
-    for row in range(1, height):
-        np.minimum(col[..., row, :], col[..., row - 1, :] + 1, out=col[..., row, :])
-    for row in range(height - 2, -1, -1):
-        np.minimum(col[..., row, :], col[..., row + 1, :] + 1, out=col[..., row, :])
-    sq = np.square(col, out=col).reshape(-1, width)
-
-    # Pass 2: horizontal min-plus with the quadratic kernel over offsets
-    # below cap, only on rows with a column distance below cap.
-    near = (sq < cap * cap).any(axis=1)
-    part = sq[near]
-    best = part.copy()
-    cost = np.empty_like(part)
-    for shift in range(1, min(cap, width)):
-        np.add(part, shift * shift, out=cost)
-        np.minimum(best[:, shift:], cost[:, :-shift], out=best[:, shift:])
-        np.minimum(best[:, :-shift], cost[:, shift:], out=best[:, :-shift])
-    sq[near] = best
-    return sq.reshape(mask.shape)
+        # Pass 2: horizontal min-plus with the quadratic kernel over offsets
+        # below cap, only on rows with a column distance below cap.
+        near = np.flatnonzero((col < cap).any(axis=1))
+        part = np.square(col[near])
+        best = part.copy()
+        cost = np.empty_like(part)
+        for shift in range(1, min(cap, crop_w)):
+            np.add(part, shift * shift, out=cost)
+            np.minimum(best[:, shift:], cost[:, :-shift], out=best[:, shift:])
+            np.minimum(best[:, :-shift], cost[:, shift:], out=best[:, :-shift])
+        layers[index, first + near, left:right] = table[best]
+    return out
 
 
 def squared_edge_distance(pixels: np.ndarray, window: int | None = None) -> np.ndarray:
@@ -111,11 +145,9 @@ def squared_edge_distance(pixels: np.ndarray, window: int | None = None) -> np.n
     limit = np.inf if window is None else int(window)
     # Real distances are below height + width - 1; a cap there marks empty masks.
     cap = int(min(limit, sum(mask.shape[-2:]) - 1))
-    sq = _capped_squared_distance(mask, cap)
-    dist_sq = sq.astype(np.float64)
-    if cap < limit:
-        dist_sq[sq == cap * cap] = limit * limit
-    return dist_sq
+    table = np.arange(cap * cap + 1.0)
+    table[-1] = limit * limit
+    return _edge_distance(mask, cap, table)
 
 
 def build_fields(masks: list[SemanticEdgeMask], d_max: float = DEFAULT_TRUNCATION_PX) -> dict[str, SemanticEdgeField]:
@@ -135,7 +167,7 @@ def build_fields(masks: list[SemanticEdgeMask], d_max: float = DEFAULT_TRUNCATIO
     table = np.minimum(np.sqrt(np.arange(cap * cap + 1.0)), d_max)
     # As in squared_edge_distance, a cap below ceil(d_max) marks empty masks.
     table[-1] = d_max
-    distance = table[_capped_squared_distance(stack, cap)]
+    distance = _edge_distance(stack, cap, table)
     distance.setflags(write=False)
     return {mask.label: SemanticEdgeField(mask.label, distance[i], d_max) for i, mask in enumerate(masks)}
 
@@ -176,10 +208,14 @@ def bilinear_gather(u, v, shape: tuple[int, int]):
     (D[hi] - D[lo]) / max(hi - lo, 1) with lo = max(i - 1, 0),
     hi = min(i + 1, n - 1), weighted as V is, so G_u, G_v equal a gather
     over gradient grids byte for byte.
+
+    Every location must lie in the grid, 0 <= u <= W - 1 and 0 <= v <= H - 1,
+    as the solver's validity mask and sample_field's check ensure; there the
+    integer cast is the floor, and no lower bound is needed.
     """
     height, width = shape
-    iu = np.minimum(np.maximum(np.floor(u).astype(int), 0), max(width - 2, 0))
-    iv = np.minimum(np.maximum(np.floor(v).astype(int), 0), max(height - 2, 0))
+    iu = np.minimum(u.astype(int), max(width - 2, 0))
+    iv = np.minimum(v.astype(int), max(height - 2, 0))
     fu = u - iu
     fv = v - iv
     w00 = (1.0 - fu) * (1.0 - fv)

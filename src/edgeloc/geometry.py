@@ -138,6 +138,18 @@ class Pose:
         object.__setattr__(self, "translation", translation)
 
     @classmethod
+    def _trusted(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose":
+        """A Pose from a float64 (3, 3) rotation and (3,) translation that are
+        known to be valid, such as an orthonormal R times so3_exp: no copy and
+        no check. The arrays are made read-only, as in a checked Pose."""
+        rotation.setflags(write=False)
+        translation.setflags(write=False)
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "rotation", rotation)
+        object.__setattr__(pose, "translation", translation)
+        return pose
+
+    @classmethod
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 

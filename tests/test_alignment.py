@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -673,6 +674,107 @@ class TestProbeScan:
             energy_here, count_here, _, _ = al._evaluate(prepared, pose)
             for magnitudes in (al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M):
                 assert_probe_matches_reference(prepared, pose, energy_here, count_here, 30, magnitudes)
+
+
+def reference_jacobian_rows(prepared, pose):
+    """The weighted Jacobian rows at ``pose`` built with np.stack and np.cross,
+    as _evaluate built them before its column arithmetic: the oracle of it."""
+    k = prepared.intrinsics
+    rotation = pose.rotation
+    cam = (prepared.world - pose.translation) @ rotation
+    u, v, valid = al._project(k, cam)
+    _, slope = ef.bilinear_gather(u[valid], v[valid], prepared.distance.shape[1:])(
+        prepared.distance, prepared.label_index[valid]
+    )
+    grad_u, grad_v = slope()
+    cam_v = cam[valid]
+    zv = cam_v[:, 2]
+    a = grad_u * k.fx / zv
+    b = grad_v * k.fy / zv
+    c = -(a * cam_v[:, 0] + b * cam_v[:, 1]) / zv
+    g3 = np.stack([a, b, c], axis=1)
+    jacobian = np.empty((zv.size, 6))
+    jacobian[:, :3] = -(g3 @ rotation.T)
+    jacobian[:, 3:] = np.cross(g3, cam_v)
+    jacobian *= prepared.sqrt_weight[valid][:, None]
+    return jacobian
+
+
+class TestJacobianRowsReference:
+    @settings(deadline=None, max_examples=200)
+    @given(probe_scans(), st.integers(0, 2**32 - 1))
+    def test_rows_equal_the_stack_and_cross_form(self, scan, seed):
+        prepared, pose = scan[:2]
+        rng = np.random.default_rng(seed)
+        poses = [pose] + [al.perturb_pose(pose, rng.normal(size=6) * scale) for scale in (0.01, 0.2, 1.0)]
+        for candidate in poses:
+            _, count, _, rows = al._evaluate(prepared, candidate)
+            if count:
+                assert rows().tobytes() == reference_jacobian_rows(prepared, candidate).tobytes()
+
+    def test_rows_of_a_rendered_frame(self):
+        problem = _small_synthetic_problem()
+        prepared = al._Prepared(problem)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            pose = al.perturb_pose(problem.prior, rng.normal(size=6) * [0.05, 0.05, 0.05, 0.005, 0.005, 0.005])
+            _, count, _, rows = al._evaluate(prepared, pose)
+            assert count > 100
+            assert rows().tobytes() == reference_jacobian_rows(prepared, pose).tobytes()
+
+
+def assert_checked_and_read_only(pose):
+    """``pose`` passes the full Pose validation and its arrays are read-only."""
+    checked = Pose(pose.rotation, pose.translation)
+    assert checked.rotation.tobytes() == pose.rotation.tobytes()
+    assert checked.translation.tobytes() == pose.translation.tobytes()
+    assert pose.rotation.dtype == pose.translation.dtype == np.float64
+    assert not pose.rotation.flags.writeable and not pose.translation.flags.writeable
+
+
+class TestTrustedPoses:
+    """The solver builds its own poses without Pose's copy and check; every
+    pose it hands out still passes that check and is read-only."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_perturbed_poses(self, seed):
+        rng = np.random.default_rng(seed)
+        pose = Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3))
+        for scale in (1e-6, 0.03, 1.0):
+            pose = al.perturb_pose(pose, rng.normal(size=6) * scale)
+            assert_checked_and_read_only(pose)
+
+    @settings(deadline=None, max_examples=100)
+    @given(probe_scans())
+    def test_probe_winner(self, scan):
+        best = al._probe_escape(*scan)
+        if best is not None:
+            assert_checked_and_read_only(best[2])
+
+    def test_solved_poses(self):
+        scene = syn.generate_scene(4, "urban-corner", n_frames=2)
+        cfg = PipelineConfig()
+        masks = build_edge_masks(*syn.render_frame(scene, 0), scene.compact_map.label_names)
+        fields = build_fields(masks, d_max=cfg.dt_truncation_px)
+        probes = 0
+        for offset in (0.1, 1.0):
+            prior = syn.perturb_pose_random(scene.pose_of(0), offset, math.radians(1.0), np.random.default_rng(0))
+            problem = al.AlignmentProblem(
+                samples=select_landmarks(scene.compact_map, prior, scene.intrinsics, cfg),
+                fields=fields,
+                prior=prior,
+                intrinsics=scene.intrinsics,
+                config=cfg,
+            )
+            for config in (cfg, PipelineConfig(max_iterations=3)):
+                result = al.solve(replace(problem, config=config))
+                probes += len(result.energy_history) - 1 - result.iterations
+                assert_checked_and_read_only(result.pose)
+        assert probes > 0
+        result = al.solve(_small_synthetic_problem())
+        assert result.iterations > 0
+        assert_checked_and_read_only(result.pose)
 
 
 class TestEvaluationReuse:

@@ -222,6 +222,49 @@ def masks_and_d_max(draw):
     return mask, d_max
 
 
+@st.composite
+def label_stacks(draw):
+    """An (L, H, W) stack whose layers are empty, one pixel, the corners of a
+    box, pixels on the image border, or random pixels, and a cap that may
+    exceed the raster.
+
+    Box corners are the corners of that layer's crop; a box or a single pixel
+    is drawn often on the image border or in its corners."""
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def row():
+        return draw(st.one_of(st.sampled_from([0, height - 1]), st.integers(0, height - 1)))
+
+    def col():
+        return draw(st.one_of(st.sampled_from([0, width - 1]), st.integers(0, width - 1)))
+
+    layers = []
+    for _ in range(draw(st.integers(1, 4))):
+        layer = np.zeros((height, width), dtype=bool)
+        kind = draw(st.sampled_from(["empty", "pixel", "box", "border", "random"]))
+        if kind == "pixel":
+            layer[row(), col()] = True
+        elif kind == "box":
+            layer[np.ix_([row(), row()], [col(), col()])] = True
+        elif kind == "border":
+            ring = np.ones_like(layer)
+            ring[1:-1, 1:-1] = False
+            layer = ring & (rng.random(layer.shape) < 0.2)
+        elif kind == "random":
+            layer = rng.random(layer.shape) < draw(st.sampled_from([0.002, 0.02, 0.1, 0.5]))
+        layers.append(layer)
+    d_max = draw(
+        st.one_of(
+            st.floats(0.5, 6.0),
+            st.just(20.0),
+            st.floats(float(min(height, width)), float(height + width)),
+            st.floats(float(height + width - 1), 3.0 * (height + width)),
+        )
+    )
+    return np.stack(layers), d_max
+
+
 def assert_field_is_oracle(field, mask, d_max):
     assert field.distance.tobytes() == oracle_distance(mask, d_max).tobytes()
 
@@ -300,7 +343,7 @@ class TestKernelProperties:
         mask = np.zeros((2, 400), dtype=bool)
         mask[0, [3, 350]] = True
         mask[1, 180] = True
-        assert ef._capped_squared_distance(mask, cap).dtype == dtype
+        assert ef._sum_dtype(cap) == dtype
         for d_max in (cap - 0.5, float(cap)):
             assert_field_is_oracle(ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max), mask, d_max)
         oracle = brute_force_squared(mask)
@@ -311,6 +354,22 @@ class TestKernelProperties:
     def test_thin_rasters_around_width_switch(self, seed, d_max):
         mask = np.random.default_rng(seed).random((2, 400)) < 0.004
         assert_field_is_oracle(ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max), mask, d_max)
+
+    @settings(deadline=None, max_examples=300)
+    @given(label_stacks(), st.integers(1, 90))
+    def test_cropped_kernel_matches_brute_force(self, case, window):
+        # Each layer is computed in its own crop; the stack's fields and
+        # squared distances must equal a brute-force search per layer.
+        stack, d_max = case
+        masks = [ef.SemanticEdgeMask(f"l{i}", layer) for i, layer in enumerate(stack)]
+        fields = ef.build_fields(masks, d_max=d_max)
+        full = ef.squared_edge_distance(stack)
+        capped = ef.squared_edge_distance(stack, window=window)
+        for mask, layer_full, layer_capped in zip(masks, full, capped):
+            assert_field_is_oracle(fields[mask.label], mask.pixels, d_max)
+            oracle = brute_force_squared(mask.pixels)
+            assert layer_full.tobytes() == oracle.tobytes()
+            assert layer_capped.tobytes() == np.minimum(oracle, float(window * window)).tobytes()
 
 
 @st.composite
