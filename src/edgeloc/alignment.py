@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import PipelineConfig
-from .edge_features import COARSE_SCALE, SemanticEdgeField, bilinear_gather
+from .edge_features import COARSE_SCALE, SemanticEdgeField, bilinear_gather, stack_fields
 from .geometry import (
     MIN_PROJECTION_DEPTH,
     CameraIntrinsics,
@@ -107,24 +107,24 @@ class AlignmentResult:
     energy_history: tuple[float, ...] = ()
     active_counts: tuple[int, ...] = ()
     info_min_eig: float = 0.0
+    probe_rounds: int = 0  # escape probes taken; each adds one energy_history entry
 
 
 class _Prepared:
-    """World-frame sample points, weights, and stacked distance grids, fixed
-    for the whole solve. Samples keep their order, and ``label_index``
-    indexes the stack: one grid per sampled label, in ``samples.labels``
-    order."""
+    """World-frame sample points, weights, and the stack of distance grids,
+    fixed for the whole solve. Samples keep their order, and each sample's
+    ``label_index`` is its label's layer in ``distance`` (see stack_fields,
+    which hands out build_fields' own stack without a copy)."""
 
     def __init__(self, problem: AlignmentProblem):
         samples = problem.samples
         self.intrinsics = problem.intrinsics
         self.world = problem.prior.apply(samples.points)
-        self.label_index = samples.label
+        self.distance, layer = stack_fields(problem.fields, samples.labels)
+        self.label_index = layer[samples.label]
         weights = np.array([problem.config.weight_for(label) for label in samples.labels], dtype=float)
         self.weight = weights[samples.label]
         self.sqrt_weight = np.sqrt(self.weight)
-        grids = [problem.fields[label].distance for label in samples.labels]
-        self.distance = np.stack(grids) if grids else np.empty((0, 1, 1))
         self.total_samples = self.world.shape[0]
 
 
@@ -430,6 +430,7 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
         energy_history=tuple(history),
         active_counts=tuple(active_counts),
         info_min_eig=info_min_eig,
+        probe_rounds=probe_rounds,
     )
 
 

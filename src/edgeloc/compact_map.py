@@ -13,6 +13,7 @@ meters in the world frame written with at most 6 decimals (mm resolution).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -128,6 +129,72 @@ Landmark = LineSegmentLandmark | WireframeLandmark
 
 
 @dataclass(frozen=True, eq=False)
+class PackedMap:
+    """A map's landmarks as flat read-only arrays, the form selection and
+    the renderer read.
+
+    Edges are pairs of rows of ``points``, in landmark order and in edge
+    order within a landmark; ``owner`` is each edge's landmark index. A
+    pole lists its axis twice, for its left and right silhouette lines:
+    ``poles`` holds the edge row of the first copy, and ``pole_radius`` the
+    pole's own radius, NaN where the configured default applies.
+    ``corners`` holds each wireframe's point rows, padded to at least four
+    columns by repeating its last row. Per landmark, ``label`` indexes the
+    map's label names and ``landmark_id`` is the landmark's id.
+    """
+
+    points: np.ndarray  # (P, 3) float64, world frame
+    edges: np.ndarray  # (E, 2) intp
+    owner: np.ndarray  # (E,) intp
+    poles: np.ndarray  # (K,) intp
+    pole_radius: np.ndarray  # (K,) float64
+    corners: np.ndarray  # (F, n) intp, n >= 4
+    label: np.ndarray  # (M,) int
+    landmark_id: np.ndarray  # (M,) int
+
+
+def pack_map(compact_map: CompactMap) -> PackedMap:
+    """Flatten a map's landmarks into a PackedMap."""
+    chunks, edges, owner, poles, radii, wireframes = [], [], [], [], [], []
+    rows = 0
+    for index, landmark in enumerate(compact_map.landmarks):
+        if isinstance(landmark, WireframeLandmark):
+            n = landmark.points.shape[0]
+            chunks.append(landmark.points)
+            edges += [(rows + i, rows + (i + 1) % n) for i in range(n)]
+            owner += [index] * n
+            wireframes.append((rows, rows + n))
+        else:
+            n = 2
+            chunks += (landmark.p0, landmark.p1)
+            copies = 1
+            if landmark.is_pole:
+                copies = 2
+                poles.append(len(edges))
+                radii.append(math.nan if landmark.pole_radius is None else landmark.pole_radius)
+            edges += [(rows, rows + 1)] * copies
+            owner += [index] * copies
+        rows += n
+    width = max([4] + [stop - start for start, stop in wireframes])
+    names = compact_map.label_names
+    packed = PackedMap(
+        points=np.vstack(chunks) if chunks else np.empty((0, 3)),
+        edges=np.array(edges, dtype=np.intp).reshape(-1, 2),
+        owner=np.array(owner, dtype=np.intp),
+        poles=np.array(poles, dtype=np.intp),
+        pole_radius=np.array(radii, dtype=float),
+        corners=np.array(
+            [np.minimum(np.arange(start, start + width), stop - 1) for start, stop in wireframes], dtype=np.intp
+        ).reshape(-1, width),
+        label=np.array([names.index(lm.label.name) for lm in compact_map.landmarks], dtype=int),
+        landmark_id=np.array([lm.landmark_id for lm in compact_map.landmarks], dtype=int),
+    )
+    for array in vars(packed).values():
+        array.setflags(write=False)
+    return packed
+
+
+@dataclass(frozen=True, eq=False)
 class CompactMap:
     """Immutable landmark map plus its label registry (in file order)."""
 
@@ -146,6 +213,11 @@ class CompactMap:
     @property
     def label_names(self) -> tuple[str, ...]:
         return tuple(lab.name for lab in self.labels)
+
+    @functools.cached_property
+    def packed(self) -> PackedMap:
+        """pack_map of this map, built on first use and then kept."""
+        return pack_map(self)
 
     def segments(self) -> tuple[LineSegmentLandmark, ...]:
         return tuple(lm for lm in self.landmarks if isinstance(lm, LineSegmentLandmark))

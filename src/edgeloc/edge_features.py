@@ -18,7 +18,10 @@ is the table's last entry. The field thus equals a brute-force
 nearest-edge-pixel search (0 ULP).
 
 A field stores only this grid; its slope G_u, G_v is taken from the grid
-where it is sampled, see bilinear_gather.
+where it is sampled, see bilinear_gather. The fields of one build_fields
+call are the layers of one read-only stack, which the solver indexes
+directly (stack_fields). A coarse mask is built from its fine mask's edge
+pixels, not from a pass over every block.
 """
 
 from __future__ import annotations
@@ -150,14 +153,24 @@ def squared_edge_distance(pixels: np.ndarray, window: int | None = None) -> np.n
     return _edge_distance(mask, cap, table)
 
 
-def build_fields(masks: list[SemanticEdgeMask], d_max: float = DEFAULT_TRUNCATION_PX) -> dict[str, SemanticEdgeField]:
+class FieldStack(dict):
+    """build_fields' result: fields by label whose grids are the layers of
+    one read-only (L, H, W) ``stack``; ``layer`` maps each label to its layer."""
+
+    def __init__(self, labels: list[str], stack: np.ndarray, d_max: float):
+        super().__init__((label, SemanticEdgeField(label, stack[i], d_max)) for i, label in enumerate(labels))
+        self.stack = stack
+        self.layer = {label: i for i, label in enumerate(labels)}
+
+
+def build_fields(masks: list[SemanticEdgeMask], d_max: float = DEFAULT_TRUNCATION_PX) -> FieldStack:
     """Truncated distance fields for same-shape masks, by label.
 
     V(x) = min(d_max, distance to the nearest edge pixel); an empty mask
     yields V == d_max everywhere.
     """
     if not masks:
-        return {}
+        return FieldStack([], np.empty((0, 1, 1)), d_max)
     if not d_max > 0:
         raise ValueError("d_max must be positive")
     d_max = float(d_max)
@@ -169,7 +182,23 @@ def build_fields(masks: list[SemanticEdgeMask], d_max: float = DEFAULT_TRUNCATIO
     table[-1] = d_max
     distance = _edge_distance(stack, cap, table)
     distance.setflags(write=False)
-    return {mask.label: SemanticEdgeField(mask.label, distance[i], d_max) for i, mask in enumerate(masks)}
+    return FieldStack([mask.label for mask in masks], distance, d_max)
+
+
+def stack_fields(fields: dict[str, SemanticEdgeField], labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """One (L, H, W) array holding the grid of every field in ``labels``,
+    and each label's layer in it.
+
+    The fields of one build_fields call are already the layers of one
+    stack, which is returned as it is; other fields are stacked here.
+    """
+    if isinstance(fields, FieldStack):
+        stack, layer = fields.stack, fields.layer
+    else:
+        grids = [fields[label].distance for label in labels]
+        stack = np.stack(grids) if grids else np.empty((0, 1, 1))
+        layer = {label: i for i, label in enumerate(labels)}
+    return stack, np.array([layer[label] for label in labels], dtype=np.intp)
 
 
 def build_field(mask: SemanticEdgeMask, d_max: float = DEFAULT_TRUNCATION_PX) -> SemanticEdgeField:
@@ -180,16 +209,22 @@ def build_field(mask: SemanticEdgeMask, d_max: float = DEFAULT_TRUNCATION_PX) ->
 def coarsen_mask(mask: SemanticEdgeMask, scale: int = COARSE_SCALE) -> SemanticEdgeMask:
     """Block-OR downsampling: a coarse pixel is set if any fine pixel was.
 
+    The coarse raster is (H // scale, W // scale): edge pixels in the last
+    H % scale rows and W % scale columns, which fill no whole block, are
+    dropped. The coarse pixel of each remaining edge pixel is set, so only
+    the edge pixels are visited, not every block.
+
     Fields built from coarsened masks keep their truncation radius in
     coarse pixels, so they cover ``scale`` times more image area and give
     the aligner a proportionally wider pull-in range.
     """
-    pixels = mask.pixels
-    height, width = pixels.shape
+    height, width = mask.pixels.shape
     ch, cw = height // scale, width // scale
-    # One axis at a time: OR the rows of each block, then its columns.
-    rows = pixels[: ch * scale, : cw * scale].reshape(ch, scale, cw * scale).any(axis=1)
-    return SemanticEdgeMask(mask.label, rows.reshape(ch, cw, scale).any(axis=2), frame_id=mask.frame_id)
+    v, u = np.divmod(np.flatnonzero(mask.pixels), width)
+    whole = (v < ch * scale) & (u < cw * scale)
+    pixels = np.zeros((ch, cw), dtype=bool)
+    pixels[v[whole] // scale, u[whole] // scale] = True
+    return SemanticEdgeMask(mask.label, pixels, frame_id=mask.frame_id)
 
 
 def bilinear_gather(u, v, shape: tuple[int, int]):

@@ -1,6 +1,12 @@
 """Per-frame localization pipeline over an on-disk dataset:
 predict -> select -> extract -> align -> validate -> commit.
 
+Per frame, extraction reads the rasters, builds the per-label edge masks,
+their coarse masks (from the edge pixels alone) and one fine and one
+coarse stack of distance fields; selection tests the packed map, which is
+built once per map, against the prior; alignment reads the field stacks
+in place.
+
 Dataset layout (what the synthetic harness emits):
 
     dataset/

@@ -1,19 +1,27 @@
 """Landmark selection: frustum culling, occlusion via a software depth
 buffer, and sparse edge-point sampling in the prior camera frame.
 
+Selection reads the map in its packed form (``CompactMap.packed``): flat
+point, edge, pole and wireframe-corner arrays plus each landmark's label
+index and id, built once per map on first use, so a frame only moves and
+tests arrays.
+
 Occluders are wireframe interiors (filled planar polygons) and pole
 cylinders (approximated by the quad spanned by their two silhouette
 lines). Plain line segments do not occlude. One array pass rasterizes
-every occluder polygon into an (H, W) minimum-depth array; depth is
-interpolated perspective-correct (affine in 1/z), which is exact for
-planar polygons.
+every occluder polygon into an (H, W) minimum-depth array, testing only a
+span of each bounding-box row that holds all of the row's inside pixels;
+depth is interpolated perspective-correct (affine in 1/z), which is exact
+for planar polygons.
 
 Edges are sampled in one array pass over the whole landmark list: the
-landmarks' points are packed and moved into the camera frame together,
-every edge is clipped against the six view planes at once (Liang &
-Barsky, ACM TOG 1984), sampled perspective-correctly, rounded to a pixel
-and depth-tested. Each sample keeps the index of its landmark.
-``select_landmarks`` and the synthetic renderer share this pass.
+landmarks' points are moved into the camera frame together, every edge is
+clipped against the six view planes at once (Liang & Barsky, ACM TOG
+1984), sampled perspective-correctly, rounded to a pixel and
+depth-tested. Each sample keeps the index of its landmark. Samples just
+behind an occluder's silhouette are then dropped; silhouette pixels are
+looked for among the finite depth pixels only (a few percent of the
+image). ``select_landmarks`` and the synthetic renderer share these passes.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compact_map import CompactMap, WireframeLandmark
+from .compact_map import CompactMap, PackedMap
 from .config import PipelineConfig
 from .geometry import CameraIntrinsics, Pose, project_points
 
@@ -35,8 +43,9 @@ NEAR_CLIP_M = 0.05
 # invisible in the live image even though the prior says otherwise.
 _OCCLUSION_MARGIN_GAP_M = 2.0
 
-# The polygon rasterizer tests at most this many bounding-box pixels per
-# array pass, which bounds its temporaries whatever the triangles cover.
+# The polygon rasterizer tests at most this many pixels per array pass
+# (unless one row is wider), which bounds its temporaries whatever the
+# triangles cover.
 _PIXEL_BUDGET = 1 << 16
 
 
@@ -140,30 +149,55 @@ def rasterize_polygons(depth: np.ndarray, polygons: np.ndarray, intrinsics: Came
     du, dv = u[[2, 0, 1]] - u_from, v[[2, 0, 1]] - v_from
     eps = 1e-9 * (area2 + 1.0)
 
-    # Pixel rows of every bounding box, sorted by width, in chunks of at most
-    # _PIXEL_BUDGET pixels once padded to the chunk's last (widest) row.
+    # One entry per pixel row of every bounding box, then a span of it to
+    # test. Along a row each edge function, computed as below, is monotone
+    # in the integer u, so the pixels that pass it are a prefix of the row
+    # where dv > 0 and a suffix where dv < 0. The span runs between the
+    # estimated crossings of those edges, widened by one pixel and clipped
+    # to the box. It holds every inside pixel when, at each end, the span
+    # meets the box or the next pixel out fails an edge of that end's kind;
+    # a row where that is not so is tested over its whole box width.
     rows = v_hi - v_lo + 1
     tri = np.repeat(np.arange(area2.size), rows)
     row_v = np.arange(tri.size) - np.repeat(np.cumsum(rows) - rows - v_lo, rows)
-    row_w = (u_hi - u_lo + 1)[tri]
-    by_width = np.argsort(row_w)
-    tri, row_v, row_w = tri[by_width], row_v[by_width], row_w[by_width]
     row_term = du[:, tri] * (row_v - v_from[:, tri])
+    row_from, row_dv, row_limit = u_from[:, tri], dv[:, tri], -eps[tri]
+
+    def fails(pixel_u, bounds_side):
+        w = pixel_u - row_from
+        w *= row_dv
+        return ((row_term - w < row_limit) & bounds_side).any(axis=0)
+
+    left, right = u_lo[tri], u_hi[tri]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        crossing = row_from + (row_term - row_limit) / row_dv
+    first = np.clip(np.where(row_dv < 0.0, np.ceil(crossing), -np.inf).max(axis=0) - 1, left, right + 1).astype(np.intp)
+    last = np.clip(np.where(row_dv > 0.0, np.floor(crossing), np.inf).min(axis=0) + 1, left - 1, right).astype(np.intp)
+    spanned = ((first == left) | fails(first - 1, row_dv < 0.0)) & ((last == right) | fails(last + 1, row_dv > 0.0))
+    first, last = np.where(spanned, first, left), np.where(spanned, last, right)
+    nonempty = first <= last
+    tri, row_v, row_u, row_term = tri[nonempty], row_v[nonempty], first[nonempty], row_term[:, nonempty]
+    row_w = (last - first + 1)[nonempty]
+
+    # The spans' pixels, in chunks of whole rows of at most _PIXEL_BUDGET
+    # pixels (or one wider row).
+    ends = np.cumsum(row_w)
     start = 0
     while start < tri.size:
-        fits = np.arange(1, min(tri.size - start, _PIXEL_BUDGET) + 1) * row_w[start : start + _PIXEL_BUDGET]
-        stop = start + max(1, np.count_nonzero(fits <= _PIXEL_BUDGET))
-        rows_tri, col = tri[start:stop], np.arange(row_w[stop - 1])
-        pixel_u = u_lo[rows_tri, None] + col
-        w = pixel_u - u_from[:, rows_tri, None]
-        w *= dv[:, rows_tri, None]
-        np.subtract(row_term[:, start:stop, None], w, out=w)
-        limit = -eps[rows_tri, None]
-        r, c = np.nonzero((w[0] >= limit) & (w[1] >= limit) & (w[2] >= limit) & (col < row_w[start:stop, None]))
-        hit_tri, w = rows_tri[r], w[:, r, c]
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - row_w[start] + _PIXEL_BUDGET, side="right")))
+        width = row_w[start:stop]
+        row = np.repeat(np.arange(start, stop), width)
+        pixel_u = row_u[row] + (np.arange(row.size) - np.repeat(np.cumsum(width) - width, width))
+        pixel_tri = tri[row]
+        w = pixel_u - u_from[:, pixel_tri]
+        w *= dv[:, pixel_tri]
+        np.subtract(row_term[:, row], w, out=w)
+        limit = -eps[pixel_tri]
+        hit = np.flatnonzero((w[0] >= limit) & (w[1] >= limit) & (w[2] >= limit))
+        hit_tri, w = pixel_tri[hit], w[:, hit]
         interp_inv_z = (w[0] * inv_z[0, hit_tri] + w[1] * inv_z[1, hit_tri] + w[2] * inv_z[2, hit_tri]) / area2[hit_tri]
         values = np.where(interp_inv_z > 1e-12, 1.0 / np.maximum(interp_inv_z, 1e-12), np.inf)
-        np.minimum.at(depth.reshape(-1), row_v[start:stop][r] * depth.shape[1] + pixel_u[r, c], values)
+        np.minimum.at(depth.reshape(-1), row_v[row[hit]] * depth.shape[1] + pixel_u[hit], values)
         start = stop
 
 
@@ -199,64 +233,50 @@ def silhouette_margin_depth(depth: np.ndarray, margin_px: int, iv: np.ndarray, i
     A pixel is a silhouette pixel when a 4-neighbor is much deeper (or
     outside the image); smooth surfaces like a road seen at grazing angles
     do not qualify. Pixels away from every silhouette get +inf.
+
+    Only pixels with a finite depth can be seeds, so they are found among
+    those alone. The window minimum is separable: each seed scatters its
+    depth, by minimum, to the 2 margin_px + 1 columns around it in its own
+    row, and each pixel then takes the minimum of its window's rows at its
+    column. Both run on the seeds' bounding box grown by the margin.
     """
     r = margin_px
-    padded = np.pad(depth, r + 1, constant_values=np.inf)
-    center = padded[1:-1, 1:-1]
+    height, width = depth.shape
+    flat = depth.reshape(-1)
+    finite = np.flatnonzero(np.isfinite(flat))
+    v, u = np.divmod(finite, width)
+    center = flat[finite]
     threshold = center * 1.5 + 1.0
-    deeper = (
-        (padded[:-2, 1:-1] > threshold)
-        | (padded[2:, 1:-1] > threshold)
-        | (padded[1:-1, :-2] > threshold)
-        | (padded[1:-1, 2:] > threshold)
-    )
-    # An empty pixel's threshold is +inf, so it never becomes a seed.
-    seeds = np.where(deeper, center, np.inf)
-    # Pixel (v, u) is seeds[v + r, u + r], so its window starts at seeds[v, u].
-    stride = seeds.shape[1]
-    window = (iv * stride + iu)[:, None] + np.arange(2 * r + 1)
+    deeper = np.zeros(finite.shape, dtype=bool)
+    for step, inside in ((-width, v > 0), (width, v < height - 1), (-1, u > 0), (1, u < width - 1)):
+        neighbor = np.where(inside, flat[np.where(inside, finite + step, finite)], np.inf)
+        deeper |= neighbor > threshold
+    seed_v, seed_u, seed_depth = v[deeper], u[deeper], center[deeper]
     out = np.full(iv.shape, np.inf)
-    for dv in range(2 * r + 1):
-        np.minimum(out, seeds.ravel()[window + dv * stride].min(axis=1), out=out)
+    if seed_v.size == 0:
+        return out
+    # Pixels whose window can hold a seed.
+    top, bottom = int(seed_v.min()) - r, int(seed_v.max()) + r
+    left, right = int(seed_u.min()) - r, int(seed_u.max()) + r
+    reach = np.flatnonzero((iv >= top) & (iv <= bottom) & (iu >= left) & (iu <= right))
+    # rows[y, x]: min seed depth in raster row top - r + y, columns
+    # left + x - r .. left + x + r; no index leaves it.
+    size, stride = 2 * r + 1, right - left + 1
+    rows = np.full((bottom - top + size) * stride, np.inf)
+    spread = ((seed_v - top + r) * stride + seed_u - r - left)[:, None] + np.arange(size)
+    np.minimum.at(rows, spread.reshape(-1), np.repeat(seed_depth, size))
+    window = ((iv[reach] - top) * stride + iu[reach] - left)[:, None] + stride * np.arange(size)
+    out[reach] = rows[window].min(axis=1)
     return out
 
 
-def _pack(landmarks, config: PipelineConfig):
-    """Flatten landmarks into world points and edges given as point-row pairs.
-
-    Returns (points, edges, owner, poles, radii, wireframes): ``owner`` is
-    each edge's index into ``landmarks``. A pole lists its axis twice, for
-    its left and right silhouette lines; ``poles`` holds the edge row of
-    the first copy and ``radii`` the radius. ``wireframes`` holds each
-    polygon's (start, stop) point rows.
-    """
-    chunks, edges, owner, poles, radii, wireframes = [], [], [], [], [], []
-    rows = 0
-    for index, landmark in enumerate(landmarks):
-        if isinstance(landmark, WireframeLandmark):
-            n = landmark.points.shape[0]
-            chunks.append(landmark.points)
-            edges += [(rows + i, rows + (i + 1) % n) for i in range(n)]
-            owner += [index] * n
-            wireframes.append((rows, rows + n))
-        else:
-            n = 2
-            chunks += (landmark.p0, landmark.p1)
-            copies = 1
-            if landmark.is_pole:
-                copies = 2
-                poles.append(len(edges))
-                radii.append(config.default_pole_radius_m if landmark.pole_radius is None else landmark.pole_radius)
-            edges += [(rows, rows + 1)] * copies
-            owner += [index] * copies
-        rows += n
-    points = np.vstack(chunks) if chunks else np.empty((0, 3))
-    edges, owner, poles = (np.array(x, dtype=np.intp) for x in (edges, owner, poles))
-    return points, edges.reshape(-1, 2), owner, poles, np.array(radii, dtype=float), wireframes
+def _pole_radii(packed: PackedMap, config: PipelineConfig) -> np.ndarray:
+    """Each pole's radius, the configured default where it has none of its own."""
+    return np.where(np.isnan(packed.pole_radius), config.default_pole_radius_m, packed.pole_radius)
 
 
 def rasterize_occluders(
-    landmarks,
+    packed: PackedMap,
     prior: Pose,
     intrinsics: CameraIntrinsics,
     config: PipelineConfig | None = None,
@@ -265,38 +285,37 @@ def rasterize_occluders(
     interiors and pole cylinders seen from the prior."""
     config = config or PipelineConfig()
     depth = np.full((intrinsics.height, intrinsics.width), np.inf)
-    points, edges, _, poles, radii, wireframes = _pack(landmarks, config)
-    camera = prior.inverse().apply(points)
-    left, right = pole_silhouette(camera[edges[poles, 0]], camera[edges[poles, 1]], radii)
-    # Pad every polygon to the largest vertex count by repeating its last vertex.
-    n = max([4] + [stop - start for start, stop in wireframes])
-    corners = np.array([np.minimum(np.arange(start, start + n), stop - 1) for start, stop in wireframes], dtype=np.intp)
+    camera = prior.inverse().apply(packed.points)
+    ends = packed.edges[packed.poles]
+    left, right = pole_silhouette(camera[ends[:, 0]], camera[ends[:, 1]], _pole_radii(packed, config))
+    # Pole quads padded like the wireframes, by repeating their last vertex.
+    n = packed.corners.shape[1]
     quads = np.concatenate([left, right[:, ::-1]], axis=1)[:, np.minimum(np.arange(n), 3)]
-    rasterize_polygons(depth, np.concatenate([camera[corners.reshape(-1, n)], quads]), intrinsics)
+    rasterize_polygons(depth, np.concatenate([camera[packed.corners], quads]), intrinsics)
     return depth
 
 
 def sample_landmark_edges(
-    landmarks,
+    packed: PackedMap,
     prior: Pose,
     intrinsics: CameraIntrinsics,
     spacing: float | None = None,
     config: PipelineConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the landmarks' visible edges at <= ``spacing`` px intervals.
+    """Sample the packed landmarks' visible edges at <= ``spacing`` px intervals.
 
     Returns (points, owner): (N, 3) points in the prior camera frame, and
-    each point's index into ``landmarks``. Sampling is uniform in image
-    space (perspective-correct along each 3D edge), endpoints included;
-    points come in landmark order, and in edge order within a landmark.
+    each point's landmark index. Sampling is uniform in image space
+    (perspective-correct along each 3D edge), endpoints included; points
+    come in landmark order, and in edge order within a landmark.
     """
     config = config or PipelineConfig()
     if spacing is None:
         spacing = config.sample_spacing_px
-    points, edges, owner, poles, radii, _ = _pack(landmarks, config)
-    camera = prior.inverse().apply(points)
-    q0, q1 = camera[edges[:, 0]], camera[edges[:, 1]]
-    left, right = pole_silhouette(q0[poles], q1[poles], radii)
+    camera = prior.inverse().apply(packed.points)
+    q0, q1 = camera[packed.edges[:, 0]], camera[packed.edges[:, 1]]
+    poles = packed.poles
+    left, right = pole_silhouette(q0[poles], q1[poles], _pole_radii(packed, config))
     q0[poles], q1[poles] = left[:, 0], left[:, 1]
     q0[poles + 1], q1[poles + 1] = right[:, 0], right[:, 1]
     inside, qa, qb = clip_segment_to_view(q0, q1, intrinsics, NEAR_CLIP_M, config.max_selection_range_m)
@@ -311,11 +330,11 @@ def sample_landmark_edges(
     s[last] = 1.0
     za, zb = qa[edge, 2], qb[edge, 2]
     t = s * za / ((1.0 - s) * zb + s * za)
-    return qa[edge] + t[:, None] * (qb - qa)[edge], owner[inside][edge]
+    return qa[edge] + t[:, None] * (qb - qa)[edge], packed.owner[inside][edge]
 
 
 def visible_samples(
-    landmarks,
+    packed: PackedMap,
     prior: Pose,
     intrinsics: CameraIntrinsics,
     depth: np.ndarray,
@@ -329,7 +348,7 @@ def visible_samples(
     and the pixel each rounds to.
     """
     config = config or PipelineConfig()
-    points, owner = sample_landmark_edges(landmarks, prior, intrinsics, spacing, config)
+    points, owner = sample_landmark_edges(packed, prior, intrinsics, spacing, config)
     height, width = depth.shape
     uv, _ = project_points(points, intrinsics)
     iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, width - 1)
@@ -346,16 +365,15 @@ def select_landmarks(
 ) -> LandmarkSamples:
     """Full selection pipeline: cull, depth-buffer occluders, sample, z-test."""
     config = config or PipelineConfig()
-    landmarks = compact_map.landmarks
-    depth = rasterize_occluders(landmarks, prior, intrinsics, config)
-    points, owner, iv, iu = visible_samples(landmarks, prior, intrinsics, depth, config=config)
+    packed = compact_map.packed
+    depth = rasterize_occluders(packed, prior, intrinsics, config)
+    points, owner, iv, iu = visible_samples(packed, prior, intrinsics, depth, config=config)
     if config.occlusion_margin_px > 0:
         margin_depth = silhouette_margin_depth(depth, config.occlusion_margin_px, iv, iu)
         keep = points[:, 2] <= margin_depth + _OCCLUSION_MARGIN_GAP_M
         points, owner = points[keep], owner[keep]
     names = compact_map.label_names
-    label = np.array([names.index(lm.label.name) for lm in landmarks], dtype=int)[owner]
-    ids = np.array([lm.landmark_id for lm in landmarks], dtype=int)[owner]
-    sampled, label = np.unique(label, return_inverse=True)
+    sampled, label = np.unique(packed.label[owner], return_inverse=True)
     order = np.argsort(label, kind="stable")
+    ids = packed.landmark_id[owner]
     return LandmarkSamples(tuple(names[i] for i in sampled), points[order], label[order], ids[order])

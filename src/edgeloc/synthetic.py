@@ -378,15 +378,13 @@ def render_frame(scene: SyntheticScene, frame_id: int) -> tuple[np.ndarray, np.n
     intrinsics = scene.intrinsics
     config = PipelineConfig()
     height, width = intrinsics.height, intrinsics.width
-    landmarks = scene.compact_map.landmarks
+    packed = scene.compact_map.packed
 
-    depth = rasterize_occluders(landmarks, pose, intrinsics, config)
+    depth = rasterize_occluders(packed, pose, intrinsics, config)
     active_boxes = [box for box in scene.noise.occluders if box.active(frame_id)]
     dynamic = _render_boxes(active_boxes, pose, intrinsics, depth)
 
-    points, owner, iv, iu = visible_samples(
-        landmarks, pose, intrinsics, depth, spacing=_RENDER_SPACING_PX, config=config
-    )
+    points, owner, iv, iu = visible_samples(packed, pose, intrinsics, depth, spacing=_RENDER_SPACING_PX, config=config)
     # Where edges of different landmarks fall on the same pixel, the nearest
     # one owns the pixel's label, like a real segmentation would; ties go to
     # the earlier landmark.
@@ -395,8 +393,7 @@ def render_frame(scene: SyntheticScene, frame_id: int) -> tuple[np.ndarray, np.n
     pixel, owner = pixel[order], owner[order]
     first = np.ones(pixel.shape, dtype=bool)
     first[1:] = pixel[1:] != pixel[:-1]
-    names = scene.compact_map.label_names
-    label_index = np.array([names.index(lm.label.name) + 1 for lm in landmarks], dtype=np.uint8)
+    label_index = (packed.label + 1).astype(np.uint8)
     edges = np.zeros((height, width), dtype=bool)
     labels = np.zeros((height, width), dtype=np.uint8)
     edges.flat[pixel[first]] = True

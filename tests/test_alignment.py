@@ -833,7 +833,8 @@ class TestEvaluationReuse:
 
         monkeypatch.setattr(al, "_evaluate", recording)
         result = al.solve(problem)
-        probe_rounds = len(result.energy_history) - 1 - result.iterations
-        assert result.iterations > 0 and probe_rounds > 0
-        assert len(seen) > result.iterations + probe_rounds
+        assert result.iterations > 0 and result.probe_rounds > 0
+        # Each step and each probe round adds one entry to the history.
+        assert len(result.energy_history) == 1 + result.iterations + result.probe_rounds
+        assert len(seen) > result.iterations + result.probe_rounds
         assert len(set(seen)) == len(seen)

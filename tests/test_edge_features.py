@@ -576,6 +576,24 @@ class TestCoarsen:
         assert coarse.pixels.shape == (2, 2)
         assert coarse.pixels[1, 0] and not coarse.pixels[0, 0]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_frame_matches_block_or_and_drops_trailing_pixels(self, seed):
+        # A 401 x 643 raster at the pipeline's scale: one trailing row and
+        # three trailing columns fill no whole block.
+        rng = np.random.default_rng(seed)
+        mask = rng.random((401, 643)) < 0.003
+        mask[400, rng.integers(0, 643, size=20)] = True
+        mask[rng.integers(0, 401, size=20), 640 + rng.integers(0, 3, size=20)] = True
+        scale = ef.COARSE_SCALE
+        ch, cw = 401 // scale, 643 // scale
+        # Block-OR over the whole raster: the rows of each block, then its columns.
+        rows = mask[: ch * scale, : cw * scale].reshape(ch, scale, cw * scale).any(axis=1)
+        expected = rows.reshape(ch, cw, scale).any(axis=2)
+        assert ef.coarsen_mask(ef.SemanticEdgeMask("x", mask)).pixels.tobytes() == expected.tobytes()
+        trailing = np.zeros_like(mask)
+        trailing[400], trailing[:, 640:] = mask[400], mask[:, 640:]
+        assert not ef.coarsen_mask(ef.SemanticEdgeMask("x", trailing)).pixels.any()
+
     @settings(deadline=None, max_examples=200)
     @given(st.integers(1, 5), st.integers(1, 23), st.integers(1, 23), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
     def test_matches_four_axis_block_or(self, scale, height, width, density, seed):

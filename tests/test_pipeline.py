@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeloc import alignment as al
+from edgeloc import compact_map as cm
 from edgeloc import pipeline
 from edgeloc import synthetic as syn
 from edgeloc.config import PipelineConfig, parse_config_text
@@ -113,6 +114,19 @@ class TestRun:
             assert f1 == f2
             assert np.array_equal(p1.translation, p2.translation)
             assert np.array_equal(p1.rotation, p2.rotation)
+
+    def test_map_is_packed_once_per_run(self, monkeypatch, small_dataset):
+        _, root = small_dataset
+        calls = []
+        pack = cm.pack_map
+
+        def counting(compact_map):
+            calls.append(compact_map)
+            return pack(compact_map)
+
+        monkeypatch.setattr(cm, "pack_map", counting)
+        _, records = run_dataset(DatasetManifest.from_directory(root))
+        assert len(records) > 1 and len(calls) == 1
 
     def test_every_frame_logged_once_with_status(self, small_dataset):
         _, root = small_dataset

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,13 +64,13 @@ def ray_hits_quad(point, corners):
 class TestSampling:
     def test_landmark_behind_camera_gives_no_samples(self):
         lm = segment([0.0, 0.0, -5.0], [1.0, 0.0, -5.0])
-        pts, _ = sel.sample_landmark_edges([lm], EYE, K)
+        pts, _ = sel.sample_landmark_edges(packed([lm]), EYE, K)
         assert pts.shape[0] == 0
 
     def test_forty_px_projection_with_spacing_four_gives_eleven(self):
         # endpoints at z=2: u spans 200*1.0/2 - (-?) ... choose x0=0, x1=0.4
         lm = segment([0.0, 0.0, 2.0], [0.4, 0.0, 2.0])
-        pts, _ = sel.sample_landmark_edges([lm], EYE, K, spacing=4.0)
+        pts, _ = sel.sample_landmark_edges(packed([lm]), EYE, K, spacing=4.0)
         uv, _ = project_points(pts, K)
         length = np.hypot(*(uv[-1] - uv[0]))
         assert math.isclose(length, 40.0, abs_tol=1e-9)
@@ -77,20 +78,20 @@ class TestSampling:
 
     def test_consecutive_samples_within_spacing(self):
         lm = segment([-1.0, 0.3, 1.0], [2.0, -0.5, 14.0])
-        pts, _ = sel.sample_landmark_edges([lm], EYE, K, spacing=4.0)
+        pts, _ = sel.sample_landmark_edges(packed([lm]), EYE, K, spacing=4.0)
         uv, _ = project_points(pts, K)
         gaps = np.hypot(*np.diff(uv, axis=0).T)
         assert gaps.max() <= 4.0 + 1e-9
 
     def test_segment_fully_outside_frustum(self):
         lm = segment([100.0, 0.0, 2.0], [101.0, 0.0, 2.0])
-        pts, _ = sel.sample_landmark_edges([lm], EYE, K)
+        pts, _ = sel.sample_landmark_edges(packed([lm]), EYE, K)
         assert pts.shape[0] == 0
 
     def test_half_clipped_segment_samples_in_bounds(self):
         # crosses the left image border; oracle: every sample projects in-bounds
         lm = segment([-10.0, 0.0, 5.0], [0.0, 0.0, 5.0])
-        pts, _ = sel.sample_landmark_edges([lm], EYE, K)
+        pts, _ = sel.sample_landmark_edges(packed([lm]), EYE, K)
         assert pts.shape[0] > 0
         uv, valid = project_points(pts, K)
         assert valid.all()
@@ -101,14 +102,14 @@ class TestSampling:
 
     def test_wireframe_all_edges_sampled(self):
         wf = quad((0.0, 0.0), 0.5, 0.3, 4.0)
-        pts, _ = sel.sample_landmark_edges([wf], EYE, K)
+        pts, _ = sel.sample_landmark_edges(packed([wf]), EYE, K)
         uv, _ = project_points(pts, K)
         # samples must cover all four sides: spread in both u and v
         assert np.ptp(uv[:, 0]) > 40 and np.ptp(uv[:, 1]) > 20
 
     def test_pole_has_two_silhouette_edges(self):
         lm = segment([0.0, 1.0, 6.0], [0.0, -1.0, 6.0], label=POLE, radius=0.15)
-        pts, _ = sel.sample_landmark_edges([lm], EYE, K)
+        pts, _ = sel.sample_landmark_edges(packed([lm]), EYE, K)
         uv, _ = project_points(pts, K)
         # two vertical stripes of samples separated by the diameter
         us = np.sort(np.unique(np.round(uv[:, 0], 3)))
@@ -175,13 +176,13 @@ def pad_polygons(polygons):
 
 class TestRasterizer:
     def test_empty_landmark_set_gives_infinite_buffer(self):
-        depth = sel.rasterize_occluders([], EYE, K)
+        depth = sel.rasterize_occluders(packed([]), EYE, K)
         assert depth.shape == (K.height, K.width)
         assert np.isinf(depth).all()
 
     def test_frontoparallel_unit_square_depth(self):
         wf = quad((0.0, 0.0), 0.5, 0.5, 4.0)
-        depth = sel.rasterize_occluders([wf], EYE, K)
+        depth = sel.rasterize_occluders(packed([wf]), EYE, K)
         filled = np.isfinite(depth)
         depths = depth[filled]
         assert np.abs(depths - 4.0).max() < 1e-6
@@ -193,14 +194,14 @@ class TestRasterizer:
     def test_min_depth_wins_on_overlap(self):
         near = quad((0.0, 0.0), 0.4, 0.4, 3.0, lid=1)  # subtends +-26.7 px
         far = quad((0.0, 0.0), 1.5, 1.5, 6.0, lid=2)  # subtends +-50 px
-        depth = sel.rasterize_occluders([far, near], EYE, K)
+        depth = sel.rasterize_occluders(packed([far, near]), EYE, K)
         assert abs(depth[120, 160] - 3.0) < 1e-6
         u_far_only = int(K.cx + 40)
         assert abs(depth[120, u_far_only] - 6.0) < 1e-6
 
     def test_plain_segments_do_not_occlude(self):
         lm = segment([-1.0, 0.0, 5.0], [1.0, 0.0, 5.0])
-        depth = sel.rasterize_occluders([lm], EYE, K)
+        depth = sel.rasterize_occluders(packed([lm]), EYE, K)
         assert np.isinf(depth).all()
 
     def test_off_screen_wall_is_culled_before_rasterizing(self):
@@ -213,7 +214,7 @@ class TestRasterizer:
             ),
             quad((0.0, -4.0), 2.0, 0.5, 3.0, lid=3),
         ]
-        depth = sel.rasterize_occluders(walls, EYE, K)
+        depth = sel.rasterize_occluders(packed(walls), EYE, K)
         assert np.isinf(depth).all()
 
     @settings(deadline=None, max_examples=150)
@@ -246,7 +247,7 @@ class TestRasterizer:
             [[-1.0, -1.0, 3.0], [1.0, -1.0, 5.0], [1.0, 1.0, 5.0], [-1.0, 1.0, 3.0]],
             landmark_id=3,
         )
-        depth = sel.rasterize_occluders([wf], EYE, K)
+        depth = sel.rasterize_occluders(packed([wf]), EYE, K)
         vv, uu = np.nonzero(np.isfinite(depth))
         for v, u in list(zip(vv, uu))[:: max(1, len(vv) // 50)]:
             z = depth[v, u]
@@ -256,6 +257,10 @@ class TestRasterizer:
 
 def make_map(landmarks, labels=(ROAD, SIGN, POLE)):
     return CompactMap(labels, tuple(landmarks))
+
+
+def packed(landmarks):
+    return make_map(landmarks).packed
 
 
 def label_points(samples, name):
@@ -278,7 +283,7 @@ class TestSelectLandmarks:
         # oracle over the raw (unoccluded) samples; the buffer is pixel
         # quantized, so samples within one pixel of the quad's silhouette
         # can legitimately fall either way
-        raw, _ = sel.sample_landmark_edges([pole], EYE, K, config=cfg)
+        raw, _ = sel.sample_landmark_edges(packed([pole]), EYE, K, config=cfg)
         corners = sign.points
         uv_raw, _ = project_points(raw, K)
         sil_v = K.fy * 0.6 / 5.0
@@ -297,7 +302,7 @@ class TestSelectLandmarks:
         cfg = PipelineConfig(occlusion_margin_px=margin)
         cmap = make_map([sign, pole])
         kept = label_points(sel.select_landmarks(cmap, EYE, K, cfg), "lamp_pole")
-        raw, _ = sel.sample_landmark_edges([pole], EYE, K, config=cfg)
+        raw, _ = sel.sample_landmark_edges(packed([pole]), EYE, K, config=cfg)
         corners = sign.points
         uv_raw, _ = project_points(raw, K)
         sil_half_u = K.fx * 0.6 / 5.0
@@ -334,7 +339,7 @@ class TestSelectLandmarks:
         cfg = PipelineConfig()
         cmap = make_map(landmarks)
         samples = sel.select_landmarks(cmap, EYE, K, cfg)
-        depth = sel.rasterize_occluders(cmap.landmarks, EYE, K, cfg)
+        depth = sel.rasterize_occluders(cmap.packed, EYE, K, cfg)
         pts = samples.points
         uv, _ = project_points(pts, K)
         iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, K.width - 1)
@@ -370,15 +375,15 @@ class TestSelectLandmarks:
         wf = quad((0.0, 0.0), 0.7, 0.5, 5.0, lid=0)
         samples = sel.select_landmarks(make_map([wf]), EYE, K)
         pts = label_points(samples, "traffic_sign")
-        raw, _ = sel.sample_landmark_edges([wf], EYE, K)
+        raw, _ = sel.sample_landmark_edges(packed([wf]), EYE, K)
         assert pts.shape[0] == raw.shape[0]
 
     def test_pole_default_radius_from_config(self):
         lm = segment([1.0, 2.0, 8.0], [1.0, -2.0, 8.0], label=POLE, lid=0)
         wide = PipelineConfig(default_pole_radius_m=0.5)
         narrow = PipelineConfig(default_pole_radius_m=0.05)
-        pts_wide, _ = sel.sample_landmark_edges([lm], EYE, K, config=wide)
-        pts_narrow, _ = sel.sample_landmark_edges([lm], EYE, K, config=narrow)
+        pts_wide, _ = sel.sample_landmark_edges(packed([lm]), EYE, K, config=wide)
+        pts_narrow, _ = sel.sample_landmark_edges(packed([lm]), EYE, K, config=narrow)
         spread_wide = np.ptp(pts_wide[:, 0])
         spread_narrow = np.ptp(pts_narrow[:, 0])
         assert spread_wide > spread_narrow
@@ -464,9 +469,62 @@ class TestPoleSilhouette:
             assert np.allclose(offset @ (q1[i] - q0[i]), 0.0, atol=1e-9)
 
 
+class TestPackedMap:
+    def test_cached_and_fresh_packs_give_identical_bytes(self):
+        scene = syn.generate_scene(5, "urban-corner", n_frames=6)
+        cmap = scene.compact_map
+        assert "packed" in vars(cmap)  # generate_scene's selection built and kept it
+        for frame_id in (0, 3, 5):
+            pose = scene.pose_of(frame_id)
+            fresh = CompactMap(cmap.labels, cmap.landmarks)
+            cached = sel.select_landmarks(cmap, pose, scene.intrinsics)
+            renewed = sel.select_landmarks(fresh, pose, scene.intrinsics)
+            assert cached.labels == renewed.labels and samples_digest(cached) == samples_digest(renewed)
+            fresh = CompactMap(cmap.labels, cmap.landmarks)
+            rendered = syn.render_frame(scene, frame_id)
+            rerendered = syn.render_frame(replace(scene, compact_map=fresh), frame_id)
+            assert [r.tobytes() for r in rendered] == [r.tobytes() for r in rerendered]
+
+    def test_map_without_wireframes_poles_or_landmarks(self):
+        lane = segment([-1.0, 0.5, 5.0], [1.0, 0.5, 5.0], lid=0)
+        pole = segment([0.5, -1.0, 6.0], [0.5, 1.0, 6.0], label=POLE, lid=1)
+        sign = quad((0.0, 0.0), 0.3, 0.3, 4.0)
+        for landmarks, occludes in (([], False), ([lane], False), ([lane, pole], True), ([lane, sign], True)):
+            cmap = make_map(landmarks)
+            packed = cmap.packed
+            wireframes = sum(isinstance(lm, WireframeLandmark) for lm in landmarks)
+            assert packed.points.shape[1] == 3 and packed.edges.shape[1] == 2
+            assert packed.corners.shape == (wireframes, 4)
+            assert packed.poles.shape == packed.pole_radius.shape == (int(pole in landmarks),)
+            assert packed.label.shape == packed.landmark_id.shape == (len(landmarks),)
+            assert not any(array.flags.writeable for array in vars(packed).values())
+            depth = sel.rasterize_occluders(packed, EYE, K)
+            assert np.isfinite(depth).any() == occludes
+            samples = sel.select_landmarks(cmap, EYE, K)
+            assert samples.landmark_ids() <= {lm.landmark_id for lm in landmarks}
+            assert (0 in samples.landmark_ids()) == bool(landmarks)
+
+    def test_default_pole_radius_is_read_per_call(self):
+        # One map, configs alternating between two default radii: each call
+        # must match a map packed fresh for it.
+        default = segment([0.5, -1.0, 5.0], [0.5, 1.0, 5.0], label=POLE, lid=0)
+        own = segment([-0.5, -1.0, 5.0], [-0.5, 1.0, 5.0], label=POLE, lid=1, radius=0.2)
+        cmap = make_map([default, own])
+        depths = []
+        for radius in (0.5, 0.05, 0.5):
+            cfg = PipelineConfig(default_pole_radius_m=radius)
+            fresh = make_map([default, own]).packed
+            depths.append(sel.rasterize_occluders(cmap.packed, EYE, K, cfg).tobytes())
+            assert depths[-1] == sel.rasterize_occluders(fresh, EYE, K, cfg).tobytes()
+            points, owner = sel.sample_landmark_edges(cmap.packed, EYE, K, config=cfg)
+            fresh_points, fresh_owner = sel.sample_landmark_edges(fresh, EYE, K, config=cfg)
+            assert points.tobytes() == fresh_points.tobytes() and owner.tobytes() == fresh_owner.tobytes()
+        assert depths[0] == depths[2] != depths[1]
+
+
 class TestEmpty:
     def test_no_landmarks_no_samples(self):
-        points, owner = sel.sample_landmark_edges([], EYE, K)
+        points, owner = sel.sample_landmark_edges(packed([]), EYE, K)
         assert points.shape == (0, 3) and owner.shape == (0,)
 
     def test_empty_map_selects_nothing(self):
@@ -509,8 +567,8 @@ class TestBatchedSampler:
         landmarks, seed = drawn
         rng = np.random.default_rng(seed + 1)
         prior = Pose(so3_exp(rng.normal(scale=0.2, size=3)), rng.normal(scale=1.0, size=3))
-        points, owner = sel.sample_landmark_edges(landmarks, prior, K, spacing=spacing)
-        singles = [sel.sample_landmark_edges([lm], prior, K, spacing=spacing) for lm in landmarks]
+        points, owner = sel.sample_landmark_edges(packed(landmarks), prior, K, spacing=spacing)
+        singles = [sel.sample_landmark_edges(packed([lm]), prior, K, spacing=spacing) for lm in landmarks]
         expected_points = np.concatenate([pts for pts, _ in singles])
         expected_owner = np.concatenate([index + own for index, (_, own) in enumerate(singles)])
         assert points.tobytes() == expected_points.tobytes()

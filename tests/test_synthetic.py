@@ -79,13 +79,8 @@ class TestRenderFrame:
         # landmark edges must be below one pixel of rasterization error
         pose = scene.pose_of(0)
         cfg = PipelineConfig()
-        cloud = []
-        for lm in scene.compact_map.landmarks:
-            pts, _ = sample_landmark_edges([lm], pose, scene.intrinsics, spacing=0.2, config=cfg)
-            if pts.shape[0]:
-                uv, _ = project_points(pts, scene.intrinsics)
-                cloud.append(uv)
-        cloud = np.vstack(cloud)
+        pts, _ = sample_landmark_edges(scene.compact_map.packed, pose, scene.intrinsics, spacing=0.2, config=cfg)
+        cloud, _ = project_points(pts, scene.intrinsics)
         for v, u in zip(ys[::23], xs[::23]):
             d = np.hypot(cloud[:, 0] - u, cloud[:, 1] - v).min()
             assert d < 0.75
