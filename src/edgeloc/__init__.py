@@ -28,7 +28,7 @@ from .edge_features import (
 )
 from .evaluation import ErrorReport, evaluate_trajectories
 from .geometry import CameraIntrinsics, Pose, compose, exp, inverse, log, project, skew
-from .pipeline import DatasetManifest, FrameRecord, run_dataset
+from .pipeline import DatasetManifest, FrameRecord, iter_frames, run_dataset
 from .predictor import PosePredictor
 from .selection import LandmarkSamples, select_landmarks
 from .synthetic import NoiseConfig, SyntheticScene, generate_scene, render_frame, write_dataset
@@ -65,6 +65,7 @@ __all__ = [
     "exp",
     "generate_scene",
     "inverse",
+    "iter_frames",
     "log",
     "map_statistics",
     "parse_config_text",

@@ -318,7 +318,6 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
     history = [energy_now]
     active_counts = [count_now]
     converged = False
-    diverged = False
     iterations = 0
     probe_rounds = 0
 
@@ -326,7 +325,6 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
         while iterations < cfg.max_iterations:
             _, count_now, residuals, jacobian_rows = current
             if count_now < cfg.min_samples:
-                diverged = True
                 break
             jacobian = jacobian_rows()
             hessian = jacobian.T @ jacobian
@@ -342,9 +340,8 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
                 try:
                     delta = np.linalg.solve(damped, -gradient)
                 except np.linalg.LinAlgError:
-                    damping *= 10.0
-                    continue
-                if not np.all(np.isfinite(delta)):
+                    delta = None
+                if delta is None or not np.all(np.isfinite(delta)):
                     damping *= 10.0
                     continue
                 any_solvable = True
@@ -372,10 +369,7 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
                 # Damping escalation exhausted: with no solvable system this
                 # is a genuine failure; otherwise no step can lower the energy
                 # anymore, i.e. a local minimum -- converged, gates decide.
-                if any_solvable:
-                    converged = True
-                else:
-                    diverged = True
+                converged = any_solvable
                 break
             iterations += 1
             history.append(energy_now)
@@ -386,10 +380,8 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
             if step_norm < cfg.step_tol or rel_decrease < cfg.energy_tol:
                 converged = True
                 break
-        else:
-            diverged = True  # ran out of iterations
-
-        if diverged or probe_rounds >= _MAX_PROBE_ROUNDS:
+        # Too few samples, no solvable system or the iteration cap: diverged.
+        if not converged or probe_rounds >= _MAX_PROBE_ROUNDS:
             break
         if count_now > 0 and energy_now / count_now <= cfg.max_mean_reproj_px:
             magnitudes = _PROBE_MAGNITUDES_NEAR_M  # plausible fit, scan nearby only
@@ -415,9 +407,6 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
     else:
         info_min_eig = 0.0
         mean_error = math.inf
-
-    if not converged and not diverged:
-        diverged = True  # defensive; every loop exit sets one of the two
 
     return AlignmentResult(
         pose=pose,
@@ -455,14 +444,16 @@ def solve_two_scale(problem: AlignmentProblem, coarse_fields: dict[str, Semantic
     coarse_problem = replace(problem, fields=coarse_fields, intrinsics=coarse_k)
     coarse = solve(coarse_problem)
     initial = problem.start_pose
-    if coarse.converged:
-        jump = float(np.linalg.norm(coarse.pose.translation - problem.prior.translation))
-        turn = rotation_angle(problem.prior.rotation.T @ coarse.pose.rotation)
-        if jump <= problem.config.max_translation_jump_m and turn <= math.radians(
-            problem.config.max_rotation_jump_deg
-        ):
-            initial = coarse.pose
+    if coarse.converged and _within_jump(coarse.pose, problem.prior, problem.config):
+        initial = coarse.pose
     return solve(replace(problem, initial=initial))
+
+
+def _within_jump(pose: Pose, prior: Pose, config: PipelineConfig) -> bool:
+    """Whether ``pose`` is within the translation and rotation jump gates of ``prior``."""
+    jump = float(np.linalg.norm(pose.translation - prior.translation))
+    turn = rotation_angle(prior.rotation.T @ pose.rotation)
+    return jump <= config.max_translation_jump_m and turn <= math.radians(config.max_rotation_jump_deg)
 
 
 def align_frame(problem: AlignmentProblem, coarse_fields: dict[str, SemanticEdgeField]) -> AlignmentResult:
@@ -483,11 +474,7 @@ def validate(result: AlignmentResult, prior: Pose, config: PipelineConfig) -> Al
         return replace(result, accepted=False, reject_reason=REJECT_LOW_INFORMATION)
     if not result.converged:
         return replace(result, accepted=False, reject_reason=REJECT_DIVERGED)
-    jump = float(np.linalg.norm(result.pose.translation - prior.translation))
-    if jump > config.max_translation_jump_m:
-        return replace(result, accepted=False, reject_reason=REJECT_POSE_INCONSISTENT)
-    turn = rotation_angle(prior.rotation.T @ result.pose.rotation)
-    if turn > math.radians(config.max_rotation_jump_deg):
+    if not _within_jump(result.pose, prior, config):
         return replace(result, accepted=False, reject_reason=REJECT_POSE_INCONSISTENT)
     if result.mean_reproj_error > config.max_mean_reproj_px:
         return replace(result, accepted=False, reject_reason=REJECT_HIGH_REPROJ)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -10,8 +11,8 @@ from pathlib import Path
 from .compact_map import map_statistics, parse_map
 from .config import PipelineConfig, apply_overrides, parse_config_text
 from .evaluation import evaluate_trajectories
-from .io import read_trajectory, write_trajectory
-from .pipeline import DatasetManifest, run_dataset
+from .io import format_pose_line, read_trajectory
+from .pipeline import DatasetManifest, iter_frames
 from .synthetic import NoiseConfig, PRESET_NAMES, generate_scene, make_occluder_wall, write_dataset
 
 
@@ -33,16 +34,20 @@ def _load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
 def _cmd_run(args) -> int:
     config = _load_config(args.config, args.set or [])
     manifest = DatasetManifest.from_directory(args.dataset, map_path=args.map)
-    trajectory, records = run_dataset(
-        manifest, config, prefetch_workers=args.prefetch, debug_dir=args.debug_dir
-    )
-    write_trajectory(args.out, trajectory)
-    if args.log:
-        with open(args.log, "w", encoding="ascii") as handle:
-            for record in records:
-                handle.write(record.to_json() + "\n")
-    accepted = sum(1 for r in records if r.status == "accepted")
-    print(f"processed {len(records)} frames, accepted {accepted}, wrote {args.out}")
+    frames = iter_frames(manifest, config, prefetch_workers=args.prefetch, debug_dir=args.debug_dir)
+    processed = accepted = 0
+    # Line-buffered: each frame's lines are on disk before the next frame runs.
+    with (
+        open(args.out, "w", encoding="ascii", buffering=1) as out,
+        open(args.log or os.devnull, "w", encoding="ascii", buffering=1) as log,
+    ):
+        for record, pose in frames:
+            processed += 1
+            if pose is not None:
+                accepted += 1
+                out.write(format_pose_line(record.frame_id, pose) + "\n")
+            log.write(record.to_json() + "\n")
+    print(f"processed {processed} frames, accepted {accepted}, wrote {args.out}")
     return 0
 
 

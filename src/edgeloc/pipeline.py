@@ -1,6 +1,9 @@
 """Per-frame localization pipeline over an on-disk dataset:
 predict -> select -> extract -> align -> validate -> commit.
 
+``iter_frames`` is the frame loop: it yields each frame's record, and its
+pose when accepted, as the frame finishes; ``run_dataset`` collects it.
+
 Per frame, extraction reads the rasters, builds the per-label edge masks,
 their coarse masks (from the edge pixels alone) and one fine and one
 coarse stack of distance fields; selection tests the packed map, which is
@@ -22,8 +25,13 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -176,15 +184,18 @@ def write_debug_overlay(path, fields, samples, prior, pose, intrinsics) -> None:
     write_pgm(path, canvas)
 
 
-def run_dataset(
+def iter_frames(
     manifest: DatasetManifest,
     config: PipelineConfig | None = None,
     compact_map: CompactMap | None = None,
     prefetch_workers: int = 0,
     debug_dir: str | Path | None = None,
-) -> tuple[list[tuple[int, Pose]], list[FrameRecord]]:
-    """Run the frame chain; returns (accepted trajectory, per-frame log).
+) -> Iterator[tuple[FrameRecord, Pose | None]]:
+    """Run the frame chain, yielding (record, accepted pose or None) as each
+    frame finishes.
 
+    The map, odometry and frame ids are read before the generator is
+    returned, so a bad dataset raises here and not at the first frame.
     ``prefetch_workers`` > 0 overlaps feature extraction of upcoming frames
     with alignment of the current one; results are identical to the serial
     run because field construction is a pure function of the frame files.
@@ -198,54 +209,44 @@ def run_dataset(
         compact_map = parse_map(manifest.map_path.read_bytes())
     odometry = read_trajectory(manifest.odometry_path)
     frame_ids = _frame_ids(manifest.frames_dir)
-    label_names = compact_map.label_names
+    return _frame_loop(manifest, config, compact_map, odometry, frame_ids, prefetch_workers, debug_dir)
 
+
+def _frame_loop(manifest, config, compact_map, odometry, frame_ids, prefetch_workers, debug_dir):
     predictor = PosePredictor(window=config.odometry_window)
-    trajectory: list[tuple[int, Pose]] = []
-    records: list[FrameRecord] = []
+    label_names = compact_map.label_names
+    executor = ThreadPoolExecutor(max_workers=max(prefetch_workers, 1))  # no thread starts before a submit
 
-    executor = ThreadPoolExecutor(max_workers=prefetch_workers) if prefetch_workers > 0 else None
-    futures: dict[int, object] = {}
+    def loader(frame_id: int):
+        """A zero-argument call that returns the frame's (fine, coarse) fields:
+        the extraction itself when serial, the wait for it with prefetch."""
+        load = partial(_load_fields, manifest, frame_id, label_names, config)
+        return executor.submit(load).result if prefetch_workers > 0 else load
 
-    def fields_for(frame_id: int):
-        if executor is None:
-            return _load_fields(manifest, frame_id, label_names, config)
-        future = futures.pop(frame_id)
-        return future.result()
-
+    # One loader per frame id, kept ``prefetch_workers + 2`` frames ahead of
+    # the frame in hand; a serial loader reads nothing until it is called, so
+    # a skipped frame reads no raster.
+    loaders = map(loader, frame_ids)
+    ahead = deque(islice(loaders, prefetch_workers + 2))
     try:
-        if executor is not None:
-            lookahead = prefetch_workers + 2
-            for fid in frame_ids[:lookahead]:
-                futures[fid] = executor.submit(_load_fields, manifest, fid, label_names, config)
-            next_submit = len(futures)
-
         for frame_id in frame_ids:
-            if executor is not None and next_submit < len(frame_ids):
-                fid = frame_ids[next_submit]
-                futures[fid] = executor.submit(_load_fields, manifest, fid, label_names, config)
-                next_submit += 1
-
-            if frame_id in odometry:
-                predictor.push_odometry(frame_id, odometry[frame_id])
-            else:
-                if executor is not None:
-                    futures.pop(frame_id, None)
-                records.append(FrameRecord(frame_id, "skipped:missing-odometry", 0, float("inf"), 0))
+            ahead.extend(islice(loaders, 1))
+            load_fields = ahead.popleft()
+            if frame_id not in odometry:
+                yield FrameRecord(frame_id, "skipped:missing-odometry", 0, math.inf, 0), None
                 continue
+            predictor.push_odometry(frame_id, odometry[frame_id])
             if frame_id == manifest.initial_frame:
                 predictor.set_anchor(frame_id, manifest.initial_pose)
             if predictor.anchor_pose is None:
-                if executor is not None:
-                    futures.pop(frame_id, None)
-                records.append(FrameRecord(frame_id, "dropped:not-initialized", 0, float("inf"), 0))
+                yield FrameRecord(frame_id, "dropped:not-initialized", 0, math.inf, 0), None
                 continue
 
             prior = predictor.predict_prior(frame_id)
             try:
-                fields, coarse_fields = fields_for(frame_id)
+                fields, coarse_fields = load_fields()
             except (OSError, ValueError) as err:
-                records.append(FrameRecord(frame_id, f"skipped:io:{err}", 0, float("inf"), 0))
+                yield FrameRecord(frame_id, f"skipped:io:{err}", 0, math.inf, 0), None
                 continue
 
             try:
@@ -260,7 +261,7 @@ def run_dataset(
                 result = align_frame(problem, coarse_fields)
             except Exception as err:
                 _log.exception("frame %d skipped", frame_id)
-                records.append(FrameRecord(frame_id, f"skipped:error:{type(err).__name__}", 0, float("inf"), 0))
+                yield FrameRecord(frame_id, f"skipped:error:{type(err).__name__}", 0, math.inf, 0), None
                 continue
             if debug_dir is not None:
                 out_dir = Path(debug_dir)
@@ -269,22 +270,22 @@ def run_dataset(
                     out_dir / f"{frame_id:06d}.pgm", fields, samples, prior, result.pose, manifest.intrinsics
                 )
             if result.accepted:
-                predictor.commit(frame_id, result.pose, True)
-                trajectory.append((frame_id, result.pose))
-                status = "accepted"
-            else:
-                status = f"dropped:{result.reject_reason}"
-            records.append(
-                FrameRecord(
-                    frame_id=frame_id,
-                    status=status,
-                    iterations=result.iterations,
-                    mean_reproj_error=result.mean_reproj_error,
-                    sample_count=samples.total_count(),
-                )
-            )
+                predictor.commit(frame_id, result.pose)
+            status = "accepted" if result.accepted else f"dropped:{result.reject_reason}"
+            record = FrameRecord(frame_id, status, result.iterations, result.mean_reproj_error, samples.total_count())
+            yield record, result.pose if result.accepted else None
     finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+        executor.shutdown(wait=False, cancel_futures=True)
 
-    return trajectory, records
+
+def run_dataset(
+    manifest: DatasetManifest,
+    config: PipelineConfig | None = None,
+    compact_map: CompactMap | None = None,
+    prefetch_workers: int = 0,
+    debug_dir: str | Path | None = None,
+) -> tuple[list[tuple[int, Pose]], list[FrameRecord]]:
+    """``iter_frames`` run to the end; returns (accepted trajectory, per-frame log)."""
+    frames = list(iter_frames(manifest, config, compact_map, prefetch_workers, debug_dir))
+    trajectory = [(record.frame_id, pose) for record, pose in frames if pose is not None]
+    return trajectory, [record for record, _ in frames]

@@ -79,12 +79,10 @@ class PosePredictor:
         delta = self._anchor_odometry.inverse().compose(self._odometry[frame_id])
         return self._anchor_pose.compose(delta)
 
-    def commit(self, frame_id: int, pose: Pose, accepted: bool) -> None:
-        """Record a localization result; accepted results move the anchor."""
+    def commit(self, frame_id: int, pose: Pose) -> None:
+        """Record an accepted localization result: it becomes the anchor."""
         if frame_id not in self._odometry:
             raise MissingFrame(f"no odometry buffered for frame {frame_id}")
-        if not accepted:
-            return
         self._commits += 1
         if self._commits % _REORTHONORMALIZE_EVERY == 0:
             pose = orthonormalize(pose)

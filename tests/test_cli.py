@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from edgeloc import pipeline
 from edgeloc.cli import main
 from edgeloc.io import read_trajectory
 
@@ -114,9 +115,34 @@ class TestRunCommand:
         tokens[2] = "nan"
         lines[2] = " ".join(tokens)
         odometry.write_text("\n".join(lines) + "\n", encoding="ascii")
-        code = main(["run", "--dataset", str(root), "--out", str(tmp_path / "t.txt")])
+        out, log = tmp_path / "t.txt", tmp_path / "l.jsonl"
+        code = main(["run", "--dataset", str(root), "--out", str(out), "--log", str(log)])
         assert code == 2
         assert f"error: {odometry}:3: non-finite pose value" in capsys.readouterr().err
+        assert not out.exists() and not log.exists()
+
+    def test_crash_keeps_the_finished_frames(self, dataset, tmp_path, monkeypatch):
+        full_traj, full_log = tmp_path / "full.txt", tmp_path / "full.jsonl"
+        assert main(["run", "--dataset", str(dataset), "--out", str(full_traj), "--log", str(full_log)]) == 0
+        traj, log = tmp_path / "t.txt", tmp_path / "l.jsonl"
+        align, on_disk = pipeline.align_frame, []
+
+        def crashing(*args):
+            if len(on_disk) == 3:  # frame 3: what frames 0-2 left on disk, then the crash
+                on_disk.append((traj.read_text(), log.read_text()))
+                raise KeyboardInterrupt
+            on_disk.append(None)
+            return align(*args)
+
+        monkeypatch.setattr(pipeline, "align_frame", crashing)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--dataset", str(dataset), "--out", str(traj), "--log", str(log)])
+        kept_traj = [line for line in full_traj.read_text().splitlines() if int(line.split()[0]) < 3]
+        kept_log = full_log.read_text().splitlines()[:3]
+        assert len(kept_traj) == 3 and [json.loads(line)["frame_id"] for line in kept_log] == [0, 1, 2]
+        assert on_disk[3] == ("".join(f"{line}\n" for line in kept_traj), "".join(f"{line}\n" for line in kept_log))
+        assert traj.read_text().splitlines() == kept_traj
+        assert log.read_text().splitlines() == kept_log
 
     def test_byte_identical_outputs(self, dataset, tmp_path):
         t1, l1 = tmp_path / "a.txt", tmp_path / "a.jsonl"

@@ -2,7 +2,9 @@ import hashlib
 import json
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +116,52 @@ class TestRun:
             assert f1 == f2
             assert np.array_equal(p1.translation, p2.translation)
             assert np.array_equal(p1.rotation, p2.rotation)
+
+    def test_first_frame_reads_only_its_own_rasters(self, monkeypatch, small_dataset):
+        _, root = small_dataset
+        manifest = DatasetManifest.from_directory(root)  # reads frame 0's labels to check the shape
+        reads = []
+        read = pipeline.read_pgm
+
+        def counting(path):
+            reads.append(Path(path))
+            return read(path)
+
+        monkeypatch.setattr(pipeline, "read_pgm", counting)
+        record, pose = next(pipeline.iter_frames(manifest))
+        assert record.frame_id == 0 and record.status == "accepted" and pose is not None
+        assert sorted(path.name for path in reads) == ["dynamic.pgm", "edges.pgm", "labels.pgm"]
+        assert {path.parent.name for path in reads} == {"000000"}
+
+    def test_prefetch_submits_at_most_three_frames_ahead(self, monkeypatch, small_dataset):
+        _, root = small_dataset
+        manifest = DatasetManifest.from_directory(root)
+        submitted = []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(None)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", CountingExecutor)
+        # Read as each frame is yielded: frames submitted beyond the one just finished.
+        frames = pipeline.iter_frames(manifest, prefetch_workers=1)
+        ahead = [len(submitted) - (index + 1) for index, _ in enumerate(frames)]
+        assert ahead == [min(3, 11 - index) for index in range(12)]
+
+    def test_bad_odometry_fails_at_the_call(self, tmp_path, small_dataset):
+        import shutil
+
+        _, root = small_dataset
+        clone = tmp_path / "nan-odometry"
+        shutil.copytree(root, clone)
+        odometry = clone / "odometry.txt"
+        lines = odometry.read_text(encoding="ascii").splitlines()
+        lines[4] = " ".join(lines[4].split()[:3] + ["nan"] + lines[4].split()[4:])
+        odometry.write_text("\n".join(lines) + "\n", encoding="ascii")
+        manifest = DatasetManifest.from_directory(clone)
+        with pytest.raises(ValueError, match=f"{re.escape(str(odometry))}:5"):
+            pipeline.iter_frames(manifest)  # no next(): the set-up runs before the generator is returned
 
     def test_map_is_packed_once_per_run(self, monkeypatch, small_dataset):
         _, root = small_dataset

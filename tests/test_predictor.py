@@ -142,26 +142,18 @@ class TestCommit:
             p.push_odometry(fid, pose_of(fid))
         p.set_anchor(0, Pose.identity())
         target = pose_of(50.0)
-        p.commit(5, target, accepted=True)
+        p.commit(5, target)
         assert p.anchor_frame == 5
         assert np.allclose(p.anchor_pose.translation, target.translation)
-
-    def test_reject_keeps_anchor(self):
-        p = PosePredictor()
-        for fid in range(7):
-            p.push_odometry(fid, pose_of(fid))
-        p.set_anchor(5, pose_of(5.0))
-        p.commit(6, pose_of(60.0), accepted=False)
-        assert p.anchor_frame == 5
 
     def test_accept_reject_accept_sequence(self):
         p = PosePredictor()
         for fid in range(4):
             p.push_odometry(fid, pose_of(fid))
         p.set_anchor(0, Pose.identity())
-        p.commit(1, pose_of(101.0), accepted=True)
-        p.commit(2, pose_of(102.0), accepted=False)
-        p.commit(3, pose_of(103.0), accepted=True)
+        p.commit(1, pose_of(101.0))
+        # frame 2 rejected: the pipeline does not commit it
+        p.commit(3, pose_of(103.0))
         assert p.anchor_frame == 3
         assert np.allclose(p.anchor_pose.translation, [103.0, 0.0, 0.0])
 
@@ -170,4 +162,4 @@ class TestCommit:
         p.push_odometry(0, Pose.identity())
         p.set_anchor(0, Pose.identity())
         with pytest.raises(MissingFrame):
-            p.commit(3, Pose.identity(), accepted=True)
+            p.commit(3, Pose.identity())
