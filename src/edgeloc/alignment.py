@@ -64,6 +64,9 @@ _MAX_STEP_ROTATION_RAD = 0.03
 _PROBE_MAGNITUDES_NEAR_M = (0.05, 0.1)
 _PROBE_MAGNITUDES_FAR_M = (0.05, 0.1, 0.2, 0.3, 0.45)
 _MAX_PROBE_ROUNDS = 8
+# A probe scan projects and gathers at most this many candidate samples at
+# once, so its temporaries stay a few MB however many samples a frame has.
+_PROBE_BLOCK_POINTS = 32768
 _PROBE_DIRECTIONS = [
     np.array([dx, dy, dz], dtype=float) / math.sqrt(dx * dx + dy * dy + dz * dz)
     for dx in (-1, 0, 1)
@@ -241,12 +244,15 @@ def _probe_escape(prepared: _Prepared, pose: Pose, energy_now: float, count_now:
     """Best strictly-lower-energy pose among fixed translation probes, or None.
 
     Candidates are ``pose`` moved by ``magnitude * direction`` in the camera
-    frame, direction-major over ``_PROBE_DIRECTIONS``. All of them are
-    scored in one array pass: one stacked projection, one validity mask and
-    one bilinear gather over every valid sample. Each candidate's energy is
-    its own slice's dot product, with the same values in the same order as
-    ``_evaluate`` at that pose, so the first strictly lowest candidate in
-    loop order wins and only the winner becomes a ``Pose``.
+    frame, direction-major over ``_PROBE_DIRECTIONS``. They are scored in
+    array passes over blocks of whole candidates, at most
+    ``_PROBE_BLOCK_POINTS`` candidate samples each (one candidate at least):
+    one stacked projection, one validity mask and one bilinear gather over
+    the block's valid samples. Each candidate's energy is its own slice's
+    dot product, with the same values in the same order as ``_evaluate`` at
+    that pose, so the block size changes no result; the first strictly
+    lowest candidate in loop order wins and only the winner becomes a
+    ``Pose``.
 
     A candidate must keep nearly all samples active: dumping samples out of
     the image bounds lowers the total energy without improving anything.
@@ -259,6 +265,20 @@ def _probe_escape(prepared: _Prepared, pose: Pose, energy_now: float, count_now:
             for magnitude in magnitudes
         ]
     )
+    block = max(1, _PROBE_BLOCK_POINTS // max(prepared.total_samples, 1))
+    scored = [_probe_block(prepared, rotation, translations[i:i + block]) for i in range(0, len(translations), block)]
+    counts = np.concatenate([block_counts for block_counts, _ in scored])
+    energies = np.concatenate([block_energies for _, block_energies in scored])
+    eligible = np.flatnonzero((counts >= max(min_samples, int(0.95 * count_now))) & (energies < energy_now - 1e-9))
+    if eligible.size == 0:
+        return None
+    best = eligible[np.argmin(energies[eligible])]  # argmin keeps the first of equal energies
+    return float(energies[best]), int(counts[best]), Pose._trusted(rotation, translations[best])
+
+
+def _probe_block(prepared: _Prepared, rotation: np.ndarray, translations: np.ndarray):
+    """Active-sample counts and energies, (C,) each, of the candidate poses
+    (rotation, translations[c]), in one array pass."""
     # Per candidate R^T (p_w - t). The differences are built as contiguous
     # (C, 3N) rows, the same values as world[None] - translations[:, None]
     # without its length-3 inner axis; neither they nor the camera points are
@@ -275,12 +295,7 @@ def _probe_escape(prepared: _Prepared, pose: Pose, energy_now: float, count_now:
     weights = prepared.weight[sample]
     stops = np.cumsum(counts).tolist()
     # Empty slices stay in: a candidate with no active samples has energy 0.0.
-    energies = np.array([weights[s:e] @ (values[s:e] * values[s:e]) for s, e in zip([0] + stops, stops)])
-    eligible = np.flatnonzero((counts >= max(min_samples, int(0.95 * count_now))) & (energies < energy_now - 1e-9))
-    if eligible.size == 0:
-        return None
-    best = eligible[np.argmin(energies[eligible])]  # argmin keeps the first of equal energies
-    return float(energies[best]), int(counts[best]), Pose._trusted(rotation, translations[best])
+    return counts, np.array([weights[s:e] @ (values[s:e] * values[s:e]) for s, e in zip([0] + stops, stops)])
 
 
 def solve(problem: AlignmentProblem) -> AlignmentResult:

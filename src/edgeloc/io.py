@@ -30,19 +30,36 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
         handle.write(image.tobytes())
 
 
-def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a binary (P5) 8-bit PGM."""
-    data = Path(path).read_bytes()
-    match = re.match(rb"P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s", data)
+_PGM_HEADER = re.compile(rb"P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s")
+
+
+def _pgm_header(data: bytes, path) -> tuple[int, int, int]:
+    """(height, width, pixel offset) from the header at the start of ``data``."""
+    match = _PGM_HEADER.match(data)
     if not match:
         raise ValueError(f"{path}: not a binary P5 PGM")
     width, height, maxval = (int(g) for g in match.groups())
     if maxval > 255:
         raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
-    pixels = np.frombuffer(data[match.end():], dtype=np.uint8, count=width * height)
-    if pixels.size != width * height:
+    return height, width, match.end()
+
+
+def read_pgm(path: str | Path) -> np.ndarray:
+    """Read a binary (P5) 8-bit PGM."""
+    data = Path(path).read_bytes()
+    height, width, offset = _pgm_header(data, path)
+    if len(data) - offset < width * height:
         raise ValueError(f"{path}: truncated pixel data")
-    return pixels.reshape(height, width).copy()
+    return np.frombuffer(data, dtype=np.uint8, count=width * height, offset=offset).reshape(height, width).copy()
+
+
+def read_pgm_shape(path: str | Path) -> tuple[int, int]:
+    """(height, width) of a binary (P5) 8-bit PGM, read from its header alone."""
+    with open(path, "rb") as handle:
+        data = handle.read(4096)
+        if not _PGM_HEADER.match(data):
+            data += handle.read()  # a header longer than the first block, or none
+    return _pgm_header(data, path)[:2]
 
 
 def format_pose_line(frame_id: int, pose: Pose) -> str:

@@ -10,6 +10,10 @@ coarse stack of distance fields; selection tests the packed map, which is
 built once per map, against the prior; alignment reads the field stacks
 in place.
 
+Memory: serially, one frame's arrays are alive at a time, and none of them
+when its record is yielded; with ``prefetch_workers`` > 0, the fields of up
+to ``prefetch_workers + 2`` frames ahead are alive as well.
+
 Dataset layout (what the synthetic harness emits):
 
     dataset/
@@ -41,7 +45,7 @@ from .compact_map import CompactMap, parse_map
 from .config import PipelineConfig
 from .edge_features import SemanticEdgeField, build_edge_masks, build_fields, coarsen_mask
 from .geometry import CameraIntrinsics, Pose
-from .io import read_initial_pose, read_intrinsics, read_pgm, read_trajectory, write_pgm
+from .io import read_initial_pose, read_intrinsics, read_pgm, read_pgm_shape, read_trajectory, write_pgm
 from .predictor import PosePredictor
 from .selection import select_landmarks
 
@@ -84,7 +88,7 @@ class DatasetManifest:
         intrinsics = read_intrinsics(intrinsics_file)
         first_labels = frames_dir / f"{frame_dirs[0]:06d}" / "labels.pgm"
         if first_labels.is_file():
-            shape = read_pgm(first_labels).shape
+            shape = read_pgm_shape(first_labels)
             if shape != (intrinsics.height, intrinsics.width):
                 raise ManifestError(
                     f"intrinsics {intrinsics.width}x{intrinsics.height} do not match "
@@ -200,6 +204,10 @@ def iter_frames(
     with alignment of the current one; results are identical to the serial
     run because field construction is a pure function of the frame files.
     ``debug_dir`` writes a reprojection overlay raster per processed frame.
+    Serially, a frame's arrays (rasters, masks, fields, samples, solver
+    state) are alive only while it is processed: none of them when its
+    record is yielded or while the next frame loads. With prefetch, the
+    fields of up to ``prefetch_workers + 2`` frames ahead are alive too.
     A frame whose selection or alignment raises is logged with its traceback
     and gets a ``skipped:error:<Type>`` record; the predictor is not
     committed and the run goes on.
@@ -225,57 +233,72 @@ def _frame_loop(manifest, config, compact_map, odometry, frame_ids, prefetch_wor
 
     # One loader per frame id, kept ``prefetch_workers + 2`` frames ahead of
     # the frame in hand; a serial loader reads nothing until it is called, so
-    # a skipped frame reads no raster.
+    # a skipped frame reads no raster. The loader in hand is never bound
+    # here: with prefetch it holds its frame's fields until it is dropped.
     loaders = map(loader, frame_ids)
     ahead = deque(islice(loaders, prefetch_workers + 2))
     try:
         for frame_id in frame_ids:
             ahead.extend(islice(loaders, 1))
-            load_fields = ahead.popleft()
             if frame_id not in odometry:
+                ahead.popleft()
                 yield FrameRecord(frame_id, "skipped:missing-odometry", 0, math.inf, 0), None
                 continue
             predictor.push_odometry(frame_id, odometry[frame_id])
             if frame_id == manifest.initial_frame:
                 predictor.set_anchor(frame_id, manifest.initial_pose)
             if predictor.anchor_pose is None:
+                ahead.popleft()
                 yield FrameRecord(frame_id, "dropped:not-initialized", 0, math.inf, 0), None
                 continue
 
             prior = predictor.predict_prior(frame_id)
-            try:
-                fields, coarse_fields = load_fields()
-            except (OSError, ValueError) as err:
-                yield FrameRecord(frame_id, f"skipped:io:{err}", 0, math.inf, 0), None
+            status, result, sample_count = _run_frame(
+                manifest, config, compact_map, frame_id, prior, ahead.popleft(), debug_dir
+            )
+            if result is None:
+                yield FrameRecord(frame_id, status, 0, math.inf, 0), None
                 continue
-
-            try:
-                samples = select_landmarks(compact_map, prior, manifest.intrinsics, config)
-                problem = AlignmentProblem(
-                    samples=samples,
-                    fields=fields,
-                    prior=prior,
-                    intrinsics=manifest.intrinsics,
-                    config=config,
-                )
-                result = align_frame(problem, coarse_fields)
-            except Exception as err:
-                _log.exception("frame %d skipped", frame_id)
-                yield FrameRecord(frame_id, f"skipped:error:{type(err).__name__}", 0, math.inf, 0), None
-                continue
-            if debug_dir is not None:
-                out_dir = Path(debug_dir)
-                out_dir.mkdir(parents=True, exist_ok=True)
-                write_debug_overlay(
-                    out_dir / f"{frame_id:06d}.pgm", fields, samples, prior, result.pose, manifest.intrinsics
-                )
             if result.accepted:
                 predictor.commit(frame_id, result.pose)
-            status = "accepted" if result.accepted else f"dropped:{result.reject_reason}"
-            record = FrameRecord(frame_id, status, result.iterations, result.mean_reproj_error, samples.total_count())
+            record = FrameRecord(frame_id, status, result.iterations, result.mean_reproj_error, sample_count)
             yield record, result.pose if result.accepted else None
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
+
+
+def _run_frame(manifest, config, compact_map, frame_id, prior, load_fields, debug_dir):
+    """One frame's extraction, selection, alignment and debug overlay.
+
+    Returns (status, AlignmentResult, sample count); the result is None
+    when extraction, selection or alignment raised, and the status is then
+    the frame's ``skipped:`` status. The frame's arrays are locals of this
+    call alone, so they are freed when it returns, before the frame's
+    record is built.
+    """
+    try:
+        fields, coarse_fields = load_fields()
+    except (OSError, ValueError) as err:
+        return f"skipped:io:{err}", None, 0
+    try:
+        samples = select_landmarks(compact_map, prior, manifest.intrinsics, config)
+        problem = AlignmentProblem(
+            samples=samples,
+            fields=fields,
+            prior=prior,
+            intrinsics=manifest.intrinsics,
+            config=config,
+        )
+        result = align_frame(problem, coarse_fields)
+    except Exception as err:
+        _log.exception("frame %d skipped", frame_id)
+        return f"skipped:error:{type(err).__name__}", None, 0
+    if debug_dir is not None:
+        out_dir = Path(debug_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_debug_overlay(out_dir / f"{frame_id:06d}.pgm", fields, samples, prior, result.pose, manifest.intrinsics)
+    status = "accepted" if result.accepted else f"dropped:{result.reject_reason}"
+    return status, result, samples.total_count()
 
 
 def run_dataset(

@@ -675,6 +675,28 @@ class TestProbeScan:
             for magnitudes in (al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M):
                 assert_probe_matches_reference(prepared, pose, energy_here, count_here, 30, magnitudes)
 
+    def test_block_size_changes_no_result(self, monkeypatch):
+        # One candidate per block against every candidate in one block, on a
+        # real frame with the prior up to 1 m off.
+        problem = _small_synthetic_problem()
+        prepared = al._Prepared(problem)
+        samples = prepared.total_samples
+        rng = np.random.default_rng(5)
+        winners = 0
+        for offset in (0.0, 0.3, 1.0):
+            pose = syn.perturb_pose_random(problem.prior, offset, 0.01, rng)
+            energy_here, count_here, _, _ = al._evaluate(prepared, pose)
+            for magnitudes in (al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M):
+                candidates = len(al._PROBE_DIRECTIONS) * len(magnitudes)
+                for energy_now in (energy_here, math.inf):
+                    scans = []
+                    for block in (samples, candidates * samples):
+                        monkeypatch.setattr(al, "_PROBE_BLOCK_POINTS", block)
+                        scans.append(probe_key(al._probe_escape(prepared, pose, energy_now, count_here, 30, magnitudes)))
+                    assert scans[0] == scans[1]
+                    winners += scans[0] is not None
+        assert winners >= 6  # every energy_now = inf scan has a winner
+
 
 def reference_jacobian_rows(prepared, pose):
     """The weighted Jacobian rows at ``pose`` built with np.stack and np.cross,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
@@ -24,6 +25,7 @@ from edgeloc.io import (
     read_initial_pose,
     read_intrinsics,
     read_pgm,
+    read_pgm_shape,
     read_trajectory,
     write_pgm,
     write_trajectory,
@@ -79,6 +81,23 @@ class TestManifest:
         with pytest.raises(ManifestError):
             DatasetManifest.from_directory(clone)
 
+    def test_frame_raster_with_truncated_pixels_passes_and_is_skipped(self, monkeypatch, tmp_path, small_dataset):
+        # The manifest reads frame 0's header alone: a valid header with
+        # too few pixels passes it, and frame 0 gets a skipped:io record.
+        import shutil
+
+        _, root = small_dataset
+        clone = tmp_path / "truncated"
+        shutil.copytree(root, clone)
+        labels = clone / "frames" / "000000" / "labels.pgm"
+        labels.write_bytes(labels.read_bytes()[:1000])
+        monkeypatch.setattr(pipeline, "read_pgm", None)  # the manifest reads no whole raster
+        manifest = DatasetManifest.from_directory(clone)
+        monkeypatch.undo()
+        _, records = run_dataset(manifest)
+        assert records[0].frame_id == 0 and records[0].status.startswith("skipped:io:")
+        assert str(labels) in records[0].status
+
 
 class TestRun:
     def test_noiseless_closed_loop_accepts_all(self, small_dataset):
@@ -119,7 +138,7 @@ class TestRun:
 
     def test_first_frame_reads_only_its_own_rasters(self, monkeypatch, small_dataset):
         _, root = small_dataset
-        manifest = DatasetManifest.from_directory(root)  # reads frame 0's labels to check the shape
+        manifest = DatasetManifest.from_directory(root)  # reads frame 0's labels header to check the shape
         reads = []
         read = pipeline.read_pgm
 
@@ -148,6 +167,28 @@ class TestRun:
         frames = pipeline.iter_frames(manifest, prefetch_workers=1)
         ahead = [len(submitted) - (index + 1) for index, _ in enumerate(frames)]
         assert ahead == [min(3, 11 - index) for index in range(12)]
+
+    @pytest.mark.parametrize("prefetch_workers", [0, 1])
+    def test_frame_fields_are_freed_before_its_record(self, monkeypatch, small_dataset, prefetch_workers):
+        _, root = small_dataset
+        manifest = DatasetManifest.from_directory(root)
+        stacks = {}  # frame id -> weakrefs to its fine and coarse FieldStacks and their arrays
+        load = pipeline._load_fields
+
+        def recording(manifest, frame_id, *args):
+            if prefetch_workers == 0:
+                # Serial: the frame before this one is gone before this one loads.
+                assert not [frame for frame, refs in stacks.items() if any(ref() is not None for ref in refs)]
+            fine, coarse = load(manifest, frame_id, *args)
+            stacks[frame_id] = [weakref.ref(item) for item in (fine, coarse, fine.stack, coarse.stack)]
+            return fine, coarse
+
+        monkeypatch.setattr(pipeline, "_load_fields", recording)
+        records = 0
+        for record, _ in pipeline.iter_frames(manifest, prefetch_workers=prefetch_workers):
+            assert all(ref() is None for ref in stacks[record.frame_id])
+            records += 1
+        assert records == len(stacks) == 12
 
     def test_bad_odometry_fails_at_the_call(self, tmp_path, small_dataset):
         import shutil
@@ -383,6 +424,28 @@ class TestEvaluate:
         text = evaluate_trajectories(est, gt).to_text()
         assert "norm RMSE" in text
         assert "rmse_norm_m" in text
+
+
+class TestPgm:
+    @pytest.mark.parametrize("comment", [b"", b"# made by hand\n", b"#" + b"x" * 5000 + b"\n"])
+    def test_shape_is_read_from_the_header_as_read_pgm_reads_it(self, tmp_path, comment):
+        path = tmp_path / "image.pgm"
+        pixels = np.arange(35, dtype=np.uint8).reshape(5, 7)
+        path.write_bytes(b"P5\n" + comment + b"7 5\n255\n" + pixels.tobytes())
+        assert read_pgm_shape(path) == (5, 7)
+        assert np.array_equal(read_pgm(path), pixels)
+
+    def test_header_errors_are_shared_and_truncation_is_named(self, tmp_path):
+        path = tmp_path / "image.pgm"
+        for data, message in ((b"garbage", "not a binary P5 PGM"), (b"P5 7 5 65535\n", "only 8-bit")):
+            path.write_bytes(data)
+            for read in (read_pgm_shape, read_pgm):
+                with pytest.raises(ValueError, match=message):
+                    read(path)
+        path.write_bytes(b"P5 7 5 255\n" + bytes(34))
+        assert read_pgm_shape(path) == (5, 7)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: truncated pixel data"):
+            read_pgm(path)
 
 
 # Number tokens of every size and spelling, for fuzzing the text parsers.
