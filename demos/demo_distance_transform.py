@@ -8,7 +8,7 @@ terminal.
 
 import numpy as np
 
-from edgeloc import SemanticEdgeMask, build_field, sample_field
+from edgeloc import SemanticEdgeMask, build_fields, sample_field
 
 SHADES = " .:-=+*#%@"
 
@@ -24,7 +24,7 @@ def main():
     mask[6:20, 34] = True           # a pole-like vertical edge
     mask[16, 10:22] = True          # a second road mark
 
-    field = build_field(SemanticEdgeMask("demo", mask), d_max=12.0)
+    field = build_fields([SemanticEdgeMask("demo", mask)], d_max=12.0)["demo"]
 
     print("edge mask (X = edge pixel):")
     print("\n".join("".join("X" if px else "." for px in row) for row in mask))

@@ -18,10 +18,10 @@ from .compact_map import (
 )
 from .config import PipelineConfig, parse_config_text
 from .edge_features import (
+    FieldStack,
     SemanticEdgeField,
     SemanticEdgeMask,
     build_edge_masks,
-    build_field,
     build_fields,
     coarsen_mask,
     sample_field,
@@ -42,6 +42,7 @@ __all__ = [
     "CompactMap",
     "DatasetManifest",
     "ErrorReport",
+    "FieldStack",
     "FrameRecord",
     "LandmarkSamples",
     "LineSegmentLandmark",
@@ -57,7 +58,6 @@ __all__ = [
     "WireframeLandmark",
     "align_frame",
     "build_edge_masks",
-    "build_field",
     "build_fields",
     "coarsen_mask",
     "compose",

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import PipelineConfig
-from .edge_features import COARSE_SCALE, SemanticEdgeField, bilinear_gather, stack_fields
+from .edge_features import COARSE_SCALE, FieldStack, bilinear_gather
 from .geometry import (
     MIN_PROJECTION_DEPTH,
     CameraIntrinsics,
@@ -81,13 +81,15 @@ class AlignmentProblem:
     """One frame's alignment inputs. ``initial`` defaults to the prior pose."""
 
     samples: LandmarkSamples
-    fields: dict[str, SemanticEdgeField]
+    fields: FieldStack
     prior: Pose
     intrinsics: CameraIntrinsics
     initial: Pose | None = None
     config: PipelineConfig = PipelineConfig()
 
     def __post_init__(self):
+        if not isinstance(self.fields, FieldStack):
+            raise TypeError(f"fields must be a FieldStack, got {type(self.fields).__name__}")
         for label in self.samples.labels:
             if label not in self.fields:
                 raise ValueError(f"no edge field for sampled label {label!r}")
@@ -115,15 +117,16 @@ class AlignmentResult:
 
 class _Prepared:
     """World-frame sample points, weights, and the stack of distance grids,
-    fixed for the whole solve. Samples keep their order, and each sample's
-    ``label_index`` is its label's layer in ``distance`` (see stack_fields,
-    which hands out build_fields' own stack without a copy)."""
+    fixed for the whole solve. Samples keep their order; ``distance`` is the
+    FieldStack's own read-only stack, read in place, and each sample's
+    ``label_index`` is its label's layer in it."""
 
     def __init__(self, problem: AlignmentProblem):
         samples = problem.samples
         self.intrinsics = problem.intrinsics
         self.world = problem.prior.apply(samples.points)
-        self.distance, layer = stack_fields(problem.fields, samples.labels)
+        self.distance = problem.fields.stack
+        layer = np.array([problem.fields.layer[label] for label in samples.labels], dtype=np.intp)
         self.label_index = layer[samples.label]
         weights = np.array([problem.config.weight_for(label) for label in samples.labels], dtype=float)
         self.weight = weights[samples.label]
@@ -438,7 +441,7 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
     )
 
 
-def solve_two_scale(problem: AlignmentProblem, coarse_fields: dict[str, SemanticEdgeField]) -> AlignmentResult:
+def solve_two_scale(problem: AlignmentProblem, coarse_fields: FieldStack) -> AlignmentResult:
     """Coarse-to-fine solve: align on stride-``COARSE_SCALE`` fields first.
 
     The coarse fields (built from block-OR downsampled masks) keep their
@@ -471,7 +474,7 @@ def _within_jump(pose: Pose, prior: Pose, config: PipelineConfig) -> bool:
     return jump <= config.max_translation_jump_m and turn <= math.radians(config.max_rotation_jump_deg)
 
 
-def align_frame(problem: AlignmentProblem, coarse_fields: dict[str, SemanticEdgeField]) -> AlignmentResult:
+def align_frame(problem: AlignmentProblem, coarse_fields: FieldStack) -> AlignmentResult:
     """One validated coarse-to-fine attempt from the problem's start pose."""
     return validate(solve_two_scale(problem, coarse_fields), problem.prior, problem.config)
 

@@ -33,8 +33,6 @@ class PipelineConfig:
     max_rotation_jump_deg: float = 3.0
     max_mean_reproj_px: float = 3.0
     min_information: float = 1e-4
-    # pose predictor
-    odometry_window: int = 1000
 
     def __post_init__(self):
         for field in fields(self):

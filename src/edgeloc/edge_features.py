@@ -18,10 +18,10 @@ is the table's last entry. The field thus equals a brute-force
 nearest-edge-pixel search (0 ULP).
 
 A field stores only this grid; its slope G_u, G_v is taken from the grid
-where it is sampled, see bilinear_gather. The fields of one build_fields
-call are the layers of one read-only stack, which the solver indexes
-directly (stack_fields). A coarse mask is built from its fine mask's edge
-pixels, not from a pass over every block.
+where it is sampled, see bilinear_gather. Fields reach the solver only as
+a FieldStack, the layers of one read-only (L, H, W) stack that it indexes
+in place. A coarse mask is built from its fine mask's edge pixels, not from
+a pass over every block.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class SemanticEdgeMask:
 
     label: str
     pixels: np.ndarray  # (H, W) bool
-    frame_id: int | None = None
 
     def __post_init__(self):
         pixels = np.asarray(self.pixels).astype(bool)
@@ -154,13 +153,22 @@ def squared_edge_distance(pixels: np.ndarray, window: int | None = None) -> np.n
 
 
 class FieldStack(dict):
-    """build_fields' result: fields by label whose grids are the layers of
-    one read-only (L, H, W) ``stack``; ``layer`` maps each label to its layer."""
+    """The fields the solver reads: by label, each the layer of one (L, H, W)
+    ``stack`` that ``layer`` maps it to, all truncated at ``d_max``.
+
+    ``stack`` is a read-only view of the array given, which itself stays
+    writable; the solver reads it in place.
+    """
 
     def __init__(self, labels: list[str], stack: np.ndarray, d_max: float):
+        stack = stack.view()
+        if stack.ndim != 3 or len(stack) != len(labels):
+            raise ValueError(f"expected an ({len(labels)}, H, W) stack, got shape {stack.shape}")
+        stack.setflags(write=False)
         super().__init__((label, SemanticEdgeField(label, stack[i], d_max)) for i, label in enumerate(labels))
         self.stack = stack
         self.layer = {label: i for i, label in enumerate(labels)}
+        self.d_max = d_max
 
 
 def build_fields(masks: list[SemanticEdgeMask], d_max: float = DEFAULT_TRUNCATION_PX) -> FieldStack:
@@ -180,30 +188,7 @@ def build_fields(masks: list[SemanticEdgeMask], d_max: float = DEFAULT_TRUNCATIO
     table = np.minimum(np.sqrt(np.arange(cap * cap + 1.0)), d_max)
     # As in squared_edge_distance, a cap below ceil(d_max) marks empty masks.
     table[-1] = d_max
-    distance = _edge_distance(stack, cap, table)
-    distance.setflags(write=False)
-    return FieldStack([mask.label for mask in masks], distance, d_max)
-
-
-def stack_fields(fields: dict[str, SemanticEdgeField], labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """One (L, H, W) array holding the grid of every field in ``labels``,
-    and each label's layer in it.
-
-    The fields of one build_fields call are already the layers of one
-    stack, which is returned as it is; other fields are stacked here.
-    """
-    if isinstance(fields, FieldStack):
-        stack, layer = fields.stack, fields.layer
-    else:
-        grids = [fields[label].distance for label in labels]
-        stack = np.stack(grids) if grids else np.empty((0, 1, 1))
-        layer = {label: i for i, label in enumerate(labels)}
-    return stack, np.array([layer[label] for label in labels], dtype=np.intp)
-
-
-def build_field(mask: SemanticEdgeMask, d_max: float = DEFAULT_TRUNCATION_PX) -> SemanticEdgeField:
-    """build_fields for one mask."""
-    return build_fields([mask], d_max=d_max)[mask.label]
+    return FieldStack([mask.label for mask in masks], _edge_distance(stack, cap, table), d_max)
 
 
 def coarsen_mask(mask: SemanticEdgeMask, scale: int = COARSE_SCALE) -> SemanticEdgeMask:
@@ -224,16 +209,16 @@ def coarsen_mask(mask: SemanticEdgeMask, scale: int = COARSE_SCALE) -> SemanticE
     whole = (v < ch * scale) & (u < cw * scale)
     pixels = np.zeros((ch, cw), dtype=bool)
     pixels[v[whole] // scale, u[whole] // scale] = True
-    return SemanticEdgeMask(mask.label, pixels, frame_id=mask.frame_id)
+    return SemanticEdgeMask(mask.label, pixels)
 
 
 def bilinear_gather(u, v, shape: tuple[int, int]):
     """Bilinear interpolation at sub-pixel (u, v) on grids of ``shape`` (H, W).
 
-    Returns ``gather(grids, layer=None)``, which interpolates one (H, W)
-    grid, or the grid ``layer`` of an (L, H, W) stack at each location, and
-    returns ``(V, slope)``. The weights and corner indices are computed once
-    and shared by every grid gathered. Each corner is read from the
+    Returns ``gather(grids, layer)``, which interpolates the grid ``layer``
+    of an (L, H, W) stack at each location, or layer 0 of one (H, W) grid,
+    and returns ``(V, slope)``. The weights and corner indices are computed
+    once and shared by every grid gathered. Each corner is read from the
     flattened stack with one index array, ``(layer * H + iv) * W + iu`` plus
     a column and a row offset. A one-pixel-wide or -tall grid interpolates
     along its other axis only.
@@ -262,9 +247,9 @@ def bilinear_gather(u, v, shape: tuple[int, int]):
     du, step_v = int(width > 1), int(height > 1)
     dv = step_v * width
 
-    def gather(grids, layer=None):
+    def gather(grids, layer):
         flat = np.ravel(grids)
-        base = iv * width + iu if layer is None else (layer * height + iv) * width + iu
+        base = (layer * height + iv) * width + iu
         d00 = flat.take(base)
         d10 = flat.take(base + du)
         d01 = flat.take(base + dv)
@@ -309,7 +294,7 @@ def sample_field(field: SemanticEdgeField, u: float, v: float) -> tuple[float, f
     height, width = field.shape
     if not (0.0 <= u <= width - 1 and 0.0 <= v <= height - 1):
         raise OutOfBoundsPixel(f"({u:.2f}, {v:.2f}) outside [0, {width - 1}] x [0, {height - 1}]")
-    value, slope = bilinear_gather(np.float64(u), np.float64(v), field.shape)(field.distance)
+    value, slope = bilinear_gather(np.float64(u), np.float64(v), field.shape)(field.distance, 0)
     return tuple(float(x) for x in (value, *slope()))
 
 
@@ -335,7 +320,6 @@ def build_edge_masks(
     dynamic_mask: np.ndarray,
     labels: list[str] | tuple[str, ...],
     boundary_margin: int = DEFAULT_BOUNDARY_MARGIN_PX,
-    frame_id: int | None = None,
 ) -> list[SemanticEdgeMask]:
     """Split a raw edge map into per-label masks, removing dynamic areas.
 
@@ -353,5 +337,5 @@ def build_edge_masks(
     keep = edges & ~_dilate(dynamic, boundary_margin)
     masks = []
     for index, name in enumerate(labels, start=1):
-        masks.append(SemanticEdgeMask(name, keep & (label_image == index), frame_id=frame_id))
+        masks.append(SemanticEdgeMask(name, keep & (label_image == index)))
     return masks

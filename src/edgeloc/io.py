@@ -89,16 +89,21 @@ def write_trajectory(path: str | Path, items: list[tuple[int, Pose]]) -> None:
 
 
 def _pose_lines(path: str | Path):
-    """(frame_id, Pose) per non-comment line; errors name ``path:line``."""
+    """(frame_id, Pose) per non-comment line; errors, a repeated frame id
+    among them, name ``path:line``."""
+    first_line = {}
     for line_number, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            item = parse_pose_line(line)
+            frame_id, pose = parse_pose_line(line)
+            if frame_id in first_line:
+                raise ValueError(f"frame {frame_id} repeats line {first_line[frame_id]}")
         except ValueError as err:
             raise ValueError(f"{path}:{line_number}: {err}") from None
-        yield item
+        first_line[frame_id] = line_number
+        yield frame_id, pose
 
 
 def read_trajectory(path: str | Path) -> dict[int, Pose]:

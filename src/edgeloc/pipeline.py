@@ -43,7 +43,7 @@ import numpy as np
 from .alignment import AlignmentProblem, align_frame
 from .compact_map import CompactMap, parse_map
 from .config import PipelineConfig
-from .edge_features import SemanticEdgeField, build_edge_masks, build_fields, coarsen_mask
+from .edge_features import FieldStack, build_edge_masks, build_fields, coarsen_mask
 from .geometry import CameraIntrinsics, Pose
 from .io import read_initial_pose, read_intrinsics, read_pgm, read_pgm_shape, read_trajectory, write_pgm
 from .predictor import PosePredictor
@@ -142,7 +142,7 @@ def _load_fields(
     frame_id: int,
     label_names: tuple[str, ...],
     config: PipelineConfig,
-) -> tuple[dict[str, SemanticEdgeField], dict[str, SemanticEdgeField]]:
+) -> tuple[FieldStack, FieldStack]:
     """Read one frame's rasters and build fine and coarse per-label fields;
     ValueError if the label raster's shape is not the intrinsics'."""
     frame_dir = manifest.frames_dir / f"{frame_id:06d}"
@@ -158,7 +158,6 @@ def _load_fields(
         dynamic_img,
         label_names,
         boundary_margin=config.boundary_margin_px,
-        frame_id=frame_id,
     )
     fine = build_fields(masks, d_max=config.dt_truncation_px)
     coarse = build_fields([coarsen_mask(m) for m in masks], d_max=config.dt_truncation_px)
@@ -175,8 +174,7 @@ def write_debug_overlay(path, fields, samples, prior, pose, intrinsics) -> None:
     """
     from .geometry import project_points
 
-    stack = np.stack([f.distance / max(f.d_max, 1e-9) for f in fields.values()])
-    canvas = (stack.min(axis=0) * 200.0).astype(np.uint8)
+    canvas = (fields.stack.min(axis=0) / fields.d_max * 200.0).astype(np.uint8)
     height, width = canvas.shape
     camera = pose.inverse()
     uv, valid = project_points(camera.apply(prior.apply(samples.points)), intrinsics)
@@ -221,7 +219,7 @@ def iter_frames(
 
 
 def _frame_loop(manifest, config, compact_map, odometry, frame_ids, prefetch_workers, debug_dir):
-    predictor = PosePredictor(window=config.odometry_window)
+    predictor = PosePredictor()
     label_names = compact_map.label_names
     executor = ThreadPoolExecutor(max_workers=max(prefetch_workers, 1))  # no thread starts before a submit
 

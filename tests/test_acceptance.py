@@ -69,21 +69,23 @@ def _planarity_screen(distance: np.ndarray, u: float, v: float) -> bool:
 
 
 def _line_mask_field(rng, label="x", shape=(240, 320)):
-    """Distance field of a few random axis-aligned lines (untruncated)."""
+    """One-label FieldStack: the distance field of a few random axis-aligned
+    lines (untruncated)."""
     mask = np.zeros(shape, dtype=bool)
     for _ in range(int(rng.integers(2, 5))):
         if rng.random() < 0.5:
             mask[int(rng.integers(10, shape[0] - 10)), :] = True
         else:
             mask[:, int(rng.integers(10, shape[1] - 10))] = True
-    return ef.build_field(SemanticEdgeMask(label, mask), d_max=float(sum(shape)))
+    return ef.build_fields([SemanticEdgeMask(label, mask)], d_max=float(sum(shape)))
 
 
 def _ramp_field(rng, label="x", shape=(240, 320)):
+    """One-label FieldStack of a random affine surface."""
     vv, uu = np.meshgrid(np.arange(shape[0], dtype=float), np.arange(shape[1], dtype=float), indexing="ij")
     a, b = rng.uniform(-1.0, 1.0, 2)
     grid = a * uu + b * vv + rng.uniform(100.0, 400.0)
-    return ef.SemanticEdgeField(label, grid, d_max=1e9)
+    return ef.FieldStack([label], grid[None], d_max=1e9)
 
 
 def test_criterion_2_jacobian_matches_finite_differences():
@@ -100,7 +102,7 @@ def test_criterion_2_jacobian_matches_finite_differences():
     worst = 0.0
     field_pool = [_line_mask_field(rng) for _ in range(30)] + [_ramp_field(rng) for _ in range(30)]
     while checked < 1000:
-        field = field_pool[int(rng.integers(0, len(field_pool)))]
+        fields = field_pool[int(rng.integers(0, len(field_pool)))]
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         pose = Pose(so3_exp(axis * rng.uniform(0.0, 2.5)), rng.uniform(-4.0, 4.0, 3))
@@ -108,12 +110,12 @@ def test_criterion_2_jacobian_matches_finite_differences():
         cam[:2] *= cam[2]
         world = pose.apply(cam)
         samples = LandmarkSamples(("x",), world.reshape(1, 3), np.zeros(1, dtype=int), np.zeros(1, dtype=int))
-        problem = al.AlignmentProblem(samples=samples, fields={"x": field}, prior=Pose.identity(), intrinsics=k)
+        problem = al.AlignmentProblem(samples=samples, fields=fields, prior=Pose.identity(), intrinsics=k)
         u = k.fx * cam[0] / cam[2] + k.cx
         v = k.fy * cam[1] / cam[2] + k.cy
         if not (0 <= u <= k.width - 1 and 0 <= v <= k.height - 1):
             continue
-        if not _planarity_screen(field.distance, u, v):
+        if not _planarity_screen(fields["x"].distance, u, v):
             continue
         row = al.jacobian_row(problem, pose, world, "x")
         if row is None or np.linalg.norm(row) < 1e-6:

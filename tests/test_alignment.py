@@ -17,11 +17,20 @@ from edgeloc.selection import LandmarkSamples, select_landmarks
 K = CameraIntrinsics(fx=250.0, fy=250.0, cx=159.5, cy=119.5, width=320, height=240)
 
 
-def ramp_field(label, a, b, c, shape=(240, 320)):
+def ramp_grid(a, b, c, shape=(240, 320)):
     """An affine distance surface: gradients are exact, no ridges anywhere."""
     vv, uu = np.meshgrid(np.arange(shape[0], dtype=float), np.arange(shape[1], dtype=float), indexing="ij")
-    grid = a * uu + b * vv + c
-    return ef.SemanticEdgeField(label, grid, d_max=1e9)
+    return a * uu + b * vv + c
+
+
+def ramp_field(label, a, b, c, shape=(240, 320)):
+    """A one-label FieldStack of ramp_grid."""
+    return ef.FieldStack([label], ramp_grid(a, b, c, shape)[None], d_max=1e9)
+
+
+def mask_field(label, mask, d_max=ef.DEFAULT_TRUNCATION_PX):
+    """A one-label FieldStack of a mask's distance field."""
+    return build_fields([ef.SemanticEdgeMask(label, mask)], d_max=d_max)
 
 
 def block_samples(blocks):
@@ -33,11 +42,13 @@ def block_samples(blocks):
     return LandmarkSamples(labels, points, label, np.zeros(label.size, dtype=int))
 
 
-def single_sample_problem(field, point_r, prior=None, config=None):
-    samples = block_samples({field.label: point_r})
+def single_sample_problem(fields, point_r, prior=None, config=None):
+    """One sample of the only label of ``fields``, a one-label FieldStack."""
+    (label,) = fields
+    samples = block_samples({label: point_r})
     return al.AlignmentProblem(
         samples=samples,
-        fields={field.label: field},
+        fields=fields,
         prior=prior or Pose.identity(),
         intrinsics=K,
         config=config or PipelineConfig(),
@@ -48,7 +59,7 @@ class TestResidual:
     def test_zero_on_edge_pixel(self):
         mask = np.zeros((240, 320), dtype=bool)
         mask[120, :] = True
-        field = ef.build_field(ef.SemanticEdgeMask("lane", mask))
+        field = mask_field("lane", mask)
         # a point projecting exactly onto row 120: v = cy + fy*y/z = 120
         y = (120 - K.cy) * 4.0 / K.fy
         problem = single_sample_problem(field, [0.0, y, 4.0])
@@ -56,7 +67,7 @@ class TestResidual:
         assert abs(value) < 1e-12
 
     def test_empty_mask_gives_truncation_value(self):
-        field = ef.build_field(ef.SemanticEdgeMask("lane", np.zeros((240, 320), bool)), d_max=20.0)
+        field = mask_field("lane", np.zeros((240, 320), bool), d_max=20.0)
         problem = single_sample_problem(field, [0.0, 0.0, 5.0])
         value = al.residual(problem, Pose.identity(), [0.0, 0.0, 5.0], "lane")
         assert value == 20.0
@@ -67,12 +78,12 @@ class TestResidual:
         grid[2, 4] = 8.0
         grid[3, 3] = 2.0
         grid[3, 4] = 6.0
-        field = ef.SemanticEdgeField("lane", grid, d_max=100.0)
+        fields = ef.FieldStack(["lane"], grid[None], d_max=100.0)
         k = CameraIntrinsics(fx=10.0, fy=10.0, cx=3.0, cy=2.0, width=8, height=8)
         # choose a camera point projecting to (u, v) = (3.5, 2.25)
         point = np.array([0.5 / 10.0, 0.25 / 10.0, 1.0])
         samples = block_samples({"lane": point})
-        problem = al.AlignmentProblem(samples=samples, fields={"lane": field}, prior=Pose.identity(), intrinsics=k)
+        problem = al.AlignmentProblem(samples=samples, fields=fields, prior=Pose.identity(), intrinsics=k)
         # manual bilinear at (3.5, 2.25): rows 2,3 cols 3,4
         expected = (4.0 * 0.5 + 8.0 * 0.5) * 0.75 + (2.0 * 0.5 + 6.0 * 0.5) * 0.25
         value = al.residual(problem, Pose.identity(), point, "lane")
@@ -97,22 +108,19 @@ class TestEnergy:
         assert value == 0.0 and count == 1
 
     def test_three_four_gives_twenty_five(self):
-        field_a = ramp_field("a", 0.0, 0.0, 3.0)
-        field_b = ramp_field("b", 0.0, 0.0, 4.0)
+        fields = ef.FieldStack(["a", "b"], np.stack([ramp_grid(0.0, 0.0, 3.0), ramp_grid(0.0, 0.0, 4.0)]), d_max=1e9)
         samples = block_samples({"a": [[0.0, 0.0, 5.0]], "b": [[0.1, 0.0, 5.0]]})
-        problem = al.AlignmentProblem(
-            samples=samples, fields={"a": field_a, "b": field_b}, prior=Pose.identity(), intrinsics=K
-        )
+        problem = al.AlignmentProblem(samples=samples, fields=fields, prior=Pose.identity(), intrinsics=K)
         value, count = al.energy(problem, Pose.identity())
         assert abs(value - 25.0) < 1e-12 and count == 2
 
     def test_matches_independent_resummation(self):
         rng = np.random.default_rng(0)
-        fields = {}
+        masks = []
         points = {}
         for label in ("a", "b", "c"):
             mask = rng.random((240, 320)) < 0.01
-            fields[label] = ef.build_field(ef.SemanticEdgeMask(label, mask))
+            masks.append(ef.SemanticEdgeMask(label, mask))
             pts = np.column_stack(
                 [rng.uniform(-1.5, 1.5, 40), rng.uniform(-1.0, 1.0, 40), rng.uniform(2.0, 20.0, 40)]
             )
@@ -120,6 +128,7 @@ class TestEnergy:
         weights = (("a", 2.0), ("b", 0.5))
         cfg = PipelineConfig(label_weights=weights)
         samples = block_samples(points)
+        fields = build_fields(masks)
         problem = al.AlignmentProblem(samples=samples, fields=fields, prior=Pose.identity(), intrinsics=K, config=cfg)
         pose = Pose.identity()
         value, count = al.energy(problem, pose)
@@ -198,7 +207,7 @@ def noiseless_grid_setup():
         mask[r, :] = True
     for c in cols:
         mask[:, c] = True
-    field = ef.build_field(ef.SemanticEdgeMask("lane", mask))
+    fields = mask_field("lane", mask)
     pts = []
     z = 5.0
     for r in rows:
@@ -208,9 +217,7 @@ def noiseless_grid_setup():
         for v in np.linspace(10, 230, 30):
             pts.append([(c - K.cx) * z / K.fx, (v - K.cy) * z / K.fy, z])
     samples = block_samples({"lane": pts})
-    return al.AlignmentProblem(
-        samples=samples, fields={"lane": field}, prior=Pose.identity(), intrinsics=K
-    )
+    return al.AlignmentProblem(samples=samples, fields=fields, prior=Pose.identity(), intrinsics=K)
 
 
 class TestSolve:
@@ -447,13 +454,36 @@ class TestProblemType:
     def test_missing_field_rejected(self):
         samples = block_samples({"lane": np.zeros((1, 3))})
         with pytest.raises(ValueError):
-            al.AlignmentProblem(samples=samples, fields={}, prior=Pose.identity(), intrinsics=K)
+            al.AlignmentProblem(samples=samples, fields=build_fields([]), prior=Pose.identity(), intrinsics=K)
 
     def test_missing_field_of_one_sampled_label_rejected(self):
         samples = block_samples({"lane": np.zeros((1, 3)), "pole": np.zeros((2, 3))})
-        fields = {"lane": ramp_field("lane", 0.0, 0.0, 1.0)}
+        fields = ramp_field("lane", 0.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="'pole'"):
             al.AlignmentProblem(samples=samples, fields=fields, prior=Pose.identity(), intrinsics=K)
+
+    def test_plain_dict_of_fields_rejected(self):
+        samples = block_samples({"lane": np.zeros((1, 3))})
+        fields = dict(ramp_field("lane", 0.0, 0.0, 1.0))
+        with pytest.raises(TypeError, match="FieldStack"):
+            al.AlignmentProblem(samples=samples, fields=fields, prior=Pose.identity(), intrinsics=K)
+        problem = single_sample_problem(ramp_field("lane", 0.0, 0.0, 1.0), [0.0, 0.0, 5.0])
+        with pytest.raises(TypeError, match="FieldStack"):
+            al.solve_two_scale(problem, dict(problem.fields))
+
+    def test_hand_built_stack_is_a_read_only_view(self):
+        grids = np.stack([ramp_grid(0.1, 0.0, 5.0)])
+        fields = ef.FieldStack(["lane"], grids, d_max=1e9)
+        assert not fields.stack.flags.writeable and not fields["lane"].distance.flags.writeable
+        assert np.shares_memory(fields.stack, grids) and grids.flags.writeable
+        problem = single_sample_problem(fields, [0.0, 0.0, 5.0])
+        assert al._Prepared(problem).distance is fields.stack
+
+    def test_stack_must_hold_one_layer_per_label(self):
+        grid = ramp_grid(0.1, 0.0, 5.0)
+        for labels, stack in ((["lane"], grid), (["lane", "pole"], grid[None])):
+            with pytest.raises(ValueError, match="stack"):
+                ef.FieldStack(labels, stack, d_max=1e9)
 
     def test_initial_defaults_to_prior(self):
         field = ramp_field("lane", 0.1, 0.0, 5.0)
@@ -491,13 +521,11 @@ def assert_probe_matches_reference(prepared, pose, energy_now, count_now, min_sa
 
 
 def prepared_problem(grids, blocks, intrinsics, config=None):
-    """_Prepared of world-frame samples, one field per label."""
-    fields = {
-        label: ef.SemanticEdgeField(label, grid, d_max=float(grid.max(initial=0.0))) for label, grid in zip(blocks, grids)
-    }
+    """_Prepared of world-frame samples, one grid per label."""
+    stack = np.stack(grids)
     problem = al.AlignmentProblem(
         samples=block_samples(blocks),
-        fields=fields,
+        fields=ef.FieldStack(list(blocks), stack, d_max=float(stack.max(initial=0.0))),
         prior=Pose.identity(),
         intrinsics=intrinsics,
         config=config or PipelineConfig(),

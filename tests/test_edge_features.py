@@ -38,7 +38,7 @@ def centre_slopes(field):
     """G_u, G_v sampled at every pixel centre through bilinear_gather."""
     height, width = field.shape
     vv, uu = np.meshgrid(np.arange(height, dtype=float), np.arange(width, dtype=float), indexing="ij")
-    _, slope = ef.bilinear_gather(uu, vv, field.shape)(field.distance)
+    _, slope = ef.bilinear_gather(uu, vv, field.shape)(field.distance, 0)
     return slope()
 
 
@@ -92,13 +92,13 @@ def random_mask(rng):
 
 class TestDistanceTransform:
     def test_all_ones_mask_is_zero(self):
-        field = ef.build_field(ef.SemanticEdgeMask("x", np.ones((8, 9), bool)))
+        field = ef.build_fields([ef.SemanticEdgeMask("x", np.ones((8, 9), bool))])["x"]
         assert (field.distance == 0.0).all()
 
     def test_single_pixel_pythagorean(self):
         mask = np.zeros((10, 10), dtype=bool)
         mask[0, 0] = True
-        field = ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=50.0)
+        field = ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=50.0)["x"]
         assert field.distance[4, 3] == 5.0  # (u, v) = (3, 4)
 
     def test_matches_brute_force_exactly(self):
@@ -110,14 +110,14 @@ class TestDistanceTransform:
             assert np.array_equal(ours, oracle)
 
     def test_empty_mask_is_truncation_value(self):
-        field = ef.build_field(ef.SemanticEdgeMask("x", np.zeros((6, 6), bool)), d_max=20.0)
+        field = ef.build_fields([ef.SemanticEdgeMask("x", np.zeros((6, 6), bool))], d_max=20.0)["x"]
         assert (field.distance == 20.0).all()
 
     def test_truncation_bound(self):
         rng = np.random.default_rng(5)
         for d_max in (3.0, 7.5, 20.0):
             mask = random_mask(rng)
-            field = ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max)
+            field = ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=d_max)["x"]
             assert field.distance.max() <= d_max
 
     def test_untruncated_with_large_d_max(self):
@@ -126,7 +126,7 @@ class TestDistanceTransform:
         while not mask.any():
             mask = random_mask(rng)
         height, width = mask.shape
-        field = ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=float(width + height))
+        field = ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=float(width + height))["x"]
         assert np.array_equal(np.square(field.distance).round(6), brute_force_squared(mask).round(6))
 
     def test_transpose_symmetry(self):
@@ -140,7 +140,7 @@ class TestDistanceTransform:
         rng = np.random.default_rng(8)
         mask_a = rng.random((32, 32)) < 0.1
         mask_b = rng.random((32, 32)) < 0.1
-        field_a = ef.build_field(ef.SemanticEdgeMask("a", mask_a))
+        field_a = ef.build_fields([ef.SemanticEdgeMask("a", mask_a)])["a"]
         both = ef.build_fields(
             [ef.SemanticEdgeMask("a", mask_a), ef.SemanticEdgeMask("b", mask_b)]
         )
@@ -151,19 +151,19 @@ class TestDistanceTransform:
         masks = [ef.SemanticEdgeMask(f"l{i}", rng.random((30, 40)) < 0.08) for i in range(4)]
         batched = ef.build_fields(masks, d_max=15.0)
         for mask in masks:
-            single = ef.build_field(mask, d_max=15.0)
+            single = ef.build_fields([mask], d_max=15.0)[mask.label]
             assert batched[mask.label].distance.tobytes() == single.distance.tobytes()
 
 
 class TestGradients:
     def test_empty_mask_gradients_zero(self):
-        grad_u, grad_v = centre_slopes(ef.build_field(ef.SemanticEdgeMask("x", np.zeros((8, 8), bool))))
+        grad_u, grad_v = centre_slopes(ef.build_fields([ef.SemanticEdgeMask("x", np.zeros((8, 8), bool))])["x"])
         assert (grad_u == 0).all() and (grad_v == 0).all()
 
     def test_unit_slope_along_axis(self):
         mask = np.zeros((21, 21), dtype=bool)
         mask[10, 10] = True
-        grad_u, grad_v = centre_slopes(ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=50.0))
+        grad_u, grad_v = centre_slopes(ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=50.0)["x"])
         # along +u from the center: V grows one pixel per pixel
         assert np.allclose(grad_u[10, 12:19], 1.0)
         assert np.allclose(grad_v[10, 12:19], 0.0)
@@ -171,7 +171,7 @@ class TestGradients:
     def test_central_difference_definition_interior(self):
         rng = np.random.default_rng(10)
         mask = rng.random((24, 24)) < 0.1
-        field = ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=30.0)
+        field = ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=30.0)["x"]
         v = field.distance
         expected_u = (v[5, 8 + 1] - v[5, 8 - 1]) / 2.0
         expected_v = (v[5 + 1, 8] - v[5 - 1, 8]) / 2.0
@@ -190,7 +190,7 @@ class TestGradients:
                 continue
             height, width = mask.shape
             d_max = float(width + height)
-            grad_u, grad_v = centre_slopes(ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max))
+            grad_u, grad_v = centre_slopes(ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=d_max)["x"])
             assert np.abs(grad_u).max() <= 1.0 + 1e-6
             assert np.abs(grad_v).max() <= 1.0 + 1e-6
             norm = np.hypot(grad_u, grad_v)
@@ -276,7 +276,7 @@ class TestKernelProperties:
     @given(masks_and_d_max())
     def test_truncated_field_matches_oracle(self, case):
         mask, d_max = case
-        assert_field_is_oracle(ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max), mask, d_max)
+        assert_field_is_oracle(ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=d_max)["x"], mask, d_max)
 
     @settings(deadline=None, max_examples=100)
     @given(seeded_masks(), st.integers(1, 130))
@@ -292,7 +292,7 @@ class TestKernelProperties:
         shape = (1, length) if wide else (length, 1)
         mask = np.random.default_rng(seed).random(shape) < 0.1
         assert ef.squared_edge_distance(mask).tobytes() == brute_force_squared(mask).tobytes()
-        field = ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max)
+        field = ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=d_max)["x"]
         assert_field_is_oracle(field, mask, d_max)
         grad_u, grad_v = centre_slopes(field)
         across = grad_v if wide else grad_u
@@ -317,7 +317,7 @@ class TestKernelProperties:
         mask = np.zeros(shape, dtype=bool)
         assert ef.squared_edge_distance(mask).shape == shape
         assert ef.squared_edge_distance(np.stack([mask] * 3)).shape == (3,) + shape
-        assert ef.build_field(ef.SemanticEdgeMask("x", mask)).distance.shape == shape
+        assert ef.build_fields([ef.SemanticEdgeMask("x", mask)])["x"].distance.shape == shape
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -333,7 +333,7 @@ class TestKernelProperties:
         ]
         batched = ef.build_fields(masks, d_max=d_max)
         for mask in masks:
-            alone = ef.build_field(mask, d_max=d_max)
+            alone = ef.build_fields([mask], d_max=d_max)[mask.label]
             assert batched[mask.label].distance.tobytes() == alone.distance.tobytes()
 
     @pytest.mark.parametrize("cap, dtype", [(181, np.uint16), (182, np.uint32)])
@@ -345,7 +345,7 @@ class TestKernelProperties:
         mask[1, 180] = True
         assert ef._sum_dtype(cap) == dtype
         for d_max in (cap - 0.5, float(cap)):
-            assert_field_is_oracle(ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max), mask, d_max)
+            assert_field_is_oracle(ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=d_max)["x"], mask, d_max)
         oracle = brute_force_squared(mask)
         assert ef.squared_edge_distance(mask, window=cap).tobytes() == np.minimum(oracle, cap * cap).tobytes()
 
@@ -353,7 +353,7 @@ class TestKernelProperties:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([180.5, 181.0, 181.5, 182.0]))
     def test_thin_rasters_around_width_switch(self, seed, d_max):
         mask = np.random.default_rng(seed).random((2, 400)) < 0.004
-        assert_field_is_oracle(ef.build_field(ef.SemanticEdgeMask("x", mask), d_max=d_max), mask, d_max)
+        assert_field_is_oracle(ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=d_max)["x"], mask, d_max)
 
     @settings(deadline=None, max_examples=300)
     @given(label_stacks(), st.integers(1, 90))
@@ -452,7 +452,7 @@ class TestSampledGradient:
         ref_u, ref_v = gradients(field.distance)
         for point_u, point_v in zip(u[:16], v[:16]):
             gather = ef.bilinear_gather(np.float64(point_u), np.float64(point_v), field.shape)
-            expected = (gather(field.distance)[0], gather(ref_u)[0], gather(ref_v)[0])
+            expected = (gather(field.distance, 0)[0], gather(ref_u, 0)[0], gather(ref_v, 0)[0])
             assert ef.sample_field(field, point_u, point_v) == tuple(float(x) for x in expected)
 
 
@@ -603,7 +603,7 @@ class TestCoarsen:
         mask = np.random.default_rng(seed).random((height, width)) < density
         ch, cw = height // scale, width // scale
         expected = mask[: ch * scale, : cw * scale].reshape(ch, scale, cw, scale).any(axis=(1, 3))
-        coarse = ef.coarsen_mask(ef.SemanticEdgeMask("x", mask, frame_id=3), scale=scale)
+        coarse = ef.coarsen_mask(ef.SemanticEdgeMask("x", mask), scale=scale)
         assert coarse.pixels.shape == (ch, cw)
         assert coarse.pixels.tobytes() == expected.tobytes()
-        assert coarse.label == "x" and coarse.frame_id == 3
+        assert coarse.label == "x"

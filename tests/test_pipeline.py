@@ -500,6 +500,12 @@ class TestPoseFiles:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: zero-norm quaternion"):
             read_initial_pose(path)
 
+    def test_repeated_frame_id_rejected(self, tmp_path):
+        path = tmp_path / "odometry.txt"
+        path.write_text(f"{self.LINE}\n# again\n{self.LINE.replace(' 1.0 ', ' 5.0 ', 1)}\n", encoding="ascii")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: frame 3 repeats line 1$"):
+            read_trajectory(path)
+
     def test_intrinsics_errors_name_file_and_line(self, tmp_path):
         path = tmp_path / "intrinsics.txt"
         path.write_text("# fx fy cx cy width height\n\n250 nan 159.5 119.5 320 240\n", encoding="ascii")
@@ -608,4 +614,3 @@ class TestConfigFile:
         assert cfg.max_rotation_jump_deg == 3.0
         assert cfg.max_mean_reproj_px == 3.0
         assert cfg.min_information == 1e-4
-        assert cfg.odometry_window == 1000
