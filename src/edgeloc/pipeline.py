@@ -1,8 +1,9 @@
 """Per-frame localization pipeline over an on-disk dataset:
 predict -> select -> extract -> align -> validate -> commit.
 
-``iter_frames`` is the frame loop: it yields each frame's record, and its
-pose when accepted, as the frame finishes; ``run_dataset`` collects it.
+``iter_frames`` is the frame loop: over the frame ids the manifest lists,
+it yields each frame's record, and its pose when accepted, as the frame
+finishes; ``run_dataset`` collects it.
 
 Per frame, extraction reads the rasters, builds the per-label edge masks,
 their coarse masks (from the edge pixels alone) and one fine and one
@@ -61,6 +62,7 @@ class DatasetManifest:
     root: Path
     map_path: Path
     frames_dir: Path
+    frame_ids: tuple[int, ...]  # increasing
     odometry_path: Path
     intrinsics: CameraIntrinsics
     initial_frame: int
@@ -82,11 +84,11 @@ class DatasetManifest:
                 raise ManifestError(f"missing dataset file: {required}")
         if not frames_dir.is_dir():
             raise ManifestError(f"missing frames directory: {frames_dir}")
-        frame_dirs = _frame_ids(frames_dir)
-        if not frame_dirs:
+        frame_ids = _frame_ids(frames_dir)
+        if not frame_ids:
             raise ManifestError(f"frames directory is empty: {frames_dir}")
         intrinsics = read_intrinsics(intrinsics_file)
-        first_labels = frames_dir / f"{frame_dirs[0]:06d}" / "labels.pgm"
+        first_labels = frames_dir / f"{frame_ids[0]:06d}" / "labels.pgm"
         if first_labels.is_file():
             shape = read_pgm_shape(first_labels)
             if shape != (intrinsics.height, intrinsics.width):
@@ -100,6 +102,7 @@ class DatasetManifest:
             root=root,
             map_path=map_file,
             frames_dir=frames_dir,
+            frame_ids=frame_ids,
             odometry_path=odometry,
             intrinsics=intrinsics,
             initial_frame=initial_frame,
@@ -108,12 +111,17 @@ class DatasetManifest:
         )
 
 
-def _frame_ids(frames_dir: Path) -> list[int]:
+def _frame_ids(frames_dir: Path) -> tuple[int, ...]:
+    """The ids of the digit-named directories in ``frames_dir``, increasing.
+    Frame rasters are read from ``{id:06d}``: ManifestError names a
+    digit-named directory with any other name, such as ``1`` or ``²``."""
     ids = []
     for entry in frames_dir.iterdir():
         if entry.is_dir() and entry.name.isdigit():
+            if not (entry.name.isascii() and entry.name == f"{int(entry.name):06d}"):
+                raise ManifestError(f"frame directory name is not a zero-padded 6-digit frame id: {entry}")
             ids.append(int(entry.name))
-    return sorted(ids)
+    return tuple(sorted(ids))
 
 
 @dataclass(frozen=True)
@@ -174,8 +182,10 @@ def write_debug_overlay(path, fields, samples, prior, pose, intrinsics) -> None:
     """
     from .geometry import project_points
 
-    canvas = (fields.stack.min(axis=0) / fields.d_max * 200.0).astype(np.uint8)
-    height, width = canvas.shape
+    height, width = intrinsics.height, intrinsics.width
+    # A map with no labels gives a stack with no layers: the field is d_max everywhere.
+    field = fields.stack.min(axis=0) if len(fields.stack) else np.full((height, width), fields.d_max)
+    canvas = (field / fields.d_max * 200.0).astype(np.uint8)
     camera = pose.inverse()
     uv, valid = project_points(camera.apply(prior.apply(samples.points)), intrinsics)
     uv = uv[valid]
@@ -193,14 +203,15 @@ def iter_frames(
     prefetch_workers: int = 0,
     debug_dir: str | Path | None = None,
 ) -> Iterator[tuple[FrameRecord, Pose | None]]:
-    """Run the frame chain, yielding (record, accepted pose or None) as each
-    frame finishes.
+    """Run the frame chain over ``manifest.frame_ids``, yielding (record,
+    accepted pose or None) as each frame finishes.
 
-    The map, odometry and frame ids are read before the generator is
-    returned, so a bad dataset raises here and not at the first frame.
-    ``prefetch_workers`` > 0 overlaps feature extraction of upcoming frames
-    with alignment of the current one; results are identical to the serial
-    run because field construction is a pure function of the frame files.
+    The map and odometry are read, and ``prefetch_workers`` >= 0 checked,
+    before the generator is returned, so bad input raises here and not at
+    the first frame. ``prefetch_workers`` > 0 overlaps feature extraction of
+    upcoming frames with alignment of the current one; results are
+    identical to the serial run because field construction is a pure
+    function of the frame files.
     ``debug_dir`` writes a reprojection overlay raster per processed frame.
     Serially, a frame's arrays (rasters, masks, fields, samples, solver
     state) are alive only while it is processed: none of them when its
@@ -210,16 +221,17 @@ def iter_frames(
     and gets a ``skipped:error:<Type>`` record; the predictor is not
     committed and the run goes on.
     """
+    if prefetch_workers < 0:
+        raise ValueError(f"prefetch_workers must be >= 0, got {prefetch_workers}")
     config = config or PipelineConfig()
     if compact_map is None:
         compact_map = parse_map(manifest.map_path.read_bytes())
     odometry = read_trajectory(manifest.odometry_path)
-    frame_ids = _frame_ids(manifest.frames_dir)
-    return _frame_loop(manifest, config, compact_map, odometry, frame_ids, prefetch_workers, debug_dir)
+    return _frame_loop(manifest, config, compact_map, odometry, prefetch_workers, debug_dir)
 
 
-def _frame_loop(manifest, config, compact_map, odometry, frame_ids, prefetch_workers, debug_dir):
-    predictor = PosePredictor()
+def _frame_loop(manifest, config, compact_map, odometry, prefetch_workers, debug_dir):
+    predictor = PosePredictor(odometry)
     label_names = compact_map.label_names
     executor = ThreadPoolExecutor(max_workers=max(prefetch_workers, 1))  # no thread starts before a submit
 
@@ -233,16 +245,15 @@ def _frame_loop(manifest, config, compact_map, odometry, frame_ids, prefetch_wor
     # the frame in hand; a serial loader reads nothing until it is called, so
     # a skipped frame reads no raster. The loader in hand is never bound
     # here: with prefetch it holds its frame's fields until it is dropped.
-    loaders = map(loader, frame_ids)
+    loaders = map(loader, manifest.frame_ids)
     ahead = deque(islice(loaders, prefetch_workers + 2))
     try:
-        for frame_id in frame_ids:
+        for frame_id in manifest.frame_ids:
             ahead.extend(islice(loaders, 1))
             if frame_id not in odometry:
                 ahead.popleft()
                 yield FrameRecord(frame_id, "skipped:missing-odometry", 0, math.inf, 0), None
                 continue
-            predictor.push_odometry(frame_id, odometry[frame_id])
             if frame_id == manifest.initial_frame:
                 predictor.set_anchor(frame_id, manifest.initial_pose)
             if predictor.anchor_pose is None:

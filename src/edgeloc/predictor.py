@@ -1,4 +1,4 @@
-"""Prior-pose prediction from buffered odometry and the last reliable fix.
+"""Prior-pose prediction from the run's odometry and the last reliable fix.
 
 Odometry arrives as per-frame poses in the odometry module's own arbitrary
 frame. The prior for frame r is the last accepted global pose composed with
@@ -8,20 +8,15 @@ any run of dropped frames and invariant to the odometry gauge.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections.abc import Mapping
 
 from .geometry import Pose, orthonormalize
 
-DEFAULT_WINDOW = 1000
 _REORTHONORMALIZE_EVERY = 100
 
 
-class OutOfOrderFrame(ValueError):
-    """Odometry frame ids must be strictly increasing."""
-
-
 class MissingFrame(KeyError):
-    """Requested frame id has no buffered odometry."""
+    """Requested frame id has no odometry."""
 
 
 class AnchorNotSet(RuntimeError):
@@ -29,63 +24,46 @@ class AnchorNotSet(RuntimeError):
 
 
 class PosePredictor:
-    """Single-writer predictor state; reads are safe when no writer is active."""
+    """Single-writer predictor state over a frame id -> odometry pose mapping.
 
-    def __init__(self, window: int = DEFAULT_WINDOW):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self._odometry: OrderedDict[int, Pose] = OrderedDict()
-        self._anchor_frame: int | None = None
+    The mapping is read, never copied: a live feed may keep adding poses to
+    it. Frame order is the caller's to keep (the dataset manifest lists the
+    frames in increasing id order). Reads are safe when no writer is active.
+    """
+
+    def __init__(self, odometry: Mapping[int, Pose]):
+        self._odometry = odometry
         self._anchor_pose: Pose | None = None
         self._anchor_odometry: Pose | None = None
         self._commits = 0
 
     @property
-    def anchor_frame(self) -> int | None:
-        return self._anchor_frame
-
-    @property
     def anchor_pose(self) -> Pose | None:
         return self._anchor_pose
 
-    def buffered_frames(self) -> tuple[int, ...]:
-        return tuple(self._odometry.keys())
-
-    def push_odometry(self, frame_id: int, pose: Pose) -> None:
-        """Buffer the odometry pose of a new frame; trims to the window."""
-        if self._odometry:
-            last = next(reversed(self._odometry))
-            if frame_id <= last:
-                raise OutOfOrderFrame(f"frame {frame_id} pushed after frame {last}")
-        self._odometry[frame_id] = pose
-        while len(self._odometry) > self.window:
-            self._odometry.popitem(last=False)
+    def _odometry_of(self, frame_id: int) -> Pose:
+        try:
+            return self._odometry[frame_id]
+        except KeyError:
+            raise MissingFrame(f"no odometry for frame {frame_id}") from None
 
     def set_anchor(self, frame_id: int, pose: Pose) -> None:
         """Install the externally supplied initial global pose."""
-        if frame_id not in self._odometry:
-            raise MissingFrame(f"no odometry buffered for frame {frame_id}")
-        self._anchor_frame = frame_id
+        self._anchor_odometry = self._odometry_of(frame_id)
         self._anchor_pose = pose
-        self._anchor_odometry = self._odometry[frame_id]
 
     def predict_prior(self, frame_id: int) -> Pose:
         """Prior global pose for a frame: anchor composed with odometry delta."""
         if self._anchor_pose is None or self._anchor_odometry is None:
             raise AnchorNotSet("no initial global pose committed yet")
-        if frame_id not in self._odometry:
-            raise MissingFrame(f"no odometry buffered for frame {frame_id}")
-        delta = self._anchor_odometry.inverse().compose(self._odometry[frame_id])
+        delta = self._anchor_odometry.inverse().compose(self._odometry_of(frame_id))
         return self._anchor_pose.compose(delta)
 
     def commit(self, frame_id: int, pose: Pose) -> None:
         """Record an accepted localization result: it becomes the anchor."""
-        if frame_id not in self._odometry:
-            raise MissingFrame(f"no odometry buffered for frame {frame_id}")
+        odometry = self._odometry_of(frame_id)
         self._commits += 1
         if self._commits % _REORTHONORMALIZE_EVERY == 0:
             pose = orthonormalize(pose)
-        self._anchor_frame = frame_id
         self._anchor_pose = pose
-        self._anchor_odometry = self._odometry[frame_id]
+        self._anchor_odometry = odometry

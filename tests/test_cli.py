@@ -89,6 +89,35 @@ class TestRunCommand:
         digest = hashlib.sha256((debug / "000003.pgm").read_bytes()).hexdigest()
         assert digest == "3fe6ec93a81347694da4e81d64b28b65a300d056d72541848f7dde567c84a0cf"
 
+    def test_debug_rasters_for_a_map_without_labels(self, dataset, tmp_path):
+        # No labels, no fields: every frame drops, and each overlay is the
+        # intrinsics-sized field at d_max, which draws as 200.
+        from edgeloc.io import read_pgm
+
+        empty_map = tmp_path / "empty.cmap"
+        empty_map.write_text("CMAP 1\n", encoding="ascii")
+        logs = []
+        for name, extra in (("plain", []), ("debug", ["--debug-dir", str(tmp_path / "overlays")])):
+            log = tmp_path / f"{name}.jsonl"
+            args = ["run", "--dataset", str(dataset), "--map", str(empty_map), "--out", str(tmp_path / f"{name}.txt")]
+            assert main(args + ["--log", str(log)] + extra) == 0
+            logs.append(log.read_bytes())
+        assert logs[0] == logs[1]
+        assert [json.loads(line)["status"] for line in logs[0].splitlines()] == ["dropped:too-few-samples"] * 8
+        overlays = sorted((tmp_path / "overlays").iterdir())
+        assert [path.name for path in overlays] == [f"{fid:06d}.pgm" for fid in range(8)]
+        for path in overlays:
+            overlay = read_pgm(path)
+            assert overlay.shape == (400, 640) and (overlay == 200).all()
+
+    @pytest.mark.parametrize("workers", ["-1", "-3"])
+    def test_negative_prefetch_is_error_before_any_output(self, dataset, tmp_path, capsys, workers):
+        # iter_frames checks the count at the call, before the output files are opened.
+        out = tmp_path / "t.txt"
+        assert main(["run", "--dataset", str(dataset), "--out", str(out), "--prefetch", workers]) == 2
+        assert f"error: prefetch_workers must be >= 0, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_with_config_overrides(self, dataset, tmp_path):
         traj = tmp_path / "t.txt"
         config = tmp_path / "cfg.txt"

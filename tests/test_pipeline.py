@@ -68,6 +68,25 @@ class TestManifest:
             DatasetManifest.from_directory(clone)
         assert "empty" in str(err.value)
 
+    @pytest.mark.parametrize("name", ["1", "\u00b2"], ids=["unpadded", "superscript-two"])
+    def test_frame_directory_not_named_by_its_padded_id(self, tmp_path, small_dataset, name):
+        # Beside frames/000001, frames/1 would run frame 1 twice; the rasters
+        # are read from frames/{id:06d}, so any other digit name is rejected.
+        _, root = small_dataset
+        clone = tmp_path / "misnamed"
+        clone.mkdir()
+        for item in ("map.cmap", "odometry.txt", "intrinsics.txt", "initial_pose.txt"):
+            (clone / item).write_bytes((root / item).read_bytes())
+        (clone / "frames" / "000001").mkdir(parents=True)
+        (clone / "frames" / name).mkdir()
+        with pytest.raises(ManifestError) as err:
+            DatasetManifest.from_directory(clone)
+        assert str(clone / "frames" / name) in str(err.value)
+
+    def test_frame_ids_are_the_frame_directories_in_order(self, small_dataset):
+        _, root = small_dataset
+        assert DatasetManifest.from_directory(root).frame_ids == tuple(range(12))
+
     def test_intrinsics_raster_mismatch(self, tmp_path, small_dataset):
         _, root = small_dataset
         clone = tmp_path / "mismatch"

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from edgeloc.geometry import Pose, compose, exp, inverse
-from edgeloc.predictor import AnchorNotSet, MissingFrame, OutOfOrderFrame, PosePredictor
+from edgeloc.geometry import Pose, compose, exp, inverse, orthonormalize, so3_exp
+from edgeloc.predictor import AnchorNotSet, MissingFrame, PosePredictor
 
 
 def pose_of(tx, ty=0.0, tz=0.0, yaw=0.0):
-    from edgeloc.geometry import so3_exp
-
     return Pose(so3_exp([0.0, 0.0, yaw]), [tx, ty, tz])
 
 
@@ -17,37 +15,10 @@ def random_pose(rng):
     return exp(np.concatenate([rng.uniform(-5, 5, 3), axis * rng.uniform(0, 2.0)]))
 
 
-class TestPush:
-    def test_first_frame_buffers(self):
-        p = PosePredictor()
-        p.push_odometry(0, Pose.identity())
-        assert p.buffered_frames() == (0,)
-
-    def test_frames_stay_ordered(self):
-        p = PosePredictor()
-        for fid in (1, 2, 3):
-            p.push_odometry(fid, pose_of(fid))
-        assert p.buffered_frames() == (1, 2, 3)
-
-    def test_out_of_order_raises(self):
-        p = PosePredictor()
-        p.push_odometry(3, Pose.identity())
-        with pytest.raises(OutOfOrderFrame):
-            p.push_odometry(2, Pose.identity())
-
-    def test_window_trims_oldest(self):
-        p = PosePredictor(window=3)
-        for fid in range(5):
-            p.push_odometry(fid, pose_of(fid))
-        assert p.buffered_frames() == (2, 3, 4)
-
-
 class TestPredict:
     def test_identity_delta_returns_anchor(self):
-        p = PosePredictor()
         odom = pose_of(7.0, yaw=0.3)
-        p.push_odometry(0, odom)
-        p.push_odometry(1, odom)  # no motion between frames
+        p = PosePredictor({0: odom, 1: odom})  # no motion between frames
         anchor = pose_of(100.0, 5.0, yaw=1.0)
         p.set_anchor(0, anchor)
         prior = p.predict_prior(1)
@@ -56,22 +27,26 @@ class TestPredict:
 
     def test_direct_substitution(self):
         # anchor R=I, t=0; odometry delta t=(1,0,0) -> prior t=(1,0,0)
-        p = PosePredictor()
-        p.push_odometry(0, Pose.identity())
-        p.push_odometry(1, pose_of(1.0))
+        p = PosePredictor({0: Pose.identity(), 1: pose_of(1.0)})
         p.set_anchor(0, Pose.identity())
         prior = p.predict_prior(1)
         assert np.allclose(prior.translation, [1.0, 0.0, 0.0], atol=1e-12)
         assert np.allclose(prior.rotation, np.eye(3), atol=1e-12)
+
+    def test_pose_added_after_construction_is_predicted(self):
+        odometry = {0: Pose.identity()}
+        p = PosePredictor(odometry)
+        p.set_anchor(0, pose_of(10.0))
+        odometry[1] = pose_of(1.0)  # a live feed adds the next frame's pose
+        prior = p.predict_prior(1)
+        assert np.allclose(prior.translation, [11.0, 0.0, 0.0], atol=1e-12)
 
     def test_prediction_skips_dropped_frames(self):
         # Oracle: composing the anchor with the direct odometry delta 1->3.
         rng = np.random.default_rng(0)
         odom = {fid: random_pose(rng) for fid in (1, 2, 3)}
         anchor = random_pose(rng)
-        p = PosePredictor()
-        for fid in (1, 2, 3):
-            p.push_odometry(fid, odom[fid])
+        p = PosePredictor(odom)
         p.set_anchor(1, anchor)
         # frame 2 dropped: never committed
         prior = p.predict_prior(3)
@@ -85,19 +60,16 @@ class TestPredict:
         rng = np.random.default_rng(1)
         gauge = random_pose(rng)
         gt = {fid: random_pose(rng) for fid in range(6)}
-        p = PosePredictor()
-        for fid in range(6):
-            p.push_odometry(fid, compose(gauge, gt[fid]))
+        p = PosePredictor({fid: compose(gauge, gt[fid]) for fid in range(6)})
         p.set_anchor(0, gt[0])
         for fid in (3, 5):  # frames 1, 2, 4 dropped
             prior = p.predict_prior(fid)
             assert np.abs(prior.translation - gt[fid].translation).max() < 1e-9
             assert np.abs(prior.rotation - gt[fid].rotation).max() < 1e-10
 
-    def test_prior_at_anchor_frame_is_anchor(self):
+    def test_prior_at_anchored_frame_is_anchor(self):
         rng = np.random.default_rng(2)
-        p = PosePredictor()
-        p.push_odometry(4, random_pose(rng))
+        p = PosePredictor({4: random_pose(rng)})
         anchor = random_pose(rng)
         p.set_anchor(4, anchor)
         prior = p.predict_prior(4)
@@ -110,9 +82,7 @@ class TestPredict:
         gauge = random_pose(rng)
 
         def predict(prefix):
-            p = PosePredictor()
-            for fid in range(4):
-                p.push_odometry(fid, compose(prefix, odom[fid]) if prefix else odom[fid])
+            p = PosePredictor({fid: compose(prefix, odom[fid]) if prefix else odom[fid] for fid in range(4)})
             p.set_anchor(0, anchor)
             return p.predict_prior(3)
 
@@ -122,44 +92,52 @@ class TestPredict:
         assert np.abs(plain.rotation - gauged.rotation).max() < 1e-10
 
     def test_missing_frame_raises(self):
-        p = PosePredictor()
-        p.push_odometry(0, Pose.identity())
+        p = PosePredictor({0: Pose.identity()})
         p.set_anchor(0, Pose.identity())
         with pytest.raises(MissingFrame):
             p.predict_prior(9)
 
     def test_anchor_not_set_raises(self):
-        p = PosePredictor()
-        p.push_odometry(0, Pose.identity())
+        p = PosePredictor({0: Pose.identity()})
         with pytest.raises(AnchorNotSet):
             p.predict_prior(0)
 
 
 class TestCommit:
     def test_accept_moves_anchor(self):
-        p = PosePredictor()
-        for fid in range(6):
-            p.push_odometry(fid, pose_of(fid))
+        p = PosePredictor({fid: pose_of(fid) for fid in range(6)})
         p.set_anchor(0, Pose.identity())
         target = pose_of(50.0)
         p.commit(5, target)
-        assert p.anchor_frame == 5
-        assert np.allclose(p.anchor_pose.translation, target.translation)
+        assert p.anchor_pose is target
+        assert np.allclose(p.predict_prior(5).translation, target.translation)
 
     def test_accept_reject_accept_sequence(self):
-        p = PosePredictor()
-        for fid in range(4):
-            p.push_odometry(fid, pose_of(fid))
+        p = PosePredictor({fid: pose_of(fid) for fid in range(4)})
         p.set_anchor(0, Pose.identity())
         p.commit(1, pose_of(101.0))
         # frame 2 rejected: the pipeline does not commit it
-        p.commit(3, pose_of(103.0))
-        assert p.anchor_frame == 3
-        assert np.allclose(p.anchor_pose.translation, [103.0, 0.0, 0.0])
+        last = pose_of(103.0)
+        p.commit(3, last)
+        assert p.anchor_pose is last
+        assert np.allclose(p.predict_prior(3).translation, [103.0, 0.0, 0.0])
 
     def test_commit_missing_frame_raises(self):
-        p = PosePredictor()
-        p.push_odometry(0, Pose.identity())
+        p = PosePredictor({0: Pose.identity()})
         p.set_anchor(0, Pose.identity())
         with pytest.raises(MissingFrame):
             p.commit(3, Pose.identity())
+
+    def test_every_hundredth_commit_is_orthonormalized(self):
+        # A rotation 1e-9 off SO(3): within Pose's guard, and moved by orthonormalize.
+        skewed = Pose(so3_exp([0.1, -0.2, 0.3]) + 1e-9 * np.arange(9.0).reshape(3, 3), [1.0, 2.0, 3.0])
+        projected = orthonormalize(skewed)
+        assert projected.rotation.tobytes() != skewed.rotation.tobytes()
+        p = PosePredictor({fid: pose_of(fid) for fid in range(101)})
+        p.set_anchor(0, Pose.identity())
+        for fid in range(1, 100):
+            p.commit(fid, skewed)
+        assert p.anchor_pose.rotation.tobytes() == skewed.rotation.tobytes()  # commit 99
+        p.commit(100, skewed)
+        assert p.anchor_pose.rotation.tobytes() == projected.rotation.tobytes()
+        assert p.anchor_pose.translation.tobytes() == projected.translation.tobytes()
