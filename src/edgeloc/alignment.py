@@ -5,6 +5,9 @@ Each frame is aligned once, from its prior. Two recovery mechanisms widen
 the basin of that single attempt: a coarse-to-fine stage (``solve_two_scale``
 aligns on block-downsampled fields first) and escape probes (``solve`` tries
 fixed translation offsets once the damped iteration stalls on a poor fit).
+No probe is taken on the truncation plateau, where every active sample with
+a positive weight reads the cap ``d_max``: the energy has neither gradient
+nor contrast there, and a probe could only lower it by losing samples.
 A probe round projects and scores all of its candidate poses in one array
 pass; ``_evaluate`` serves the single poses of the damped iteration. Each
 pose the iteration visits is projected and read from the fields once: the
@@ -64,6 +67,9 @@ _MAX_STEP_ROTATION_RAD = 0.03
 _PROBE_MAGNITUDES_NEAR_M = (0.05, 0.1)
 _PROBE_MAGNITUDES_FAR_M = (0.05, 0.1, 0.2, 0.3, 0.45)
 _MAX_PROBE_ROUNDS = 8
+# A sample reads the cap when its value is within this relative tolerance of
+# d_max: bilinear weights on a constant d_max grid give d_max +- 1 ulp.
+_CAP_RTOL = 1e-9
 # A probe scan projects and gathers at most this many candidate samples at
 # once, so its temporaries stay a few MB however many samples a frame has.
 _PROBE_BLOCK_POINTS = 32768
@@ -119,7 +125,8 @@ class _Prepared:
     """World-frame sample points, weights, and the stack of distance grids,
     fixed for the whole solve. Samples keep their order; ``distance`` is the
     FieldStack's own read-only stack, read in place, and each sample's
-    ``label_index`` is its label's layer in it."""
+    ``label_index`` is its label's layer in it. A value of at least ``cap``
+    reads the truncation cap."""
 
     def __init__(self, problem: AlignmentProblem):
         samples = problem.samples
@@ -132,6 +139,7 @@ class _Prepared:
         self.weight = weights[samples.label]
         self.sqrt_weight = np.sqrt(self.weight)
         self.total_samples = self.world.shape[0]
+        self.cap = problem.fields.d_max * (1.0 - _CAP_RTOL)
 
 
 def _project(k: CameraIntrinsics, cam: np.ndarray):
@@ -147,7 +155,7 @@ def _project(k: CameraIntrinsics, cam: np.ndarray):
 
 
 def _no_samples():
-    return 0.0, 0, np.empty(0), lambda: np.empty((0, 6))
+    return 0.0, 0, np.empty(0), lambda: np.empty((0, 6)), lambda: True
 
 
 def _evaluate(prepared: _Prepared, pose: Pose):
@@ -156,9 +164,11 @@ def _evaluate(prepared: _Prepared, pose: Pose):
     Out-of-bounds or behind-camera samples are dropped for this evaluation.
     Rows are scaled by sqrt(label weight) so J^T J and J^T r realize the
     weighted normal equations. Returns (energy, count, residuals,
-    jacobian_rows): ``jacobian_rows()`` builds the (count, 6) rows from this
-    evaluation's projection, mask, weights and field reads, adding only the
-    slope reads, so a pose the solver keeps is projected once.
+    jacobian_rows, at_cap): ``jacobian_rows()`` builds the (count, 6) rows
+    from this evaluation's projection, mask, weights and field reads, adding
+    only the slope reads, so a pose the solver keeps is projected once;
+    ``at_cap()`` is whether every active sample with a positive weight reads
+    the cap.
     """
     if prepared.total_samples == 0:
         return _no_samples()
@@ -174,7 +184,8 @@ def _evaluate(prepared: _Prepared, pose: Pose):
         prepared.distance, prepared.label_index[valid]
     )
     sqrt_w = prepared.sqrt_weight[valid]
-    energy = float(prepared.weight[valid] @ (values * values))
+    weights = prepared.weight[valid]
+    energy = float(weights @ (values * values))
 
     def jacobian_rows():
         grad_u, grad_v = slope()
@@ -195,7 +206,10 @@ def _evaluate(prepared: _Prepared, pose: Pose):
         jacobian *= sqrt_w[:, None]
         return jacobian
 
-    return energy, count, sqrt_w * values, jacobian_rows
+    def at_cap():
+        return bool(np.all((values >= prepared.cap) | (weights == 0.0)))
+
+    return energy, count, sqrt_w * values, jacobian_rows, at_cap
 
 
 def _norm(vector: np.ndarray) -> float:
@@ -215,7 +229,7 @@ def perturb_pose(pose: Pose, xi: np.ndarray) -> Pose:
 def residual(problem: AlignmentProblem, pose: Pose, point_r: np.ndarray, label: str) -> float | None:
     """Residual of one frame-r sample; None when dropped at this pose."""
     single = _single_prepared(problem, point_r, label)
-    _, count, residuals, _ = _evaluate(single, pose)
+    _, count, residuals = _evaluate(single, pose)[:3]
     if count == 0:
         return None
     return float(residuals[0] / math.sqrt(problem.config.weight_for(label)))
@@ -224,7 +238,7 @@ def residual(problem: AlignmentProblem, pose: Pose, point_r: np.ndarray, label: 
 def jacobian_row(problem: AlignmentProblem, pose: Pose, point_r: np.ndarray, label: str) -> np.ndarray | None:
     """Analytic 6-vector Jacobian row of one sample; None when dropped."""
     single = _single_prepared(problem, point_r, label)
-    _, count, _, jacobian_rows = _evaluate(single, pose)
+    _, count, _, jacobian_rows = _evaluate(single, pose)[:4]
     if count == 0:
         return None
     return jacobian_rows()[0] / math.sqrt(problem.config.weight_for(label))
@@ -239,7 +253,7 @@ def _single_prepared(problem: AlignmentProblem, point_r: np.ndarray, label: str)
 def energy(problem: AlignmentProblem, pose: Pose) -> tuple[float, int]:
     """Total weighted squared residual and the active-sample count."""
     prepared = _Prepared(problem)
-    value, count, _, _ = _evaluate(prepared, pose)
+    value, count = _evaluate(prepared, pose)[:2]
     return value, count
 
 
@@ -259,6 +273,8 @@ def _probe_escape(prepared: _Prepared, pose: Pose, energy_now: float, count_now:
 
     A candidate must keep nearly all samples active: dumping samples out of
     the image bounds lowers the total energy without improving anything.
+    The floor is 0.95 of ``count_now``, the count the previous round left,
+    so over several rounds the active count can fall further than that.
     """
     rotation = pose.rotation
     translations = np.array(
@@ -311,6 +327,8 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
     iteration cap. A converged pose is then checked against the fixed
     escape probes; if one strictly lowers the energy the iteration resumes
     from it, which recovers from truncation plateaus around wrong poses.
+    No probe is taken when every active sample with a positive weight reads
+    the cap: with no contrast left, a probe could only win by losing samples.
     """
     cfg = problem.config
     prepared = _Prepared(problem)
@@ -341,7 +359,7 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
 
     while True:
         while iterations < cfg.max_iterations:
-            _, count_now, residuals, jacobian_rows = current
+            _, count_now, residuals, jacobian_rows, _ = current
             if count_now < cfg.min_samples:
                 break
             jacobian = jacobian_rows()
@@ -398,8 +416,9 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
             if step_norm < cfg.step_tol or rel_decrease < cfg.energy_tol:
                 converged = True
                 break
-        # Too few samples, no solvable system or the iteration cap: diverged.
-        if not converged or probe_rounds >= _MAX_PROBE_ROUNDS:
+        # Not converged (too few samples, no solvable system or the iteration
+        # cap: diverged), out of rounds, or every active sample at the cap.
+        if not converged or probe_rounds >= _MAX_PROBE_ROUNDS or current[4]():
             break
         if count_now > 0 and energy_now / count_now <= cfg.max_mean_reproj_px:
             magnitudes = _PROBE_MAGNITUDES_NEAR_M  # plausible fit, scan nearby only
@@ -417,7 +436,7 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
         damping = cfg.lambda_init
 
     # Gating quantities from the evaluation of the solution.
-    energy_final, count_final, _, jacobian_rows = current
+    energy_final, count_final, _, jacobian_rows, _ = current
     if count_final > 0:
         jacobian_final = jacobian_rows()
         info_min_eig = float(np.linalg.eigvalsh(jacobian_final.T @ jacobian_final)[0])

@@ -351,8 +351,8 @@ class TestSolve:
 
         prep0 = al._Prepared(problem)
         prep1 = al._Prepared(moved)
-        _, _, r0, rows0 = al._evaluate(prep0, pose)
-        _, _, r1, rows1 = al._evaluate(prep1, moved_pose)
+        _, _, r0, rows0 = al._evaluate(prep0, pose)[:4]
+        _, _, r1, rows1 = al._evaluate(prep1, moved_pose)[:4]
         j0, j1 = rows0(), rows1()
         step0 = np.linalg.solve(j0.T @ j0 + 1e-6 * np.eye(6), -j0.T @ r0)
         step1 = np.linalg.solve(j1.T @ j1 + 1e-6 * np.eye(6), -j1.T @ r1)
@@ -394,6 +394,74 @@ def _small_synthetic_problem():
     return al.AlignmentProblem(
         samples=samples, fields=fields, prior=prior, intrinsics=scene.intrinsics, config=cfg
     )
+
+
+CAP = 20.0
+
+
+def cap_plateau_problem(grids=None, weights=(("a", 0.5), ("b", 2.0))):
+    """200 samples of each weighted label at random sub-pixel locations 5 m
+    ahead of an identity prior, on fields of ``CAP`` everywhere unless
+    ``grids`` gives a label its own grid."""
+    rng = np.random.default_rng(3)
+    labels = [label for label, _ in weights]
+    blocks = {}
+    for label in labels:
+        u, v, z = rng.uniform(0.5, K.width - 1.5, 200), rng.uniform(0.5, K.height - 1.5, 200), np.full(200, 5.0)
+        blocks[label] = np.column_stack([(u - K.cx) * z / K.fx, (v - K.cy) * z / K.fy, z])
+    stack = np.stack([(grids or {}).get(label, np.full((K.height, K.width), CAP)) for label in labels])
+    return al.AlignmentProblem(
+        samples=block_samples(blocks),
+        fields=ef.FieldStack(labels, stack, d_max=CAP),
+        prior=Pose.identity(),
+        intrinsics=K,
+        config=PipelineConfig(label_weights=weights),
+    )
+
+
+def sample_values(problem):
+    """Every sample's field value at the prior, as the solver reads it."""
+    prepared = al._Prepared(problem)
+    u, v, valid = al._project(K, prepared.world)
+    assert valid.all()
+    return ef.bilinear_gather(u, v, (K.height, K.width))(prepared.distance, prepared.label_index)[0]
+
+
+class TestCapPlateau:
+    """No escape probe when every active sample with a positive weight reads
+    the truncation cap: a probe there can only win by losing samples."""
+
+    def test_no_probe_round_and_no_samples_shed(self):
+        problem = cap_plateau_problem()
+        values = sample_values(problem)
+        # Bilinear weights make some reads miss the cap by an ulp either way.
+        assert np.any(values < CAP) and np.any(values > CAP)
+        assert np.all(np.abs(values - CAP) <= 4 * np.spacing(CAP))
+        result = al.solve(problem)
+        assert result.probe_rounds == 0
+        assert all(count >= 0.95 * result.active_counts[0] for count in result.active_counts)
+        validated = al.validate(result, problem.prior, problem.config)
+        assert validated.reject_reason == al.REJECT_LOW_INFORMATION
+
+    def test_one_sample_below_the_cap_still_probes(self):
+        # The first sample reads CAP - 0.5 on a flat patch, so the mean
+        # residual stays within 0.01% of the cap.
+        problem = cap_plateau_problem()
+        u, v, _ = al._project(K, al._Prepared(problem).world[:1])
+        grid = np.full((K.height, K.width), CAP)
+        grid[int(v[0]) - 2:int(v[0]) + 4, int(u[0]) - 2:int(u[0]) + 4] = CAP - 0.5
+        problem = cap_plateau_problem(grids={"a": grid})
+        values = sample_values(problem)
+        assert values[0] == CAP - 0.5 and np.all(values[1:] >= CAP - 4 * np.spacing(CAP))
+        assert al.solve(problem).probe_rounds > 0
+
+    def test_a_weight_zero_label_below_the_cap_is_ignored(self):
+        weights = (("a", 0.5), ("b", 2.0), ("c", 0.0))
+        problem = cap_plateau_problem(grids={"c": ramp_grid(0.01, 0.02, 1.0)}, weights=weights)
+        assert np.all(sample_values(problem)[400:] < 10.0)
+        result = al.solve(problem)
+        assert result.probe_rounds == 0
+        assert result.active_counts == (600,) * len(result.active_counts)
 
 
 class TestValidate:
@@ -499,7 +567,7 @@ def reference_probe_escape(prepared, pose, energy_now, count_now, min_samples, m
     for direction in al._PROBE_DIRECTIONS:
         for magnitude in magnitudes:
             candidate = Pose(pose.rotation, pose.translation + pose.rotation @ (magnitude * direction))
-            energy_new, count_new, _, _ = al._evaluate(prepared, candidate)
+            energy_new, count_new = al._evaluate(prepared, candidate)[:2]
             if count_new >= count_floor and energy_new < energy_now - 1e-9:
                 if best is None or energy_new < best[0]:
                     best = (energy_new, count_new, candidate)
@@ -559,7 +627,7 @@ def probe_scans(draw):
         cam = np.column_stack([rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n), rng.uniform(-0.5, 4.0, n)])
         blocks[label] = pose.apply(cam)
     prepared = prepared_problem(grids, blocks, intrinsics, PipelineConfig(label_weights=weights))
-    energy_here, count_here, _, _ = al._evaluate(prepared, pose)
+    energy_here, count_here = al._evaluate(prepared, pose)[:2]
     energy_now = draw(st.sampled_from([energy_here, math.inf, energy_here * 0.5]))
     count_now = draw(st.sampled_from([count_here, 0, prepared.total_samples]))
     min_samples = draw(st.sampled_from([0, 1, 5, 30]))
@@ -699,7 +767,7 @@ class TestProbeScan:
         rng = np.random.default_rng(5)
         for offset in (0.0, 0.3, 1.0):
             pose = syn.perturb_pose_random(problem.prior, offset, 0.01, rng)
-            energy_here, count_here, _, _ = al._evaluate(prepared, pose)
+            energy_here, count_here = al._evaluate(prepared, pose)[:2]
             for magnitudes in (al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M):
                 assert_probe_matches_reference(prepared, pose, energy_here, count_here, 30, magnitudes)
 
@@ -713,7 +781,7 @@ class TestProbeScan:
         winners = 0
         for offset in (0.0, 0.3, 1.0):
             pose = syn.perturb_pose_random(problem.prior, offset, 0.01, rng)
-            energy_here, count_here, _, _ = al._evaluate(prepared, pose)
+            energy_here, count_here = al._evaluate(prepared, pose)[:2]
             for magnitudes in (al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M):
                 candidates = len(al._PROBE_DIRECTIONS) * len(magnitudes)
                 for energy_now in (energy_here, math.inf):
@@ -758,7 +826,7 @@ class TestJacobianRowsReference:
         rng = np.random.default_rng(seed)
         poses = [pose] + [al.perturb_pose(pose, rng.normal(size=6) * scale) for scale in (0.01, 0.2, 1.0)]
         for candidate in poses:
-            _, count, _, rows = al._evaluate(prepared, candidate)
+            _, count, _, rows = al._evaluate(prepared, candidate)[:4]
             if count:
                 assert rows().tobytes() == reference_jacobian_rows(prepared, candidate).tobytes()
 
@@ -768,7 +836,7 @@ class TestJacobianRowsReference:
         rng = np.random.default_rng(12)
         for _ in range(5):
             pose = al.perturb_pose(problem.prior, rng.normal(size=6) * [0.05, 0.05, 0.05, 0.005, 0.005, 0.005])
-            _, count, _, rows = al._evaluate(prepared, pose)
+            _, count, _, rows = al._evaluate(prepared, pose)[:4]
             assert count > 100
             assert rows().tobytes() == reference_jacobian_rows(prepared, pose).tobytes()
 
@@ -854,7 +922,7 @@ class TestEvaluationReuse:
         points[8, 0] = 3.0
         prepared = prepared_problem([np.add.outer(np.arange(24.0), np.arange(32.0) ** 1.5)], {"lane": points}, SMALL_K)
         pose = Pose.identity()
-        energy_value, count, residuals, rows = al._evaluate(prepared, pose)
+        energy_value, count, residuals, rows = al._evaluate(prepared, pose)[:4]
         assert count == 7 and rows().shape == (7, 6)
         fresh = al._evaluate(prepared, Pose(np.eye(3), np.zeros(3)))
         assert (energy_value, count, residuals.tobytes()) == (fresh[0], fresh[1], fresh[2].tobytes())

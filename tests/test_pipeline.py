@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import shutil
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
@@ -340,38 +341,98 @@ class TestRun:
         assert [f for f, _ in trajectory] == [f for f, _ in clean_trajectory if f != 4]
 
 
+def trajectory_sha(trajectory):
+    return hashlib.sha256("".join(format_pose_line(f, p) + "\n" for f, p in trajectory).encode()).hexdigest()
+
+
 class TestPinnedCornerRecovery:
-    def test_probe_rounds_trajectory_and_log_are_pinned(self, monkeypatch, tmp_path):
+    def test_probe_rounds_trajectory_and_log_are_pinned(self, tmp_path):
         # Urban corner, 0.3 m/m odometry drift and a wall over frames 22-27:
-        # priors land far off and solves take far probe rounds. Digests of
-        # the trajectory and log as the per-candidate probe scan gave them.
+        # priors land far off, and on the wall frames every active sample
+        # reads the cap. Digests of the trajectory and log.
         noise = syn.NoiseConfig(odometry_drift_per_m=0.3, edge_jitter_px=1.0, edge_dropout=0.1)
         scene = syn.generate_scene(5, "urban-corner", n_frames=30, noise=noise)
         scene = replace(scene, noise=replace(noise, occluders=(syn.make_occluder_wall(scene, 22, 27),)))
         root = syn.write_dataset(scene, tmp_path / "corner")
-        solves, far_rounds = [], []
-        solve, probe = al.solve, al._probe_escape
+        trajectory, records = run_dataset(DatasetManifest.from_directory(root))
+        log_text = "".join(r.to_json() + "\n" for r in records)
+        log_sha = hashlib.sha256(log_text.encode()).hexdigest()
+        assert trajectory_sha(trajectory) == "bb9a99ed7472b506fc62caca4a147d185e7c6baa2e88f4a306ba6fc978352158"
+        assert log_sha == "73e3e930df195b62b6c62426545928283f8f5422b4937d2ddff0674219e6e65f"
+
+
+# Wall scenes at 0.3 m/m drift and the straight scene with a wall and a gap
+# in its frames: (preset, scene seed, drift per m, wall frames, deleted frames).
+WALL_SCENES = {
+    "corner-recovery": ("urban-corner", 5, 0.3, (25, 31), ()),
+    "corner-seed-1": ("urban-corner", 1, 0.3, (25, 31), ()),
+    "corner-seed-2": ("urban-corner", 2, 0.3, (20, 26), ()),
+    "straight-seed-3-gap": ("urban-straight", 3, 0.05, (15, 22), range(30, 35)),
+}
+
+
+# Trajectory SHA-256 of the other wall scenes. Their wall frames read the cap
+# everywhere, so a change to what the solver does there shows here.
+WALL_TRAJECTORY_PINS = {
+    "corner-seed-1": "7cd0886dc788ab2045288b31bc72e068ca6122d119994a794496ed1b579bed88",
+    "corner-seed-2": "4643f5dad5a89abc00284adcb89f3b1adb283e6a8916e0718db6ec7c4239d071",
+    "straight-seed-3-gap": "55f17a96b94181fea5de53b70cfda909eac00b01943b12ac9c9f7bcf73fa3676",
+}
+
+
+@pytest.fixture(scope="module")
+def wall_scene(tmp_path_factory):
+    """The dataset root of a WALL_SCENES entry: 40 frames, edge jitter 1 px,
+    dropout 0.1; each is written once per module, when first asked for."""
+    roots = {}
+
+    def root_of(name):
+        if name not in roots:
+            preset, seed, drift, wall, deleted = WALL_SCENES[name]
+            noise = syn.NoiseConfig(odometry_drift_per_m=drift, edge_jitter_px=1.0, edge_dropout=0.1)
+            scene = syn.generate_scene(seed, preset, n_frames=40, noise=noise)
+            scene = replace(scene, noise=replace(noise, occluders=(syn.make_occluder_wall(scene, *wall),)))
+            roots[name] = syn.write_dataset(scene, tmp_path_factory.mktemp("wall") / name)
+            for frame_id in deleted:
+                shutil.rmtree(roots[name] / "frames" / f"{frame_id:06d}")
+        return roots[name]
+
+    return root_of
+
+
+class TestWallScenes:
+    def test_far_probes_win_off_the_cap_and_none_is_taken_on_it(self, wall_scene, monkeypatch):
+        # While the wall hides every edge, each active residual reads the cap
+        # and the energy has no contrast: a probe could only win by losing
+        # samples, so none is taken. Off the cap, far probes still escape.
+        d_max = PipelineConfig().dt_truncation_px
+        scans, solves = [], []
+        probe, solve = al._probe_escape, al.solve
+
+        def recording_probe(prepared, pose, energy_now, count_now, min_samples, magnitudes):
+            escape = probe(prepared, pose, energy_now, count_now, min_samples, magnitudes)
+            # All label weights are 1, so the mean residual is d_max^2 only at the cap.
+            at_cap = energy_now >= count_now * d_max**2 * (1.0 - 1e-9)
+            scans.append((at_cap, magnitudes == al._PROBE_MAGNITUDES_FAR_M and escape is not None))
+            return escape
 
         def recording_solve(problem):
             solves.append(solve(problem))
             return solves[-1]
 
-        def recording_probe(*args):
-            escape = probe(*args)
-            far_rounds.append(escape is not None and args[-1] == al._PROBE_MAGNITUDES_FAR_M)
-            return escape
-
-        monkeypatch.setattr(al, "solve", recording_solve)
         monkeypatch.setattr(al, "_probe_escape", recording_probe)
-        trajectory, records = run_dataset(DatasetManifest.from_directory(root))
-        assert any(len(r.energy_history) - 1 - r.iterations > 0 for r in solves)
-        assert any(far_rounds)
-        trajectory_text = "".join(format_pose_line(f, p) + "\n" for f, p in trajectory)
-        log_text = "".join(r.to_json() + "\n" for r in records)
-        trajectory_sha = hashlib.sha256(trajectory_text.encode()).hexdigest()
-        log_sha = hashlib.sha256(log_text.encode()).hexdigest()
-        assert trajectory_sha == "bb9a99ed7472b506fc62caca4a147d185e7c6baa2e88f4a306ba6fc978352158"
-        assert log_sha == "0816f0fdedd7be23c52298699f8bb9ab11185aa3e3891e09940dd5f02ca93ea2"
+        monkeypatch.setattr(al, "solve", recording_solve)
+        run_dataset(DatasetManifest.from_directory(wall_scene("corner-recovery")))
+        on_cap = [r for r in solves if r.mean_reproj_error >= d_max**2 * (1.0 - 1e-9)]
+        # The coarse and the fine solve of each of the 7 wall frames.
+        assert len(on_cap) == 14 and all(r.probe_rounds == 0 for r in on_cap)
+        assert not any(at_cap for at_cap, _ in scans)
+        assert any(far_win for _, far_win in scans)
+
+    @pytest.mark.parametrize("name", sorted(WALL_TRAJECTORY_PINS))
+    def test_trajectory_is_pinned(self, wall_scene, name):
+        trajectory, _ = run_dataset(DatasetManifest.from_directory(wall_scene(name)))
+        assert trajectory_sha(trajectory) == WALL_TRAJECTORY_PINS[name]
 
 
 class TestEvaluate:
