@@ -8,6 +8,10 @@ fixed translation offsets once the damped iteration stalls on a poor fit).
 No probe is taken on the truncation plateau, where every active sample with
 a positive weight reads the cap ``d_max``: the energy has neither gradient
 nor contrast there, and a probe could only lower it by losing samples.
+A solve stops at the pose gate: once a step or a probe leaves the jump gate
+around the prior (``_within_jump``, the gate ``validate`` applies), it ends
+there as ``pose-inconsistent`` instead of iterating on an estimate that
+cannot be accepted.
 A probe round projects and scores all of its candidate poses in one array
 pass; ``_evaluate`` serves the single poses of the damped iteration. Each
 pose the iteration visits is projected and read from the fields once: the
@@ -329,6 +333,8 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
     from it, which recovers from truncation plateaus around wrong poses.
     No probe is taken when every active sample with a positive weight reads
     the cap: with no contrast left, a probe could only win by losing samples.
+    A step or probe that leaves the jump gate around the prior ends the
+    solve at that pose, not converged and ``pose-inconsistent``.
     """
     cfg = problem.config
     prepared = _Prepared(problem)
@@ -354,8 +360,10 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
     history = [energy_now]
     active_counts = [count_now]
     converged = False
+    reject_reason = REJECT_NONE
     iterations = 0
     probe_rounds = 0
+    hessian_pose = None  # the pose whose rows gave ``hessian``
 
     while True:
         while iterations < cfg.max_iterations:
@@ -363,7 +371,7 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
             if count_now < cfg.min_samples:
                 break
             jacobian = jacobian_rows()
-            hessian = jacobian.T @ jacobian
+            hessian, hessian_pose = jacobian.T @ jacobian, pose
             gradient = jacobian.T @ residuals
             diag_floor = 1e-12 * max(float(np.trace(hessian)), 1.0)
             scaled_diag = np.diag(np.diag(hessian) + diag_floor)
@@ -413,11 +421,15 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
             if iterations % 100 == 0:
                 pose = orthonormalize(pose)
                 current = _evaluate(prepared, pose)
+            if not _within_jump(pose, problem.prior, cfg):
+                reject_reason = REJECT_POSE_INCONSISTENT
+                break
             if step_norm < cfg.step_tol or rel_decrease < cfg.energy_tol:
                 converged = True
                 break
-        # Not converged (too few samples, no solvable system or the iteration
-        # cap: diverged), out of rounds, or every active sample at the cap.
+        # Not converged (too few samples, no solvable system, the iteration
+        # cap: diverged, or out of the gate), out of rounds, or every active
+        # sample at the cap.
         if not converged or probe_rounds >= _MAX_PROBE_ROUNDS or current[4]():
             break
         if count_now > 0 and energy_now / count_now <= cfg.max_mean_reproj_px:
@@ -434,12 +446,18 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
         probe_rounds += 1
         converged = False
         damping = cfg.lambda_init
+        if not _within_jump(pose, problem.prior, cfg):
+            reject_reason = REJECT_POSE_INCONSISTENT
+            break
 
-    # Gating quantities from the evaluation of the solution.
+    # Gating quantities from the evaluation of the solution; when the solve
+    # ended on the pose of the last normal equations, their matrix serves.
     energy_final, count_final, _, jacobian_rows, _ = current
     if count_final > 0:
-        jacobian_final = jacobian_rows()
-        info_min_eig = float(np.linalg.eigvalsh(jacobian_final.T @ jacobian_final)[0])
+        if hessian_pose is not pose:
+            jacobian_final = jacobian_rows()
+            hessian = jacobian_final.T @ jacobian_final
+        info_min_eig = float(np.linalg.eigvalsh(hessian)[0])
         mean_error = energy_final / count_final
     else:
         info_min_eig = 0.0
@@ -451,7 +469,7 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
         iterations=iterations,
         mean_reproj_error=mean_error,
         inlier_count=count_final,
-        reject_reason=REJECT_NONE,
+        reject_reason=reject_reason,
         energy=energy_final,
         energy_history=tuple(history),
         active_counts=tuple(active_counts),
@@ -466,8 +484,8 @@ def solve_two_scale(problem: AlignmentProblem, coarse_fields: FieldStack) -> Ali
     The coarse fields (built from block-OR downsampled masks) keep their
     truncation radius in coarse pixels, widening the basin of attraction by
     ``COARSE_SCALE``; the full-resolution solve then starts inside it. Falls
-    back to the problem's own start pose when the coarse stage fails or
-    lands outside the pose-consistency gates.
+    back to the problem's own start pose when the coarse stage does not
+    converge, which includes a coarse solve stopped at the pose gate.
     """
     k = problem.intrinsics
     coarse_k = CameraIntrinsics(
@@ -481,7 +499,7 @@ def solve_two_scale(problem: AlignmentProblem, coarse_fields: FieldStack) -> Ali
     coarse_problem = replace(problem, fields=coarse_fields, intrinsics=coarse_k)
     coarse = solve(coarse_problem)
     initial = problem.start_pose
-    if coarse.converged and _within_jump(coarse.pose, problem.prior, problem.config):
+    if coarse.converged:
         initial = coarse.pose
     return solve(replace(problem, initial=initial))
 
@@ -501,11 +519,13 @@ def align_frame(problem: AlignmentProblem, coarse_fields: FieldStack) -> Alignme
 def validate(result: AlignmentResult, prior: Pose, config: PipelineConfig) -> AlignmentResult:
     """Apply the acceptance gates and fill accepted / reject_reason.
 
-    The information gate is checked before the convergence flag: an
-    unobservable problem cannot converge, and the eigenvalue floor is the
-    more useful diagnosis.
+    A reason ``solve`` has already set (too few samples, or a stop at the
+    pose gate) passes straight through. The information gate is checked
+    before the convergence flag: an unobservable problem cannot converge,
+    and the eigenvalue floor is the more useful diagnosis. The jump gate is
+    checked here too, for results built elsewhere.
     """
-    if result.reject_reason == REJECT_TOO_FEW_SAMPLES:
+    if result.reject_reason != REJECT_NONE:
         return replace(result, accepted=False)
     if result.info_min_eig < config.min_information:
         return replace(result, accepted=False, reject_reason=REJECT_LOW_INFORMATION)

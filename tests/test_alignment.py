@@ -220,6 +220,22 @@ def noiseless_grid_setup():
     return al.AlignmentProblem(samples=samples, fields=fields, prior=Pose.identity(), intrinsics=K)
 
 
+def side_offset_problem():
+    """A rendered frame whose prior is 1.5 m to the side of the truth:
+    (scene, problem, coarse fields)."""
+    scene = syn.generate_scene(2, "urban-straight", n_frames=3)
+    cfg = PipelineConfig()
+    gt = scene.pose_of(1)
+    prior = Pose(gt.rotation, gt.translation + gt.rotation @ np.array([1.5, 0.0, 0.0]))
+    labels, edges, dynamic = syn.render_frame(scene, 1)
+    masks = build_edge_masks(labels, edges, dynamic, scene.compact_map.label_names)
+    fields = build_fields(masks, d_max=cfg.dt_truncation_px)
+    coarse = build_fields([coarsen_mask(m) for m in masks], d_max=cfg.dt_truncation_px)
+    samples = select_landmarks(scene.compact_map, prior, scene.intrinsics, cfg)
+    problem = al.AlignmentProblem(samples=samples, fields=fields, prior=prior, intrinsics=scene.intrinsics, config=cfg)
+    return scene, problem, coarse
+
+
 class TestSolve:
     def test_fixed_point_converges_immediately(self):
         problem = noiseless_grid_setup()
@@ -253,18 +269,8 @@ class TestSolve:
     def test_rejected_frame_gets_one_coarse_and_one_fine_solve(self, monkeypatch):
         # A prior 1.5 m off to the side cannot be pulled back in; the frame
         # is dropped after its single coarse-to-fine attempt, with no retry.
-        scene = syn.generate_scene(2, "urban-straight", n_frames=3)
-        cfg = PipelineConfig()
-        gt = scene.pose_of(1)
-        prior = Pose(gt.rotation, gt.translation + gt.rotation @ np.array([1.5, 0.0, 0.0]))
-        labels, edges, dynamic = syn.render_frame(scene, 1)
-        masks = build_edge_masks(labels, edges, dynamic, scene.compact_map.label_names)
-        fields = build_fields(masks, d_max=cfg.dt_truncation_px)
-        coarse = build_fields([coarsen_mask(m) for m in masks], d_max=cfg.dt_truncation_px)
-        samples = select_landmarks(scene.compact_map, prior, scene.intrinsics, cfg)
-        problem = al.AlignmentProblem(
-            samples=samples, fields=fields, prior=prior, intrinsics=scene.intrinsics, config=cfg
-        )
+        scene, problem, coarse = side_offset_problem()
+        prior, cfg = problem.prior, problem.config
         single = al.validate(al.solve_two_scale(problem, coarse), prior, cfg)
         assert not single.accepted
 
@@ -277,6 +283,18 @@ class TestSolve:
         assert result.reject_reason == single.reject_reason
         assert np.array_equal(result.pose.translation, single.pose.translation)
         assert np.array_equal(result.pose.rotation, single.pose.rotation)
+
+    def test_solve_stops_at_the_pose_gate(self):
+        # From the prior 1.5 m off, the iteration leaves the 1 m jump gate;
+        # it stops at the first pose outside it rather than iterating on.
+        _, problem, _ = side_offset_problem()
+        result = al.solve(problem)
+        assert result.reject_reason == al.REJECT_POSE_INCONSISTENT
+        assert not result.converged
+        assert not al._within_jump(result.pose, problem.prior, problem.config)
+        assert result.iterations < problem.config.max_iterations
+        validated = al.validate(result, problem.prior, problem.config)
+        assert not validated.accepted and validated.reject_reason == al.REJECT_POSE_INCONSISTENT
 
     def test_single_lane_line_not_accepted(self):
         from dataclasses import replace
@@ -872,7 +890,8 @@ class TestTrustedPoses:
 
     def test_solved_poses(self):
         scene = syn.generate_scene(4, "urban-corner", n_frames=2)
-        cfg = PipelineConfig()
+        # A wide gate, so the solve from the prior 1 m off reaches a probe.
+        cfg = PipelineConfig(max_translation_jump_m=5.0, max_rotation_jump_deg=10.0)
         masks = build_edge_masks(*syn.render_frame(scene, 0), scene.compact_map.label_names)
         fields = build_fields(masks, d_max=cfg.dt_truncation_px)
         probes = 0
@@ -885,7 +904,7 @@ class TestTrustedPoses:
                 intrinsics=scene.intrinsics,
                 config=cfg,
             )
-            for config in (cfg, PipelineConfig(max_iterations=3)):
+            for config in (cfg, replace(cfg, max_iterations=3)):
                 result = al.solve(replace(problem, config=config))
                 probes += len(result.energy_history) - 1 - result.iterations
                 assert_checked_and_read_only(result.pose)
@@ -930,9 +949,9 @@ class TestEvaluationReuse:
 
     def test_solve_evaluates_each_pose_once(self, monkeypatch):
         # A pinned frame with the prior 1 m off, so steps are rejected and a
-        # probe escapes.
+        # probe escapes; the gate is wide enough for the solve to reach it.
         scene = syn.generate_scene(4, "urban-corner", n_frames=2)
-        cfg = PipelineConfig()
+        cfg = PipelineConfig(max_translation_jump_m=5.0, max_rotation_jump_deg=10.0)
         prior = syn.perturb_pose_random(scene.pose_of(0), 1.0, math.radians(1.0), np.random.default_rng(0))
         masks = build_edge_masks(*syn.render_frame(scene, 0), scene.compact_map.label_names)
         problem = al.AlignmentProblem(
@@ -956,3 +975,41 @@ class TestEvaluationReuse:
         assert len(result.energy_history) == 1 + result.iterations + result.probe_rounds
         assert len(seen) > result.iterations + result.probe_rounds
         assert len(set(seen)) == len(seen)
+
+    def test_information_reads_the_rows_of_the_returned_pose_once(self, monkeypatch):
+        # A solve that ends on the pose of its last normal equations (damping
+        # exhausted, with or without a losing probe scan) reads info_min_eig
+        # from that matrix; either way it equals a fresh evaluation's, bit for bit.
+        _, offset_problem, _ = side_offset_problem()
+        problems = [
+            noiseless_grid_setup(),
+            _small_synthetic_problem(),
+            offset_problem,
+            replace(offset_problem, config=PipelineConfig(max_translation_jump_m=5.0, max_rotation_jump_deg=10.0)),
+            cap_plateau_problem(),
+        ]
+        builds = []
+        evaluate = al._evaluate
+
+        def counting(prepared, pose):
+            energy_value, count, residuals, rows, at_cap = evaluate(prepared, pose)
+            built = [0]
+            builds.append(built)
+
+            def counted_rows():
+                built[0] += 1
+                return rows()
+
+            return energy_value, count, residuals, counted_rows, at_cap
+
+        results = []
+        with monkeypatch.context() as patch:
+            patch.setattr(al, "_evaluate", counting)
+            for problem in problems:
+                results.append(al.solve(problem))
+        assert max(built for built, in builds) == 1
+        for problem, result in zip(problems, results):
+            _, count, _, rows = al._evaluate(al._Prepared(problem), result.pose)[:4]
+            assert count == result.inlier_count > 0
+            jacobian = rows()
+            assert result.info_min_eig == float(np.linalg.eigvalsh(jacobian.T @ jacobian)[0])

@@ -349,7 +349,8 @@ class TestPinnedCornerRecovery:
     def test_probe_rounds_trajectory_and_log_are_pinned(self, tmp_path):
         # Urban corner, 0.3 m/m odometry drift and a wall over frames 22-27:
         # priors land far off, and on the wall frames every active sample
-        # reads the cap. Digests of the trajectory and log.
+        # reads the cap; after it, solves stop at the pose gate. Digests of
+        # the trajectory and log.
         noise = syn.NoiseConfig(odometry_drift_per_m=0.3, edge_jitter_px=1.0, edge_dropout=0.1)
         scene = syn.generate_scene(5, "urban-corner", n_frames=30, noise=noise)
         scene = replace(scene, noise=replace(noise, occluders=(syn.make_occluder_wall(scene, 22, 27),)))
@@ -358,41 +359,51 @@ class TestPinnedCornerRecovery:
         log_text = "".join(r.to_json() + "\n" for r in records)
         log_sha = hashlib.sha256(log_text.encode()).hexdigest()
         assert trajectory_sha(trajectory) == "bb9a99ed7472b506fc62caca4a147d185e7c6baa2e88f4a306ba6fc978352158"
-        assert log_sha == "73e3e930df195b62b6c62426545928283f8f5422b4937d2ddff0674219e6e65f"
+        assert log_sha == "d6ecf96bb7285bc11b9fe46283297a746474c1c9344c04bb7f3e7d34cea3f17b"
 
 
-# Wall scenes at 0.3 m/m drift and the straight scene with a wall and a gap
-# in its frames: (preset, scene seed, drift per m, wall frames, deleted frames).
-WALL_SCENES = {
-    "corner-recovery": ("urban-corner", 5, 0.3, (25, 31), ()),
-    "corner-seed-1": ("urban-corner", 1, 0.3, (25, 31), ()),
-    "corner-seed-2": ("urban-corner", 2, 0.3, (20, 26), ()),
-    "straight-seed-3-gap": ("urban-straight", 3, 0.05, (15, 22), range(30, 35)),
+# The corner-recovery scene and the six stress scenes: (preset, scene seed,
+# drift per m, wall frames or None, deleted frames, edge jitter px, dropout).
+# The walls are at 0.3 m/m drift, and the straight wall scene also has a gap
+# in its frames.
+STRESS_SCENES = {
+    "corner-recovery": ("urban-corner", 5, 0.3, (25, 31), (), 1.0, 0.1),
+    "corner-seed-1": ("urban-corner", 1, 0.3, (25, 31), (), 1.0, 0.1),
+    "corner-seed-2": ("urban-corner", 2, 0.3, (20, 26), (), 1.0, 0.1),
+    "corner-seed-5-drift-0.2": ("urban-corner", 5, 0.2, None, (), 1.0, 0.1),
+    "straight-seed-3-gap": ("urban-straight", 3, 0.05, (15, 22), range(30, 35), 1.0, 0.1),
+    "straight-seed-11-noisy": ("urban-straight", 11, 0.1, None, (), 1.5, 0.2),
+    "sparse-seed-4": ("sparse", 4, 0.05, None, (), 1.0, 0.1),
 }
 
 
-# Trajectory SHA-256 of the other wall scenes. Their wall frames read the cap
-# everywhere, so a change to what the solver does there shows here.
-WALL_TRAJECTORY_PINS = {
+# Trajectory SHA-256 of the six stress scenes. The wall frames read the cap
+# everywhere, so a change to what the solver does there shows in the first,
+# second and fourth; the others track without a wall.
+STRESS_TRAJECTORY_PINS = {
     "corner-seed-1": "7cd0886dc788ab2045288b31bc72e068ca6122d119994a794496ed1b579bed88",
     "corner-seed-2": "4643f5dad5a89abc00284adcb89f3b1adb283e6a8916e0718db6ec7c4239d071",
+    "corner-seed-5-drift-0.2": "373c968abc12909f4597c1ce405c7dbb56f69855b88dc586eb9611ff121f2bc6",
     "straight-seed-3-gap": "55f17a96b94181fea5de53b70cfda909eac00b01943b12ac9c9f7bcf73fa3676",
+    "straight-seed-11-noisy": "58659ec82b5b8989cd2110bf5dfefdca2bfc327a371d471077ca631815b5852d",
+    "sparse-seed-4": "bec9ff578049c9c5178d9b432325e91175b132922cb9ac78bd245f97f4f9fa79",
 }
 
 
 @pytest.fixture(scope="module")
-def wall_scene(tmp_path_factory):
-    """The dataset root of a WALL_SCENES entry: 40 frames, edge jitter 1 px,
-    dropout 0.1; each is written once per module, when first asked for."""
+def stress_scene(tmp_path_factory):
+    """The dataset root of a STRESS_SCENES entry, 40 frames; each is written
+    once per module, when first asked for."""
     roots = {}
 
     def root_of(name):
         if name not in roots:
-            preset, seed, drift, wall, deleted = WALL_SCENES[name]
-            noise = syn.NoiseConfig(odometry_drift_per_m=drift, edge_jitter_px=1.0, edge_dropout=0.1)
+            preset, seed, drift, wall, deleted, jitter, dropout = STRESS_SCENES[name]
+            noise = syn.NoiseConfig(odometry_drift_per_m=drift, edge_jitter_px=jitter, edge_dropout=dropout)
             scene = syn.generate_scene(seed, preset, n_frames=40, noise=noise)
-            scene = replace(scene, noise=replace(noise, occluders=(syn.make_occluder_wall(scene, *wall),)))
-            roots[name] = syn.write_dataset(scene, tmp_path_factory.mktemp("wall") / name)
+            if wall is not None:
+                scene = replace(scene, noise=replace(noise, occluders=(syn.make_occluder_wall(scene, *wall),)))
+            roots[name] = syn.write_dataset(scene, tmp_path_factory.mktemp("scene") / name)
             for frame_id in deleted:
                 shutil.rmtree(roots[name] / "frames" / f"{frame_id:06d}")
         return roots[name]
@@ -401,7 +412,9 @@ def wall_scene(tmp_path_factory):
 
 
 class TestWallScenes:
-    def test_far_probes_win_off_the_cap_and_none_is_taken_on_it(self, wall_scene, monkeypatch):
+    """The corner-recovery wall scene, and the trajectory pins of the six stress scenes."""
+
+    def test_far_probes_win_off_the_cap_and_none_is_taken_on_it(self, stress_scene, monkeypatch):
         # While the wall hides every edge, each active residual reads the cap
         # and the energy has no contrast: a probe could only win by losing
         # samples, so none is taken. Off the cap, far probes still escape.
@@ -422,17 +435,17 @@ class TestWallScenes:
 
         monkeypatch.setattr(al, "_probe_escape", recording_probe)
         monkeypatch.setattr(al, "solve", recording_solve)
-        run_dataset(DatasetManifest.from_directory(wall_scene("corner-recovery")))
+        run_dataset(DatasetManifest.from_directory(stress_scene("corner-recovery")))
         on_cap = [r for r in solves if r.mean_reproj_error >= d_max**2 * (1.0 - 1e-9)]
         # The coarse and the fine solve of each of the 7 wall frames.
         assert len(on_cap) == 14 and all(r.probe_rounds == 0 for r in on_cap)
         assert not any(at_cap for at_cap, _ in scans)
         assert any(far_win for _, far_win in scans)
 
-    @pytest.mark.parametrize("name", sorted(WALL_TRAJECTORY_PINS))
-    def test_trajectory_is_pinned(self, wall_scene, name):
-        trajectory, _ = run_dataset(DatasetManifest.from_directory(wall_scene(name)))
-        assert trajectory_sha(trajectory) == WALL_TRAJECTORY_PINS[name]
+    @pytest.mark.parametrize("name", sorted(STRESS_TRAJECTORY_PINS))
+    def test_trajectory_is_pinned(self, stress_scene, name):
+        trajectory, _ = run_dataset(DatasetManifest.from_directory(stress_scene(name)))
+        assert trajectory_sha(trajectory) == STRESS_TRAJECTORY_PINS[name]
 
 
 class TestEvaluate:
