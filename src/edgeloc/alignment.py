@@ -12,6 +12,9 @@ A solve stops at the pose gate: once a step or a probe leaves the jump gate
 around the prior (``_within_jump``, the gate ``validate`` applies), it ends
 there as ``pose-inconsistent`` instead of iterating on an estimate that
 cannot be accepted.
+``solve`` is one loop: each pass tries one damped system or, from a
+converged pose, takes one probe round, and an accepted step or a winning
+probe adds one history entry and meets the jump gate once.
 A probe round projects and scores all of its candidate poses in one array
 pass; ``_evaluate`` serves the single poses of the damped iteration. Each
 pose the iteration visits is projected and read from the fields once: the
@@ -158,8 +161,7 @@ def _project(k: CameraIntrinsics, cam: np.ndarray):
     return u, v, valid
 
 
-def _no_samples():
-    return 0.0, 0, np.empty(0), lambda: np.empty((0, 6)), lambda: True
+_NO_SAMPLES = (0.0, 0, np.empty(0), lambda: np.empty((0, 6)), lambda: True)
 
 
 def _evaluate(prepared: _Prepared, pose: Pose):
@@ -175,14 +177,14 @@ def _evaluate(prepared: _Prepared, pose: Pose):
     the cap.
     """
     if prepared.total_samples == 0:
-        return _no_samples()
+        return _NO_SAMPLES
     k = prepared.intrinsics
     rotation = pose.rotation
     cam = (prepared.world - pose.translation) @ rotation  # row-wise R^T (p_w - t)
     u, v, valid = _project(k, cam)
     count = int(valid.sum())
     if count == 0:
-        return _no_samples()
+        return _NO_SAMPLES
 
     values, slope = bilinear_gather(u[valid], v[valid], prepared.distance.shape[1:])(
         prepared.distance, prepared.label_index[valid]
@@ -324,130 +326,116 @@ def _probe_block(prepared: _Prepared, rotation: np.ndarray, translations: np.nda
 def solve(problem: AlignmentProblem) -> AlignmentResult:
     """Damped Gauss-Newton minimization of the edge alignment energy.
 
-    Iterates normal equations J^T J d = -J^T r with multiplicative
-    Levenberg damping on the diagonal; sample drops are re-evaluated at
-    every candidate pose, and a step is only taken if it does not increase
-    the energy. Stops on step norm, relative energy decrease, or the
-    iteration cap. A converged pose is then checked against the fixed
-    escape probes; if one strictly lowers the energy the iteration resumes
-    from it, which recovers from truncation plateaus around wrong poses.
-    No probe is taken when every active sample with a positive weight reads
-    the cap: with no contrast left, a probe could only win by losing samples.
-    A step or probe that leaves the jump gate around the prior ends the
-    solve at that pose, not converged and ``pose-inconsistent``.
+    One loop: each pass tries one damped system of the normal equations
+    J^T J d = -J^T r (built once per pose, multiplicative Levenberg damping on
+    the diagonal) or, from a converged pose, takes one round of escape
+    probes. A step that raises the energy, or a system with no finite
+    solution, multiplies the damping by 10; sample drops are re-evaluated at
+    every candidate pose. Converges on step norm, relative energy decrease,
+    or damping past ``_MAX_DAMPING`` once some system was solvable; stops
+    unconverged with none solvable or at the iteration cap. A probe that
+    strictly lowers the energy resumes the iteration from it, which recovers
+    from truncation plateaus around wrong poses; none is taken when every
+    active sample with a positive weight reads the cap, where a probe could
+    only win by losing samples. Each accepted step and winning probe adds one
+    ``energy_history`` entry; one that leaves the jump gate around the prior
+    ends the solve there, not converged and ``pose-inconsistent``.
     """
     cfg = problem.config
     prepared = _Prepared(problem)
     pose = problem.start_pose
 
-    # The evaluation of ``pose``: every accepted pose keeps the one that tested it.
+    # The evaluation of ``pose``: every accepted pose keeps the one that tested
+    # it, and the solve reads energy and count from it alone.
     current = _evaluate(prepared, pose)
-    energy_now, count_now = current[:2]
-    if count_now < cfg.min_samples:
+    history = [current[0]]
+    active_counts = [current[1]]
+    if current[1] < cfg.min_samples:
         return AlignmentResult(
             pose=pose,
             converged=False,
             iterations=0,
             mean_reproj_error=math.inf,
-            inlier_count=count_now,
+            inlier_count=current[1],
             reject_reason=REJECT_TOO_FEW_SAMPLES,
-            energy=energy_now,
-            energy_history=(energy_now,),
-            active_counts=(count_now,),
+            energy=current[0],
+            energy_history=tuple(history),
+            active_counts=tuple(active_counts),
         )
 
     damping = cfg.lambda_init
-    history = [energy_now]
-    active_counts = [count_now]
-    converged = False
+    converged = any_solvable = False
     reject_reason = REJECT_NONE
-    iterations = 0
-    probe_rounds = 0
+    iterations = probe_rounds = 0
     hessian_pose = None  # the pose whose rows gave ``hessian``
 
     while True:
-        while iterations < cfg.max_iterations:
-            _, count_now, residuals, jacobian_rows, _ = current
-            if count_now < cfg.min_samples:
+        energy_now, count_now, residuals, jacobian_rows, at_cap = current
+        if damping > _MAX_DAMPING:
+            # Damping escalation exhausted: with no solvable system this is a
+            # genuine failure; otherwise no step can lower the energy anymore,
+            # i.e. a local minimum -- converged, gates decide.
+            if not any_solvable:
                 break
-            jacobian = jacobian_rows()
-            hessian, hessian_pose = jacobian.T @ jacobian, pose
-            gradient = jacobian.T @ residuals
-            diag_floor = 1e-12 * max(float(np.trace(hessian)), 1.0)
-            scaled_diag = np.diag(np.diag(hessian) + diag_floor)
-            step_taken = False
-            any_solvable = False
-            step_norm = 0.0
-            rel_decrease = math.inf
-            while damping <= _MAX_DAMPING:
-                damped = hessian + damping * scaled_diag
-                try:
-                    delta = np.linalg.solve(damped, -gradient)
-                except np.linalg.LinAlgError:
-                    delta = None
-                if delta is None or not np.all(np.isfinite(delta)):
-                    damping *= 10.0
-                    continue
-                any_solvable = True
-                scale = min(
-                    1.0,
-                    _MAX_STEP_TRANSLATION_M / max(_norm(delta[:3]), 1e-300),
-                    _MAX_STEP_ROTATION_RAD / max(_norm(delta[3:]), 1e-300),
-                )
-                delta = delta * scale
-                candidate = perturb_pose(pose, delta)
-                trial = _evaluate(prepared, candidate)
-                energy_new, count_new = trial[:2]
-                if energy_new <= energy_now + _ENERGY_SLACK:
-                    step_norm = _norm(delta)
-                    rel_decrease = (energy_now - energy_new) / max(energy_now, 1e-300)
-                    pose = candidate
-                    current = trial
-                    energy_now = energy_new
-                    count_now = count_new
-                    damping = max(damping / 10.0, 1e-12)
-                    step_taken = True
-                    break
+            converged = True
+        if converged:
+            if probe_rounds >= _MAX_PROBE_ROUNDS or at_cap():
+                break
+            if count_now > 0 and energy_now / count_now <= cfg.max_mean_reproj_px:
+                magnitudes = _PROBE_MAGNITUDES_NEAR_M  # plausible fit, scan nearby only
+            else:
+                magnitudes = _PROBE_MAGNITUDES_FAR_M
+            escape = _probe_escape(prepared, pose, energy_now, count_now, cfg.min_samples, magnitudes)
+            if escape is None:
+                break
+            pose = escape[2]
+            current = _evaluate(prepared, pose)  # the probe's energy and count, bit for bit
+            probe_rounds += 1
+            converged = False
+            damping = cfg.lambda_init
+        else:
+            # Too few samples or the iteration cap: diverged.
+            if iterations >= cfg.max_iterations or count_now < cfg.min_samples:
+                break
+            if hessian_pose is not pose:
+                jacobian = jacobian_rows()
+                hessian, hessian_pose = jacobian.T @ jacobian, pose
+                gradient = jacobian.T @ residuals
+                diag_floor = 1e-12 * max(float(np.trace(hessian)), 1.0)
+                scaled_diag = np.diag(np.diag(hessian) + diag_floor)
+                any_solvable = False
+            try:
+                delta = np.linalg.solve(hessian + damping * scaled_diag, -gradient)
+            except np.linalg.LinAlgError:
+                delta = None
+            if delta is None or not np.all(np.isfinite(delta)):
                 damping *= 10.0
-            if not step_taken:
-                # Damping escalation exhausted: with no solvable system this
-                # is a genuine failure; otherwise no step can lower the energy
-                # anymore, i.e. a local minimum -- converged, gates decide.
-                converged = any_solvable
-                break
+                continue
+            any_solvable = True
+            scale = min(
+                1.0,
+                _MAX_STEP_TRANSLATION_M / max(_norm(delta[:3]), 1e-300),
+                _MAX_STEP_ROTATION_RAD / max(_norm(delta[3:]), 1e-300),
+            )
+            delta = delta * scale
+            candidate = perturb_pose(pose, delta)
+            trial = _evaluate(prepared, candidate)
+            if not trial[0] <= energy_now + _ENERGY_SLACK:
+                damping *= 10.0
+                continue
+            pose, current = candidate, trial
+            damping = max(damping / 10.0, 1e-12)
             iterations += 1
-            history.append(energy_now)
-            active_counts.append(count_now)
+            rel_decrease = (energy_now - trial[0]) / max(energy_now, 1e-300)
+            converged = _norm(delta) < cfg.step_tol or rel_decrease < cfg.energy_tol
             if iterations % 100 == 0:
                 pose = orthonormalize(pose)
                 current = _evaluate(prepared, pose)
-            if not _within_jump(pose, problem.prior, cfg):
-                reject_reason = REJECT_POSE_INCONSISTENT
-                break
-            if step_norm < cfg.step_tol or rel_decrease < cfg.energy_tol:
-                converged = True
-                break
-        # Not converged (too few samples, no solvable system, the iteration
-        # cap: diverged, or out of the gate), out of rounds, or every active
-        # sample at the cap.
-        if not converged or probe_rounds >= _MAX_PROBE_ROUNDS or current[4]():
-            break
-        if count_now > 0 and energy_now / count_now <= cfg.max_mean_reproj_px:
-            magnitudes = _PROBE_MAGNITUDES_NEAR_M  # plausible fit, scan nearby only
-        else:
-            magnitudes = _PROBE_MAGNITUDES_FAR_M
-        escape = _probe_escape(prepared, pose, energy_now, count_now, cfg.min_samples, magnitudes)
-        if escape is None:
-            break
-        energy_now, count_now, pose = escape
-        current = _evaluate(prepared, pose)
-        history.append(energy_now)
-        active_counts.append(count_now)
-        probe_rounds += 1
-        converged = False
-        damping = cfg.lambda_init
+        history.append(current[0])
+        active_counts.append(current[1])
         if not _within_jump(pose, problem.prior, cfg):
             reject_reason = REJECT_POSE_INCONSISTENT
+            converged = False
             break
 
     # Gating quantities from the evaluation of the solution; when the solve

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -220,6 +221,10 @@ def noiseless_grid_setup():
     return al.AlignmentProblem(samples=samples, fields=fields, prior=Pose.identity(), intrinsics=K)
 
 
+# A jump gate wide enough for a solve from a prior 1 m off to reach a probe round.
+WIDE_GATE = PipelineConfig(max_translation_jump_m=5.0, max_rotation_jump_deg=10.0)
+
+
 def side_offset_problem():
     """A rendered frame whose prior is 1.5 m to the side of the truth:
     (scene, problem, coarse fields)."""
@@ -295,6 +300,40 @@ class TestSolve:
         assert result.iterations < problem.config.max_iterations
         validated = al.validate(result, problem.prior, problem.config)
         assert not validated.accepted and validated.reject_reason == al.REJECT_POSE_INCONSISTENT
+
+    def test_no_solvable_system_is_not_converged(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(al.np.linalg, "solve", singular)
+        problem = _small_synthetic_problem()
+        result = al.solve(problem)
+        assert not result.converged and result.iterations == 0 and result.probe_rounds == 0
+        assert al.validate(result, problem.prior, problem.config).reject_reason == al.REJECT_DIVERGED
+
+    def test_every_step_rejected_converges_at_the_start_pose(self, monkeypatch):
+        monkeypatch.setattr(al, "_ENERGY_SLACK", -math.inf)
+        monkeypatch.setattr(al, "_MAX_PROBE_ROUNDS", 0)
+        problem = _small_synthetic_problem()
+        result = al.solve(problem)
+        assert result.converged and result.iterations == 0
+        assert result.pose is problem.start_pose
+        assert result.energy_history == (al.energy(problem, problem.start_pose)[0],)
+
+    def test_long_solve_reorthonormalizes(self, monkeypatch):
+        # Small step caps keep the iteration going past the re-orthonormalization
+        # at iteration 100; the energy recorded there is the orthonormal pose's.
+        monkeypatch.setattr(al, "_MAX_STEP_TRANSLATION_M", 5e-4)
+        monkeypatch.setattr(al, "_MAX_STEP_ROTATION_RAD", 5e-5)
+        problem = _small_synthetic_problem()
+        cut = al.solve(replace(problem, config=replace(problem.config, max_iterations=100)))
+        assert cut.iterations == 100 and cut.energy_history[-1] == cut.energy
+        result = al.solve(replace(problem, config=replace(problem.config, max_iterations=150)))
+        assert result.iterations > 100
+        assert len(result.energy_history) == 1 + result.iterations + result.probe_rounds
+        steps = np.array(result.energy_history[: 1 + result.iterations])
+        assert (np.diff(steps) <= 1e-12).all()
+        assert_checked_and_read_only(result.pose)
 
     def test_single_lane_line_not_accepted(self):
         from dataclasses import replace
@@ -890,8 +929,7 @@ class TestTrustedPoses:
 
     def test_solved_poses(self):
         scene = syn.generate_scene(4, "urban-corner", n_frames=2)
-        # A wide gate, so the solve from the prior 1 m off reaches a probe.
-        cfg = PipelineConfig(max_translation_jump_m=5.0, max_rotation_jump_deg=10.0)
+        cfg = WIDE_GATE
         masks = build_edge_masks(*syn.render_frame(scene, 0), scene.compact_map.label_names)
         fields = build_fields(masks, d_max=cfg.dt_truncation_px)
         probes = 0
@@ -912,6 +950,21 @@ class TestTrustedPoses:
         result = al.solve(_small_synthetic_problem())
         assert result.iterations > 0
         assert_checked_and_read_only(result.pose)
+
+
+def corner_probe_problem():
+    """A pinned frame with the prior 1 m off, so steps are rejected and a
+    probe escapes; the gate is wide enough for the solve to reach it."""
+    scene = syn.generate_scene(4, "urban-corner", n_frames=2)
+    prior = syn.perturb_pose_random(scene.pose_of(0), 1.0, math.radians(1.0), np.random.default_rng(0))
+    masks = build_edge_masks(*syn.render_frame(scene, 0), scene.compact_map.label_names)
+    return al.AlignmentProblem(
+        samples=select_landmarks(scene.compact_map, prior, scene.intrinsics, WIDE_GATE),
+        fields=build_fields(masks, d_max=WIDE_GATE.dt_truncation_px),
+        prior=prior,
+        intrinsics=scene.intrinsics,
+        config=WIDE_GATE,
+    )
 
 
 class TestEvaluationReuse:
@@ -948,19 +1001,7 @@ class TestEvaluationReuse:
         assert rows().tobytes() == fresh[3]().tobytes()
 
     def test_solve_evaluates_each_pose_once(self, monkeypatch):
-        # A pinned frame with the prior 1 m off, so steps are rejected and a
-        # probe escapes; the gate is wide enough for the solve to reach it.
-        scene = syn.generate_scene(4, "urban-corner", n_frames=2)
-        cfg = PipelineConfig(max_translation_jump_m=5.0, max_rotation_jump_deg=10.0)
-        prior = syn.perturb_pose_random(scene.pose_of(0), 1.0, math.radians(1.0), np.random.default_rng(0))
-        masks = build_edge_masks(*syn.render_frame(scene, 0), scene.compact_map.label_names)
-        problem = al.AlignmentProblem(
-            samples=select_landmarks(scene.compact_map, prior, scene.intrinsics, cfg),
-            fields=build_fields(masks, d_max=cfg.dt_truncation_px),
-            prior=prior,
-            intrinsics=scene.intrinsics,
-            config=cfg,
-        )
+        problem = corner_probe_problem()
         seen = []
         evaluate = al._evaluate
 
@@ -985,7 +1026,7 @@ class TestEvaluationReuse:
             noiseless_grid_setup(),
             _small_synthetic_problem(),
             offset_problem,
-            replace(offset_problem, config=PipelineConfig(max_translation_jump_m=5.0, max_rotation_jump_deg=10.0)),
+            replace(offset_problem, config=WIDE_GATE),
             cap_plateau_problem(),
         ]
         builds = []
@@ -1013,3 +1054,70 @@ class TestEvaluationReuse:
             assert count == result.inlier_count > 0
             jacobian = rows()
             assert result.info_min_eig == float(np.linalg.eigvalsh(jacobian.T @ jacobian)[0])
+
+
+# One problem of each solve exit: a fixed point, steps to convergence, the
+# iteration cap, a stop at the pose gate, probe rounds, the cap plateau and
+# too few samples.
+PINNED_SOLVES = {
+    "noiseless-grid": (
+        noiseless_grid_setup,
+        "4720cb8fc5aacd2f0f8446cd59b32dbe9960f9ce0fc48c1be5405e940292516f",
+    ),
+    "small-synthetic": (
+        _small_synthetic_problem,
+        "daa833b48a5d56c248fafcad9f2192337c6224f2636289c00bd66cfb37a2679b",
+    ),
+    "small-synthetic-3-iterations": (
+        lambda: replace(_small_synthetic_problem(), config=PipelineConfig(max_iterations=3)),
+        "71e9ebb679d70096d88ae92c02d7dc52c22a75ee8c45351aa57b34112d166724",
+    ),
+    "side-offset": (
+        lambda: side_offset_problem()[1],
+        "0da1d63b7e2f32c3c6118ed7810161cb7f33d6676e9415eb2d30fd34adc8d371",
+    ),
+    "side-offset-wide-gate": (
+        lambda: replace(side_offset_problem()[1], config=WIDE_GATE),
+        "db461dcf0a7129a94140b03284f43bce891de0541fcd89e2d0f85f72c09a980f",
+    ),
+    "corner-probe": (
+        corner_probe_problem,
+        "56f0b120c705269727088e86e82eeb26b639c2cb971fc50762ab5f901c436994",
+    ),
+    "cap-plateau": (
+        cap_plateau_problem,
+        "99ef67f8061ed5b1705efa94f994e18d2b1bc70e391cd900573dfeed8b45e5c1",
+    ),
+    "too-few-samples": (
+        lambda: single_sample_problem(ramp_field("lane", 0.2, 0.0, 5.0), [0.0, 0.0, 5.0]),
+        "26f557145ecba302a4e78cbd9c131a709574115b3a4a22c7090b1a2613ceb18c",
+    ),
+}
+
+
+def result_digest(result):
+    """SHA-256 of the pose bytes and every other field ``solve`` sets."""
+    fields = (
+        result.converged,
+        result.iterations,
+        result.probe_rounds,
+        result.energy,
+        result.energy_history,
+        result.active_counts,
+        result.inlier_count,
+        result.info_min_eig,
+        result.mean_reproj_error,
+        result.reject_reason,
+    )
+    pose = result.pose.rotation.tobytes() + result.pose.translation.tobytes()
+    return hashlib.sha256(pose + repr(fields).encode()).hexdigest()
+
+
+class TestPinnedSolves:
+    """The whole AlignmentResult of each solve exit is pinned: the trajectory
+    and log digests do not see the history, the probe rounds or info_min_eig."""
+
+    @pytest.mark.parametrize("name", list(PINNED_SOLVES))
+    def test_result_is_pinned(self, name):
+        build, digest = PINNED_SOLVES[name]
+        assert result_digest(al.solve(build())) == digest
