@@ -3,8 +3,10 @@ analytic Jacobians, and a damped Gauss-Newton solver on SE(3).
 
 Each frame is aligned once, from its prior. Two recovery mechanisms widen
 the basin of that single attempt: a coarse-to-fine stage (``solve_two_scale``
-aligns on block-downsampled fields first) and escape probes (``solve`` tries
-fixed translation offsets once the damped iteration stalls on a poor fit).
+aligns on block-downsampled fields first) and escape probes (``solve`` scores
+fixed camera-frame translation offsets once the damped iteration stalls: 12
+near ones on the 6 axis directions after a plausible fit, 130 far ones on the
+26 lattice directions after a poor fit).
 No probe is taken on the truncation plateau, where every active sample with
 a positive weight reads the cap ``d_max``: the energy has neither gradient
 nor contrast there, and a probe could only lower it by losing samples.
@@ -66,11 +68,12 @@ _ENERGY_SLACK = 1e-12
 _MAX_STEP_TRANSLATION_M = 0.15
 _MAX_STEP_ROTATION_RAD = 0.03
 
-# Escape probes: once the damped iteration cannot lower the energy but the
-# fit is still poor, sample camera-frame translation offsets on the 26
-# lattice directions; features displaced beyond the distance-transform
-# truncation produce zero gradient, so a plateau around a wrong pose is
-# invisible to the Jacobian but not to these probes.
+# Escape probes: once the damped iteration cannot lower the energy, score
+# fixed camera-frame translation offsets; features displaced beyond the
+# distance-transform truncation produce zero gradient, so a plateau around a
+# wrong pose is invisible to the Jacobian but not to these probes. A poor fit
+# scans far, on the 26 lattice directions; a plausible fit scans near, on the
+# 6 axis directions only, because near scans rarely win.
 _PROBE_MAGNITUDES_NEAR_M = (0.05, 0.1)
 _PROBE_MAGNITUDES_FAR_M = (0.05, 0.1, 0.2, 0.3, 0.45)
 _MAX_PROBE_ROUNDS = 8
@@ -87,6 +90,19 @@ _PROBE_DIRECTIONS = [
     for dz in (-1, 0, 1)
     if (dx, dy, dz) != (0, 0, 0)
 ]
+
+
+def _probe_offsets(directions, magnitudes) -> np.ndarray:
+    """(K, 3) table of ``magnitude * direction``, direction-major."""
+    return np.array([magnitude * direction for direction in directions for magnitude in magnitudes])
+
+
+# The axis directions keep their lattice order, so the near candidates are a
+# subsequence of the 26 directions' at the same magnitudes.
+_PROBE_OFFSETS_NEAR = _probe_offsets(
+    [direction for direction in _PROBE_DIRECTIONS if np.count_nonzero(direction) == 1], _PROBE_MAGNITUDES_NEAR_M
+)
+_PROBE_OFFSETS_FAR = _probe_offsets(_PROBE_DIRECTIONS, _PROBE_MAGNITUDES_FAR_M)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,19 +279,18 @@ def energy(problem: AlignmentProblem, pose: Pose) -> tuple[float, int]:
     return value, count
 
 
-def _probe_escape(prepared: _Prepared, pose: Pose, energy_now: float, count_now: int, min_samples: int, magnitudes):
+def _probe_escape(prepared: _Prepared, pose: Pose, energy_now: float, count_now: int, min_samples: int, offsets):
     """Best strictly-lower-energy pose among fixed translation probes, or None.
 
-    Candidates are ``pose`` moved by ``magnitude * direction`` in the camera
-    frame, direction-major over ``_PROBE_DIRECTIONS``. They are scored in
-    array passes over blocks of whole candidates, at most
-    ``_PROBE_BLOCK_POINTS`` candidate samples each (one candidate at least):
-    one stacked projection, one validity mask and one bilinear gather over
-    the block's valid samples. Each candidate's energy is its own slice's
-    dot product, with the same values in the same order as ``_evaluate`` at
-    that pose, so the block size changes no result; the first strictly
-    lowest candidate in loop order wins and only the winner becomes a
-    ``Pose``.
+    Candidates are ``pose`` moved by each row of ``offsets``, a (K, 3) table
+    of camera-frame translations. They are scored in array passes over
+    blocks of whole candidates, at most ``_PROBE_BLOCK_POINTS`` candidate
+    samples each (one candidate at least): one stacked projection, one
+    validity mask and one bilinear gather over the block's valid samples.
+    Each candidate's energy is its own slice's dot product, with the same
+    values in the same order as ``_evaluate`` at that pose, so the block size
+    changes no result; the first strictly lowest candidate in row order wins
+    and only the winner becomes a ``Pose``.
 
     A candidate must keep nearly all samples active: dumping samples out of
     the image bounds lowers the total energy without improving anything.
@@ -283,13 +298,7 @@ def _probe_escape(prepared: _Prepared, pose: Pose, energy_now: float, count_now:
     so over several rounds the active count can fall further than that.
     """
     rotation = pose.rotation
-    translations = np.array(
-        [
-            pose.translation + rotation @ (magnitude * direction)
-            for direction in _PROBE_DIRECTIONS
-            for magnitude in magnitudes
-        ]
-    )
+    translations = np.array([pose.translation + rotation @ offset for offset in offsets])
     block = max(1, _PROBE_BLOCK_POINTS // max(prepared.total_samples, 1))
     scored = [_probe_block(prepared, rotation, translations[i:i + block]) for i in range(0, len(translations), block)]
     counts = np.concatenate([block_counts for block_counts, _ in scored])
@@ -382,10 +391,10 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
             if probe_rounds >= _MAX_PROBE_ROUNDS or at_cap():
                 break
             if count_now > 0 and energy_now / count_now <= cfg.max_mean_reproj_px:
-                magnitudes = _PROBE_MAGNITUDES_NEAR_M  # plausible fit, scan nearby only
+                offsets = _PROBE_OFFSETS_NEAR  # plausible fit, scan nearby only
             else:
-                magnitudes = _PROBE_MAGNITUDES_FAR_M
-            escape = _probe_escape(prepared, pose, energy_now, count_now, cfg.min_samples, magnitudes)
+                offsets = _PROBE_OFFSETS_FAR
+            escape = _probe_escape(prepared, pose, energy_now, count_now, cfg.min_samples, offsets)
             if escape is None:
                 break
             pose = escape[2]

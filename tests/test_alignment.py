@@ -617,17 +617,16 @@ class TestProblemType:
         assert problem.start_pose is prior
 
 
-def reference_probe_escape(prepared, pose, energy_now, count_now, min_samples, magnitudes):
+def reference_probe_escape(prepared, pose, energy_now, count_now, min_samples, offsets):
     """The probe scan as one ``_evaluate`` per candidate: the oracle of the batched scan."""
     best = None
     count_floor = max(min_samples, int(0.95 * count_now))
-    for direction in al._PROBE_DIRECTIONS:
-        for magnitude in magnitudes:
-            candidate = Pose(pose.rotation, pose.translation + pose.rotation @ (magnitude * direction))
-            energy_new, count_new = al._evaluate(prepared, candidate)[:2]
-            if count_new >= count_floor and energy_new < energy_now - 1e-9:
-                if best is None or energy_new < best[0]:
-                    best = (energy_new, count_new, candidate)
+    for offset in offsets:
+        candidate = Pose(pose.rotation, pose.translation + pose.rotation @ offset)
+        energy_new, count_new = al._evaluate(prepared, candidate)[:2]
+        if count_new >= count_floor and energy_new < energy_now - 1e-9:
+            if best is None or energy_new < best[0]:
+                best = (energy_new, count_new, candidate)
     return best
 
 
@@ -638,9 +637,9 @@ def probe_key(best):
     return energy_value, count, pose.translation.tobytes(), pose.rotation.tobytes()
 
 
-def assert_probe_matches_reference(prepared, pose, energy_now, count_now, min_samples, magnitudes):
-    got = al._probe_escape(prepared, pose, energy_now, count_now, min_samples, magnitudes)
-    want = reference_probe_escape(prepared, pose, energy_now, count_now, min_samples, magnitudes)
+def assert_probe_matches_reference(prepared, pose, energy_now, count_now, min_samples, offsets):
+    got = al._probe_escape(prepared, pose, energy_now, count_now, min_samples, offsets)
+    want = reference_probe_escape(prepared, pose, energy_now, count_now, min_samples, offsets)
     assert probe_key(got) == probe_key(want)
     return got
 
@@ -688,11 +687,14 @@ def probe_scans(draw):
     energy_now = draw(st.sampled_from([energy_here, math.inf, energy_here * 0.5]))
     count_now = draw(st.sampled_from([count_here, 0, prepared.total_samples]))
     min_samples = draw(st.sampled_from([0, 1, 5, 30]))
-    magnitudes = draw(st.sampled_from([al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M]))
-    return prepared, pose, energy_now, count_now, min_samples, magnitudes
+    offsets = draw(st.sampled_from([al._PROBE_OFFSETS_NEAR, al._PROBE_OFFSETS_FAR]))
+    return prepared, pose, energy_now, count_now, min_samples, offsets
 
 
 SMALL_K = CameraIntrinsics(fx=50.0, fy=50.0, cx=15.5, cy=11.5, width=32, height=24)
+# The near magnitudes on all 26 lattice directions, for the tests whose
+# candidate indices refer to that lattice.
+LATTICE_NEAR = al._probe_offsets(al._PROBE_DIRECTIONS, al._PROBE_MAGNITUDES_NEAR_M)
 
 
 def constant_field_scan(points=None):
@@ -716,14 +718,55 @@ class TestProbeScan:
     def test_matches_per_candidate_reference(self, scan):
         assert_probe_matches_reference(*scan)
 
-    @pytest.mark.parametrize("magnitudes", [al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M])
-    def test_exact_tie_goes_to_the_first_candidate(self, magnitudes):
+    @pytest.mark.parametrize("offsets", [al._PROBE_OFFSETS_NEAR, al._PROBE_OFFSETS_FAR], ids=["near", "far"])
+    def test_exact_tie_goes_to_the_first_candidate(self, offsets):
         prepared = constant_field_scan()
         pose = Pose.identity()
-        best = assert_probe_matches_reference(prepared, pose, math.inf, 9, 0, magnitudes)
-        first = pose.translation + pose.rotation @ (magnitudes[0] * al._PROBE_DIRECTIONS[0])
+        best = assert_probe_matches_reference(prepared, pose, math.inf, 9, 0, offsets)
+        first = pose.translation + pose.rotation @ offsets[0]
         assert best[:2] == (36.0, 9)
         assert best[2].translation.tobytes() == first.tobytes()
+
+    def test_tables_are_pinned_row_for_row(self):
+        # Direction-major rows of magnitude * unit direction: the near table
+        # on the 6 axis directions, the far one on the 26 lattice directions,
+        # each direction list in lattice order.
+        lattice = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1) if dx or dy or dz]
+        axes = [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        for table, directions, magnitudes, rows in (
+            (al._PROBE_OFFSETS_NEAR, axes, (0.05, 0.1), 12),
+            (al._PROBE_OFFSETS_FAR, lattice, (0.05, 0.1, 0.2, 0.3, 0.45), 130),
+        ):
+            want = np.array(
+                [
+                    magnitude * (np.array(direction, dtype=float) / math.sqrt(sum(c * c for c in direction)))
+                    for direction in directions
+                    for magnitude in magnitudes
+                ]
+            )
+            assert table.shape == want.shape == (rows, 3)
+            assert table.tobytes() == want.tobytes()
+
+    def test_solve_scores_12_candidates_after_a_plausible_fit_and_130_after_a_poor_one(self, monkeypatch):
+        # Counts the candidate rows that reach _probe_block in each round.
+        rounds = []
+        escape, block = al._probe_escape, al._probe_block
+
+        def recording_escape(prepared, pose, energy_now, count_now, min_samples, offsets):
+            rounds.append([count_now > 0 and energy_now / count_now <= PipelineConfig().max_mean_reproj_px, 0])
+            return escape(prepared, pose, energy_now, count_now, min_samples, offsets)
+
+        def recording_block(prepared, rotation, translations):
+            rounds[-1][1] += len(translations)
+            return block(prepared, rotation, translations)
+
+        monkeypatch.setattr(al, "_probe_escape", recording_escape)
+        monkeypatch.setattr(al, "_probe_block", recording_block)
+        for problem in (_small_synthetic_problem(), corner_probe_problem()):
+            al.solve(problem)
+        assert {plausible for plausible, _ in rounds} == {True, False}
+        for plausible, rows in rounds:
+            assert rows == (12 if plausible else 130)
 
     def test_ties_are_broken_direction_major(self):
         # Four samples near the left border. Every sample is lost, for the
@@ -735,7 +778,7 @@ class TestProbeScan:
         for index, magnitude in ((18, 0.1), (21, 0.05)):
             moved = Pose(np.eye(3), magnitude * al._PROBE_DIRECTIONS[index])
             assert al._evaluate(prepared, moved)[:2] == (0.0, 0)
-        best = assert_probe_matches_reference(prepared, pose, math.inf, 0, 0, al._PROBE_MAGNITUDES_NEAR_M)
+        best = assert_probe_matches_reference(prepared, pose, math.inf, 0, 0, LATTICE_NEAR)
         assert best[2].translation.tobytes() == (0.1 * al._PROBE_DIRECTIONS[18]).tobytes()
 
     def test_count_floor_is_95_percent_of_the_current_count(self):
@@ -749,19 +792,15 @@ class TestProbeScan:
                 [1.9, 1.2, 1.1, 1.8, 2.0, 1.9, 1.3, 1.8, 3.0, 1.5, 2.6],
             )
         )
-        kept = {
-            al._evaluate(prepared, Pose(np.eye(3), magnitude * direction))[1]
-            for direction in al._PROBE_DIRECTIONS
-            for magnitude in al._PROBE_MAGNITUDES_NEAR_M
-        }
+        kept = {al._evaluate(prepared, Pose(np.eye(3), offset))[1] for offset in al._PROBE_OFFSETS_NEAR}
         assert 9 in kept and 10 not in kept
-        best = assert_probe_matches_reference(prepared, Pose.identity(), math.inf, 11, 0, al._PROBE_MAGNITUDES_NEAR_M)
+        best = assert_probe_matches_reference(prepared, Pose.identity(), math.inf, 11, 0, al._PROBE_OFFSETS_NEAR)
         assert best[:2] == (44.0, 11)
 
     def test_energy_must_be_lower_by_the_margin(self):
         prepared = constant_field_scan()
         pose = Pose.identity()
-        assert assert_probe_matches_reference(prepared, pose, 36.0, 9, 0, al._PROBE_MAGNITUDES_NEAR_M) is None
+        assert assert_probe_matches_reference(prepared, pose, 36.0, 9, 0, al._PROBE_OFFSETS_NEAR) is None
         # The least energy_now that a 36.0 candidate beats, and the float below it.
         edge = 36.0 + 1e-9
         for _ in range(4):
@@ -770,15 +809,15 @@ class TestProbeScan:
             edge = np.nextafter(edge, math.inf)
         short = np.nextafter(edge, 0.0)
         assert not 36.0 < short - 1e-9
-        assert assert_probe_matches_reference(prepared, pose, edge, 9, 0, al._PROBE_MAGNITUDES_NEAR_M) is not None
-        assert assert_probe_matches_reference(prepared, pose, short, 9, 0, al._PROBE_MAGNITUDES_NEAR_M) is None
+        assert assert_probe_matches_reference(prepared, pose, edge, 9, 0, al._PROBE_OFFSETS_NEAR) is not None
+        assert assert_probe_matches_reference(prepared, pose, short, 9, 0, al._PROBE_OFFSETS_NEAR) is None
 
     def test_count_floor_is_inclusive(self):
         prepared = constant_field_scan()
         pose = Pose.identity()
         # int(0.95 * 9) = 8 and min_samples 9: every candidate keeps all 9.
-        assert assert_probe_matches_reference(prepared, pose, math.inf, 9, 9, al._PROBE_MAGNITUDES_NEAR_M) is not None
-        assert assert_probe_matches_reference(prepared, pose, math.inf, 9, 10, al._PROBE_MAGNITUDES_NEAR_M) is None
+        assert assert_probe_matches_reference(prepared, pose, math.inf, 9, 9, al._PROBE_OFFSETS_NEAR) is not None
+        assert assert_probe_matches_reference(prepared, pose, math.inf, 9, 10, al._PROBE_OFFSETS_NEAR) is None
 
     def test_candidates_behind_the_camera_or_off_the_image_lose_samples(self):
         # A sample 4 cm ahead at the left image border: candidates that move
@@ -788,9 +827,9 @@ class TestProbeScan:
         points = [[-0.0124, 0.0, 0.04], [0.0, 0.0, 3.0], [0.3, 0.1, 2.0]]
         prepared = prepared_problem([grid], {"lane": points}, SMALL_K)
         pose = Pose.identity()
-        for magnitudes in (al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M):
+        for offsets in (al._PROBE_OFFSETS_NEAR, al._PROBE_OFFSETS_FAR):
             for min_samples in (0, 2, 3):
-                assert_probe_matches_reference(prepared, pose, math.inf, 0, min_samples, magnitudes)
+                assert_probe_matches_reference(prepared, pose, math.inf, 0, min_samples, offsets)
         forward = Pose(np.eye(3), [0.0, 0.0, 0.05])  # the sample ends up 1 cm behind the camera
         right = Pose(np.eye(3), [0.05, 0.0, 0.0])  # and off the left border here
         for moved in (forward, right):
@@ -802,7 +841,7 @@ class TestProbeScan:
         # scores 0.0, the lowest energy there is.
         prepared = prepared_problem([np.full((24, 32), 3.0)], {"lane": [[-15.4 / 50.0, 0.0, 1.0]]}, SMALL_K)
         pose = Pose.identity()
-        best = assert_probe_matches_reference(prepared, pose, 9.0, 0, 0, al._PROBE_MAGNITUDES_NEAR_M)
+        best = assert_probe_matches_reference(prepared, pose, 9.0, 0, 0, LATTICE_NEAR)
         assert best[:2] == (0.0, 0)
         first_right = Pose(np.eye(3), al._PROBE_MAGNITUDES_NEAR_M[0] * al._PROBE_DIRECTIONS[17])  # (1, -1, -1)
         assert al._evaluate(prepared, first_right)[:2] == (0.0, 0)
@@ -811,11 +850,11 @@ class TestProbeScan:
         prepared = prepared_problem([np.ones((24, 32))], {"lane": np.empty((0, 3))}, K)
         assert prepared.total_samples == 0
         pose = Pose(so3_exp([0.1, -0.2, 0.3]), [1.0, 2.0, 3.0])
-        for magnitudes in (al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M):
-            best = assert_probe_matches_reference(prepared, pose, 1.0, 0, 0, magnitudes)
+        for offsets in (al._PROBE_OFFSETS_NEAR, al._PROBE_OFFSETS_FAR):
+            best = assert_probe_matches_reference(prepared, pose, 1.0, 0, 0, offsets)
             assert best[:2] == (0.0, 0)
-            assert assert_probe_matches_reference(prepared, pose, 1.0, 0, 1, magnitudes) is None
-            assert assert_probe_matches_reference(prepared, pose, 0.0, 0, 0, magnitudes) is None
+            assert assert_probe_matches_reference(prepared, pose, 1.0, 0, 1, offsets) is None
+            assert assert_probe_matches_reference(prepared, pose, 0.0, 0, 0, offsets) is None
 
     def test_matches_reference_on_a_rendered_frame(self):
         # A real frame with the prior 1 m off, where probes matter.
@@ -825,8 +864,8 @@ class TestProbeScan:
         for offset in (0.0, 0.3, 1.0):
             pose = syn.perturb_pose_random(problem.prior, offset, 0.01, rng)
             energy_here, count_here = al._evaluate(prepared, pose)[:2]
-            for magnitudes in (al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M):
-                assert_probe_matches_reference(prepared, pose, energy_here, count_here, 30, magnitudes)
+            for offsets in (al._PROBE_OFFSETS_NEAR, al._PROBE_OFFSETS_FAR):
+                assert_probe_matches_reference(prepared, pose, energy_here, count_here, 30, offsets)
 
     def test_block_size_changes_no_result(self, monkeypatch):
         # One candidate per block against every candidate in one block, on a
@@ -839,13 +878,13 @@ class TestProbeScan:
         for offset in (0.0, 0.3, 1.0):
             pose = syn.perturb_pose_random(problem.prior, offset, 0.01, rng)
             energy_here, count_here = al._evaluate(prepared, pose)[:2]
-            for magnitudes in (al._PROBE_MAGNITUDES_NEAR_M, al._PROBE_MAGNITUDES_FAR_M):
-                candidates = len(al._PROBE_DIRECTIONS) * len(magnitudes)
+            for offsets in (al._PROBE_OFFSETS_NEAR, al._PROBE_OFFSETS_FAR):
+                candidates = len(offsets)
                 for energy_now in (energy_here, math.inf):
                     scans = []
                     for block in (samples, candidates * samples):
                         monkeypatch.setattr(al, "_PROBE_BLOCK_POINTS", block)
-                        scans.append(probe_key(al._probe_escape(prepared, pose, energy_now, count_here, 30, magnitudes)))
+                        scans.append(probe_key(al._probe_escape(prepared, pose, energy_now, count_here, 30, offsets)))
                     assert scans[0] == scans[1]
                     winners += scans[0] is not None
         assert winners >= 6  # every energy_now = inf scan has a winner

@@ -382,7 +382,7 @@ STRESS_SCENES = {
 # second and fourth; the others track without a wall.
 STRESS_TRAJECTORY_PINS = {
     "corner-seed-1": "7cd0886dc788ab2045288b31bc72e068ca6122d119994a794496ed1b579bed88",
-    "corner-seed-2": "4643f5dad5a89abc00284adcb89f3b1adb283e6a8916e0718db6ec7c4239d071",
+    "corner-seed-2": "f4f00a52cc5a7a696b18e21c8a470120192b6f51690691033aadfe45bf962613",
     "corner-seed-5-drift-0.2": "373c968abc12909f4597c1ce405c7dbb56f69855b88dc586eb9611ff121f2bc6",
     "straight-seed-3-gap": "55f17a96b94181fea5de53b70cfda909eac00b01943b12ac9c9f7bcf73fa3676",
     "straight-seed-11-noisy": "58659ec82b5b8989cd2110bf5dfefdca2bfc327a371d471077ca631815b5852d",
@@ -422,11 +422,11 @@ class TestWallScenes:
         scans, solves = [], []
         probe, solve = al._probe_escape, al.solve
 
-        def recording_probe(prepared, pose, energy_now, count_now, min_samples, magnitudes):
-            escape = probe(prepared, pose, energy_now, count_now, min_samples, magnitudes)
+        def recording_probe(prepared, pose, energy_now, count_now, min_samples, offsets):
+            escape = probe(prepared, pose, energy_now, count_now, min_samples, offsets)
             # All label weights are 1, so the mean residual is d_max^2 only at the cap.
             at_cap = energy_now >= count_now * d_max**2 * (1.0 - 1e-9)
-            scans.append((at_cap, magnitudes == al._PROBE_MAGNITUDES_FAR_M and escape is not None))
+            scans.append((at_cap, offsets is al._PROBE_OFFSETS_FAR and escape is not None))
             return escape
 
         def recording_solve(problem):
