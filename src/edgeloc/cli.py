@@ -80,7 +80,9 @@ def _cmd_synth(args) -> int:
         edge_dropout=args.edge_dropout,
     )
     scene = generate_scene(args.seed, preset=args.preset, n_frames=args.frames, noise=noise)
-    if args.occlude_from is not None and args.occlude_to is not None:
+    if (args.occlude_from is None) != (args.occlude_to is None):
+        raise ValueError("--occlude-from and --occlude-to must be given together")
+    if args.occlude_from is not None:
         wall = make_occluder_wall(scene, args.occlude_from, args.occlude_to)
         scene = replace(scene, noise=replace(noise, occluders=(wall,)))
     write_dataset(scene, args.out)

@@ -5,17 +5,19 @@ field truncated at d_max only needs min(d^2, w^2) with w = ceil(d_max), so
 every distance is capped at w, and a pixel w or more columns or rows from
 every edge pixel of its label is w^2. Each label is therefore computed in
 its crop: its edge box grown by w - 1 columns, with w - 1 padding rows
-above and below (fewer when the raster has fewer rows). Pass 1 scatters each edge pixel's column distances into
-the crop, k at k rows above and below for k = w - 1 down to 1 and then 0
-at the pixel, so the nearest edge row is written last. Pass 2 is a
-horizontal min-plus with the quadratic kernel over offsets below w, on the
-crop rows that have a column distance below w; it yields min(d^2, w^2),
-since a capped column or an offset of w or more costs at least w^2. Pass
-sums stay below 2 * w^2 (uint16 up to w = 181, else uint32), so integer
-arithmetic is exact. A (w^2 + 1)-entry table maps those rows to the output,
-the same float64 min(sqrt(k), d_max) for every value k; every other pixel
-is the table's last entry. The field thus equals a brute-force
-nearest-edge-pixel search (0 ULP).
+above and below (fewer when the raster has fewer rows). All crops of a
+stack lie in one 1-D buffer filled with w, each crop row followed by
+P = min(w, widest crop) - 1 padding columns. Pass 1 scatters the column
+distances of every edge pixel at once, k at k rows above and below for
+k = w - 1 down to 1 and then 0 at the pixel, so the nearest edge row is
+written last. Pass 2 is a horizontal min-plus with the quadratic kernel
+over offsets up to P, run once over the whole buffer; no offset reaches
+another row, and padding costs more than w^2, so it yields min(d^2, w^2).
+Pass sums stay below 2 * w^2 (uint16 up to w = 181, else uint32), so
+integer arithmetic is exact. A (w^2 + 1)-entry table maps each crop's rows
+to the output, the same float64 min(sqrt(k), d_max) for every value k;
+every other pixel is the table's last entry. The field thus equals a
+brute-force nearest-edge-pixel search (0 ULP).
 
 A field stores only this grid; its slope G_u, G_v is taken from the grid
 where it is sampled, see bilinear_gather. Fields reach the solver only as
@@ -75,59 +77,63 @@ def _sum_dtype(cap: int) -> np.dtype:
     return np.promote_types(np.uint16, np.min_scalar_type(2 * cap * cap))
 
 
-def _edge_distance(mask: np.ndarray, cap: int, table: np.ndarray) -> np.ndarray:
-    """table[min(d^2, cap^2)] per pixel of a (..., H, W) bool stack.
-
-    d is the distance to the nearest edge pixel in the same (H, W) slice.
-    Each slice is computed inside its edge box, grown by cap - 1 columns;
-    every other pixel is table[cap^2].
-    """
-    out = np.full(mask.shape, table[cap * cap])
-    if mask.size == 0:
+def _edge_distance(edges: np.ndarray, shape: tuple[int, ...], cap: int, table: np.ndarray) -> np.ndarray:
+    """table[min(d^2, cap^2)] per pixel of a (..., H, W) stack of ``shape``
+    with edge pixels at the sorted flat indices ``edges``; d is the distance
+    to the nearest edge pixel in the same (H, W) slice. The non-empty slices'
+    crops share one padded buffer (see the module docstring); every other
+    pixel is table[cap^2]."""
+    out = np.full(shape, table[cap * cap])
+    if edges.size == 0:
         return out
-    height, width = mask.shape[-2:]
+    height, width = shape[-2:]
     layers = out.reshape(-1, height, width)
-    dtype = _sum_dtype(cap)
-    # Padding rows, and the largest row offset scattered: an offset of
-    # height or more rows never lands in the raster.
+    # Padding rows, and the largest row offset scattered (none reaches past H).
     pad = min(cap, height) - 1
-    # Edge pixels by flat index, so each slice's pixels are one row-major run.
-    edges = np.flatnonzero(mask)
+    # Each slice's edge pixels are one row-major run of ``edges``.
+    bounds = np.searchsorted(edges, np.arange(len(layers) + 1) * (height * width))
+    filled = np.flatnonzero(np.diff(bounds))
+    starts, counts = bounds[filled], np.diff(bounds)[filled]
     rows, cols = np.divmod(edges % (height * width), width)
-    bounds = np.searchsorted(edges, np.arange(len(layers) + 1) * (height * width)).tolist()
-    for index, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if start == stop:
-            continue
-        r, c = rows[start:stop], cols[start:stop]
-        top, bottom = int(r[0]), int(r[-1])
-        left, right = max(int(c.min()) - cap + 1, 0), min(int(c.max()) + cap, width)
-        crop_w = right - left
-        # Pass 1: capped column distances, scattered from the edge pixels into
-        # a crop with ``pad`` rows above and below, so no index leaves it.
-        # Offsets go from far to near and a smaller value is written later,
-        # so each pixel keeps its nearest edge row.
-        origin = top - pad  # raster row of the crop's first row
-        col = np.full((bottom + pad + 1 - origin, crop_w), cap, dtype)
-        flat = col.reshape(-1)
-        base = (r - origin) * crop_w + (c - left)
-        for k in range(pad, 0, -1):
-            flat[base - k * crop_w] = k
-            flat[base + k * crop_w] = k
-        flat[base] = 0
-        first = max(origin, 0)
-        col = col[first - origin : min(bottom + pad + 1, height) - origin]
+    top, bottom = rows[starts], rows[starts + counts - 1]
+    left = np.maximum(np.minimum.reduceat(cols, starts) - (cap - 1), 0)
+    right = np.minimum(np.maximum.reduceat(cols, starts) + cap, width)
+    # A pass-2 shift is at most gap, so it never reaches another row's pixels.
+    gap = min(cap, int((right - left).max())) - 1
+    stride = right - left + gap
+    size = (bottom - top + 1 + 2 * pad) * stride
+    origin = np.cumsum(size) - size  # buffer index of each crop's first row
 
-        # Pass 2: horizontal min-plus with the quadratic kernel over offsets
-        # below cap, only on rows with a column distance below cap.
-        near = np.flatnonzero((col < cap).any(axis=1))
-        part = np.square(col[near])
-        best = part.copy()
-        cost = np.empty_like(part)
-        for shift in range(1, min(cap, crop_w)):
-            np.add(part, shift * shift, out=cost)
-            np.minimum(best[:, shift:], cost[:, :-shift], out=best[:, shift:])
-            np.minimum(best[:, :-shift], cost[:, shift:], out=best[:, :-shift])
-        layers[index, first + near, left:right] = table[best]
+    # Pass 1: capped column distances from every edge pixel at once, each
+    # stepping by its crop's stride. Offsets go from far to near, so each
+    # pixel keeps its nearest edge row.
+    best = np.full(int(size.sum()), cap, _sum_dtype(cap))
+    step = np.repeat(stride, counts)
+    base = np.repeat(origin + (pad - top) * stride - left, counts) + rows * step + cols
+    up, down = base - pad * step, base + pad * step
+    for k in range(pad, 0, -1):
+        best[up] = k
+        best[down] = k
+        up += step
+        down -= step
+    best[base] = 0
+
+    # Pass 2, in place: 3 contiguous ufunc calls per offset for the whole
+    # stack. Padding costs cap^2 + shift^2 and never wins.
+    part = np.square(best, out=best).copy()
+    cost = np.empty_like(part)
+    for shift in range(1, gap + 1):
+        np.add(part, shift * shift, out=cost)
+        np.minimum(best[shift:], cost[:-shift], out=best[shift:])
+        np.minimum(best[:-shift], cost[shift:], out=best[:-shift])
+    del part, cost  # before the table lookup allocates, so the peak stays that of pass 2
+
+    # Each crop's rows inside the raster go straight to their layer.
+    first, stop = np.maximum(top - pad, 0), np.minimum(bottom + pad + 1, height)
+    offset = origin + (first - top + pad) * stride
+    for index, a, b, lo, hi, n, at in zip(*(v.tolist() for v in (filled, first, stop, left, right, stride, offset))):
+        crop = best[at : at + (b - a) * n].reshape(b - a, n)[:, : hi - lo]
+        np.take(table, crop, out=layers[index, a:b, lo:hi], mode="clip")
     return out
 
 
@@ -149,7 +155,7 @@ def squared_edge_distance(pixels: np.ndarray, window: int | None = None) -> np.n
     cap = int(min(limit, sum(mask.shape[-2:]) - 1))
     table = np.arange(cap * cap + 1.0)
     table[-1] = limit * limit
-    return _edge_distance(mask, cap, table)
+    return _edge_distance(np.flatnonzero(mask), mask.shape, cap, table)
 
 
 class FieldStack(dict):
@@ -182,13 +188,17 @@ def build_fields(masks: list[SemanticEdgeMask], d_max: float = DEFAULT_TRUNCATIO
     if not d_max > 0:
         raise ValueError("d_max must be positive")
     d_max = float(d_max)
-    stack = np.stack([m.pixels for m in masks])
-    height, width = stack.shape[1:]
+    height, width = shape = masks[0].pixels.shape
+    for mask in masks:
+        if mask.pixels.shape != shape:
+            raise DimensionMismatch(f"mask {mask.label!r} has shape {mask.pixels.shape}, the first mask {shape}")
     cap = int(min(np.ceil(d_max), height + width - 1))
     table = np.minimum(np.sqrt(np.arange(cap * cap + 1.0)), d_max)
     # As in squared_edge_distance, a cap below ceil(d_max) marks empty masks.
     table[-1] = d_max
-    return FieldStack([mask.label for mask in masks], _edge_distance(stack, cap, table), d_max)
+    edges = np.concatenate([np.flatnonzero(m.pixels) + i * height * width for i, m in enumerate(masks)])
+    distance = _edge_distance(edges, (len(masks), height, width), cap, table)
+    return FieldStack([mask.label for mask in masks], distance, d_max)
 
 
 def coarsen_mask(mask: SemanticEdgeMask, scale: int = COARSE_SCALE) -> SemanticEdgeMask:

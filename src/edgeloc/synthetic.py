@@ -343,7 +343,14 @@ def make_occluder_wall(
     width: float = 24.0,
     height: float = 14.0,
 ) -> OccluderBox:
-    """A dynamic wall ahead of the camera over [first_frame, last_frame]."""
+    """A dynamic wall ahead of the camera over [first_frame, last_frame];
+    ValueError unless that window is non-empty and inside the scene's frames."""
+    frame_ids = [frame_id for frame_id, _ in scene.trajectory]
+    if not min(frame_ids) <= first_frame <= last_frame <= max(frame_ids):
+        raise ValueError(
+            f"occluder window [{first_frame}, {last_frame}] is not inside the scene's frames "
+            f"[{min(frame_ids)}, {max(frame_ids)}]"
+        )
     mid = (first_frame + last_frame) // 2
     pose = scene.pose_of(mid)
     forward = pose.rotation @ np.array([0.0, 0.0, 1.0])

@@ -50,6 +50,22 @@ class TestSynthCommand:
         assert (masked > 0).mean() > 0.5
 
 
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            (["--occlude-from", "2"], "--occlude-from and --occlude-to must be given together"),
+            (["--occlude-to", "4"], "--occlude-from and --occlude-to must be given together"),
+            (["--occlude-from", "4", "--occlude-to", "2"], "occluder window [4, 2] is not inside the scene's frames [0, 5]"),
+            (["--occlude-from", "2", "--occlude-to", "40"], "occluder window [2, 40] is not inside the scene's frames [0, 5]"),
+        ],
+    )
+    def test_bad_occluder_window_exits_2(self, tmp_path, capsys, window, message):
+        out = tmp_path / "occluded"
+        code = main(["synth", "--preset", "sparse", "--seed", "1", "--out", str(out), "--frames", "6", *window])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 class TestRunCommand:
     def test_run_and_evaluate(self, dataset, tmp_path, capsys):
         traj = tmp_path / "traj.txt"

@@ -269,6 +269,20 @@ def assert_field_is_oracle(field, mask, d_max):
     assert field.distance.tobytes() == oracle_distance(mask, d_max).tobytes()
 
 
+def assert_stack_is_oracle(stack, d_max, window):
+    """build_fields and squared_edge_distance (untruncated and at ``window``)
+    of every layer of ``stack`` equal the brute-force search, byte for byte."""
+    masks = [ef.SemanticEdgeMask(f"l{i}", layer) for i, layer in enumerate(stack)]
+    fields = ef.build_fields(masks, d_max=d_max)
+    full = ef.squared_edge_distance(stack)
+    capped = ef.squared_edge_distance(stack, window=window)
+    for mask, layer_full, layer_capped in zip(masks, full, capped):
+        assert_field_is_oracle(fields[mask.label], mask.pixels, d_max)
+        oracle = brute_force_squared(mask.pixels)
+        assert layer_full.tobytes() == oracle.tobytes()
+        assert layer_capped.tobytes() == np.minimum(oracle, float(window * window)).tobytes()
+
+
 class TestKernelProperties:
     """The capped integer kernel against the brute-force oracle, byte for byte."""
 
@@ -361,16 +375,74 @@ class TestKernelProperties:
         # Each layer is computed in its own crop; the stack's fields and
         # squared distances must equal a brute-force search per layer.
         stack, d_max = case
-        masks = [ef.SemanticEdgeMask(f"l{i}", layer) for i, layer in enumerate(stack)]
-        fields = ef.build_fields(masks, d_max=d_max)
-        full = ef.squared_edge_distance(stack)
-        capped = ef.squared_edge_distance(stack, window=window)
-        for mask, layer_full, layer_capped in zip(masks, full, capped):
-            assert_field_is_oracle(fields[mask.label], mask.pixels, d_max)
-            oracle = brute_force_squared(mask.pixels)
-            assert layer_full.tobytes() == oracle.tobytes()
-            assert layer_capped.tobytes() == np.minimum(oracle, float(window * window)).tobytes()
+        assert_stack_is_oracle(stack, d_max, window)
 
+
+class TestPackedLayout:
+    """All crops of a stack share one buffer, each crop row followed by
+    min(cap, widest crop) - 1 padding columns; no pass-2 shift may carry a
+    value across a crop or a row."""
+
+    @pytest.mark.parametrize("shape", [(6, 30), (25, 9), (40, 41), (1, 30), (30, 1)])
+    @pytest.mark.parametrize("d_max", [2.5, 7.0, 20.0])
+    def test_crops_that_fill_the_raster_sit_next_to_each_other(self, shape, d_max):
+        # Every layer has edge pixels on the first and last row and column,
+        # so each crop is the whole raster and the last pixel of each row
+        # (and of each crop) is followed directly by padding, then the next
+        # row's first pixel.
+        height, width = shape
+        rng = np.random.default_rng(height * 100 + width)
+        stack = rng.random((4, height, width)) < 0.05
+        stack[0, [0, -1], :] = True
+        stack[1][np.ix_([0, -1], [0, -1])] = True
+        stack[2, :, [0, -1]] = True
+        stack[3, 0, 0] = stack[3, -1, -1] = True
+        assert_stack_is_oracle(stack, d_max, window=3)
+
+    def test_crops_at_opposite_corners_of_consecutive_layers(self):
+        # Layer i ends on the last row and column, layer i + 1 starts on the
+        # first row and column: a wrong stride would carry one into the other.
+        stack = np.zeros((3, 12, 50), dtype=bool)
+        stack[0, -1, -1] = True
+        stack[1, 0, 0] = True
+        stack[1, -1, -1] = True
+        stack[2, 0, 0] = True
+        assert_stack_is_oracle(stack, 20.0, window=4)
+
+    @pytest.mark.parametrize("shape", [(3, 7), (7, 3), (1, 15), (15, 1), (12, 18), (19, 19), (5, 60)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_crops_narrower_and_rasters_shorter_than_cap(self, shape, seed):
+        # cap = 20 at d_max 20: each crop here is narrower than cap or each
+        # raster shorter, so the padding and the padding rows are clipped.
+        rng = np.random.default_rng(seed)
+        stack = rng.random((5,) + shape) < 0.1
+        stack[1] = False
+        stack[2, rng.integers(shape[0]), rng.integers(shape[1])] = True
+        assert_stack_is_oracle(stack, 20.0, window=20)
+        assert_stack_is_oracle(stack, 19.5, window=25)
+
+    def test_untruncated_distance_on_a_wide_raster(self):
+        # Untruncated, cap = H + W - 1 = 703 but no crop is wider than 640:
+        # the padding must follow the widest crop, and shifts up to 639
+        # columns must stay inside their row.
+        rng = np.random.default_rng(22)
+        stack = np.zeros((3, 64, 640), dtype=bool)
+        stack[0, 0, 0] = True
+        stack[1, rng.integers(64, size=30), rng.integers(640, size=30)] = True
+        stack[2, 40, 300:310] = True
+        full = ef.squared_edge_distance(stack)
+        for layer, squared in zip(stack, full):
+            assert squared.tobytes() == brute_force_squared(layer).tobytes()
+        assert full[0, -1, -1] == 639**2 + 63**2
+
+    def test_masks_of_different_shapes_rejected(self):
+        masks = [
+            ef.SemanticEdgeMask("a", np.zeros((4, 5), bool)),
+            ef.SemanticEdgeMask("b", np.ones((4, 5), bool)),
+            ef.SemanticEdgeMask("c", np.ones((5, 4), bool)),
+        ]
+        with pytest.raises(ef.DimensionMismatch, match=r"mask 'c' has shape \(5, 4\), the first mask \(4, 5\)"):
+            ef.build_fields(masks)
 
 @st.composite
 def grids_and_points(draw):

@@ -135,6 +135,13 @@ class TestRenderFrame:
         assert (edges_during > 0).sum() < (edges_before > 0).sum()
 
 
+    @pytest.mark.parametrize("first, last", [(2, 1), (-1, 2), (1, 4), (5, 9)])
+    def test_occluder_window_outside_the_scene_rejected(self, first, last):
+        scene = syn.generate_scene(4, "sparse", n_frames=4)
+        window = rf"occluder window \[{first}, {last}\] is not inside the scene's frames \[0, 3\]"
+        with pytest.raises(ValueError, match=window):
+            syn.make_occluder_wall(scene, first, last)
+
 class TestCorruptOdometry:
     def make_trajectory(self, n=201, step=0.5):
         return tuple((i, Pose(np.eye(3), [i * step, 0.0, 0.0])) for i in range(n))
