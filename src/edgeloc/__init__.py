@@ -27,7 +27,7 @@ from .edge_features import (
     sample_field,
 )
 from .evaluation import ErrorReport, evaluate_trajectories
-from .geometry import CameraIntrinsics, Pose, compose, exp, inverse, log, project, skew
+from .geometry import CameraIntrinsics, Pose, skew
 from .pipeline import DatasetManifest, FrameRecord, iter_frames, run_dataset
 from .predictor import PosePredictor
 from .selection import LandmarkSamples, select_landmarks
@@ -60,17 +60,12 @@ __all__ = [
     "build_edge_masks",
     "build_fields",
     "coarsen_mask",
-    "compose",
     "evaluate_trajectories",
-    "exp",
     "generate_scene",
-    "inverse",
     "iter_frames",
-    "log",
     "map_statistics",
     "parse_config_text",
     "parse_map",
-    "project",
     "render_frame",
     "run_dataset",
     "sample_field",

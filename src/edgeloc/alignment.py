@@ -42,14 +42,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .edge_features import COARSE_SCALE, FieldStack, bilinear_gather
-from .geometry import (
-    MIN_PROJECTION_DEPTH,
-    CameraIntrinsics,
-    Pose,
-    orthonormalize,
-    rotation_angle,
-    so3_exp,
-)
+from .geometry import CameraIntrinsics, Pose, orthonormalize, project_points, rotation_angle, so3_exp
 from .selection import LandmarkSamples
 
 REJECT_NONE = "none"
@@ -168,11 +161,7 @@ class _Prepared:
 def _project(k: CameraIntrinsics, cam: np.ndarray):
     """Pixel coordinates (u, v) of camera-frame points (..., 3), and which of
     them are active: in front of the camera and inside the image bounds."""
-    z = cam[..., 2]
-    valid = z > MIN_PROJECTION_DEPTH
-    safe_z = np.where(valid, z, 1.0)
-    u = k.fx * cam[..., 0] / safe_z + k.cx
-    v = k.fy * cam[..., 1] / safe_z + k.cy
+    u, v, valid = project_points(cam, k)
     valid &= (u >= 0.0) & (u <= k.width - 1) & (v >= 0.0) & (v <= k.height - 1)
     return u, v, valid
 

@@ -118,12 +118,6 @@ class WireframeLandmark:
         if not deviation <= MAX_PLANARITY_DEVIATION_M:
             raise ValueError(f"wireframe is not planar (max deviation {deviation:.3f} m)")
 
-    def edges(self):
-        """Yield the closed polygon's edges as (p_start, p_end) pairs."""
-        n = self.points.shape[0]
-        for i in range(n):
-            yield self.points[i], self.points[(i + 1) % n]
-
 
 Landmark = LineSegmentLandmark | WireframeLandmark
 

@@ -309,18 +309,20 @@ def sample_field(field: SemanticEdgeField, u: float, v: float) -> tuple[float, f
 
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Binary dilation with a (2r+1)-square structuring element."""
+    """Binary dilation with a (2r+1)-square structuring element: the square
+    is separable, so one (2r+1)-wide pass over the columns and one over the
+    rows take 2(2r+1) slice ORs instead of (2r+1)^2."""
     if radius <= 0 or not mask.any():
         return mask.copy()
-    out = mask.copy()
     height, width = mask.shape
     padded = np.zeros((height + 2 * radius, width + 2 * radius), dtype=bool)
     padded[radius:radius + height, radius:radius + width] = mask
-    for dv in range(-radius, radius + 1):
-        for du in range(-radius, radius + 1):
-            if dv == 0 and du == 0:
-                continue
-            out |= padded[radius + dv:radius + dv + height, radius + du:radius + du + width]
+    wide = np.zeros((height + 2 * radius, width), dtype=bool)
+    for du in range(2 * radius + 1):
+        wide |= padded[:, du:du + width]
+    out = np.zeros((height, width), dtype=bool)
+    for dv in range(2 * radius + 1):
+        out |= wide[dv:dv + height]
     return out
 
 

@@ -1,10 +1,8 @@
-"""Rigid-body transforms on SE(3), se(3) exp/log maps, and the pinhole camera model.
+"""Rigid-body transforms on SE(3) and the pinhole camera model.
 
 Conventions used throughout the package:
   - A Pose (R, t) maps points from its own frame into the parent frame:
     p_parent = R @ p_own + t.
-  - Twists are 6-vectors with the translational part first: xi = [rho, theta],
-    rho in meters, theta in radians.
   - Image coordinates are (u, v) with u along the width axis and v along the
     height axis; arrays are indexed [v, u].
 """
@@ -16,25 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# A twist is a plain 6-vector [rho, theta]: translational part first
-# (meters), rotational part second (radians).
-Twist = np.ndarray
-
 # Points closer than this to the camera plane are considered degenerate.
 MIN_PROJECTION_DEPTH = 1e-6
 
-# Below this rotation angle the exp/log maps switch to 2nd-order series.
+# Below this rotation angle so3_exp switches to its 2nd-order series.
 SMALL_ANGLE = 1e-8
 
 _ORTHONORMAL_GUARD = 1e-6
-
-
-class PointBehindCamera(ValueError):
-    """Raised when projecting a point at or behind the camera plane."""
-
-
-class RotationNearPi(ValueError):
-    """Raised by the log map for rotations too close to 180 degrees."""
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -54,64 +40,6 @@ def so3_exp(theta: np.ndarray) -> np.ndarray:
     a = math.sin(angle) / angle
     b = (1.0 - math.cos(angle)) / (angle * angle)
     return np.eye(3) + a * k + b * k2
-
-
-def so3_log(rotation: np.ndarray) -> np.ndarray:
-    """Rotation vector of a rotation matrix.
-
-    The angle is atan2(|w|, (tr R - 1) / 2), where w = sin(angle) * axis is
-    the antisymmetric part of R. Past a quarter turn the axis comes from the
-    symmetric part, with its sign from w. Raises RotationNearPi within 1e-6
-    rad of a half turn, where that sign becomes numerically ambiguous.
-    """
-    r = np.asarray(rotation, dtype=float)
-    w = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    sin_angle = math.sqrt(float(w @ w))
-    cos_angle = 0.5 * (np.trace(r) - 1.0)
-    angle = math.atan2(sin_angle, cos_angle)
-    if angle > math.pi - 1e-6:
-        raise RotationNearPi(f"rotation angle {angle:.9f} rad is too close to pi")
-    if angle < SMALL_ANGLE:
-        return w
-    if angle <= 0.5 * math.pi:
-        return w * (angle / sin_angle)
-    # (R + R^T) / 2 - cos(angle) I = (1 - cos(angle)) axis axis^T; its column with
-    # the largest diagonal entry is the best-conditioned multiple of the axis.
-    outer = 0.5 * (r + r.T) - cos_angle * np.eye(3)
-    axis = outer[:, np.argmax(np.diag(outer))]
-    return axis * (math.copysign(angle, float(axis @ w)) / math.sqrt(float(axis @ axis)))
-
-
-# The closed-form V / V^-1 coefficients divide differences of cosines by
-# angle powers and lose all precision below ~1e-3 rad; the series below are
-# accurate to ~1e-12 at the 1e-2 switch point.
-_JACOBIAN_SERIES_ANGLE = 1e-2
-
-
-def _so3_left_jacobian(theta: np.ndarray) -> np.ndarray:
-    angle = math.sqrt(float(theta @ theta))
-    k = skew(theta)
-    k2 = k @ k
-    a2 = angle * angle
-    if angle < _JACOBIAN_SERIES_ANGLE:
-        c1 = 0.5 - a2 / 24.0 + a2 * a2 / 720.0
-        c2 = 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0
-    else:
-        c1 = (1.0 - math.cos(angle)) / a2
-        c2 = (angle - math.sin(angle)) / (a2 * angle)
-    return np.eye(3) + c1 * k + c2 * k2
-
-
-def _so3_left_jacobian_inv(theta: np.ndarray) -> np.ndarray:
-    angle = math.sqrt(float(theta @ theta))
-    k = skew(theta)
-    k2 = k @ k
-    a2 = angle * angle
-    if angle < _JACOBIAN_SERIES_ANGLE:
-        c = 1.0 / 12.0 + a2 / 720.0 + a2 * a2 / 30240.0
-    else:
-        c = (1.0 - (angle * math.sin(angle)) / (2.0 * (1.0 - math.cos(angle)))) / a2
-    return np.eye(3) - 0.5 * k + c * k2
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,34 +96,6 @@ class Pose:
         rot_t = self.rotation.T
         return Pose(rot_t, -rot_t @ self.translation)
 
-    def matrix(self) -> np.ndarray:
-        out = np.eye(4)
-        out[:3, :3] = self.rotation
-        out[:3, 3] = self.translation
-        return out
-
-
-def compose(a: Pose, b: Pose) -> Pose:
-    return a.compose(b)
-
-
-def inverse(pose: Pose) -> Pose:
-    return pose.inverse()
-
-
-def exp(xi: np.ndarray) -> Pose:
-    """se(3) exponential map of a twist [rho, theta]."""
-    xi = np.asarray(xi, dtype=float).reshape(6)
-    rho, theta = xi[:3], xi[3:]
-    return Pose(so3_exp(theta), _so3_left_jacobian(theta) @ rho)
-
-
-def log(pose: Pose) -> np.ndarray:
-    """se(3) logarithm; inverse of exp for rotation angles below pi."""
-    theta = so3_log(pose.rotation)
-    rho = _so3_left_jacobian_inv(theta) @ pose.translation
-    return np.concatenate([rho, theta])
-
 
 def orthonormalize(pose: Pose) -> Pose:
     """Project the rotation back onto SO(3) via polar decomposition."""
@@ -232,31 +132,17 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
 
-def project(point: np.ndarray, intrinsics: CameraIntrinsics) -> tuple[float, float]:
-    """Project a camera-frame 3D point to sub-pixel image coordinates."""
-    x, y, z = np.asarray(point, dtype=float)
-    if z <= MIN_PROJECTION_DEPTH:
-        raise PointBehindCamera(f"point depth {z:.3e} m is at or behind the camera")
-    return (
-        intrinsics.fx * x / z + intrinsics.cx,
-        intrinsics.fy * y / z + intrinsics.cy,
-    )
-
-
-def project_points(points: np.ndarray, intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of (N, 3) camera-frame points.
-
-    Returns (uv, valid); rows of uv with valid == False hold garbage and
-    must be masked by the caller.
-    """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    z = points[:, 2]
-    valid = z > MIN_PROJECTION_DEPTH
-    safe_z = np.where(valid, z, 1.0)
-    uv = np.empty((points.shape[0], 2))
-    uv[:, 0] = intrinsics.fx * points[:, 0] / safe_z + intrinsics.cx
-    uv[:, 1] = intrinsics.fy * points[:, 1] / safe_z + intrinsics.cy
-    return uv, valid
+def project_points(points: np.ndarray, intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pixel coordinates (u, v) of camera-frame points (..., 3), and which of
+    them are in front of the camera. Where ``in_front`` is False, u and v
+    hold garbage and must be masked by the caller."""
+    points = np.asarray(points, dtype=float)
+    z = points[..., 2]
+    in_front = z > MIN_PROJECTION_DEPTH
+    safe_z = np.where(in_front, z, 1.0)
+    u = intrinsics.fx * points[..., 0] / safe_z + intrinsics.cx
+    v = intrinsics.fy * points[..., 1] / safe_z + intrinsics.cy
+    return u, v, in_front
 
 
 def quat_to_rotation(qx: float, qy: float, qz: float, qw: float) -> np.ndarray:

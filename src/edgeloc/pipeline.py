@@ -45,7 +45,7 @@ from .alignment import AlignmentProblem, align_frame
 from .compact_map import CompactMap, parse_map
 from .config import PipelineConfig
 from .edge_features import FieldStack, build_edge_masks, build_fields, coarsen_mask
-from .geometry import CameraIntrinsics, Pose
+from .geometry import CameraIntrinsics, Pose, project_points
 from .io import read_initial_pose, read_intrinsics, read_pgm, read_pgm_shape, read_trajectory, write_pgm
 from .predictor import PosePredictor
 from .selection import select_landmarks
@@ -180,17 +180,14 @@ def write_debug_overlay(path, fields, samples, prior, pose, intrinsics) -> None:
     reprojected under ``pose`` and marked bright, which makes converged and
     failed frames easy to tell apart.
     """
-    from .geometry import project_points
-
     height, width = intrinsics.height, intrinsics.width
     # A map with no labels gives a stack with no layers: the field is d_max everywhere.
     field = fields.stack.min(axis=0) if len(fields.stack) else np.full((height, width), fields.d_max)
     canvas = (field / fields.d_max * 200.0).astype(np.uint8)
     camera = pose.inverse()
-    uv, valid = project_points(camera.apply(prior.apply(samples.points)), intrinsics)
-    uv = uv[valid]
-    iu = np.rint(uv[:, 0]).astype(int)
-    iv = np.rint(uv[:, 1]).astype(int)
+    u, v, in_front = project_points(camera.apply(prior.apply(samples.points)), intrinsics)
+    iu = np.rint(u[in_front]).astype(int)
+    iv = np.rint(v[in_front]).astype(int)
     keep = (iu >= 0) & (iu < width) & (iv >= 0) & (iv < height)
     canvas[iv[keep], iu[keep]] = 255
     write_pgm(path, canvas)
@@ -206,12 +203,14 @@ def iter_frames(
     """Run the frame chain over ``manifest.frame_ids``, yielding (record,
     accepted pose or None) as each frame finishes.
 
-    The map and odometry are read, and ``prefetch_workers`` >= 0 checked,
-    before the generator is returned, so bad input raises here and not at
-    the first frame. ``prefetch_workers`` > 0 overlaps feature extraction of
-    upcoming frames with alignment of the current one; results are
-    identical to the serial run because field construction is a pure
-    function of the frame files.
+    The map and odometry are read, and ``prefetch_workers`` >= 0 and the
+    initial frame's odometry checked, before the generator is returned, so
+    bad input raises here and not at the first frame. The initial pose
+    anchors the predictor at the first listed frame at or after the initial
+    frame, so the run starts even when the initial frame has no rasters.
+    ``prefetch_workers`` > 0 overlaps feature extraction of upcoming frames
+    with alignment of the current one; results are identical to the serial
+    run because field construction is a pure function of the frame files.
     ``debug_dir`` writes a reprojection overlay raster per processed frame.
     Serially, a frame's arrays (rasters, masks, fields, samples, solver
     state) are alive only while it is processed: none of them when its
@@ -227,6 +226,11 @@ def iter_frames(
     if compact_map is None:
         compact_map = parse_map(manifest.map_path.read_bytes())
     odometry = read_trajectory(manifest.odometry_path)
+    if manifest.initial_frame not in odometry:
+        raise ValueError(
+            f"{manifest.root / 'initial_pose.txt'}: initial frame {manifest.initial_frame} "
+            f"has no odometry in {manifest.odometry_path}"
+        )
     return _frame_loop(manifest, config, compact_map, odometry, prefetch_workers, debug_dir)
 
 
@@ -254,8 +258,8 @@ def _frame_loop(manifest, config, compact_map, odometry, prefetch_workers, debug
                 ahead.popleft()
                 yield FrameRecord(frame_id, "skipped:missing-odometry", 0, math.inf, 0), None
                 continue
-            if frame_id == manifest.initial_frame:
-                predictor.set_anchor(frame_id, manifest.initial_pose)
+            if predictor.anchor_pose is None and frame_id >= manifest.initial_frame:
+                predictor.set_anchor(manifest.initial_frame, manifest.initial_pose)
             if predictor.anchor_pose is None:
                 ahead.popleft()
                 yield FrameRecord(frame_id, "dropped:not-initialized", 0, math.inf, 0), None

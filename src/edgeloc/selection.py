@@ -132,15 +132,14 @@ def rasterize_polygons(depth: np.ndarray, polygons: np.ndarray, intrinsics: Came
 
     # Triangle set-up: (u, v, 1/z) x corners (a, b, c) x triangles, with b
     # and c swapped where needed so that area2 >= 0.
-    uv, valid = project_points(corners.reshape(-1, 3), intrinsics)
-    setup = np.concatenate([uv.reshape(-1, 3, 2).T, (1.0 / corners[..., 2].T)[None]])
-    u, v = setup[:2]
+    u, v, in_front = project_points(corners.transpose(1, 0, 2), intrinsics)
+    setup = np.stack([u, v, 1.0 / corners[..., 2].T])
     area2 = (u[1] - u[0]) * (v[2] - v[0]) - (v[1] - v[0]) * (u[2] - u[0])
     setup = np.take_along_axis(setup, np.where(area2 < 0.0, [[0], [2], [1]], [[0], [1], [2]])[None], axis=1)
     size = np.array([[depth.shape[1]], [depth.shape[0]]])
     lo = np.clip(np.ceil(setup[:2].min(axis=1) - 1e-9), 0, size)
     hi = np.clip(np.floor(setup[:2].max(axis=1) + 1e-9), -1, size - 1)
-    keep = valid.reshape(-1, 3).all(axis=1) & (np.abs(area2) >= 1e-12) & (lo <= hi).all(axis=0)
+    keep = in_front.all(axis=0) & (np.abs(area2) >= 1e-12) & (lo <= hi).all(axis=0)
     (u, v, inv_z), area2 = setup[..., keep], np.abs(area2[keep])
     (u_lo, v_lo), (u_hi, v_hi) = lo[:, keep].astype(np.intp), hi[:, keep].astype(np.intp)
     # Edge e runs from corner e + 1 to corner e + 2 (mod 3); its function at
@@ -319,8 +318,8 @@ def sample_landmark_edges(
     q0[poles], q1[poles] = left[:, 0], left[:, 1]
     q0[poles + 1], q1[poles + 1] = right[:, 0], right[:, 1]
     inside, qa, qb = clip_segment_to_view(q0, q1, intrinsics, NEAR_CLIP_M, config.max_selection_range_m)
-    uv, _ = project_points(np.concatenate([qa, qb]), intrinsics)
-    length_px = np.hypot(*(uv[len(qa):] - uv[: len(qa)]).T)
+    u, v, _ = project_points(np.stack([qa, qb]), intrinsics)
+    length_px = np.hypot(u[1] - u[0], v[1] - v[0])
     intervals = np.maximum(1, np.ceil(length_px / spacing).astype(np.intp))
     # s runs over np.linspace(0, 1, n + 1) per edge: k * (1 / n), then exactly 1.
     edge = np.repeat(np.arange(len(qa)), intervals + 1)
@@ -350,9 +349,9 @@ def visible_samples(
     config = config or PipelineConfig()
     points, owner = sample_landmark_edges(packed, prior, intrinsics, spacing, config)
     height, width = depth.shape
-    uv, _ = project_points(points, intrinsics)
-    iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, width - 1)
-    iv = np.clip(np.rint(uv[:, 1]).astype(int), 0, height - 1)
+    u, v, _ = project_points(points, intrinsics)
+    iu = np.clip(np.rint(u).astype(int), 0, width - 1)
+    iv = np.clip(np.rint(v).astype(int), 0, height - 1)
     keep = points[:, 2] <= depth[iv, iu] + config.depth_tolerance_m
     return points[keep], owner[keep], iv[keep], iu[keep]
 

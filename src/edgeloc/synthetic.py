@@ -317,6 +317,8 @@ def generate_scene(
     """
     if preset not in PRESET_NAMES:
         raise ValueError(f"unknown preset {preset!r}, expected one of {PRESET_NAMES}")
+    if n_frames < 1:
+        raise ValueError(f"a scene needs at least 1 frame, got {n_frames}")
     noise = noise or NoiseConfig()
     trajectory = _build_trajectory(preset, n_frames)
     config = PipelineConfig()

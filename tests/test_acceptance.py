@@ -253,9 +253,9 @@ def test_criterion_5_occlusion_robustness(tmp_path):
         _, _, dynamic = syn.render_frame(scene, frame_id)
         pose = scene.pose_of(frame_id)
         samples = select_landmarks(scene.compact_map, pose, scene.intrinsics, cfg)
-        uv, _ = project_points(samples.points, scene.intrinsics)
-        iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, scene.intrinsics.width - 1)
-        iv = np.clip(np.rint(uv[:, 1]).astype(int), 0, scene.intrinsics.height - 1)
+        u, v, _ = project_points(samples.points, scene.intrinsics)
+        iu = np.clip(np.rint(u).astype(int), 0, scene.intrinsics.width - 1)
+        iv = np.clip(np.rint(v).astype(int), 0, scene.intrinsics.height - 1)
         covered_fractions.append(int((dynamic[iv, iu] > 0).sum()) / samples.total_count())
     assert min(covered_fractions) > 0.8
 

@@ -66,6 +66,16 @@ class TestSynthCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_no_frames_exits_2_and_writes_nothing(self, tmp_path, capsys, frames):
+        # Rejected before any file of the dataset is written.
+        out = tmp_path / "empty"
+        code = main(["synth", "--preset", "sparse", "--out", str(out), "--frames", frames])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: a scene needs at least 1 frame, got {frames}\n"
+        assert not out.exists()
+
+
 class TestRunCommand:
     def test_run_and_evaluate(self, dataset, tmp_path, capsys):
         traj = tmp_path / "traj.txt"

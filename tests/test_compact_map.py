@@ -193,10 +193,13 @@ class TestInvariants:
             cm.CompactMap(labels)
 
     def test_wireframe_edges_close_the_polygon(self):
-        wf = small_map().wireframes()[0]
-        edges = list(wf.edges())
-        assert len(edges) == 4
-        assert np.array_equal(edges[-1][1], wf.points[0])
+        compact_map = small_map()
+        wf = compact_map.landmarks[2]
+        packed = cm.pack_map(compact_map)
+        ends = packed.points[packed.edges[packed.owner == 2]]
+        assert len(ends) == 4
+        assert np.array_equal(ends[:, 0], wf.points)
+        assert np.array_equal(ends[:, 1], np.roll(wf.points, -1, axis=0))
 
     @pytest.mark.parametrize("name", ["a b", "a#b", "\r", "a\u2028"])
     def test_label_name_that_would_not_parse_back_rejected(self, name):

@@ -26,6 +26,18 @@ def oracle_distance(mask, d_max):
     return np.minimum(np.sqrt(brute_force_squared(mask)), float(d_max))
 
 
+def dilate_oracle(mask, margin):
+    """Dilation by a (2 margin + 1)-square with plain set arithmetic: a pixel
+    is set when any pixel of the window around it is."""
+    height, width = mask.shape
+    dilated = np.zeros((height, width), dtype=bool)
+    for v in range(height):
+        for u in range(width):
+            if mask[max(0, v - margin):v + margin + 1, max(0, u - margin):u + margin + 1].any():
+                dilated[v, u] = True
+    return dilated
+
+
 def gradients(distance):
     """Reference G_u, G_v grids: np.gradient, with zeros on a one-pixel axis."""
     height, width = distance.shape[-2:]
@@ -624,16 +636,23 @@ class TestBuildEdgeMasks:
         dynamic[8:12, 8:12] = 255
         margin = 2
         masks = ef.build_edge_masks(self.label_img, self.edges, dynamic, self.labels, boundary_margin=margin)
-        # oracle: dilate the box by the margin with plain set arithmetic
-        dilated = np.zeros((20, 20), dtype=bool)
-        for v in range(20):
-            for u in range(20):
-                if dynamic[
-                    max(0, v - margin):v + margin + 1, max(0, u - margin):u + margin + 1
-                ].any():
-                    dilated[v, u] = True
-        expected = (self.edges != 0) & (self.label_img == 1) & ~dilated
+        expected = (self.edges != 0) & (self.label_img == 1) & ~dilate_oracle(dynamic, margin)
         assert np.array_equal(masks[0].pixels, expected)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(1, 24),
+        st.integers(1, 24),
+        st.integers(0, 12),
+        st.sampled_from([0.0, 0.01, 0.1, 0.5]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_dilation_matches_set_arithmetic(self, height, width, radius, density, seed):
+        # Radii up to 12 exceed the smallest shapes, down to a single pixel.
+        mask = np.random.default_rng(seed).random((height, width)) < density
+        dilated = ef._dilate(mask, radius)
+        assert dilated.dtype == bool
+        assert np.array_equal(dilated, dilate_oracle(mask, radius))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ef.DimensionMismatch):

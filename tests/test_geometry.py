@@ -8,138 +8,133 @@ from hypothesis import strategies as st
 from edgeloc import geometry as geo
 
 
-def random_twists(rng, n, rot_scale=3.0):
+def random_poses(rng, n):
     out = []
     for _ in range(n):
-        rho = rng.uniform(-5.0, 5.0, 3)
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        angle = rng.uniform(0.0, rot_scale)
-        out.append(np.concatenate([rho, axis * angle]))
+        out.append(geo.Pose(geo.so3_exp(axis * rng.uniform(0.0, 3.0)), rng.uniform(-5.0, 5.0, 3)))
     return out
 
 
+def rodrigues(theta):
+    """Independent oracle: R = I + sin(a) K + (1 - cos(a)) K^2, where K is
+    the cross-product matrix of the unit axis, written out here."""
+    angle = math.sqrt(sum(x * x for x in theta))
+    if angle == 0.0:
+        return np.eye(3)
+    x, y, z = (c / angle for c in theta)
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
 class TestProject:
+    K = geo.CameraIntrinsics(100, 100, 320, 200, 640, 400)
+
     def test_optical_axis_maps_to_principal_point(self):
-        k = geo.CameraIntrinsics(100, 100, 320, 200, 640, 400)
-        assert geo.project(np.array([0.0, 0.0, 2.0]), k) == (320.0, 200.0)
+        u, v, in_front = geo.project_points(np.array([0.0, 0.0, 2.0]), self.K)
+        assert (u, v) == (320.0, 200.0) and in_front
 
     def test_pinhole_formula(self):
-        k = geo.CameraIntrinsics(100, 100, 320, 200, 640, 400)
-        u, v = geo.project(np.array([1.0, 0.0, 2.0]), k)
-        assert u == 370.0 and v == 200.0
+        u, v, in_front = geo.project_points(np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 4.0]]), self.K)
+        assert u.tolist() == [370.0, 320.0] and v.tolist() == [200.0, 175.0]
+        assert in_front.all()
 
-    def test_point_behind_camera_raises(self):
-        k = geo.CameraIntrinsics(100, 100, 320, 200, 640, 400)
-        with pytest.raises(geo.PointBehindCamera):
-            geo.project(np.array([0.0, 0.0, -1.0]), k)
+    def test_points_at_or_behind_camera_are_not_in_front(self):
+        points = np.array([[0.0, 0.0, -1.0], [1.0, 1.0, 0.0], [0.0, 0.0, geo.MIN_PROJECTION_DEPTH], [0.0, 0.0, 1.0]])
+        u, v, in_front = geo.project_points(points, self.K)
+        assert in_front.tolist() == [False, False, False, True]
+        assert np.isfinite(u).all() and np.isfinite(v).all()
 
     def test_scale_invariance_in_depth(self):
         k = geo.CameraIntrinsics(240, 250, 310, 190, 640, 400)
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            p = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.5, 50)])
-            lam = rng.uniform(0.1, 10.0)
-            u0, v0 = geo.project(p, k)
-            u1, v1 = geo.project(lam * p, k)
-            assert math.isclose(u0, u1, abs_tol=1e-9)
-            assert math.isclose(v0, v1, abs_tol=1e-9)
+        p = np.column_stack([rng.uniform(-3, 3, 50), rng.uniform(-3, 3, 50), rng.uniform(0.5, 50, 50)])
+        lam = rng.uniform(0.1, 10.0, (50, 1))
+        u0, v0, _ = geo.project_points(p, k)
+        u1, v1, _ = geo.project_points(lam * p, k)
+        assert np.allclose(u0, u1, rtol=0.0, atol=1e-9)
+        assert np.allclose(v0, v1, rtol=0.0, atol=1e-9)
 
-    def test_batch_matches_scalar(self):
-        k = geo.CameraIntrinsics(240, 250, 310, 190, 640, 400)
+    def test_leading_axes_are_kept(self):
+        # Probe rounds project a (poses, samples, 3) block in one call.
         rng = np.random.default_rng(1)
-        pts = np.column_stack(
-            [rng.uniform(-3, 3, 20), rng.uniform(-3, 3, 20), rng.uniform(0.5, 50, 20)]
-        )
-        uv, valid = geo.project_points(pts, k)
-        assert valid.all()
-        for i in range(20):
-            u, v = geo.project(pts[i], k)
-            assert math.isclose(uv[i, 0], u) and math.isclose(uv[i, 1], v)
+        points = rng.uniform(-3.0, 3.0, (4, 5, 3))
+        u, v, in_front = geo.project_points(points, self.K)
+        flat = geo.project_points(points.reshape(-1, 3), self.K)
+        assert u.shape == v.shape == in_front.shape == (4, 5)
+        for block, row in zip((u, v, in_front), flat):
+            assert np.array_equal(block.reshape(-1), row)
 
 
-class TestExpLog:
-    def test_exp_of_zero_is_identity(self):
-        pose = geo.exp(np.zeros(6))
-        assert np.allclose(pose.rotation, np.eye(3), atol=1e-15)
-        assert np.allclose(pose.translation, 0.0, atol=1e-15)
+class TestSo3Exp:
+    def test_zero_is_identity(self):
+        assert np.array_equal(geo.so3_exp(np.zeros(3)), np.eye(3))
 
-    def test_pure_translation(self):
-        pose = geo.exp(np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0]))
-        assert np.allclose(pose.rotation, np.eye(3), atol=1e-15)
-        assert np.allclose(pose.translation, [0.1, 0.0, 0.0], atol=1e-15)
+    def test_quarter_turn_about_z(self):
+        rotation = geo.so3_exp(np.array([0.0, 0.0, math.pi / 2.0]))
+        assert np.allclose(rotation, [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-12)
 
-    def test_quarter_turn_about_z_matches_rodrigues_oracle(self):
-        # Oracle: R = I + sin(a) K + (1 - cos(a)) K^2 with K = skew(z_hat).
-        angle = math.pi / 2.0
-        k = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        oracle = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-        pose = geo.exp(np.array([0.0, 0.0, 0.0, 0.0, 0.0, angle]))
-        assert np.allclose(pose.rotation, oracle, atol=1e-12)
-        assert np.allclose(oracle, [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-12)
+    @pytest.mark.parametrize("angle", [1e-12, 1e-10, 0.99 * geo.SMALL_ANGLE, geo.SMALL_ANGLE, 1e-6])
+    def test_matches_rodrigues_on_both_sides_of_the_series_switch(self, angle):
+        theta = np.array([0.6, -0.8, 0.0]) * angle
+        rotation = geo.so3_exp(theta)
+        assert np.abs(rotation - rodrigues(theta)).max() <= 1e-15
+        assert rotation[2, 1] == pytest.approx(0.6 * angle, rel=1e-9)
 
-    def test_log_of_identity_is_zero(self):
-        assert np.allclose(geo.log(geo.Pose.identity()), 0.0, atol=1e-15)
-
-    def test_log_of_quarter_turn(self):
-        pose = geo.Pose(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), np.zeros(3))
-        xi = geo.log(pose)
-        assert np.allclose(xi, [0, 0, 0, 0, 0, math.pi / 2.0], atol=1e-12)
-
-    def test_round_trip_up_to_three_radians(self):
-        rng = np.random.default_rng(2)
-        for xi in random_twists(rng, 200, rot_scale=3.0):
-            assert np.linalg.norm(geo.log(geo.exp(xi)) - xi) < 1e-9
-
-    def test_small_angle_round_trip(self):
-        rng = np.random.default_rng(3)
-        for scale in (1e-10, 1e-7, 1e-4):
-            xi = np.concatenate([rng.uniform(-1, 1, 3), rng.normal(size=3) * scale])
-            assert np.linalg.norm(geo.log(geo.exp(xi)) - xi) < 1e-9
-
-    def test_near_pi_rotation_raises(self):
-        rot = geo.so3_exp(np.array([0.0, 0.0, math.pi - 1e-9]))
-        with pytest.raises(geo.RotationNearPi):
-            geo.log(geo.Pose(rot, np.zeros(3)))
+    @settings(deadline=None, max_examples=300)
+    @given(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), st.floats(0.0, 3.5))
+    def test_matches_rodrigues_oracle(self, direction, angle):
+        norm = np.linalg.norm(direction)
+        assume(norm > 1e-3)
+        theta = np.array(direction) / norm * angle
+        rotation = geo.so3_exp(theta)
+        assert np.abs(rotation - rodrigues(theta)).max() <= 1e-12
+        assert np.abs(rotation.T @ rotation - np.eye(3)).max() <= 1e-12
 
 
 class TestComposeInverse:
     def test_compose_with_identity(self):
         rng = np.random.default_rng(4)
-        pose = geo.exp(random_twists(rng, 1)[0])
-        out = geo.compose(pose, geo.Pose.identity())
+        pose = random_poses(rng, 1)[0]
+        out = pose.compose(geo.Pose.identity())
         assert np.allclose(out.rotation, pose.rotation, atol=1e-15)
         assert np.allclose(out.translation, pose.translation, atol=1e-15)
 
     def test_compose_with_inverse_is_identity(self):
         rng = np.random.default_rng(5)
-        for xi in random_twists(rng, 20):
-            pose = geo.exp(xi)
-            out = geo.compose(pose, geo.inverse(pose))
-            assert np.abs(out.rotation - np.eye(3)).max() < 1e-9
-            assert np.abs(out.translation).max() < 1e-9
+        for pose in random_poses(rng, 20):
+            for out in (pose.compose(pose.inverse()), pose.inverse().compose(pose)):
+                assert np.abs(out.rotation - np.eye(3)).max() < 1e-9
+                assert np.abs(out.translation).max() < 1e-9
 
     def test_two_pure_translations(self):
         a = geo.Pose(np.eye(3), [1.0, 0.0, 0.0])
         b = geo.Pose(np.eye(3), [0.0, 2.0, 0.0])
-        out = geo.compose(a, b)
+        out = a.compose(b)
         assert np.allclose(out.translation, [1.0, 2.0, 0.0])
+
+    def test_compose_applies_right_pose_first(self):
+        rng = np.random.default_rng(15)
+        a, b = random_poses(rng, 2)
+        points = rng.normal(size=(5, 3))
+        assert np.allclose(a.compose(b).apply(points), a.apply(b.apply(points)), atol=1e-12)
 
     def test_associativity(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
-            a, b, c = (geo.exp(xi) for xi in random_twists(rng, 3))
-            left = geo.compose(geo.compose(a, b), c)
-            right = geo.compose(a, geo.compose(b, c))
+            a, b, c = random_poses(rng, 3)
+            left = a.compose(b).compose(c)
+            right = a.compose(b.compose(c))
             assert np.abs(left.rotation - right.rotation).max() < 1e-12
             assert np.abs(left.translation - right.translation).max() < 1e-12
 
     def test_determinant_preserved_over_many_compositions(self):
         rng = np.random.default_rng(7)
         pose = geo.Pose.identity()
-        step = geo.exp(np.concatenate([rng.uniform(-0.1, 0.1, 3), rng.normal(size=3) * 0.05]))
+        step = geo.Pose(geo.so3_exp(rng.normal(size=3) * 0.05), rng.uniform(-0.1, 0.1, 3))
         for i in range(10_000):
-            pose = geo.compose(pose, step)
+            pose = pose.compose(step)
             if (i + 1) % 100 == 0:
                 pose = geo.orthonormalize(pose)
         assert abs(np.linalg.det(pose.rotation) - 1.0) < 1e-6
@@ -166,7 +161,7 @@ class TestSkew:
 class TestPoseType:
     def test_rotation_orthonormal_within_tolerance(self):
         rng = np.random.default_rng(10)
-        pose = geo.exp(random_twists(rng, 1)[0])
+        pose = random_poses(rng, 1)[0]
         assert np.abs(pose.rotation.T @ pose.rotation - np.eye(3)).max() < 1e-9
 
     def test_rejects_non_orthonormal_rotation(self):
@@ -192,7 +187,7 @@ class TestPoseType:
 
     def test_apply_matches_manual(self):
         rng = np.random.default_rng(11)
-        pose = geo.exp(random_twists(rng, 1)[0])
+        pose = random_poses(rng, 1)[0]
         pts = rng.normal(size=(5, 3))
         expected = (pose.rotation @ pts.T).T + pose.translation
         assert np.allclose(pose.apply(pts), expected, atol=1e-12)
@@ -219,16 +214,16 @@ class TestIntrinsicsType:
 class TestQuaternions:
     def test_round_trip(self):
         rng = np.random.default_rng(12)
-        for xi in random_twists(rng, 50):
-            rot = geo.exp(xi).rotation
+        for pose in random_poses(rng, 50):
+            rot = pose.rotation
             qx, qy, qz, qw = geo.rotation_to_quat(rot)
             back = geo.quat_to_rotation(qx, qy, qz, qw)
             assert np.abs(back - rot).max() < 1e-12
 
     def test_canonical_sign(self):
         rng = np.random.default_rng(13)
-        for xi in random_twists(rng, 20):
-            _, _, _, qw = geo.rotation_to_quat(geo.exp(xi).rotation)
+        for pose in random_poses(rng, 20):
+            _, _, _, qw = geo.rotation_to_quat(pose.rotation)
             assert qw >= 0.0
 
 
@@ -246,43 +241,7 @@ class TestEuler:
             assert math.isclose(roll, r2, abs_tol=1e-9)
 
 
-def rotation_vectors(max_angle=math.pi - 1e-5):
-    """Rotation vectors of angle below ``max_angle``, tiny ones included.
-
-    The default reaches 1e-5 rad from a half turn, ten times closer than
-    the 1e-6 rad where so3_log raises RotationNearPi; a second branch draws
-    the gap to a half turn directly, so angles that close are common."""
-    component = st.floats(-1.0, 1.0, allow_nan=False)
-    scale = st.sampled_from([1e-12, 1e-8, 1e-4, 1e-2, 1.0])
-    angle = st.tuples(scale, st.floats(0.0, max_angle)).map(lambda args: args[0] * args[1])
-    near_pi = st.floats(math.pi - max_angle, 1e-1).map(lambda gap: math.pi - gap)
-
-    def build(args):
-        x, y, z, magnitude = args
-        axis = np.array([x, y, z])
-        norm = np.linalg.norm(axis)
-        assume(norm > 1e-3)
-        return axis / norm * magnitude
-
-    return st.tuples(component, component, component, angle | near_pi).map(build)
-
-
 class TestRoundTripProperties:
-    @settings(deadline=None, max_examples=300)
-    @given(rotation_vectors())
-    def test_so3_log_inverts_exp_away_from_pi(self, theta):
-        back = geo.so3_log(geo.so3_exp(theta))
-        assert np.abs(back - theta).max() <= 1e-9 * max(1.0, np.linalg.norm(theta))
-
-    @settings(deadline=None, max_examples=300)
-    @given(rotation_vectors(), st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3))
-    def test_pose_log_inverts_exp(self, theta, rho):
-        xi = np.concatenate([rho, theta])
-        pose = geo.exp(xi)
-        back = geo.log(pose)
-        assert np.abs(back[3:] - theta).max() <= 1e-9
-        assert np.abs(back[:3] - xi[:3]).max() <= 1e-9 * (1.0 + np.abs(xi[:3]).max())
-
     @settings(deadline=None, max_examples=300)
     @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
     def test_quaternion_round_trip_up_to_sign(self, q):

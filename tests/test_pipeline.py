@@ -224,6 +224,28 @@ class TestRun:
         with pytest.raises(ValueError, match=f"{re.escape(str(odometry))}:5"):
             pipeline.iter_frames(manifest)  # no next(): the set-up runs before the generator is returned
 
+    def test_initial_frame_without_odometry_fails_at_the_call(self, tmp_path, small_dataset):
+        # Without it no frame can be anchored, so the run must not start.
+        _, root = small_dataset
+        clone = tmp_path / "no-initial-odometry"
+        shutil.copytree(root, clone)
+        odometry = clone / "odometry.txt"
+        lines = odometry.read_text(encoding="ascii").splitlines()
+        odometry.write_text("\n".join(line for line in lines if line.split()[0] != "0") + "\n", encoding="ascii")
+        manifest = DatasetManifest.from_directory(clone)
+        with pytest.raises(ValueError, match=r"initial_pose\.txt: initial frame 0 has no odometry"):
+            pipeline.iter_frames(manifest)
+
+    def test_run_without_the_initial_frame_anchors_at_the_next_frame(self, tmp_path, small_dataset):
+        # The initial pose anchors the first listed frame at or after frame 0.
+        _, root = small_dataset
+        clone = tmp_path / "no-initial-frame"
+        shutil.copytree(root, clone)
+        shutil.rmtree(clone / "frames" / "000000")
+        _, records = run_dataset(DatasetManifest.from_directory(clone))
+        assert [r.frame_id for r in records] == list(range(1, 12))
+        assert sum(r.status == "accepted" for r in records) >= 10
+
     def test_map_is_packed_once_per_run(self, monkeypatch, small_dataset):
         _, root = small_dataset
         calls = []

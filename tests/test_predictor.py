@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgeloc.geometry import Pose, compose, exp, inverse, orthonormalize, so3_exp
+from edgeloc.geometry import Pose, orthonormalize, so3_exp
 from edgeloc.predictor import AnchorNotSet, MissingFrame, PosePredictor
 
 
@@ -12,7 +12,7 @@ def pose_of(tx, ty=0.0, tz=0.0, yaw=0.0):
 def random_pose(rng):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    return exp(np.concatenate([rng.uniform(-5, 5, 3), axis * rng.uniform(0, 2.0)]))
+    return Pose(so3_exp(axis * rng.uniform(0, 2.0)), rng.uniform(-5, 5, 3))
 
 
 class TestPredict:
@@ -50,7 +50,7 @@ class TestPredict:
         p.set_anchor(1, anchor)
         # frame 2 dropped: never committed
         prior = p.predict_prior(3)
-        oracle = compose(anchor, compose(inverse(odom[1]), odom[3]))
+        oracle = anchor.compose(odom[1].inverse().compose(odom[3]))
         assert np.abs(prior.rotation - oracle.rotation).max() < 1e-12
         assert np.abs(prior.translation - oracle.translation).max() < 1e-12
 
@@ -60,7 +60,7 @@ class TestPredict:
         rng = np.random.default_rng(1)
         gauge = random_pose(rng)
         gt = {fid: random_pose(rng) for fid in range(6)}
-        p = PosePredictor({fid: compose(gauge, gt[fid]) for fid in range(6)})
+        p = PosePredictor({fid: gauge.compose(gt[fid]) for fid in range(6)})
         p.set_anchor(0, gt[0])
         for fid in (3, 5):  # frames 1, 2, 4 dropped
             prior = p.predict_prior(fid)
@@ -82,7 +82,7 @@ class TestPredict:
         gauge = random_pose(rng)
 
         def predict(prefix):
-            p = PosePredictor({fid: compose(prefix, odom[fid]) if prefix else odom[fid] for fid in range(4)})
+            p = PosePredictor({fid: prefix.compose(odom[fid]) if prefix else odom[fid] for fid in range(4)})
             p.set_anchor(0, anchor)
             return p.predict_prior(3)
 

@@ -71,16 +71,16 @@ class TestSampling:
         # endpoints at z=2: u spans 200*1.0/2 - (-?) ... choose x0=0, x1=0.4
         lm = segment([0.0, 0.0, 2.0], [0.4, 0.0, 2.0])
         pts, _ = sel.sample_landmark_edges(packed([lm]), EYE, K, spacing=4.0)
-        uv, _ = project_points(pts, K)
-        length = np.hypot(*(uv[-1] - uv[0]))
+        u, v, _ = project_points(pts, K)
+        length = np.hypot(u[-1] - u[0], v[-1] - v[0])
         assert math.isclose(length, 40.0, abs_tol=1e-9)
         assert pts.shape[0] == 11
 
     def test_consecutive_samples_within_spacing(self):
         lm = segment([-1.0, 0.3, 1.0], [2.0, -0.5, 14.0])
         pts, _ = sel.sample_landmark_edges(packed([lm]), EYE, K, spacing=4.0)
-        uv, _ = project_points(pts, K)
-        gaps = np.hypot(*np.diff(uv, axis=0).T)
+        u, v, _ = project_points(pts, K)
+        gaps = np.hypot(np.diff(u), np.diff(v))
         assert gaps.max() <= 4.0 + 1e-9
 
     def test_segment_fully_outside_frustum(self):
@@ -93,26 +93,26 @@ class TestSampling:
         lm = segment([-10.0, 0.0, 5.0], [0.0, 0.0, 5.0])
         pts, _ = sel.sample_landmark_edges(packed([lm]), EYE, K)
         assert pts.shape[0] > 0
-        uv, valid = project_points(pts, K)
-        assert valid.all()
-        assert (uv[:, 0] >= -1e-9).all() and (uv[:, 0] <= K.width - 1 + 1e-9).all()
-        assert (uv[:, 1] >= -1e-9).all() and (uv[:, 1] <= K.height - 1 + 1e-9).all()
+        u, v, in_front = project_points(pts, K)
+        assert in_front.all()
+        assert (u >= -1e-9).all() and (u <= K.width - 1 + 1e-9).all()
+        assert (v >= -1e-9).all() and (v <= K.height - 1 + 1e-9).all()
         # and the visible half only: all 3D x >= just left of the border ray
         assert pts[:, 0].min() >= -10.0 * (K.cx / K.fx) / 2.0 - 0.1
 
     def test_wireframe_all_edges_sampled(self):
         wf = quad((0.0, 0.0), 0.5, 0.3, 4.0)
         pts, _ = sel.sample_landmark_edges(packed([wf]), EYE, K)
-        uv, _ = project_points(pts, K)
+        u, v, _ = project_points(pts, K)
         # samples must cover all four sides: spread in both u and v
-        assert np.ptp(uv[:, 0]) > 40 and np.ptp(uv[:, 1]) > 20
+        assert np.ptp(u) > 40 and np.ptp(v) > 20
 
     def test_pole_has_two_silhouette_edges(self):
         lm = segment([0.0, 1.0, 6.0], [0.0, -1.0, 6.0], label=POLE, radius=0.15)
         pts, _ = sel.sample_landmark_edges(packed([lm]), EYE, K)
-        uv, _ = project_points(pts, K)
+        u, _, _ = project_points(pts, K)
         # two vertical stripes of samples separated by the diameter
-        us = np.sort(np.unique(np.round(uv[:, 0], 3)))
+        us = np.sort(np.unique(np.round(u, 3)))
         assert us.max() - us.min() > 0.25 * K.fx / 6.0  # > one radius apart
 
 
@@ -138,11 +138,11 @@ def rasterize_triangle(values, triangle, intrinsics):
     """Reference oracle: min-depth fill of one near-clipped camera-frame
     triangle over its pixel bounding box."""
     height, width = values.shape
-    uv, valid = project_points(triangle, intrinsics)
-    if not valid.all():
+    u, v, in_front = project_points(triangle, intrinsics)
+    if not in_front.all():
         return
     inv_z = 1.0 / triangle[:, 2]
-    a, b, c = uv
+    a, b, c = np.column_stack([u, v])
     area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     if area2 < 0.0:
         b, c = c, b
@@ -285,13 +285,13 @@ class TestSelectLandmarks:
         # can legitimately fall either way
         raw, _ = sel.sample_landmark_edges(packed([pole]), EYE, K, config=cfg)
         corners = sign.points
-        uv_raw, _ = project_points(raw, K)
+        _, v_raw, _ = project_points(raw, K)
         sil_v = K.fy * 0.6 / 5.0
         expected_kept = np.array([not ray_hits_quad(p, corners) for p in raw])
         got_kept = np.array([any(np.allclose(p, q, atol=1e-12) for q in kept) for p in raw])
         # pole samples run vertically through the quad center, so the only
         # boundary crossings are the quad's top and bottom edges
-        decisive = np.abs(np.abs(uv_raw[:, 1] - K.cy) - sil_v) > 1.0
+        decisive = np.abs(np.abs(v_raw - K.cy) - sil_v) > 1.0
         assert (got_kept[decisive] == expected_kept[decisive]).all()
         assert expected_kept.sum() > 0 and (~expected_kept).sum() > 0
 
@@ -304,10 +304,10 @@ class TestSelectLandmarks:
         kept = label_points(sel.select_landmarks(cmap, EYE, K, cfg), "lamp_pole")
         raw, _ = sel.sample_landmark_edges(packed([pole]), EYE, K, config=cfg)
         corners = sign.points
-        uv_raw, _ = project_points(raw, K)
+        u_raw, v_raw, _ = project_points(raw, K)
         sil_half_u = K.fx * 0.6 / 5.0
         sil_half_v = K.fy * 0.6 / 5.0
-        for p, (u, v) in zip(raw, uv_raw):
+        for p, u, v in zip(raw, u_raw, v_raw):
             in_kept = any(np.allclose(p, q, atol=1e-12) for q in kept)
             occluded = ray_hits_quad(p, corners)
             du = abs(u - K.cx) - sil_half_u
@@ -327,8 +327,8 @@ class TestSelectLandmarks:
         lm = segment([-0.5, 0.0, 4.0], [0.5, 0.0, 4.0])
         cfg = PipelineConfig()
         samples = sel.select_landmarks(make_map([lm]), EYE, K, cfg)
-        uv, _ = project_points(label_points(samples, "lane_line"), K)
-        visible_len = np.hypot(*(uv.max(axis=0) - uv.min(axis=0)))
+        u, v, _ = project_points(label_points(samples, "lane_line"), K)
+        visible_len = np.hypot(np.ptp(u), np.ptp(v))
         expected = math.ceil(visible_len / cfg.sample_spacing_px)
         assert abs(samples.total_count() - (expected + 1)) <= 1
 
@@ -341,9 +341,9 @@ class TestSelectLandmarks:
         samples = sel.select_landmarks(cmap, EYE, K, cfg)
         depth = sel.rasterize_occluders(cmap.packed, EYE, K, cfg)
         pts = samples.points
-        uv, _ = project_points(pts, K)
-        iu = np.clip(np.rint(uv[:, 0]).astype(int), 0, K.width - 1)
-        iv = np.clip(np.rint(uv[:, 1]).astype(int), 0, K.height - 1)
+        u, v, _ = project_points(pts, K)
+        iu = np.clip(np.rint(u).astype(int), 0, K.width - 1)
+        iv = np.clip(np.rint(v).astype(int), 0, K.height - 1)
         assert (pts[:, 2] <= depth[iv, iu] + cfg.depth_tolerance_m + 1e-9).all()
 
     def test_adding_occluder_never_increases_other_samples(self):
@@ -365,11 +365,11 @@ class TestSelectLandmarks:
         cmap = make_map([lane_world])
         samples = sel.select_landmarks(cmap, prior, K)
         pts_r = label_points(samples, "lane_line")
-        uv_direct, _ = project_points(pts_r, K)
+        direct = np.stack(project_points(pts_r, K)[:2])
         world = prior.apply(pts_r)
         back_to_r = prior.inverse().apply(world)
-        uv_round, _ = project_points(back_to_r, K)
-        assert np.abs(uv_direct - uv_round).max() < 0.5
+        round_trip = np.stack(project_points(back_to_r, K)[:2])
+        assert np.abs(direct - round_trip).max() < 0.5
 
     def test_wireframe_self_occlusion_exempt(self):
         wf = quad((0.0, 0.0), 0.7, 0.5, 5.0, lid=0)

@@ -9,7 +9,7 @@ import pytest
 from edgeloc import synthetic as syn
 from edgeloc.compact_map import maps_equal
 from edgeloc.config import PipelineConfig
-from edgeloc.geometry import Pose, compose, inverse, project_points
+from edgeloc.geometry import Pose, project_points
 from edgeloc.io import parse_pose_line, read_trajectory
 from edgeloc.selection import sample_landmark_edges, select_landmarks
 
@@ -80,9 +80,9 @@ class TestRenderFrame:
         pose = scene.pose_of(0)
         cfg = PipelineConfig()
         pts, _ = sample_landmark_edges(scene.compact_map.packed, pose, scene.intrinsics, spacing=0.2, config=cfg)
-        cloud, _ = project_points(pts, scene.intrinsics)
+        cloud_u, cloud_v, _ = project_points(pts, scene.intrinsics)
         for v, u in zip(ys[::23], xs[::23]):
-            d = np.hypot(cloud[:, 0] - u, cloud[:, 1] - v).min()
+            d = np.hypot(cloud_u - u, cloud_v - v).min()
             assert d < 0.75
 
     def test_labels_cover_exactly_edge_pixels(self):
@@ -156,8 +156,8 @@ class TestCorruptOdometry:
         odom = read_trajectory(path)
         # relative motion must match ground truth exactly (gauge cancels)
         for fid in (10, 30, 49):
-            rel = compose(inverse(odom[0]), odom[fid])
-            gt_rel = compose(inverse(traj[0][1]), traj[fid][1])
+            rel = odom[0].inverse().compose(odom[fid])
+            gt_rel = traj[0][1].inverse().compose(traj[fid][1])
             assert np.abs(rel.translation - gt_rel.translation).max() < 1e-7
             assert np.abs(rel.rotation - gt_rel.rotation).max() < 1e-9
 
@@ -181,8 +181,8 @@ class TestCorruptOdometry:
             for line in text.strip().splitlines():
                 fid, pose = parse_pose_line(line)
                 poses[fid] = pose
-            rel = compose(inverse(poses[0]), poses[200])
-            gt_rel = compose(inverse(traj[0][1]), traj[200][1])
+            rel = poses[0].inverse().compose(poses[200])
+            gt_rel = traj[0][1].inverse().compose(traj[200][1])
             offset = np.linalg.norm(rel.translation - gt_rel.translation)
             if 0.5 <= offset <= 2.0:
                 hits += 1
@@ -224,11 +224,11 @@ class TestSelectorRendererConsistency:
         edge_points = np.column_stack([xs, ys]).astype(float)
         pose = scene.pose_of(2)
         samples = select_landmarks(scene.compact_map, pose, scene.intrinsics, cfg)
-        uv, _ = project_points(samples.points, scene.intrinsics)
-        for u, v in uv:
+        us, vs, _ = project_points(samples.points, scene.intrinsics)
+        for u, v in zip(us, vs):
             d = np.hypot(edge_points[:, 0] - u, edge_points[:, 1] - v).min()
             assert d <= 1.0
-        assert len(uv) > 50
+        assert len(us) > 50
 
 
 class TestPinnedRender:
@@ -261,8 +261,8 @@ class TestPinnedRender:
         far = line(first, [-3.0, 0.5, 12.0], [3.0, 0.5, 12.0], 0)
         near = line(second, [0.1, -2.0, 6.0], [0.1, 2.0, 6.0], 1)
         twin = line(second, [-3.0, 0.5, 12.0], [3.0, 0.5, 12.0], 1)
-        uv, _ = project_points(np.array([[0.2, 0.5, 12.0], [-1.0, 0.5, 12.0]]), base.intrinsics)
-        (u_cross, u_far), v = np.rint(uv[:, 0]).astype(int), int(np.rint(uv[0, 1]))
+        u, v, _ = project_points(np.array([[0.2, 0.5, 12.0], [-1.0, 0.5, 12.0]]), base.intrinsics)
+        (u_cross, u_far), v = np.rint(u).astype(int), int(np.rint(v[0]))
 
         scene = replace(base, compact_map=CompactMap((first, second), (far, near)))
         labels, _, _ = syn.render_frame(scene, 0)
