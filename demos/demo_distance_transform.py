@@ -24,21 +24,22 @@ def main():
     mask[6:20, 34] = True           # a pole-like vertical edge
     mask[16, 10:22] = True          # a second road mark
 
-    field = build_fields([SemanticEdgeMask("demo", mask)], d_max=12.0)["demo"]
+    fields = build_fields([SemanticEdgeMask("demo", mask)], d_max=12.0)
+    distance = fields.stack[fields.layer["demo"]]
 
     print("edge mask (X = edge pixel):")
     print("\n".join("".join("X" if px else "." for px in row) for row in mask))
     print("\ndistance transform V (dark = close to an edge):")
-    print(ascii_grid(field.distance, 0.0, field.d_max))
+    print(ascii_grid(distance, 0.0, fields.d_max))
     print("\nhorizontal gradient G_u (dark = negative, bright = positive):")
-    height, width = field.shape
-    grad_u = [[sample_field(field, u, v)[1] for u in range(width)] for v in range(height)]
+    height, width = distance.shape
+    grad_u = [[sample_field(fields, "demo", u, v)[1] for u in range(width)] for v in range(height)]
     print(ascii_grid(np.array(grad_u), -1.0, 1.0))
 
     print("\nstats:")
-    print(f"  V range      [{field.distance.min():.2f}, {field.distance.max():.2f}] px")
-    print(f"  truncation   {field.d_max} px")
-    print(f"  zero pixels  {(field.distance == 0).sum()} (== {mask.sum()} edge pixels)")
+    print(f"  V range      [{distance.min():.2f}, {distance.max():.2f}] px")
+    print(f"  truncation   {fields.d_max} px")
+    print(f"  zero pixels  {(distance == 0).sum()} (== {mask.sum()} edge pixels)")
 
 
 if __name__ == "__main__":

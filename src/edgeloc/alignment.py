@@ -166,9 +166,6 @@ def _project(k: CameraIntrinsics, cam: np.ndarray):
     return u, v, valid
 
 
-_NO_SAMPLES = (0.0, 0, np.empty(0), lambda: np.empty((0, 6)), lambda: True)
-
-
 def _evaluate(prepared: _Prepared, pose: Pose):
     """Residuals at ``pose``, and the means to finish their Jacobian rows.
 
@@ -179,21 +176,14 @@ def _evaluate(prepared: _Prepared, pose: Pose):
     from this evaluation's projection, mask, weights and field reads, adding
     only the slope reads, so a pose the solver keeps is projected once;
     ``at_cap()`` is whether every active sample with a positive weight reads
-    the cap.
+    the cap. With no active sample: energy 0.0, count 0 and empty arrays.
     """
-    if prepared.total_samples == 0:
-        return _NO_SAMPLES
     k = prepared.intrinsics
     rotation = pose.rotation
     cam = (prepared.world - pose.translation) @ rotation  # row-wise R^T (p_w - t)
     u, v, valid = _project(k, cam)
     count = int(valid.sum())
-    if count == 0:
-        return _NO_SAMPLES
-
-    values, slope = bilinear_gather(u[valid], v[valid], prepared.distance.shape[1:])(
-        prepared.distance, prepared.label_index[valid]
-    )
+    values, slope = bilinear_gather(prepared.distance, prepared.label_index[valid], u[valid], v[valid])
     sqrt_w = prepared.sqrt_weight[valid]
     weights = prepared.weight[valid]
     energy = float(weights @ (values * values))
@@ -312,9 +302,7 @@ def _probe_block(prepared: _Prepared, rotation: np.ndarray, translations: np.nda
     del differences
     counts = valid.sum(axis=1)
     sample = np.nonzero(valid)[1]  # candidate-major, so each candidate's samples are one slice
-    values, _ = bilinear_gather(u[valid], v[valid], prepared.distance.shape[1:])(
-        prepared.distance, prepared.label_index[sample]
-    )
+    values, _ = bilinear_gather(prepared.distance, prepared.label_index[sample], u[valid], v[valid])
     weights = prepared.weight[sample]
     stops = np.cumsum(counts).tolist()
     # Empty slices stay in: a candidate with no active samples has energy 0.0.
@@ -337,7 +325,9 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
     active sample with a positive weight reads the cap, where a probe could
     only win by losing samples. Each accepted step and winning probe adds one
     ``energy_history`` entry; one that leaves the jump gate around the prior
-    ends the solve there, not converged and ``pose-inconsistent``.
+    ends the solve there, not converged and ``pose-inconsistent``. With
+    fewer than ``min_samples`` active samples at the start pose the loop
+    does not run, and the result is ``too-few-samples``.
     """
     cfg = problem.config
     prepared = _Prepared(problem)
@@ -348,26 +338,13 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
     current = _evaluate(prepared, pose)
     history = [current[0]]
     active_counts = [current[1]]
-    if current[1] < cfg.min_samples:
-        return AlignmentResult(
-            pose=pose,
-            converged=False,
-            iterations=0,
-            mean_reproj_error=math.inf,
-            inlier_count=current[1],
-            reject_reason=REJECT_TOO_FEW_SAMPLES,
-            energy=current[0],
-            energy_history=tuple(history),
-            active_counts=tuple(active_counts),
-        )
-
     damping = cfg.lambda_init
     converged = any_solvable = False
-    reject_reason = REJECT_NONE
+    reject_reason = REJECT_TOO_FEW_SAMPLES if current[1] < cfg.min_samples else REJECT_NONE
     iterations = probe_rounds = 0
     hessian_pose = None  # the pose whose rows gave ``hessian``
 
-    while True:
+    while reject_reason == REJECT_NONE:
         energy_now, count_now, residuals, jacobian_rows, at_cap = current
         if damping > _MAX_DAMPING:
             # Damping escalation exhausted: with no solvable system this is a
@@ -434,12 +411,12 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
         if not _within_jump(pose, problem.prior, cfg):
             reject_reason = REJECT_POSE_INCONSISTENT
             converged = False
-            break
 
     # Gating quantities from the evaluation of the solution; when the solve
     # ended on the pose of the last normal equations, their matrix serves.
+    # A solve that started with too few samples has none.
     energy_final, count_final, _, jacobian_rows, _ = current
-    if count_final > 0:
+    if count_final > 0 and reject_reason != REJECT_TOO_FEW_SAMPLES:
         if hessian_pose is not pose:
             jacobian_final = jacobian_rows()
             hessian = jacobian_final.T @ jacobian_final

@@ -8,7 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .compact_map import map_statistics, parse_map
+from .compact_map import map_statistics, read_map
 from .config import PipelineConfig, apply_overrides, parse_config_text
 from .evaluation import evaluate_trajectories
 from .io import format_pose_line, read_trajectory
@@ -19,7 +19,10 @@ from .synthetic import NoiseConfig, PRESET_NAMES, generate_scene, make_occluder_
 def _load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
     config = PipelineConfig()
     if path:
-        config = parse_config_text(Path(path).read_text(encoding="utf-8"), base=config)
+        try:
+            config = parse_config_text(Path(path).read_text(encoding="utf-8"))
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
     if overrides:
         pairs = {}
         for item in overrides:
@@ -60,8 +63,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_map_stats(args) -> int:
-    data = Path(args.map).read_bytes()
-    stats = map_statistics(parse_map(data), args.original_size)
+    stats = map_statistics(read_map(args.map), args.original_size)
     print(f"landmarks = {stats.total_landmarks}")
     for name, count in stats.per_label_counts.items():
         print(f"  {name} = {count}")

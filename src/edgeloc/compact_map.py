@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -238,7 +239,10 @@ def _parse_float(token: str, line_number: int) -> float:
 
 def parse_map(data: bytes | str) -> CompactMap:
     """Parse map-file content; raises MapFormatError with a line number."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as err:
+        raise MapFormatError(f"not UTF-8 text: {err.reason}", line_number=data.count(b"\n", 0, err.start) + 1) from None
     labels: dict[str, SemanticLabel] = {}
     landmarks: list[Landmark] = []
     saw_header = False
@@ -322,6 +326,15 @@ def parse_map(data: bytes | str) -> CompactMap:
     if not saw_header:
         raise MapFormatError("empty map file, missing 'CMAP 1' header", line_number=1)
     return CompactMap(tuple(labels.values()), tuple(landmarks))
+
+
+def read_map(path: str | Path) -> CompactMap:
+    """``parse_map`` of the file at ``path``; a MapFormatError names it."""
+    try:
+        return parse_map(Path(path).read_bytes())
+    except MapFormatError as err:
+        err.args = (f"{path}: {err}",)
+        raise
 
 
 def serialize_map(compact_map: CompactMap) -> bytes:

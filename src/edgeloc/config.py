@@ -94,9 +94,9 @@ def apply_overrides(config: PipelineConfig, overrides: dict[str, str]) -> Pipeli
     return replace(config, **changes)
 
 
-def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
-    """Parse ``key = value`` lines on top of ``base`` (or the defaults)."""
-    config = base or PipelineConfig()
+def parse_config_text(text: str) -> PipelineConfig:
+    """Parse ``key = value`` lines on top of the defaults."""
+    config = PipelineConfig()
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

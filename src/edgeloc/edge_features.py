@@ -61,15 +61,11 @@ class SemanticEdgeMask:
 
 @dataclass(frozen=True, eq=False)
 class SemanticEdgeField:
-    """Truncated distance field V of one label; G_u, G_v are sampled from it."""
+    """Truncated distance field V of one label: a layer of a FieldStack."""
 
     label: str
     distance: np.ndarray  # (H, W) float64, pixels
-    d_max: float = DEFAULT_TRUNCATION_PX
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.distance.shape
+    d_max: float
 
 
 def _sum_dtype(cap: int) -> np.dtype:
@@ -201,8 +197,9 @@ def build_fields(masks: list[SemanticEdgeMask], d_max: float = DEFAULT_TRUNCATIO
     return FieldStack([mask.label for mask in masks], distance, d_max)
 
 
-def coarsen_mask(mask: SemanticEdgeMask, scale: int = COARSE_SCALE) -> SemanticEdgeMask:
-    """Block-OR downsampling: a coarse pixel is set if any fine pixel was.
+def coarsen_mask(mask: SemanticEdgeMask) -> SemanticEdgeMask:
+    """Block-OR downsampling by ``COARSE_SCALE``: a coarse pixel is set if
+    any fine pixel of its block was.
 
     The coarse raster is (H // scale, W // scale): edge pixels in the last
     H % scale rows and W % scale columns, which fill no whole block, are
@@ -213,6 +210,7 @@ def coarsen_mask(mask: SemanticEdgeMask, scale: int = COARSE_SCALE) -> SemanticE
     coarse pixels, so they cover ``scale`` times more image area and give
     the aligner a proportionally wider pull-in range.
     """
+    scale = COARSE_SCALE
     height, width = mask.pixels.shape
     ch, cw = height // scale, width // scale
     v, u = np.divmod(np.flatnonzero(mask.pixels), width)
@@ -222,16 +220,13 @@ def coarsen_mask(mask: SemanticEdgeMask, scale: int = COARSE_SCALE) -> SemanticE
     return SemanticEdgeMask(mask.label, pixels)
 
 
-def bilinear_gather(u, v, shape: tuple[int, int]):
-    """Bilinear interpolation at sub-pixel (u, v) on grids of ``shape`` (H, W).
+def bilinear_gather(grids: np.ndarray, layer, u, v):
+    """Bilinear interpolation of the grid ``layer`` of an (L, H, W) stack at
+    each sub-pixel location (u, v); returns ``(V, slope)``.
 
-    Returns ``gather(grids, layer)``, which interpolates the grid ``layer``
-    of an (L, H, W) stack at each location, or layer 0 of one (H, W) grid,
-    and returns ``(V, slope)``. The weights and corner indices are computed
-    once and shared by every grid gathered. Each corner is read from the
-    flattened stack with one index array, ``(layer * H + iv) * W + iu`` plus
-    a column and a row offset. A one-pixel-wide or -tall grid interpolates
-    along its other axis only.
+    Each corner is read from the flattened stack with one index array,
+    ``(layer * H + iv) * W + iu`` plus a column and a row offset. A
+    one-pixel-wide or -tall grid interpolates along its other axis only.
 
     ``slope()`` returns (G_u, G_v) from V's four corner reads plus 8 more.
     Each corner's slope along an axis of n pixels is NumPy's gradient,
@@ -243,7 +238,7 @@ def bilinear_gather(u, v, shape: tuple[int, int]):
     as the solver's validity mask and sample_field's check ensure; there the
     integer cast is the floor, and no lower bound is needed.
     """
-    height, width = shape
+    height, width = grids.shape[-2:]
     iu = np.minimum(u.astype(int), max(width - 2, 0))
     iv = np.minimum(v.astype(int), max(height - 2, 0))
     fu = u - iu
@@ -256,65 +251,64 @@ def bilinear_gather(u, v, shape: tuple[int, int]):
     # one-pixel axis. dv is the row step in flat-index units.
     du, step_v = int(width > 1), int(height > 1)
     dv = step_v * width
+    flat = np.ravel(grids)
+    base = (layer * height + iv) * width + iu
+    d00 = flat.take(base)
+    d10 = flat.take(base + du)
+    d01 = flat.take(base + dv)
+    d11 = flat.take(base + (du + dv))
+    value = d00 * w00 + d10 * w10 + d01 * w01 + d11 * w11
 
-    def gather(grids, layer):
-        flat = np.ravel(grids)
-        base = (layer * height + iv) * width + iu
-        d00 = flat.take(base)
-        d10 = flat.take(base + du)
-        d01 = flat.take(base + dv)
-        d11 = flat.take(base + (du + dv))
-        value = d00 * w00 + d10 * w10 + d01 * w01 + d11 * w11
+    def slope():
+        # Outer neighbours of the corner pairs, as offsets from (iu, iv):
+        # hi(iu) is the far column and lo(far column) is iu.
+        left = np.maximum(iu - 1, 0) - iu
+        right = np.minimum(iu + du + 1, width - 1) - iu
+        up = np.maximum(iv - 1, 0) - iv
+        down = np.minimum(iv + step_v + 1, height - 1) - iv
+        su0, su1 = np.maximum(du - left, 1), np.maximum(right, 1)
+        sv0, sv1 = np.maximum(step_v - up, 1), np.maximum(down, 1)
+        up *= width
+        down *= width
+        grad_u = (
+            (d10 - flat.take(base + left)) / su0 * w00
+            + (flat.take(base + right) - d00) / su1 * w10
+            + (d11 - flat.take(base + dv + left)) / su0 * w01
+            + (flat.take(base + dv + right) - d01) / su1 * w11
+        )
+        grad_v = (
+            (d01 - flat.take(base + up)) / sv0 * w00
+            + (d11 - flat.take(base + du + up)) / sv0 * w10
+            + (flat.take(base + down) - d00) / sv1 * w01
+            + (flat.take(base + du + down) - d10) / sv1 * w11
+        )
+        return grad_u, grad_v
 
-        def slope():
-            # Outer neighbours of the corner pairs, as offsets from (iu, iv):
-            # hi(iu) is the far column and lo(far column) is iu.
-            left = np.maximum(iu - 1, 0) - iu
-            right = np.minimum(iu + du + 1, width - 1) - iu
-            up = np.maximum(iv - 1, 0) - iv
-            down = np.minimum(iv + step_v + 1, height - 1) - iv
-            su0, su1 = np.maximum(du - left, 1), np.maximum(right, 1)
-            sv0, sv1 = np.maximum(step_v - up, 1), np.maximum(down, 1)
-            up *= width
-            down *= width
-            grad_u = (
-                (d10 - flat.take(base + left)) / su0 * w00
-                + (flat.take(base + right) - d00) / su1 * w10
-                + (d11 - flat.take(base + dv + left)) / su0 * w01
-                + (flat.take(base + dv + right) - d01) / su1 * w11
-            )
-            grad_v = (
-                (d01 - flat.take(base + up)) / sv0 * w00
-                + (d11 - flat.take(base + du + up)) / sv0 * w10
-                + (flat.take(base + down) - d00) / sv1 * w01
-                + (flat.take(base + du + down) - d10) / sv1 * w11
-            )
-            return grad_u, grad_v
-
-        return value, slope
-
-    return gather
+    return value, slope
 
 
-def sample_field(field: SemanticEdgeField, u: float, v: float) -> tuple[float, float, float]:
-    """Bilinear (V, G_u, G_v) at a sub-pixel location; see bilinear_gather.
+def sample_field(fields: FieldStack, label: str, u: float, v: float) -> tuple[float, float, float]:
+    """Bilinear (V, G_u, G_v) of ``label``'s field at a sub-pixel location;
+    see bilinear_gather.
 
     Valid domain is 0 <= u <= width-1, 0 <= v <= height-1 (inclusive).
     """
-    height, width = field.shape
+    height, width = fields.stack.shape[1:]
     if not (0.0 <= u <= width - 1 and 0.0 <= v <= height - 1):
         raise OutOfBoundsPixel(f"({u:.2f}, {v:.2f}) outside [0, {width - 1}] x [0, {height - 1}]")
-    value, slope = bilinear_gather(np.float64(u), np.float64(v), field.shape)(field.distance, 0)
+    value, slope = bilinear_gather(fields.stack, fields.layer[label], np.float64(u), np.float64(v))
     return tuple(float(x) for x in (value, *slope()))
 
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     """Binary dilation with a (2r+1)-square structuring element: the square
     is separable, so one (2r+1)-wide pass over the columns and one over the
-    rows take 2(2r+1) slice ORs instead of (2r+1)^2."""
+    rows take 2(2r+1) slice ORs instead of (2r+1)^2. A radius of
+    max(H, W) - 1 already reaches every pixel, so a larger one is clamped."""
     if radius <= 0 or not mask.any():
         return mask.copy()
     height, width = mask.shape
+    radius = min(radius, max(height, width) - 1)
     padded = np.zeros((height + 2 * radius, width + 2 * radius), dtype=bool)
     padded[radius:radius + height, radius:radius + width] = mask
     wide = np.zeros((height + 2 * radius, width), dtype=bool)

@@ -136,10 +136,6 @@ def read_intrinsics(path: str | Path) -> CameraIntrinsics:
     raise ValueError(f"{path}: empty intrinsics file")
 
 
-def write_initial_pose(path: str | Path, frame_id: int, pose: Pose) -> None:
-    Path(path).write_text(format_pose_line(frame_id, pose) + "\n", encoding="ascii")
-
-
 def read_initial_pose(path: str | Path) -> tuple[int, Pose]:
     for item in _pose_lines(path):
         return item

@@ -34,7 +34,7 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import AlignmentProblem, align_frame
-from .compact_map import CompactMap, parse_map
+from .compact_map import CompactMap, read_map
 from .config import PipelineConfig
 from .edge_features import FieldStack, build_edge_masks, build_fields, coarsen_mask
 from .geometry import CameraIntrinsics, Pose, project_points
@@ -133,16 +133,7 @@ class FrameRecord:
     sample_count: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "frame_id": self.frame_id,
-                "status": self.status,
-                "iterations": self.iterations,
-                "mean_reproj_error": self.mean_reproj_error,
-                "sample_count": self.sample_count,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _load_fields(
@@ -224,7 +215,7 @@ def iter_frames(
         raise ValueError(f"prefetch_workers must be >= 0, got {prefetch_workers}")
     config = config or PipelineConfig()
     if compact_map is None:
-        compact_map = parse_map(manifest.map_path.read_bytes())
+        compact_map = read_map(manifest.map_path)
     odometry = read_trajectory(manifest.odometry_path)
     if manifest.initial_frame not in odometry:
         raise ValueError(

@@ -74,10 +74,10 @@ def clip_segment_to_view(
     p0: np.ndarray,
     p1: np.ndarray,
     intrinsics: CameraIntrinsics,
-    near: float = NEAR_CLIP_M,
     far: float = math.inf,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clip camera-frame segments p0[i] -> p1[i], (N, 3) each, to the view frustum.
+    """Clip camera-frame segments p0[i] -> p1[i], (N, 3) each, to the view
+    frustum between ``NEAR_CLIP_M`` and ``far``.
 
     Returns (inside, q0, q1): which segments keep a visible part, and the
     clipped endpoints of those segments.
@@ -90,7 +90,7 @@ def clip_segment_to_view(
         [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [k.fx, 0.0, k.cx], [-k.fx, 0.0, k.width - 1 - k.cx],
          [0.0, k.fy, k.cy], [0.0, -k.fy, k.height - 1 - k.cy]]
     ).T
-    offsets = np.array([-near, far, 0.0, 0.0, 0.0, 0.0])
+    offsets = np.array([-NEAR_CLIP_M, far, 0.0, 0.0, 0.0, 0.0])
     c0 = p0 @ normals + offsets
     c1 = p1 @ normals + offsets
     out0, out1 = c0 < 0.0, c1 < 0.0
@@ -237,10 +237,12 @@ def silhouette_margin_depth(depth: np.ndarray, margin_px: int, iv: np.ndarray, i
     those alone. The window minimum is separable: each seed scatters its
     depth, by minimum, to the 2 margin_px + 1 columns around it in its own
     row, and each pixel then takes the minimum of its window's rows at its
-    column. Both run on the seeds' bounding box grown by the margin.
+    column. Both run on the seeds' bounding box grown by the margin. A
+    margin of max(H, W) - 1 already covers the raster, so a larger one is
+    clamped.
     """
-    r = margin_px
     height, width = depth.shape
+    r = min(margin_px, max(height, width) - 1)
     flat = depth.reshape(-1)
     finite = np.flatnonzero(np.isfinite(flat))
     v, u = np.divmod(finite, width)
@@ -317,7 +319,7 @@ def sample_landmark_edges(
     left, right = pole_silhouette(q0[poles], q1[poles], _pole_radii(packed, config))
     q0[poles], q1[poles] = left[:, 0], left[:, 1]
     q0[poles + 1], q1[poles + 1] = right[:, 0], right[:, 1]
-    inside, qa, qb = clip_segment_to_view(q0, q1, intrinsics, NEAR_CLIP_M, config.max_selection_range_m)
+    inside, qa, qb = clip_segment_to_view(q0, q1, intrinsics, config.max_selection_range_m)
     u, v, _ = project_points(np.stack([qa, qb]), intrinsics)
     length_px = np.hypot(u[1] - u[0], v[1] - v[0])
     intervals = np.maximum(1, np.ceil(length_px / spacing).astype(np.intp))

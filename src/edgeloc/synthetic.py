@@ -24,7 +24,7 @@ from .compact_map import (
 )
 from .config import PipelineConfig
 from .geometry import CameraIntrinsics, Pose, rotation_zyx, so3_exp
-from .io import format_pose_line, write_initial_pose, write_intrinsics, write_pgm, write_trajectory
+from .io import format_pose_line, write_intrinsics, write_pgm, write_trajectory
 from .selection import rasterize_occluders, rasterize_polygons, select_landmarks, visible_samples
 
 # Philox stream purposes.
@@ -36,6 +36,10 @@ _STREAM_ODOMETRY = 3
 _CAM_IN_VEHICLE = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
 
 _RENDER_SPACING_PX = 0.45
+# A scene is regenerated until every trajectory pose sees this many landmarks.
+_MIN_LANDMARK_VISIBILITY = 8
+# The dynamic wall: its distance ahead of the camera, its width and height (m).
+_WALL_DISTANCE_M, _WALL_WIDTH_M, _WALL_HEIGHT_M = 6.0, 24.0, 14.0
 
 PRESET_NAMES = ("urban-straight", "urban-corner", "sparse")
 
@@ -160,9 +164,9 @@ def _lateral(heading: float) -> np.ndarray:
     return np.array([-math.sin(heading), math.cos(heading), 0.0])
 
 
-def _path_point(preset: str, s: float, offset: float, z: float = 0.0) -> np.ndarray:
+def _path_point(preset: str, s: float, offset: float) -> np.ndarray:
     x, y, heading = _centerline(preset, s)
-    return np.array([x, y, z]) + offset * _lateral(heading)
+    return np.array([x, y, 0.0]) + offset * _lateral(heading)
 
 
 def _build_map(preset: str, counts: dict[str, int], rng: np.random.Generator) -> CompactMap:
@@ -176,13 +180,6 @@ def _build_map(preset: str, counts: dict[str, int], rng: np.random.Generator) ->
     by_name = {lab.name: lab for lab in labels}
     road_length = _ROAD_LENGTH[preset]
     landmarks: list = []
-    next_id = 0
-
-    def add(landmark):
-        nonlocal next_id
-        landmarks.append(landmark)
-        next_id += 1
-
     # Lane lines: outer boundaries solid (abutting segments), inner lines
     # dashed. Dash ends anchor the along-road direction.
     lane_offsets = [-5.25, -1.75, 1.75, 5.25]
@@ -199,7 +196,8 @@ def _build_map(preset: str, counts: dict[str, int], rng: np.random.Generator) ->
                 s1 = s0 + 0.55 * (s1 - s0)  # dash + gap
             p0 = _path_point(preset, s0, offset + rng.normal(0.0, 0.02))
             p1 = _path_point(preset, s1, offset + rng.normal(0.0, 0.02))
-            add(LineSegmentLandmark(by_name["lane_line"], _quantize(p0), _quantize(p1), landmark_id=next_id))
+            lane = LineSegmentLandmark(by_name["lane_line"], _quantize(p0), _quantize(p1), landmark_id=len(landmarks))
+            landmarks.append(lane)
 
     # Rectangle marks: crosswalk-style stripes, wide across the road and
     # short along it, cycling across lane centers. Each stripe is yawed a
@@ -225,7 +223,7 @@ def _build_map(preset: str, counts: dict[str, int], rng: np.random.Generator) ->
                 base + across * left,
             ]
         )
-        add(WireframeLandmark(by_name["rectangle_mark"], _quantize(corners), landmark_id=next_id))
+        landmarks.append(WireframeLandmark(by_name["rectangle_mark"], _quantize(corners), landmark_id=len(landmarks)))
 
     # Lamp poles: vertical segments on alternating roadsides.
     n_pole = counts["lamp_pole"]
@@ -235,13 +233,13 @@ def _build_map(preset: str, counts: dict[str, int], rng: np.random.Generator) ->
         foot = _path_point(preset, s, side)
         height = 6.0 + rng.uniform(-0.5, 0.5)
         radius = 0.15 if i % 2 == 0 else None  # exercise the default-radius path
-        add(
+        landmarks.append(
             LineSegmentLandmark(
                 by_name["lamp_pole"],
                 _quantize(foot),
                 _quantize(foot + np.array([0.0, 0.0, height])),
                 pole_radius=radius,
-                landmark_id=next_id,
+                landmark_id=len(landmarks),
             )
         )
 
@@ -263,7 +261,7 @@ def _build_map(preset: str, counts: dict[str, int], rng: np.random.Generator) ->
                 center - half_w * left + np.array([0.0, 0.0, z0 + 0.8]),
             ]
         )
-        add(WireframeLandmark(by_name["traffic_sign"], _quantize(corners), landmark_id=next_id))
+        landmarks.append(WireframeLandmark(by_name["traffic_sign"], _quantize(corners), landmark_id=len(landmarks)))
 
     # Building edges: tall verticals set back from the road.
     n_building = counts["building_edge"]
@@ -272,12 +270,12 @@ def _build_map(preset: str, counts: dict[str, int], rng: np.random.Generator) ->
         side = (10.0 + rng.uniform(0.0, 4.0)) * (1 if i % 2 == 0 else -1)
         foot = _path_point(preset, s, side)
         height = 8.0 + rng.uniform(0.0, 4.0)
-        add(
+        landmarks.append(
             LineSegmentLandmark(
                 by_name["building_edge"],
                 _quantize(foot),
                 _quantize(foot + np.array([0.0, 0.0, height])),
-                landmark_id=next_id,
+                landmark_id=len(landmarks),
             )
         )
 
@@ -308,12 +306,11 @@ def generate_scene(
     preset: str = "urban-straight",
     n_frames: int = 100,
     noise: NoiseConfig | None = None,
-    min_landmark_visibility: int = 8,
 ) -> SyntheticScene:
     """Deterministic synthetic scene for a preset landmark mix.
 
     Regenerates with a derived seed (up to 20 attempts) if any trajectory
-    pose sees fewer than ``min_landmark_visibility`` landmarks.
+    pose sees fewer than ``_MIN_LANDMARK_VISIBILITY`` landmarks.
     """
     if preset not in PRESET_NAMES:
         raise ValueError(f"unknown preset {preset!r}, expected one of {PRESET_NAMES}")
@@ -329,22 +326,15 @@ def generate_scene(
         visible_ok = True
         for _, pose in trajectory:
             samples = select_landmarks(compact_map, pose, scene.intrinsics, config)
-            if len(samples.landmark_ids()) < min_landmark_visibility:
+            if len(samples.landmark_ids()) < _MIN_LANDMARK_VISIBILITY:
                 visible_ok = False
                 break
         if visible_ok:
             return scene
-    raise RuntimeError(f"could not generate a scene with {min_landmark_visibility} visible landmarks per frame")
+    raise RuntimeError(f"could not generate a scene with {_MIN_LANDMARK_VISIBILITY} visible landmarks per frame")
 
 
-def make_occluder_wall(
-    scene: SyntheticScene,
-    first_frame: int,
-    last_frame: int,
-    distance: float = 6.0,
-    width: float = 24.0,
-    height: float = 14.0,
-) -> OccluderBox:
+def make_occluder_wall(scene: SyntheticScene, first_frame: int, last_frame: int) -> OccluderBox:
     """A dynamic wall ahead of the camera over [first_frame, last_frame];
     ValueError unless that window is non-empty and inside the scene's frames."""
     frame_ids = [frame_id for frame_id, _ in scene.trajectory]
@@ -356,10 +346,10 @@ def make_occluder_wall(
     mid = (first_frame + last_frame) // 2
     pose = scene.pose_of(mid)
     forward = pose.rotation @ np.array([0.0, 0.0, 1.0])
-    center = pose.translation + distance * forward
+    center = pose.translation + _WALL_DISTANCE_M * forward
     return OccluderBox(
         center=(float(center[0]), float(center[1]), float(center[2])),
-        size=(0.4, width, height),
+        size=(0.4, _WALL_WIDTH_M, _WALL_HEIGHT_M),
         first_frame=first_frame,
         last_frame=last_frame,
     )
@@ -481,15 +471,19 @@ def perturb_pose_random(pose: Pose, translation_m: float, rotation_rad: float, r
     )
 
 
-def write_dataset(scene: SyntheticScene, out_dir: str | Path, include_groundtruth: bool = True) -> Path:
+def write_dataset(scene: SyntheticScene, out_dir: str | Path) -> Path:
     """Write the dataset layout the pipeline consumes.
 
     out_dir/
-      map.cmap  intrinsics.txt  odometry.txt  initial_pose.txt
-      groundtruth.txt (optional)
+      map.cmap  intrinsics.txt  odometry.txt  initial_pose.txt  groundtruth.txt
       frames/<frame_id:06d>/{labels,edges,dynamic}.pgm
+
+    ``out_dir`` must be new or empty: ValueError, before anything is written,
+    names one that holds files, whose frames would mix with these.
     """
     out = Path(out_dir)
+    if out.is_dir() and any(out.iterdir()):
+        raise ValueError(f"output directory is not empty: {out}")
     (out / "frames").mkdir(parents=True, exist_ok=True)
     (out / "map.cmap").write_bytes(serialize_map(scene.compact_map))
     write_intrinsics(out / "intrinsics.txt", scene.intrinsics)
@@ -497,10 +491,8 @@ def write_dataset(scene: SyntheticScene, out_dir: str | Path, include_groundtrut
         corrupt_odometry(scene.trajectory, scene.noise.odometry_drift_per_m, scene.seed),
         encoding="ascii",
     )
-    if include_groundtruth:
-        write_trajectory(out / "groundtruth.txt", list(scene.trajectory))
-    first_id, first_pose = scene.trajectory[0]
-    write_initial_pose(out / "initial_pose.txt", first_id, first_pose)
+    write_trajectory(out / "groundtruth.txt", list(scene.trajectory))
+    write_trajectory(out / "initial_pose.txt", [scene.trajectory[0]])
     for frame_id, _ in scene.trajectory:
         frame_dir = out / "frames" / f"{frame_id:06d}"
         frame_dir.mkdir(parents=True, exist_ok=True)

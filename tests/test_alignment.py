@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -481,7 +482,7 @@ def sample_values(problem):
     prepared = al._Prepared(problem)
     u, v, valid = al._project(K, prepared.world)
     assert valid.all()
-    return ef.bilinear_gather(u, v, (K.height, K.width))(prepared.distance, prepared.label_index)[0]
+    return ef.bilinear_gather(prepared.distance, prepared.label_index, u, v)[0]
 
 
 class TestCapPlateau:
@@ -897,9 +898,7 @@ def reference_jacobian_rows(prepared, pose):
     rotation = pose.rotation
     cam = (prepared.world - pose.translation) @ rotation
     u, v, valid = al._project(k, cam)
-    _, slope = ef.bilinear_gather(u[valid], v[valid], prepared.distance.shape[1:])(
-        prepared.distance, prepared.label_index[valid]
-    )
+    _, slope = ef.bilinear_gather(prepared.distance, prepared.label_index[valid], u[valid], v[valid])
     grad_u, grad_v = slope()
     cam_v = cam[valid]
     zv = cam_v[:, 2]
@@ -1095,9 +1094,22 @@ class TestEvaluationReuse:
             assert result.info_min_eig == float(np.linalg.eigvalsh(jacobian.T @ jacobian)[0])
 
 
+def no_sample_problem():
+    """A problem with no samples at all."""
+    return al.AlignmentProblem(block_samples({}), ramp_field("lane", 0.2, 0.0, 5.0), Pose.identity(), K)
+
+
+def out_of_view_problem():
+    """Forty samples, every one behind the camera or beyond an image border."""
+    behind = [[0.1 * i, 0.0, -2.0] for i in range(10)]
+    beside = [[x, 0.1 * i, 2.0] for i in range(10) for x in (-9.0, 9.0)]
+    below = [[0.1 * i, 9.0, 2.0] for i in range(10)]
+    return single_sample_problem(ramp_field("lane", 0.2, 0.0, 5.0), behind + beside + below)
+
+
 # One problem of each solve exit: a fixed point, steps to convergence, the
 # iteration cap, a stop at the pose gate, probe rounds, the cap plateau and
-# too few samples.
+# too few samples (one active sample, none at all, and none in view).
 PINNED_SOLVES = {
     "noiseless-grid": (
         noiseless_grid_setup,
@@ -1131,6 +1143,8 @@ PINNED_SOLVES = {
         lambda: single_sample_problem(ramp_field("lane", 0.2, 0.0, 5.0), [0.0, 0.0, 5.0]),
         "26f557145ecba302a4e78cbd9c131a709574115b3a4a22c7090b1a2613ceb18c",
     ),
+    "no-samples": (no_sample_problem, "5e7bb8680407bd7c8d44d98d3c7868cdba3b24a4a6fdaa91320030ff11da9138"),
+    "all-out-of-view": (out_of_view_problem, "5e7bb8680407bd7c8d44d98d3c7868cdba3b24a4a6fdaa91320030ff11da9138"),
 }
 
 
@@ -1160,3 +1174,16 @@ class TestPinnedSolves:
     def test_result_is_pinned(self, name):
         build, digest = PINNED_SOLVES[name]
         assert result_digest(al.solve(build())) == digest
+
+    @pytest.mark.parametrize("build", [no_sample_problem, out_of_view_problem])
+    def test_no_active_sample_evaluates_to_nothing(self, build):
+        problem = build()
+        prepared = al._Prepared(problem)
+        assert prepared.total_samples == len(problem.samples.points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energy_value, count, residuals, rows, at_cap = al._evaluate(prepared, problem.prior)
+            assert (type(energy_value), energy_value, count) == (float, 0.0, 0)
+            assert residuals.shape == (0,)
+            assert rows().shape == (0, 6)
+            assert at_cap() is True

@@ -5,6 +5,7 @@ import pytest
 
 from edgeloc import pipeline
 from edgeloc.cli import main
+from edgeloc.compact_map import MapFormatError, read_map
 from edgeloc.io import read_trajectory
 
 
@@ -73,6 +74,73 @@ class TestSynthCommand:
         code = main(["synth", "--preset", "sparse", "--out", str(out), "--frames", frames])
         assert code == 2
         assert capsys.readouterr().err == f"error: a scene needs at least 1 frame, got {frames}\n"
+        assert not out.exists()
+
+
+    def test_non_empty_output_directory_exits_2_and_changes_nothing(self, tmp_path, capsys):
+        # A shorter dataset written over a longer one would leave its extra
+        # frames behind, with no odometry.
+        out = tmp_path / "ds"
+        assert main(["synth", "--preset", "sparse", "--seed", "1", "--out", str(out), "--frames", "4"]) == 0
+        before = {path: path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+        capsys.readouterr()
+        code = main(["synth", "--preset", "sparse", "--seed", "2", "--out", str(out), "--frames", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: output directory is not empty: {out}\n"
+        assert {path: path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()} == before
+
+    def test_empty_output_directory_is_written(self, tmp_path):
+        out = tmp_path / "ds"
+        out.mkdir()
+        assert main(["synth", "--preset", "sparse", "--seed", "1", "--out", str(out), "--frames", "2"]) == 0
+        assert sorted(path.name for path in (out / "frames").iterdir()) == ["000000", "000001"]
+
+
+def map_with_nan_on_line_7(dataset, tmp_path):
+    """A copy of the dataset's map with one coordinate of line 7 set to nan."""
+    lines = (dataset / "map.cmap").read_text(encoding="ascii").splitlines()
+    tokens = lines[6].split()
+    assert tokens[0] == "SEG"
+    tokens[2] = "nan"
+    lines[6] = " ".join(tokens)
+    bad = tmp_path / "bad.cmap"
+    bad.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return bad
+
+
+class TestErrorsNameTheirFile:
+    def test_map_error_in_run(self, dataset, tmp_path, capsys):
+        bad = map_with_nan_on_line_7(dataset, tmp_path)
+        out = tmp_path / "t.txt"
+        assert main(["run", "--dataset", str(dataset), "--map", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: expected a finite number, got 'nan' (line 7)\n"
+        assert not out.exists()
+
+    def test_map_error_in_map_stats(self, dataset, tmp_path, capsys):
+        bad = map_with_nan_on_line_7(dataset, tmp_path)
+        assert main(["map-stats", "--map", str(bad), "--original-size", "10"]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: expected a finite number, got 'nan' (line 7)\n"
+
+    def test_map_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cmap"
+        bad.write_bytes(b"CMAP 1\nLABEL a road\nSEG a 0 0 0 1 \xff 0\n")
+        assert main(["map-stats", "--map", str(bad), "--original-size", "10"]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text: invalid start byte (line 3)\n"
+
+    def test_map_error_keeps_its_type_and_fields(self, dataset, tmp_path):
+        bad = map_with_nan_on_line_7(dataset, tmp_path)
+        with pytest.raises(MapFormatError) as caught:
+            read_map(bad)
+        assert (caught.value.line_number, caught.value.landmark_id) == (7, None)
+        assert str(caught.value).startswith(f"{bad}: ")
+
+    def test_config_error_in_run(self, dataset, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("max_iterations = 30\nlambda_init = nan\n", encoding="ascii")
+        out = tmp_path / "t.txt"
+        assert main(["run", "--dataset", str(dataset), "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: config line 2: lambda_init must be finite and >= 0, got nan\n"
         assert not out.exists()
 
 

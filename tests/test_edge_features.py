@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -46,11 +47,11 @@ def gradients(distance):
     return grad_u, grad_v
 
 
-def centre_slopes(field):
-    """G_u, G_v sampled at every pixel centre through bilinear_gather."""
-    height, width = field.shape
+def centre_slopes(grid):
+    """G_u, G_v of an (H, W) grid sampled at every pixel centre through bilinear_gather."""
+    height, width = grid.shape
     vv, uu = np.meshgrid(np.arange(height, dtype=float), np.arange(width, dtype=float), indexing="ij")
-    _, slope = ef.bilinear_gather(uu, vv, field.shape)(field.distance, 0)
+    _, slope = ef.bilinear_gather(grid[None], 0, uu, vv)
     return slope()
 
 
@@ -89,7 +90,7 @@ def three_index_gather(u, v, grids, index):
 
 
 def assert_flat_reads_match(grids, u, v, index):
-    value, slope = ef.bilinear_gather(u, v, grids.shape[1:])(grids, index)
+    value, slope = ef.bilinear_gather(grids, index, u, v)
     got = (value, *slope())
     for flat, reference in zip(got, three_index_gather(u, v, grids, index)):
         assert flat.tobytes() == reference.tobytes()
@@ -169,13 +170,13 @@ class TestDistanceTransform:
 
 class TestGradients:
     def test_empty_mask_gradients_zero(self):
-        grad_u, grad_v = centre_slopes(ef.build_fields([ef.SemanticEdgeMask("x", np.zeros((8, 8), bool))])["x"])
+        grad_u, grad_v = centre_slopes(ef.build_fields([ef.SemanticEdgeMask("x", np.zeros((8, 8), bool))]).stack[0])
         assert (grad_u == 0).all() and (grad_v == 0).all()
 
     def test_unit_slope_along_axis(self):
         mask = np.zeros((21, 21), dtype=bool)
         mask[10, 10] = True
-        grad_u, grad_v = centre_slopes(ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=50.0)["x"])
+        grad_u, grad_v = centre_slopes(ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=50.0).stack[0])
         # along +u from the center: V grows one pixel per pixel
         assert np.allclose(grad_u[10, 12:19], 1.0)
         assert np.allclose(grad_v[10, 12:19], 0.0)
@@ -183,11 +184,11 @@ class TestGradients:
     def test_central_difference_definition_interior(self):
         rng = np.random.default_rng(10)
         mask = rng.random((24, 24)) < 0.1
-        field = ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=30.0)["x"]
-        v = field.distance
+        fields = ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=30.0)
+        v = fields["x"].distance
         expected_u = (v[5, 8 + 1] - v[5, 8 - 1]) / 2.0
         expected_v = (v[5 + 1, 8] - v[5 - 1, 8]) / 2.0
-        _, grad_u, grad_v = ef.sample_field(field, 8.0, 5.0)
+        _, grad_u, grad_v = ef.sample_field(fields, "x", 8.0, 5.0)
         assert grad_u == expected_u
         assert grad_v == expected_v
 
@@ -202,7 +203,7 @@ class TestGradients:
                 continue
             height, width = mask.shape
             d_max = float(width + height)
-            grad_u, grad_v = centre_slopes(ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=d_max)["x"])
+            grad_u, grad_v = centre_slopes(ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=d_max).stack[0])
             assert np.abs(grad_u).max() <= 1.0 + 1e-6
             assert np.abs(grad_v).max() <= 1.0 + 1e-6
             norm = np.hypot(grad_u, grad_v)
@@ -320,7 +321,7 @@ class TestKernelProperties:
         assert ef.squared_edge_distance(mask).tobytes() == brute_force_squared(mask).tobytes()
         field = ef.build_fields([ef.SemanticEdgeMask("x", mask)], d_max=d_max)["x"]
         assert_field_is_oracle(field, mask, d_max)
-        grad_u, grad_v = centre_slopes(field)
+        grad_u, grad_v = centre_slopes(field.distance)
         across = grad_v if wide else grad_u
         assert (across == 0.0).all()
 
@@ -334,8 +335,8 @@ class TestKernelProperties:
         fields = ef.build_fields([ef.SemanticEdgeMask("e", empty), ef.SemanticEdgeMask("f", full)], d_max=d_max)
         assert (fields["e"].distance == d_max).all()
         assert (fields["f"].distance == 0.0).all()
-        for field in fields.values():
-            grad_u, grad_v = centre_slopes(field)
+        for grid in fields.stack:
+            grad_u, grad_v = centre_slopes(grid)
             assert (grad_u == 0.0).all() and (grad_v == 0.0).all()
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
@@ -472,7 +473,7 @@ def grids_and_points(draw):
     if source == "field":
         d_max = draw(st.sampled_from([0.5, 3.0, 7.5, 20.0]))
         masks = [ef.SemanticEdgeMask(f"l{i}", rng.random((height, width)) < 0.05) for i in range(layers)]
-        grids = np.stack([field.distance for field in ef.build_fields(masks, d_max=d_max).values()])
+        grids = ef.build_fields(masks, d_max=d_max).stack
     else:
         grids = rng.random((layers, height, width)) * draw(st.sampled_from([1.0, 10.0, 100.0]))
         if source == "plateau":
@@ -494,12 +495,10 @@ class TestSampledGradient:
     @given(grids_and_points())
     def test_matches_gather_over_reference_grids(self, case):
         grids, u, v, index = case
-        gather = ef.bilinear_gather(u, v, grids.shape[1:])
-        value, slope = gather(grids, index)
-        grad_u, grad_v = slope()
+        grad_u, grad_v = ef.bilinear_gather(grids, index, u, v)[1]()
         ref_u, ref_v = gradients(grids)
-        assert grad_u.tobytes() == gather(ref_u, index)[0].tobytes()
-        assert grad_v.tobytes() == gather(ref_v, index)[0].tobytes()
+        assert grad_u.tobytes() == ef.bilinear_gather(ref_u, index, u, v)[0].tobytes()
+        assert grad_v.tobytes() == ef.bilinear_gather(ref_v, index, u, v)[0].tobytes()
 
     @settings(deadline=None, max_examples=300)
     @given(grids_and_points())
@@ -532,12 +531,12 @@ class TestSampledGradient:
     @given(grids_and_points())
     def test_sample_field_matches_reference_grids(self, case):
         grids, u, v, index = case
-        field = ef.SemanticEdgeField("x", grids[0], d_max=100.0)
-        ref_u, ref_v = gradients(field.distance)
+        fields = ef.FieldStack(["x"], grids[:1], d_max=100.0)
+        ref_u, ref_v = gradients(grids[:1])
         for point_u, point_v in zip(u[:16], v[:16]):
-            gather = ef.bilinear_gather(np.float64(point_u), np.float64(point_v), field.shape)
-            expected = (gather(field.distance, 0)[0], gather(ref_u, 0)[0], gather(ref_v, 0)[0])
-            assert ef.sample_field(field, point_u, point_v) == tuple(float(x) for x in expected)
+            at = (0, np.float64(point_u), np.float64(point_v))
+            expected = (ef.bilinear_gather(g, *at)[0] for g in (grids[:1], ref_u, ref_v))
+            assert ef.sample_field(fields, "x", point_u, point_v) == tuple(float(x) for x in expected)
 
 
 class TestFieldRegression:
@@ -552,38 +551,41 @@ class TestFieldRegression:
         masks = ef.build_edge_masks(label_image, edges, dynamic, scene.compact_map.label_names)
         assert sum(m.pixels.any() for m in masks) >= 2
         d_max = 20.0
-        for stack in (masks, [ef.coarsen_mask(m, 4) for m in masks]):
+        for stack in (masks, [ef.coarsen_mask(m) for m in masks]):
             fields = ef.build_fields(stack, d_max=d_max)
             for mask in stack:
                 expected = oracle_distance(mask.pixels, d_max)
                 field = fields[mask.label]
                 assert field.distance.tobytes() == expected.tobytes()
-                grad_u, grad_v = centre_slopes(field)
+                grad_u, grad_v = centre_slopes(field.distance)
                 assert grad_u.tobytes() == np.gradient(expected, axis=1).tobytes()
                 assert grad_v.tobytes() == np.gradient(expected, axis=0).tobytes()
 
 
+def one_field(grid, d_max):
+    """A one-label FieldStack, label "x", of an (H, W) grid."""
+    return ef.FieldStack(["x"], grid[None], d_max)
+
+
 class TestSampleField:
     def make_field(self):
-        grid = np.arange(12, dtype=float).reshape(3, 4)
-        return ef.SemanticEdgeField("x", grid, d_max=100.0)
+        return one_field(np.arange(12, dtype=float).reshape(3, 4), d_max=100.0)
 
     def test_integer_pixel_exact(self):
-        field = self.make_field()
-        value, _, _ = ef.sample_field(field, 2.0, 1.0)
-        assert value == field.distance[1, 2]
+        fields = self.make_field()
+        value, _, _ = ef.sample_field(fields, "x", 2.0, 1.0)
+        assert value == fields.stack[0, 1, 2]
 
     def test_midpoint_average(self):
-        grid = np.array([[2.0, 4.0], [2.0, 4.0]])
-        field = ef.SemanticEdgeField("x", grid, d_max=10.0)
-        value, _, _ = ef.sample_field(field, 0.5, 0.0)
+        fields = one_field(np.array([[2.0, 4.0], [2.0, 4.0]]), d_max=10.0)
+        value, _, _ = ef.sample_field(fields, "x", 0.5, 0.0)
         assert value == 3.0
 
     def test_out_of_bounds_raises(self):
         with pytest.raises(ef.OutOfBoundsPixel):
-            ef.sample_field(self.make_field(), -0.5, 1.0)
+            ef.sample_field(self.make_field(), "x", -0.5, 1.0)
         with pytest.raises(ef.OutOfBoundsPixel):
-            ef.sample_field(self.make_field(), 1.0, 2.5)
+            ef.sample_field(self.make_field(), "x", 1.0, 2.5)
 
     def test_hand_computed_bilinear(self):
         grid = np.zeros((8, 8))
@@ -591,22 +593,21 @@ class TestSampleField:
         grid[4, 4] = 3.0
         grid[3, 5] = 2.0
         grid[4, 5] = 4.0
-        field = ef.SemanticEdgeField("x", grid, d_max=10.0)
         # at (u, v) = (4.25, 3.5): weights .75*.5, .25*.5, .75*.5, .25*.5
         expected = 1.0 * 0.375 + 2.0 * 0.125 + 3.0 * 0.375 + 4.0 * 0.125
-        value, _, _ = ef.sample_field(field, 4.25, 3.5)
+        value, _, _ = ef.sample_field(one_field(grid, d_max=10.0), "x", 4.25, 3.5)
         assert abs(value - expected) < 1e-12
 
     @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1)])
     def test_one_pixel_wide_or_tall_field(self, shape):
         grid = np.arange(5.0)[: shape[0] * shape[1]].reshape(shape) * 2.0
-        field = ef.SemanticEdgeField("x", grid, d_max=100.0)
+        fields = one_field(grid, d_max=100.0)
         for i in range(grid.size):
             v, u = np.unravel_index(i, shape)
-            assert ef.sample_field(field, float(u), float(v))[0] == grid[v, u]
+            assert ef.sample_field(fields, "x", float(u), float(v))[0] == grid[v, u]
         if grid.size > 1:
             u, v = (1.5, 0.0) if shape[1] > 1 else (0.0, 1.5)
-            assert ef.sample_field(field, u, v)[0] == 3.0
+            assert ef.sample_field(fields, "x", u, v)[0] == 3.0
 
 
 class TestBuildEdgeMasks:
@@ -654,6 +655,23 @@ class TestBuildEdgeMasks:
         assert dilated.dtype == bool
         assert np.array_equal(dilated, dilate_oracle(mask, radius))
 
+    def test_radius_wider_than_the_raster_is_clamped(self):
+        # From the corner pixel, a radius of max(H, W) - 1 = 15 reaches every
+        # pixel, so a wider one gives the same mask; its memory must not grow
+        # with its square.
+        mask = np.zeros((12, 16), dtype=bool)
+        mask[0, 0] = True
+        assert not ef._dilate(mask, 14).all()
+        assert ef._dilate(mask, 15).all()
+        tracemalloc.start()
+        try:
+            dilated = ef._dilate(mask, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dilated.all()
+        assert peak < 200_000
+
     def test_dimension_mismatch(self):
         with pytest.raises(ef.DimensionMismatch):
             ef.build_edge_masks(self.label_img, self.edges[:10], np.zeros((20, 20)), self.labels)
@@ -663,7 +681,7 @@ class TestCoarsen:
     def test_block_or_pooling(self):
         mask = np.zeros((8, 8), dtype=bool)
         mask[5, 2] = True
-        coarse = ef.coarsen_mask(ef.SemanticEdgeMask("x", mask), scale=4)
+        coarse = ef.coarsen_mask(ef.SemanticEdgeMask("x", mask))
         assert coarse.pixels.shape == (2, 2)
         assert coarse.pixels[1, 0] and not coarse.pixels[0, 0]
 
@@ -686,15 +704,16 @@ class TestCoarsen:
         assert not ef.coarsen_mask(ef.SemanticEdgeMask("x", trailing)).pixels.any()
 
     @settings(deadline=None, max_examples=200)
-    @given(st.integers(1, 5), st.integers(1, 23), st.integers(1, 23), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
-    def test_matches_four_axis_block_or(self, scale, height, width, density, seed):
+    @given(st.integers(1, 23), st.integers(1, 23), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
+    def test_matches_four_axis_block_or(self, height, width, density, seed):
         # Oracle: OR over both block axes of the 4-D reshape at once. Shapes
         # need not be multiples of the scale; smaller than one block gives
         # an empty coarse mask.
         mask = np.random.default_rng(seed).random((height, width)) < density
+        scale = ef.COARSE_SCALE
         ch, cw = height // scale, width // scale
         expected = mask[: ch * scale, : cw * scale].reshape(ch, scale, cw, scale).any(axis=(1, 3))
-        coarse = ef.coarsen_mask(ef.SemanticEdgeMask("x", mask), scale=scale)
+        coarse = ef.coarsen_mask(ef.SemanticEdgeMask("x", mask))
         assert coarse.pixels.shape == (ch, cw)
         assert coarse.pixels.tobytes() == expected.tobytes()
         assert coarse.label == "x"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -610,6 +611,25 @@ class TestSilhouetteMargin:
         iu = rng.integers(0, width, size=20)
         got = sel.silhouette_margin_depth(depth, margin_px, iv, iu)
         assert got.tobytes() == brute_force_margin(depth, margin_px, iv, iu).tobytes()
+
+    def test_margin_wider_than_the_raster_is_clamped(self):
+        # At max(H, W) - 1 = 15 every window covers the raster, so a wider
+        # margin gives the same depths; its memory must not grow with its square.
+        depth = np.full((12, 16), np.inf)
+        depth[0, 0] = 3.0
+        depth[9:12, 12:16] = np.random.default_rng(5).uniform(1.0, 20.0, size=(3, 4))
+        iv, iu = np.divmod(np.arange(depth.size), 16)
+        widest = sel.silhouette_margin_depth(depth, 15, iv, iu)
+        assert widest.tobytes() == brute_force_margin(depth, 15, iv, iu).tobytes()
+        assert (widest == widest[0]).all() and np.isfinite(widest[0])  # each window holds every seed
+        tracemalloc.start()
+        try:
+            got = sel.silhouette_margin_depth(depth, 600, iv, iu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == widest.tobytes()
+        assert peak < 1_000_000
 
 
 def samples_digest(samples):
