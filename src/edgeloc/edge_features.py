@@ -220,19 +220,23 @@ def coarsen_mask(mask: SemanticEdgeMask) -> SemanticEdgeMask:
     return SemanticEdgeMask(mask.label, pixels)
 
 
-def bilinear_gather(grids: np.ndarray, layer, u, v):
-    """Bilinear interpolation of the grid ``layer`` of an (L, H, W) stack at
-    each sub-pixel location (u, v); returns ``(V, slope)``.
+def bilinear_gather(grids: np.ndarray, offset, u, v):
+    """Bilinear interpolation of an (L, H, W) stack at each sub-pixel
+    location (u, v), in the layer that starts at ``offset`` in the flattened
+    stack (layer * H * W, one per location or a scalar); returns
+    ``(V, slope)``.
 
     Each corner is read from the flattened stack with one index array,
-    ``(layer * H + iv) * W + iu`` plus a column and a row offset. A
+    ``offset + iv * W + iu`` plus a column and a row step. The weights are
+    products of (1 - fu, fu) and (1 - fv, fv), each factor formed once. A
     one-pixel-wide or -tall grid interpolates along its other axis only.
 
     ``slope()`` returns (G_u, G_v) from V's four corner reads plus 8 more.
     Each corner's slope along an axis of n pixels is NumPy's gradient,
     (D[hi] - D[lo]) / max(hi - lo, 1) with lo = max(i - 1, 0),
     hi = min(i + 1, n - 1), weighted as V is, so G_u, G_v equal a gather
-    over gradient grids byte for byte.
+    over gradient grids byte for byte. hi - lo is 1 or 2, and dividing by
+    it is multiplying by 1.0 or 0.5: the same correctly rounded quotient.
 
     Every location must lie in the grid, 0 <= u <= W - 1 and 0 <= v <= H - 1,
     as the solver's validity mask and sample_field's check ensure; there the
@@ -243,44 +247,47 @@ def bilinear_gather(grids: np.ndarray, layer, u, v):
     iv = np.minimum(v.astype(int), max(height - 2, 0))
     fu = u - iu
     fv = v - iv
-    w00 = (1.0 - fu) * (1.0 - fv)
-    w10 = fu * (1.0 - fv)
-    w01 = (1.0 - fu) * fv
+    gu = 1.0 - fu
+    gv = 1.0 - fv
+    w00 = gu * gv
+    w10 = fu * gv
+    w01 = gu * fv
     w11 = fu * fv
     # Steps from the (iu, iv) corner to the far column and row: none on a
     # one-pixel axis. dv is the row step in flat-index units.
-    du, step_v = int(width > 1), int(height > 1)
-    dv = step_v * width
+    du, dv = int(width > 1), int(height > 1) * width
     flat = np.ravel(grids)
-    base = (layer * height + iv) * width + iu
-    d00 = flat.take(base)
-    d10 = flat.take(base + du)
-    d01 = flat.take(base + dv)
-    d11 = flat.take(base + (du + dv))
+    b00 = offset + iv * width + iu
+    b10 = b00 + du
+    b01 = b00 + dv
+    b11 = b01 + du
+    d00 = flat.take(b00)
+    d10 = flat.take(b10)
+    d01 = flat.take(b01)
+    d11 = flat.take(b11)
     value = d00 * w00 + d10 * w10 + d01 * w01 + d11 * w11
 
     def slope():
-        # Outer neighbours of the corner pairs, as offsets from (iu, iv):
-        # hi(iu) is the far column and lo(far column) is iu.
-        left = np.maximum(iu - 1, 0) - iu
-        right = np.minimum(iu + du + 1, width - 1) - iu
-        up = np.maximum(iv - 1, 0) - iv
-        down = np.minimum(iv + step_v + 1, height - 1) - iv
-        su0, su1 = np.maximum(du - left, 1), np.maximum(right, 1)
-        sv0, sv1 = np.maximum(step_v - up, 1), np.maximum(down, 1)
-        up *= width
-        down *= width
+        # Whether the near column iu has a column left of it and the far
+        # column one right of it: there lo = iu - 1 or hi = far + 1, and
+        # hi - lo = 2. Otherwise the corner itself is that end and
+        # hi - lo = 1. Rows alike; up and down are in flat-index units.
+        left, right = iu > 0, iu < width - 2
+        top, bottom = iv > 0, iv < height - 2
+        hu0, hu1 = np.where(left, 0.5, 1.0), np.where(right, 0.5, 1.0)
+        hv0, hv1 = np.where(top, 0.5, 1.0), np.where(bottom, 0.5, 1.0)
+        up, down = top * width, bottom * width
         grad_u = (
-            (d10 - flat.take(base + left)) / su0 * w00
-            + (flat.take(base + right) - d00) / su1 * w10
-            + (d11 - flat.take(base + dv + left)) / su0 * w01
-            + (flat.take(base + dv + right) - d01) / su1 * w11
+            (d10 - flat.take(b00 - left)) * hu0 * w00
+            + (flat.take(b10 + right) - d00) * hu1 * w10
+            + (d11 - flat.take(b01 - left)) * hu0 * w01
+            + (flat.take(b11 + right) - d01) * hu1 * w11
         )
         grad_v = (
-            (d01 - flat.take(base + up)) / sv0 * w00
-            + (d11 - flat.take(base + du + up)) / sv0 * w10
-            + (flat.take(base + down) - d00) / sv1 * w01
-            + (flat.take(base + du + down) - d10) / sv1 * w11
+            (d01 - flat.take(b00 - up)) * hv0 * w00
+            + (d11 - flat.take(b10 - up)) * hv0 * w10
+            + (flat.take(b01 + down) - d00) * hv1 * w01
+            + (flat.take(b11 + down) - d10) * hv1 * w11
         )
         return grad_u, grad_v
 
@@ -296,7 +303,8 @@ def sample_field(fields: FieldStack, label: str, u: float, v: float) -> tuple[fl
     height, width = fields.stack.shape[1:]
     if not (0.0 <= u <= width - 1 and 0.0 <= v <= height - 1):
         raise OutOfBoundsPixel(f"({u:.2f}, {v:.2f}) outside [0, {width - 1}] x [0, {height - 1}]")
-    value, slope = bilinear_gather(fields.stack, fields.layer[label], np.float64(u), np.float64(v))
+    offset = fields.layer[label] * height * width
+    value, slope = bilinear_gather(fields.stack, offset, np.float64(u), np.float64(v))
     return tuple(float(x) for x in (value, *slope()))
 
 

@@ -25,21 +25,28 @@ _ORTHONORMAL_GUARD = 1e-6
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix such that skew(v) @ w == cross(v, w)."""
-    x, y, z = np.asarray(v, dtype=float)
+    x, y, z = np.asarray(v, dtype=float).tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+_IDENTITY = np.eye(3)
+_IDENTITY.setflags(write=False)
+
+
 def so3_exp(theta: np.ndarray) -> np.ndarray:
-    """Rotation matrix for a rotation vector, via the Rodrigues formula."""
+    """Rotation matrix for a rotation vector, via the Rodrigues formula
+    I + a K + b K^2 with K = skew(theta); below SMALL_ANGLE, a = 1 and
+    b = 1/2 (the 2nd-order series)."""
     theta = np.asarray(theta, dtype=float)
-    angle = math.sqrt(float(theta @ theta))
+    angle = math.sqrt(theta @ theta)
     k = skew(theta)
     k2 = k @ k
     if angle < SMALL_ANGLE:
-        return np.eye(3) + k + 0.5 * k2
-    a = math.sin(angle) / angle
-    b = (1.0 - math.cos(angle)) / (angle * angle)
-    return np.eye(3) + a * k + b * k2
+        a, b = 1.0, 0.5
+    else:
+        a = math.sin(angle) / angle
+        b = (1.0 - math.cos(angle)) / (angle * angle)
+    return _IDENTITY + a * k + b * k2
 
 
 @dataclass(frozen=True, eq=False)

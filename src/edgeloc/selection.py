@@ -104,9 +104,10 @@ def clip_segment_to_view(
     return inside, p0 + t0[inside, None] * direction, p0 + t1[inside, None] * direction
 
 
-def rasterize_polygons(depth: np.ndarray, polygons: np.ndarray, intrinsics: CameraIntrinsics) -> None:
+def rasterize_polygons(depth: np.ndarray, polygons: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Min-depth fill of camera-frame polygons, (P, n, 3), into the
-    C-contiguous (H, W) array ``depth``.
+    C-contiguous (H, W) array ``depth``; returns the flat indices of the
+    pixels it gave a finite depth, unordered and possibly repeated.
 
     Every polygon is clipped against z >= NEAR_CLIP_M (Sutherland &
     Hodgman, CACM 1974) and fanned into triangles (0, i, i + 1) of the
@@ -182,6 +183,7 @@ def rasterize_polygons(depth: np.ndarray, polygons: np.ndarray, intrinsics: Came
     # pixels (or one wider row).
     ends = np.cumsum(row_w)
     start = 0
+    drawn = [np.empty(0, dtype=np.intp)]
     while start < tri.size:
         stop = max(start + 1, int(np.searchsorted(ends, ends[start] - row_w[start] + _PIXEL_BUDGET, side="right")))
         width = row_w[start:stop]
@@ -196,8 +198,11 @@ def rasterize_polygons(depth: np.ndarray, polygons: np.ndarray, intrinsics: Came
         hit_tri, w = pixel_tri[hit], w[:, hit]
         interp_inv_z = (w[0] * inv_z[0, hit_tri] + w[1] * inv_z[1, hit_tri] + w[2] * inv_z[2, hit_tri]) / area2[hit_tri]
         values = np.where(interp_inv_z > 1e-12, 1.0 / np.maximum(interp_inv_z, 1e-12), np.inf)
-        np.minimum.at(depth.reshape(-1), row_v[row[hit]] * depth.shape[1] + pixel_u[hit], values)
+        pixel = row_v[row[hit]] * depth.shape[1] + pixel_u[hit]
+        np.minimum.at(depth.reshape(-1), pixel, values)
+        drawn.append(pixel[values < np.inf])
         start = stop
+    return np.concatenate(drawn)
 
 
 def pole_silhouette(q0: np.ndarray, q1: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +230,9 @@ def pole_silhouette(q0: np.ndarray, q1: np.ndarray, radius) -> tuple[np.ndarray,
     return ends - offset, ends + offset
 
 
-def silhouette_margin_depth(depth: np.ndarray, margin_px: int, iv: np.ndarray, iu: np.ndarray) -> np.ndarray:
+def silhouette_margin_depth(
+    depth: np.ndarray, finite: np.ndarray, margin_px: int, iv: np.ndarray, iu: np.ndarray
+) -> np.ndarray:
     """Min occluder depth at silhouette pixels within ``margin_px`` of each
     pixel (iv[i], iu[i]), in the (2 margin_px + 1)^2 window around it.
 
@@ -234,17 +241,18 @@ def silhouette_margin_depth(depth: np.ndarray, margin_px: int, iv: np.ndarray, i
     do not qualify. Pixels away from every silhouette get +inf.
 
     Only pixels with a finite depth can be seeds, so they are found among
-    those alone. The window minimum is separable: each seed scatters its
-    depth, by minimum, to the 2 margin_px + 1 columns around it in its own
-    row, and each pixel then takes the minimum of its window's rows at its
-    column. Both run on the seeds' bounding box grown by the margin. A
-    margin of max(H, W) - 1 already covers the raster, so a larger one is
-    clamped.
+    those alone: ``finite`` holds their flat indices, in any order and
+    possibly repeated, as rasterize_occluders returns them, so no pass
+    scans the whole raster. The window minimum is separable: each seed
+    scatters its depth, by minimum, to the 2 margin_px + 1 columns around
+    it in its own row, and each pixel then takes the minimum of its
+    window's rows at its column. Both run on the seeds' bounding box grown
+    by the margin. A margin of max(H, W) - 1 already covers the raster, so
+    a larger one is clamped.
     """
     height, width = depth.shape
     r = min(margin_px, max(height, width) - 1)
     flat = depth.reshape(-1)
-    finite = np.flatnonzero(np.isfinite(flat))
     v, u = np.divmod(finite, width)
     center = flat[finite]
     threshold = center * 1.5 + 1.0
@@ -281,9 +289,11 @@ def rasterize_occluders(
     prior: Pose,
     intrinsics: CameraIntrinsics,
     config: PipelineConfig | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """(H, W) minimum depth in meters, +inf where empty, of wireframe
-    interiors and pole cylinders seen from the prior."""
+    interiors and pole cylinders seen from the prior, and the flat indices
+    of its finite pixels (unordered, possibly repeated; see
+    rasterize_polygons)."""
     config = config or PipelineConfig()
     depth = np.full((intrinsics.height, intrinsics.width), np.inf)
     camera = prior.inverse().apply(packed.points)
@@ -292,8 +302,8 @@ def rasterize_occluders(
     # Pole quads padded like the wireframes, by repeating their last vertex.
     n = packed.corners.shape[1]
     quads = np.concatenate([left, right[:, ::-1]], axis=1)[:, np.minimum(np.arange(n), 3)]
-    rasterize_polygons(depth, np.concatenate([camera[packed.corners], quads]), intrinsics)
-    return depth
+    finite = rasterize_polygons(depth, np.concatenate([camera[packed.corners], quads]), intrinsics)
+    return depth, finite
 
 
 def sample_landmark_edges(
@@ -367,10 +377,10 @@ def select_landmarks(
     """Full selection pipeline: cull, depth-buffer occluders, sample, z-test."""
     config = config or PipelineConfig()
     packed = compact_map.packed
-    depth = rasterize_occluders(packed, prior, intrinsics, config)
+    depth, finite = rasterize_occluders(packed, prior, intrinsics, config)
     points, owner, iv, iu = visible_samples(packed, prior, intrinsics, depth, config=config)
     if config.occlusion_margin_px > 0:
-        margin_depth = silhouette_margin_depth(depth, config.occlusion_margin_px, iv, iu)
+        margin_depth = silhouette_margin_depth(depth, finite, config.occlusion_margin_px, iv, iu)
         keep = points[:, 2] <= margin_depth + _OCCLUSION_MARGIN_GAP_M
         points, owner = points[keep], owner[keep]
     names = compact_map.label_names

@@ -379,7 +379,7 @@ def render_frame(scene: SyntheticScene, frame_id: int) -> tuple[np.ndarray, np.n
     height, width = intrinsics.height, intrinsics.width
     packed = scene.compact_map.packed
 
-    depth = rasterize_occluders(packed, pose, intrinsics, config)
+    depth = rasterize_occluders(packed, pose, intrinsics, config)[0]
     active_boxes = [box for box in scene.noise.occluders if box.active(frame_id)]
     dynamic = _render_boxes(active_boxes, pose, intrinsics, depth)
 

@@ -13,8 +13,10 @@ from edgeloc import edge_features as ef
 from edgeloc import synthetic as syn
 from edgeloc.config import PipelineConfig
 from edgeloc.edge_features import build_edge_masks, build_fields, coarsen_mask
-from edgeloc.geometry import CameraIntrinsics, Pose, rotation_angle, rotation_zyx, so3_exp
+from edgeloc.geometry import MIN_PROJECTION_DEPTH, CameraIntrinsics, Pose, rotation_angle, rotation_zyx, so3_exp
 from edgeloc.selection import LandmarkSamples, select_landmarks
+
+from test_edge_features import three_index_gather
 
 K = CameraIntrinsics(fx=250.0, fy=250.0, cx=159.5, cy=119.5, width=320, height=240)
 
@@ -480,9 +482,9 @@ def cap_plateau_problem(grids=None, weights=(("a", 0.5), ("b", 2.0))):
 def sample_values(problem):
     """Every sample's field value at the prior, as the solver reads it."""
     prepared = al._Prepared(problem)
-    u, v, valid = al._project(K, prepared.world)
+    u, v, valid = al._project(K, prepared.world.T)
     assert valid.all()
-    return ef.bilinear_gather(prepared.distance, prepared.label_index, u, v)[0]
+    return ef.bilinear_gather(prepared.distance, prepared.offset, u, v)[0]
 
 
 class TestCapPlateau:
@@ -505,7 +507,7 @@ class TestCapPlateau:
         # The first sample reads CAP - 0.5 on a flat patch, so the mean
         # residual stays within 0.01% of the cap.
         problem = cap_plateau_problem()
-        u, v, _ = al._project(K, al._Prepared(problem).world[:1])
+        u, v, _ = al._project(K, al._Prepared(problem).world.T[:1])
         grid = np.full((K.height, K.width), CAP)
         grid[int(v[0]) - 2:int(v[0]) + 4, int(u[0]) - 2:int(u[0]) + 4] = CAP - 0.5
         problem = cap_plateau_problem(grids={"a": grid})
@@ -891,26 +893,109 @@ class TestProbeScan:
         assert winners >= 6  # every energy_now = inf scan has a winner
 
 
-def reference_jacobian_rows(prepared, pose):
-    """The weighted Jacobian rows at ``pose`` built with np.stack and np.cross,
-    as _evaluate built them before its column arithmetic: the oracle of it."""
-    k = prepared.intrinsics
+def reference_evaluate(k, world, stack, layer, weight, cap, pose):
+    """``_evaluate``'s outputs in array-of-structures form: C-ordered (N, 3)
+    world points projected column by column, a (layer, row, column) read per
+    corner (test_edge_features' oracle of bilinear_gather), and the Jacobian
+    rows from np.stack and np.cross. Returns (energy, count, residuals,
+    rows, at_cap): the oracle of _evaluate."""
     rotation = pose.rotation
-    cam = (prepared.world - pose.translation) @ rotation
-    u, v, valid = al._project(k, cam)
-    _, slope = ef.bilinear_gather(prepared.distance, prepared.label_index[valid], u[valid], v[valid])
-    grad_u, grad_v = slope()
+    cam = (world - pose.translation) @ rotation
+    x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]
+    in_front = z > MIN_PROJECTION_DEPTH
+    safe_z = np.where(in_front, z, 1.0)
+    u = k.fx * x / safe_z + k.cx
+    v = k.fy * y / safe_z + k.cy
+    valid = in_front & (u >= 0.0) & (u <= k.width - 1) & (v >= 0.0) & (v <= k.height - 1)
+    values, grad_u, grad_v = three_index_gather(u[valid], v[valid], stack, layer[valid])
+    weights = weight[valid]
+    sqrt_w = np.sqrt(weights)
     cam_v = cam[valid]
     zv = cam_v[:, 2]
     a = grad_u * k.fx / zv
     b = grad_v * k.fy / zv
     c = -(a * cam_v[:, 0] + b * cam_v[:, 1]) / zv
     g3 = np.stack([a, b, c], axis=1)
-    jacobian = np.empty((zv.size, 6))
-    jacobian[:, :3] = -(g3 @ rotation.T)
-    jacobian[:, 3:] = np.cross(g3, cam_v)
-    jacobian *= prepared.sqrt_weight[valid][:, None]
-    return jacobian
+    rows = np.empty((zv.size, 6))
+    rows[:, :3] = -(g3 @ rotation.T)
+    rows[:, 3:] = np.cross(g3, cam_v)
+    rows *= sqrt_w[:, None]
+    at_cap = bool(np.all((values >= cap) | (weights == 0.0)))
+    return float(weights @ (values * values)), int(valid.sum()), sqrt_w * values, rows, at_cap
+
+
+def reference_of_problem(problem, pose):
+    """reference_evaluate of an AlignmentProblem, from its own fields."""
+    samples, fields = problem.samples, problem.fields
+    layer = np.array([fields.layer[label] for label in samples.labels], dtype=int)[samples.label]
+    weight = np.array([problem.config.weight_for(label) for label in samples.labels], dtype=float)[samples.label]
+    cap = fields.d_max * (1.0 - al._CAP_RTOL)
+    world = problem.prior.apply(samples.points)
+    return reference_evaluate(problem.intrinsics, world, fields.stack, layer, weight, cap, pose)
+
+
+def reference_of_prepared(prepared, pose):
+    """reference_evaluate of a _Prepared, its points copied to (N, 3)."""
+    layer = prepared.offset // (prepared.distance.shape[1] * prepared.distance.shape[2])
+    world = np.ascontiguousarray(prepared.world.T)
+    return reference_evaluate(prepared.intrinsics, world, prepared.distance, layer, prepared.weight, prepared.cap, pose)
+
+
+def assert_evaluate_matches_reference(problem, prepared, pose):
+    energy_value, count, residuals, rows, at_cap = al._evaluate(prepared, pose)
+    want = reference_of_problem(problem, pose)
+    assert np.float64(energy_value).tobytes() == np.float64(want[0]).tobytes()
+    assert count == want[1]
+    assert residuals.tobytes() == want[2].tobytes()
+    assert rows().tobytes() == want[3].tobytes()
+    assert rows().flags.c_contiguous and rows().shape == (count, 6)
+    assert at_cap() == want[4]
+    return count
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A problem on a small camera and poses to evaluate it at.
+
+    Samples lie in front of the camera, behind it and off the image, and at
+    an identity prior some sit exactly on the image border: u = W - 1,
+    v = 0 or both (power-of-two focal lengths and depths keep those
+    projections exact). Grids are small with few values, weights include 0.
+    The poses are the prior, small and large steps from it, and one at
+    random."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    height, width = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    fx, fy = draw(st.sampled_from([1.0, 4.0, 32.0])), draw(st.sampled_from([1.0, 4.0, 32.0]))
+    k = CameraIntrinsics(fx=fx, fy=fy, cx=(width - 1) / 2.0, cy=(height - 1) / 2.0, width=width, height=height)
+    n_labels = draw(st.integers(1, 3))
+    levels = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    grids = [rng.integers(0, levels, size=(height, width)) * scale for _ in range(n_labels)]
+    weights = tuple((f"l{i}", draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))) for i in range(n_labels))
+    blocks = {}
+    for label, _ in weights:
+        n = draw(st.integers(0, 25))
+        points = np.column_stack([rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n), rng.uniform(-0.5, 4.0, n)])
+        depth = rng.choice([0.5, 1.0, 2.0], size=6)
+        inner_u, inner_v = rng.uniform(0.0, width - 1, 6), rng.uniform(0.0, height - 1, 6)
+        border_u = np.where(np.arange(6) % 3 == 1, inner_u, width - 1.0)
+        border_v = np.where(np.arange(6) % 3 == 0, inner_v, 0.0)
+        border = np.column_stack([(border_u - k.cx) * depth / fx, (border_v - k.cy) * depth / fy, depth])
+        blocks[label] = np.concatenate([points, border])
+    stack = np.stack(grids).astype(float)
+    prior = Pose.identity()
+    if draw(st.booleans()):
+        prior = Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3))
+    problem = al.AlignmentProblem(
+        samples=block_samples(blocks),
+        fields=ef.FieldStack(list(blocks), stack, d_max=float(levels - 1) * scale),
+        prior=prior,
+        intrinsics=k,
+        config=PipelineConfig(label_weights=weights),
+    )
+    poses = [prior] + [al.perturb_pose(prior, rng.normal(size=6) * step) for step in (1e-3, 0.05, 1.0)]
+    poses.append(Pose(so3_exp(rng.normal(size=3) * 2.0), rng.normal(size=3)))
+    return problem, poses
 
 
 class TestJacobianRowsReference:
@@ -923,7 +1008,7 @@ class TestJacobianRowsReference:
         for candidate in poses:
             _, count, _, rows = al._evaluate(prepared, candidate)[:4]
             if count:
-                assert rows().tobytes() == reference_jacobian_rows(prepared, candidate).tobytes()
+                assert rows().tobytes() == reference_of_prepared(prepared, candidate)[3].tobytes()
 
     def test_rows_of_a_rendered_frame(self):
         problem = _small_synthetic_problem()
@@ -931,9 +1016,53 @@ class TestJacobianRowsReference:
         rng = np.random.default_rng(12)
         for _ in range(5):
             pose = al.perturb_pose(problem.prior, rng.normal(size=6) * [0.05, 0.05, 0.05, 0.005, 0.005, 0.005])
-            _, count, _, rows = al._evaluate(prepared, pose)[:4]
-            assert count > 100
-            assert rows().tobytes() == reference_jacobian_rows(prepared, pose).tobytes()
+            assert assert_evaluate_matches_reference(problem, prepared, pose) > 100
+
+
+class TestEvaluateReference:
+    """_evaluate reads its (3, N) points row by row; every output equals the
+    array-of-structures reference bit for bit, and a probe block scores each
+    candidate as _evaluate does."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(evaluation_cases())
+    def test_outputs_equal_the_reference(self, case):
+        problem, poses = case
+        prepared = al._Prepared(problem)
+        for pose in poses:
+            assert_evaluate_matches_reference(problem, prepared, pose)
+
+    def test_border_samples_are_active(self):
+        k = CameraIntrinsics(fx=4.0, fy=4.0, cx=3.5, cy=2.5, width=8, height=6)
+        on_border = [[3.5 / 4.0, 0.0, 1.0], [0.0, -2.5 / 4.0, 1.0], [3.5 / 4.0, -2.5 / 4.0, 1.0]]
+        past = [[3.5 / 4.0 + 1e-9, 0.0, 1.0], [0.0, np.nextafter(-2.5 / 4.0, -1.0), 1.0]]
+        behind = [[0.0, 0.0, -1.0], [0.0, 0.0, MIN_PROJECTION_DEPTH]]
+        grid = np.arange(48.0).reshape(6, 8)
+        problem = al.AlignmentProblem(
+            samples=block_samples({"lane": on_border + past + behind}),
+            fields=ef.FieldStack(["lane"], grid[None], d_max=50.0),
+            prior=Pose.identity(),
+            intrinsics=k,
+        )
+        count = assert_evaluate_matches_reference(problem, al._Prepared(problem), problem.prior)
+        assert count == 3
+        # The grid is 8 v + u, read at (u, v) = (7, 2.5), (3.5, 0) and (7, 0).
+        residuals = al._evaluate(al._Prepared(problem), problem.prior)[2]
+        assert (residuals / math.sqrt(problem.config.weight_for("lane"))).tolist() == [27.0, 3.5, 7.0]
+
+    @settings(deadline=None, max_examples=100)
+    @given(evaluation_cases(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.05, 3.0]))
+    def test_probe_block_scores_each_candidate_as_evaluate(self, case, seed, turn):
+        problem = case[0]
+        prepared = al._Prepared(problem)
+        rng = np.random.default_rng(seed)
+        rotation = so3_exp(rng.normal(size=3) * turn)
+        translations = problem.prior.translation + rng.normal(size=(int(rng.integers(1, 8)), 3))
+        counts, energies = al._probe_block(prepared, rotation, translations)
+        for candidate, translation in enumerate(translations):
+            energy_value, count = al._evaluate(prepared, Pose(rotation, translation))[:2]
+            assert counts[candidate] == count
+            assert energies[candidate].tobytes() == np.float64(energy_value).tobytes()
 
 
 def assert_checked_and_read_only(pose):
@@ -957,6 +1086,22 @@ class TestTrustedPoses:
         for scale in (1e-6, 0.03, 1.0):
             pose = al.perturb_pose(pose, rng.normal(size=6) * scale)
             assert_checked_and_read_only(pose)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-12, 0.9e-8, 1e-8, 1.1e-8, 1e-3, 1.0]))
+    def test_perturbed_poses_equal_the_written_out_retraction(self, seed, rotation_step):
+        # Steps on both sides of the series switch in so3_exp (SMALL_ANGLE).
+        rng = np.random.default_rng(seed)
+        pose = Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3))
+        direction = rng.normal(size=3)
+        xi = np.concatenate([rng.normal(size=3), direction / np.linalg.norm(direction) * rotation_step])
+        before = xi.tobytes()
+        moved = al.perturb_pose(pose, xi)
+        assert moved.rotation.tobytes() == (pose.rotation @ so3_exp(xi[3:])).tobytes()
+        assert moved.translation.tobytes() == (pose.translation + xi[:3]).tobytes()
+        assert xi.tobytes() == before
+        assert_checked_and_read_only(moved)
+        assert not pose.rotation.flags.writeable and not pose.translation.flags.writeable
 
     @settings(deadline=None, max_examples=100)
     @given(probe_scans())

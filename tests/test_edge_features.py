@@ -89,8 +89,13 @@ def three_index_gather(u, v, grids, index):
     return value, grad_u, grad_v
 
 
+def layer_offset(grids, index):
+    """Where each layer ``index`` starts in the flattened stack."""
+    return index * (grids.shape[1] * grids.shape[2])
+
+
 def assert_flat_reads_match(grids, u, v, index):
-    value, slope = ef.bilinear_gather(grids, index, u, v)
+    value, slope = ef.bilinear_gather(grids, layer_offset(grids, index), u, v)
     got = (value, *slope())
     for flat, reference in zip(got, three_index_gather(u, v, grids, index)):
         assert flat.tobytes() == reference.tobytes()
@@ -495,10 +500,11 @@ class TestSampledGradient:
     @given(grids_and_points())
     def test_matches_gather_over_reference_grids(self, case):
         grids, u, v, index = case
-        grad_u, grad_v = ef.bilinear_gather(grids, index, u, v)[1]()
+        offset = layer_offset(grids, index)
+        grad_u, grad_v = ef.bilinear_gather(grids, offset, u, v)[1]()
         ref_u, ref_v = gradients(grids)
-        assert grad_u.tobytes() == ef.bilinear_gather(ref_u, index, u, v)[0].tobytes()
-        assert grad_v.tobytes() == ef.bilinear_gather(ref_v, index, u, v)[0].tobytes()
+        assert grad_u.tobytes() == ef.bilinear_gather(ref_u, offset, u, v)[0].tobytes()
+        assert grad_v.tobytes() == ef.bilinear_gather(ref_v, offset, u, v)[0].tobytes()
 
     @settings(deadline=None, max_examples=300)
     @given(grids_and_points())

@@ -93,6 +93,51 @@ class TestSo3Exp:
         assert np.abs(rotation.T @ rotation - np.eye(3)).max() <= 1e-12
 
 
+def so3_exp_with_eye(theta):
+    """so3_exp as it was written with a fresh np.eye(3) and skew per call:
+    its oracle, bit for bit."""
+    theta = np.asarray(theta, dtype=float)
+    angle = math.sqrt(float(theta @ theta))
+    x, y, z = theta
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    k2 = k @ k
+    if angle < geo.SMALL_ANGLE:
+        return np.eye(3) + k + 0.5 * k2
+    a = math.sin(angle) / angle
+    b = (1.0 - math.cos(angle)) / (angle * angle)
+    return np.eye(3) + a * k + b * k2
+
+
+class TestSo3ExpBits:
+    """so3_exp adds a shared read-only identity and reads theta once: the
+    same bits as the formula written out, on both sides of SMALL_ANGLE."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        st.sampled_from([0.0, 1e-12, 0.5, 0.999, 1.0, 1.001, 2.0, 1e4, 1e7, 3e8]),
+    )
+    def test_equals_the_written_out_formula(self, direction, scale):
+        theta = np.array(direction) * geo.SMALL_ANGLE * scale
+        assert geo.so3_exp(theta).tobytes() == so3_exp_with_eye(theta).tobytes()
+        assert geo.so3_exp(list(direction)).tobytes() == so3_exp_with_eye(list(direction)).tobytes()
+
+    def test_at_the_series_switch(self):
+        below = np.nextafter(geo.SMALL_ANGLE, 0.0)
+        for theta in ([geo.SMALL_ANGLE, 0.0, 0.0], [0.0, -geo.SMALL_ANGLE, 0.0], [0.0, 0.0, below]):
+            assert geo.so3_exp(theta).tobytes() == so3_exp_with_eye(theta).tobytes()
+
+    def test_results_are_fresh_and_the_identity_stays_read_only(self):
+        first = geo.so3_exp(np.array([0.1, 0.2, 0.3]))
+        small = geo.so3_exp(np.zeros(3))
+        assert first.flags.writeable and not np.shares_memory(first, small)
+        first[:] = 7.0
+        small[:] = 7.0
+        assert np.array_equal(geo.so3_exp(np.zeros(3)), np.eye(3))
+        assert not geo._IDENTITY.flags.writeable and np.array_equal(geo._IDENTITY, np.eye(3))
+        assert np.array_equal(geo.skew([1.0, 2.0, 3.0]), [[0.0, -3.0, 2.0], [3.0, 0.0, -1.0], [-2.0, 1.0, 0.0]])
+
+
 class TestComposeInverse:
     def test_compose_with_identity(self):
         rng = np.random.default_rng(4)

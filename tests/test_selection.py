@@ -177,13 +177,13 @@ def pad_polygons(polygons):
 
 class TestRasterizer:
     def test_empty_landmark_set_gives_infinite_buffer(self):
-        depth = sel.rasterize_occluders(packed([]), EYE, K)
+        depth = sel.rasterize_occluders(packed([]), EYE, K)[0]
         assert depth.shape == (K.height, K.width)
         assert np.isinf(depth).all()
 
     def test_frontoparallel_unit_square_depth(self):
         wf = quad((0.0, 0.0), 0.5, 0.5, 4.0)
-        depth = sel.rasterize_occluders(packed([wf]), EYE, K)
+        depth = sel.rasterize_occluders(packed([wf]), EYE, K)[0]
         filled = np.isfinite(depth)
         depths = depth[filled]
         assert np.abs(depths - 4.0).max() < 1e-6
@@ -195,14 +195,14 @@ class TestRasterizer:
     def test_min_depth_wins_on_overlap(self):
         near = quad((0.0, 0.0), 0.4, 0.4, 3.0, lid=1)  # subtends +-26.7 px
         far = quad((0.0, 0.0), 1.5, 1.5, 6.0, lid=2)  # subtends +-50 px
-        depth = sel.rasterize_occluders(packed([far, near]), EYE, K)
+        depth = sel.rasterize_occluders(packed([far, near]), EYE, K)[0]
         assert abs(depth[120, 160] - 3.0) < 1e-6
         u_far_only = int(K.cx + 40)
         assert abs(depth[120, u_far_only] - 6.0) < 1e-6
 
     def test_plain_segments_do_not_occlude(self):
         lm = segment([-1.0, 0.0, 5.0], [1.0, 0.0, 5.0])
-        depth = sel.rasterize_occluders(packed([lm]), EYE, K)
+        depth = sel.rasterize_occluders(packed([lm]), EYE, K)[0]
         assert np.isinf(depth).all()
 
     def test_off_screen_wall_is_culled_before_rasterizing(self):
@@ -215,7 +215,7 @@ class TestRasterizer:
             ),
             quad((0.0, -4.0), 2.0, 0.5, 3.0, lid=3),
         ]
-        depth = sel.rasterize_occluders(packed(walls), EYE, K)
+        depth = sel.rasterize_occluders(packed(walls), EYE, K)[0]
         assert np.isinf(depth).all()
 
     @settings(deadline=None, max_examples=150)
@@ -233,7 +233,8 @@ class TestRasterizer:
         depth = np.full((K.height, K.width), np.inf)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sel, "_PIXEL_BUDGET", budget)
-            sel.rasterize_polygons(depth, pad_polygons(polygons), K)
+            drawn = sel.rasterize_polygons(depth, pad_polygons(polygons), K)
+        assert np.array_equal(np.unique(drawn), np.flatnonzero(np.isfinite(depth)))
         expected = np.full((K.height, K.width), np.inf)
         for polygon in polygons:
             clipped = clip_polygon_near(polygon, sel.NEAR_CLIP_M)
@@ -248,7 +249,7 @@ class TestRasterizer:
             [[-1.0, -1.0, 3.0], [1.0, -1.0, 5.0], [1.0, 1.0, 5.0], [-1.0, 1.0, 3.0]],
             landmark_id=3,
         )
-        depth = sel.rasterize_occluders(packed([wf]), EYE, K)
+        depth = sel.rasterize_occluders(packed([wf]), EYE, K)[0]
         vv, uu = np.nonzero(np.isfinite(depth))
         for v, u in list(zip(vv, uu))[:: max(1, len(vv) // 50)]:
             z = depth[v, u]
@@ -340,7 +341,7 @@ class TestSelectLandmarks:
         cfg = PipelineConfig()
         cmap = make_map(landmarks)
         samples = sel.select_landmarks(cmap, EYE, K, cfg)
-        depth = sel.rasterize_occluders(cmap.packed, EYE, K, cfg)
+        depth = sel.rasterize_occluders(cmap.packed, EYE, K, cfg)[0]
         pts = samples.points
         u, v, _ = project_points(pts, K)
         iu = np.clip(np.rint(u).astype(int), 0, K.width - 1)
@@ -499,7 +500,7 @@ class TestPackedMap:
             assert packed.poles.shape == packed.pole_radius.shape == (int(pole in landmarks),)
             assert packed.label.shape == packed.landmark_id.shape == (len(landmarks),)
             assert not any(array.flags.writeable for array in vars(packed).values())
-            depth = sel.rasterize_occluders(packed, EYE, K)
+            depth = sel.rasterize_occluders(packed, EYE, K)[0]
             assert np.isfinite(depth).any() == occludes
             samples = sel.select_landmarks(cmap, EYE, K)
             assert samples.landmark_ids() <= {lm.landmark_id for lm in landmarks}
@@ -515,8 +516,8 @@ class TestPackedMap:
         for radius in (0.5, 0.05, 0.5):
             cfg = PipelineConfig(default_pole_radius_m=radius)
             fresh = make_map([default, own]).packed
-            depths.append(sel.rasterize_occluders(cmap.packed, EYE, K, cfg).tobytes())
-            assert depths[-1] == sel.rasterize_occluders(fresh, EYE, K, cfg).tobytes()
+            depths.append(sel.rasterize_occluders(cmap.packed, EYE, K, cfg)[0].tobytes())
+            assert depths[-1] == sel.rasterize_occluders(fresh, EYE, K, cfg)[0].tobytes()
             points, owner = sel.sample_landmark_edges(cmap.packed, EYE, K, config=cfg)
             fresh_points, fresh_owner = sel.sample_landmark_edges(fresh, EYE, K, config=cfg)
             assert points.tobytes() == fresh_points.tobytes() and owner.tobytes() == fresh_owner.tobytes()
@@ -609,7 +610,8 @@ class TestSilhouetteMargin:
             np.minimum(patch, rng.uniform(0.5, 30.0, size=patch.shape), out=patch)
         iv = rng.integers(0, height, size=20)
         iu = rng.integers(0, width, size=20)
-        got = sel.silhouette_margin_depth(depth, margin_px, iv, iu)
+        finite = np.flatnonzero(np.isfinite(depth))
+        got = sel.silhouette_margin_depth(depth, finite, margin_px, iv, iu)
         assert got.tobytes() == brute_force_margin(depth, margin_px, iv, iu).tobytes()
 
     def test_margin_wider_than_the_raster_is_clamped(self):
@@ -619,17 +621,57 @@ class TestSilhouetteMargin:
         depth[0, 0] = 3.0
         depth[9:12, 12:16] = np.random.default_rng(5).uniform(1.0, 20.0, size=(3, 4))
         iv, iu = np.divmod(np.arange(depth.size), 16)
-        widest = sel.silhouette_margin_depth(depth, 15, iv, iu)
+        finite = np.flatnonzero(np.isfinite(depth))
+        widest = sel.silhouette_margin_depth(depth, finite, 15, iv, iu)
         assert widest.tobytes() == brute_force_margin(depth, 15, iv, iu).tobytes()
         assert (widest == widest[0]).all() and np.isfinite(widest[0])  # each window holds every seed
         tracemalloc.start()
         try:
-            got = sel.silhouette_margin_depth(depth, 600, iv, iu)
+            got = sel.silhouette_margin_depth(depth, finite, 600, iv, iu)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert got.tobytes() == widest.tobytes()
         assert peak < 1_000_000
+
+
+class TestSilhouetteSeeds:
+    """silhouette_margin_depth looks for seeds among the pixels the
+    rasterizer drew, not by scanning the raster: those are exactly the
+    finite pixels."""
+
+    @pytest.mark.parametrize("preset", ["urban-straight", "urban-corner", "sparse"])
+    def test_drawn_pixels_are_the_finite_pixels(self, preset):
+        scene = syn.generate_scene(3, preset, n_frames=12)
+        drawn_frames = 0
+        for frame_id in range(0, 12, 3):
+            depth, finite = sel.rasterize_occluders(scene.compact_map.packed, scene.pose_of(frame_id), scene.intrinsics)
+            assert finite.dtype == np.intp
+            assert np.array_equal(np.unique(finite), np.flatnonzero(np.isfinite(depth)))
+            drawn_frames += finite.size > 0
+        assert drawn_frames > 0
+
+    def test_a_frame_with_no_occluder(self):
+        scene = syn.generate_scene(3, "urban-straight", n_frames=2)
+        pose = scene.pose_of(0)
+        # Turned to face straight up, the camera sees no wall or pole.
+        skyward = Pose(pose.rotation @ so3_exp([math.pi / 2, 0.0, 0.0]), pose.translation)
+        for packed_map, at in ((scene.compact_map.packed, skyward), (packed([]), EYE)):
+            depth, finite = sel.rasterize_occluders(packed_map, at, scene.intrinsics)
+            assert finite.size == 0 and np.isinf(depth).all()
+            iv, iu = np.divmod(np.arange(0, depth.size, 97), depth.shape[1])
+            assert np.isinf(sel.silhouette_margin_depth(depth, finite, 3, iv, iu)).all()
+
+    def test_repeated_and_shuffled_seeds_change_nothing(self):
+        scene = syn.generate_scene(5, "urban-corner", n_frames=16)
+        depth, finite = sel.rasterize_occluders(scene.compact_map.packed, scene.pose_of(8), scene.intrinsics)
+        assert finite.size > 0
+        iv, iu = np.divmod(np.arange(0, depth.size, 13), depth.shape[1])
+        expected = sel.silhouette_margin_depth(depth, np.flatnonzero(np.isfinite(depth)), 4, iv, iu)
+        assert np.isfinite(expected).any()
+        rng = np.random.default_rng(0)
+        messy = rng.permutation(np.concatenate([finite, finite[: finite.size // 3]]))
+        assert sel.silhouette_margin_depth(depth, messy, 4, iv, iu).tobytes() == expected.tobytes()
 
 
 def samples_digest(samples):
