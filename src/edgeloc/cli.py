@@ -37,7 +37,7 @@ def _load_config(path: str | None, overrides: list[str]) -> PipelineConfig:
 def _cmd_run(args) -> int:
     config = _load_config(args.config, args.set or [])
     manifest = DatasetManifest.from_directory(args.dataset, map_path=args.map)
-    frames = iter_frames(manifest, config, prefetch_workers=args.prefetch, debug_dir=args.debug_dir)
+    frames = iter_frames(manifest, config, debug_dir=args.debug_dir)
     processed = accepted = 0
     # Line-buffered: each frame's lines are on disk before the next frame runs.
     with (
@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="output trajectory file")
     run_p.add_argument("--log", default=None, help="per-frame JSONL log file")
     run_p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
-    run_p.add_argument("--prefetch", type=int, default=0, help="feature-extraction prefetch workers")
     run_p.add_argument("--debug-dir", default=None, help="write per-frame reprojection overlay rasters here")
     run_p.set_defaults(func=_cmd_run)
 

@@ -71,16 +71,25 @@ def _parse_label_weights(text: str) -> tuple[tuple[str, float], ...]:
     for item in text.split(","):
         name, _, weight = item.partition(":")
         if not name.strip() or not weight.strip():
-            raise ValueError(f"bad label weight entry {item!r}, expected name:weight")
-        pairs.append((name.strip(), float(weight)))
+            raise ValueError(f"label_weights: bad entry {item!r}, expected name:weight")
+        pairs.append((name.strip(), _number(f"label_weights entry {name.strip()!r}", float, weight.strip())))
     return tuple(pairs)
 
 
+def _number(name: str, kind: type, text: str):
+    """``kind(text)``; a ValueError that names ``name`` if it does not parse."""
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name}: expected {expected}, got {text!r}") from None
+
+
 def _coerce(name: str, text: str):
-    kind = {f.name: f.type for f in fields(PipelineConfig)}[name]
     if name == "label_weights":
         return _parse_label_weights(text)
-    return int(text) if kind == "int" else float(text)
+    kind = {f.name: f.type for f in fields(PipelineConfig)}[name]
+    return _number(name, int if kind == "int" else float, text)
 
 
 def apply_overrides(config: PipelineConfig, overrides: dict[str, str]) -> PipelineConfig:

@@ -11,9 +11,8 @@ coarse stack of distance fields; selection tests the packed map, which is
 built once per map, against the prior; alignment reads the field stacks
 in place.
 
-Memory: serially, one frame's arrays are alive at a time, and none of them
-when its record is yielded; with ``prefetch_workers`` > 0, the fields of up
-to ``prefetch_workers + 2`` frames ahead are alive as well.
+Memory: one frame's arrays are alive at a time, and none of them when its
+record is yielded.
 
 Dataset layout (what the synthetic harness emits):
 
@@ -31,12 +30,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +128,10 @@ class FrameRecord:
     sample_count: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        # JSON has no Infinity or NaN: a frame without an estimate logs null.
+        record = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+                  for key, value in asdict(self).items()}
+        return json.dumps(record, sort_keys=True, allow_nan=False)
 
 
 def _load_fields(
@@ -188,31 +186,24 @@ def iter_frames(
     manifest: DatasetManifest,
     config: PipelineConfig | None = None,
     compact_map: CompactMap | None = None,
-    prefetch_workers: int = 0,
     debug_dir: str | Path | None = None,
 ) -> Iterator[tuple[FrameRecord, Pose | None]]:
     """Run the frame chain over ``manifest.frame_ids``, yielding (record,
     accepted pose or None) as each frame finishes.
 
-    The map and odometry are read, and ``prefetch_workers`` >= 0 and the
-    initial frame's odometry checked, before the generator is returned, so
-    bad input raises here and not at the first frame. The initial pose
-    anchors the predictor at the first listed frame at or after the initial
-    frame, so the run starts even when the initial frame has no rasters.
-    ``prefetch_workers`` > 0 overlaps feature extraction of upcoming frames
-    with alignment of the current one; results are identical to the serial
-    run because field construction is a pure function of the frame files.
-    ``debug_dir`` writes a reprojection overlay raster per processed frame.
-    Serially, a frame's arrays (rasters, masks, fields, samples, solver
-    state) are alive only while it is processed: none of them when its
-    record is yielded or while the next frame loads. With prefetch, the
-    fields of up to ``prefetch_workers + 2`` frames ahead are alive too.
+    The map and odometry are read, and the initial frame's odometry
+    checked, before the generator is returned, so bad input raises here and
+    not at the first frame. The initial pose anchors the predictor at the
+    first listed frame at or after the initial frame, so the run starts even
+    when the initial frame has no rasters. ``debug_dir`` writes a
+    reprojection overlay raster per processed frame. A frame's arrays
+    (rasters, masks, fields, samples, solver state) are alive only while it
+    is processed: none of them when its record is yielded or while the next
+    frame loads; a skipped frame reads no raster.
     A frame whose selection or alignment raises is logged with its traceback
     and gets a ``skipped:error:<Type>`` record; the predictor is not
     committed and the run goes on.
     """
-    if prefetch_workers < 0:
-        raise ValueError(f"prefetch_workers must be >= 0, got {prefetch_workers}")
     config = config or PipelineConfig()
     if compact_map is None:
         compact_map = read_map(manifest.map_path)
@@ -222,56 +213,33 @@ def iter_frames(
             f"{manifest.root / 'initial_pose.txt'}: initial frame {manifest.initial_frame} "
             f"has no odometry in {manifest.odometry_path}"
         )
-    return _frame_loop(manifest, config, compact_map, odometry, prefetch_workers, debug_dir)
+    return _frame_loop(manifest, config, compact_map, odometry, debug_dir)
 
 
-def _frame_loop(manifest, config, compact_map, odometry, prefetch_workers, debug_dir):
+def _frame_loop(manifest, config, compact_map, odometry, debug_dir):
     predictor = PosePredictor(odometry)
-    label_names = compact_map.label_names
-    executor = ThreadPoolExecutor(max_workers=max(prefetch_workers, 1))  # no thread starts before a submit
+    for frame_id in manifest.frame_ids:
+        if frame_id not in odometry:
+            yield FrameRecord(frame_id, "skipped:missing-odometry", 0, math.inf, 0), None
+            continue
+        if predictor.anchor_pose is None and frame_id >= manifest.initial_frame:
+            predictor.set_anchor(manifest.initial_frame, manifest.initial_pose)
+        if predictor.anchor_pose is None:
+            yield FrameRecord(frame_id, "dropped:not-initialized", 0, math.inf, 0), None
+            continue
 
-    def loader(frame_id: int):
-        """A zero-argument call that returns the frame's (fine, coarse) fields:
-        the extraction itself when serial, the wait for it with prefetch."""
-        load = partial(_load_fields, manifest, frame_id, label_names, config)
-        return executor.submit(load).result if prefetch_workers > 0 else load
-
-    # One loader per frame id, kept ``prefetch_workers + 2`` frames ahead of
-    # the frame in hand; a serial loader reads nothing until it is called, so
-    # a skipped frame reads no raster. The loader in hand is never bound
-    # here: with prefetch it holds its frame's fields until it is dropped.
-    loaders = map(loader, manifest.frame_ids)
-    ahead = deque(islice(loaders, prefetch_workers + 2))
-    try:
-        for frame_id in manifest.frame_ids:
-            ahead.extend(islice(loaders, 1))
-            if frame_id not in odometry:
-                ahead.popleft()
-                yield FrameRecord(frame_id, "skipped:missing-odometry", 0, math.inf, 0), None
-                continue
-            if predictor.anchor_pose is None and frame_id >= manifest.initial_frame:
-                predictor.set_anchor(manifest.initial_frame, manifest.initial_pose)
-            if predictor.anchor_pose is None:
-                ahead.popleft()
-                yield FrameRecord(frame_id, "dropped:not-initialized", 0, math.inf, 0), None
-                continue
-
-            prior = predictor.predict_prior(frame_id)
-            status, result, sample_count = _run_frame(
-                manifest, config, compact_map, frame_id, prior, ahead.popleft(), debug_dir
-            )
-            if result is None:
-                yield FrameRecord(frame_id, status, 0, math.inf, 0), None
-                continue
-            if result.accepted:
-                predictor.commit(frame_id, result.pose)
-            record = FrameRecord(frame_id, status, result.iterations, result.mean_reproj_error, sample_count)
-            yield record, result.pose if result.accepted else None
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
+        prior = predictor.predict_prior(frame_id)
+        status, result, sample_count = _run_frame(manifest, config, compact_map, frame_id, prior, debug_dir)
+        if result is None:
+            yield FrameRecord(frame_id, status, 0, math.inf, 0), None
+            continue
+        if result.accepted:
+            predictor.commit(frame_id, result.pose)
+        record = FrameRecord(frame_id, status, result.iterations, result.mean_reproj_error, sample_count)
+        yield record, result.pose if result.accepted else None
 
 
-def _run_frame(manifest, config, compact_map, frame_id, prior, load_fields, debug_dir):
+def _run_frame(manifest, config, compact_map, frame_id, prior, debug_dir):
     """One frame's extraction, selection, alignment and debug overlay.
 
     Returns (status, AlignmentResult, sample count); the result is None
@@ -281,7 +249,7 @@ def _run_frame(manifest, config, compact_map, frame_id, prior, load_fields, debu
     record is built.
     """
     try:
-        fields, coarse_fields = load_fields()
+        fields, coarse_fields = _load_fields(manifest, frame_id, compact_map.label_names, config)
     except (OSError, ValueError) as err:
         return f"skipped:io:{err}", None, 0
     try:
@@ -312,7 +280,14 @@ def run_dataset(
     prefetch_workers: int = 0,
     debug_dir: str | Path | None = None,
 ) -> tuple[list[tuple[int, Pose]], list[FrameRecord]]:
-    """``iter_frames`` run to the end; returns (accepted trajectory, per-frame log)."""
-    frames = list(iter_frames(manifest, config, compact_map, prefetch_workers, debug_dir))
+    """``iter_frames`` run to the end; returns (accepted trajectory, per-frame log).
+
+    Extraction is always serial: ``prefetch_workers`` is kept for callers
+    that pass it, and a positive value changes nothing; a negative one is
+    still a ValueError, raised here before any frame is read.
+    """
+    if prefetch_workers < 0:
+        raise ValueError(f"prefetch_workers must be >= 0, got {prefetch_workers}")
+    frames = list(iter_frames(manifest, config, compact_map, debug_dir))
     trajectory = [(record.frame_id, pose) for record, pose in frames if pose is not None]
     return trajectory, [record for record, _ in frames]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -143,6 +144,25 @@ class TestErrorsNameTheirFile:
         assert err == f"error: {config}: config line 2: lambda_init must be finite and >= 0, got nan\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("lambda_init = abc", "lambda_init: expected a number, got 'abc'"),
+            ("max_iterations = 5.0", "max_iterations: expected an integer, got '5.0'"),
+            ("label_weights = pole:0.5, lane_line:x", "label_weights entry 'lane_line': expected a number, got 'x'"),
+        ],
+    )
+    def test_config_value_that_does_not_parse_names_its_key(self, dataset, tmp_path, capsys, line, message):
+        config = tmp_path / "cfg.txt"
+        config.write_text(line + "\n", encoding="ascii")
+        out = tmp_path / "t.txt"
+        run = ["run", "--dataset", str(dataset), "--out", str(out)]
+        assert main(run + ["--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {config}: config line 1: {message}\n"
+        assert main(run + ["--set", line.replace(" = ", "=")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_run_and_evaluate(self, dataset, tmp_path, capsys):
@@ -204,12 +224,41 @@ class TestRunCommand:
             overlay = read_pgm(path)
             assert overlay.shape == (400, 640) and (overlay == 200).all()
 
-    @pytest.mark.parametrize("workers", ["-1", "-3"])
-    def test_negative_prefetch_is_error_before_any_output(self, dataset, tmp_path, capsys, workers):
-        # iter_frames checks the count at the call, before the output files are opened.
+    def test_log_of_frames_without_an_estimate_is_strict_json(self, dataset, tmp_path):
+        # Frames 0-1 come before the initial frame, frame 5 has no odometry,
+        # frame 6's edges do not parse, and the empty map leaves the rest no
+        # samples: none has an estimate, and each logs its error as null.
+        clone = tmp_path / "ds"
+        shutil.copytree(dataset, clone)
+        odometry = (clone / "odometry.txt").read_text(encoding="ascii").splitlines()
+        (clone / "initial_pose.txt").write_text(odometry[2] + "\n", encoding="ascii")
+        kept = [line for line in odometry if line.split()[0] != "5"]
+        (clone / "odometry.txt").write_text("\n".join(kept) + "\n", encoding="ascii")
+        (clone / "frames" / "000006" / "edges.pgm").write_bytes(b"garbage")
+        empty_map = tmp_path / "empty.cmap"
+        empty_map.write_text("CMAP 1\n", encoding="ascii")
+        log = tmp_path / "l.jsonl"
+        args = ["run", "--dataset", str(clone), "--map", str(empty_map), "--out", str(tmp_path / "t.txt")]
+        assert main(args + ["--log", str(log)]) == 0
+
+        def no_constants(name):
+            raise AssertionError(f"not JSON: {name}")
+
+        records = [json.loads(line, parse_constant=no_constants) for line in log.read_text().splitlines()]
+        statuses = [record["status"] for record in records]
+        assert statuses[6].startswith("skipped:io:")
+        assert statuses[:6] + statuses[7:] == [
+            "dropped:not-initialized", "dropped:not-initialized", "dropped:too-few-samples",
+            "dropped:too-few-samples", "dropped:too-few-samples", "skipped:missing-odometry", "dropped:too-few-samples",
+        ]
+        assert [record["mean_reproj_error"] for record in records] == [None] * 8
+
+    def test_prefetch_flag_is_a_usage_error(self, dataset, tmp_path, capsys):
         out = tmp_path / "t.txt"
-        assert main(["run", "--dataset", str(dataset), "--out", str(out), "--prefetch", workers]) == 2
-        assert f"error: prefetch_workers must be >= 0, got {workers}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as caught:
+            main(["run", "--dataset", str(dataset), "--out", str(out), "--prefetch", "1"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --prefetch 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_with_config_overrides(self, dataset, tmp_path):

@@ -3,8 +3,8 @@ import json
 import math
 import re
 import shutil
+import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -145,16 +145,32 @@ class TestRun:
         out2 = [format_pose_line(f, p) for f, p in t2]
         assert out1 == out2
 
-    def test_prefetch_matches_serial(self, small_dataset):
+    def test_prefetch_workers_change_nothing(self, monkeypatch, small_dataset):
+        # Extraction is always serial: a positive count is accepted and ignored.
         _, root = small_dataset
         manifest = DatasetManifest.from_directory(root)
         t1, r1 = run_dataset(manifest, prefetch_workers=0)
+        load, threads = pipeline._load_fields, set()
+
+        def recording(*args):
+            threads.add(threading.current_thread())
+            return load(*args)
+
+        monkeypatch.setattr(pipeline, "_load_fields", recording)
         t2, r2 = run_dataset(manifest, prefetch_workers=2)
+        assert threads == {threading.current_thread()}
         assert [rec.to_json() for rec in r1] == [rec.to_json() for rec in r2]
-        for (f1, p1), (f2, p2) in zip(t1, t2):
-            assert f1 == f2
-            assert np.array_equal(p1.translation, p2.translation)
-            assert np.array_equal(p1.rotation, p2.rotation)
+        assert [format_pose_line(f, p) for f, p in t1] == [format_pose_line(f, p) for f, p in t2]
+
+    @pytest.mark.parametrize("workers", [-1, -3])
+    def test_negative_prefetch_workers_fail_before_any_frame_is_read(self, monkeypatch, small_dataset, workers):
+        _, root = small_dataset
+        manifest = DatasetManifest.from_directory(root)
+        loads = []
+        monkeypatch.setattr(pipeline, "_load_fields", lambda *args: loads.append(args))
+        with pytest.raises(ValueError, match=f"^prefetch_workers must be >= 0, got {workers}$"):
+            run_dataset(manifest, prefetch_workers=workers)
+        assert loads == []
 
     def test_first_frame_reads_only_its_own_rasters(self, monkeypatch, small_dataset):
         _, root = small_dataset
@@ -172,40 +188,22 @@ class TestRun:
         assert sorted(path.name for path in reads) == ["dynamic.pgm", "edges.pgm", "labels.pgm"]
         assert {path.parent.name for path in reads} == {"000000"}
 
-    def test_prefetch_submits_at_most_three_frames_ahead(self, monkeypatch, small_dataset):
-        _, root = small_dataset
-        manifest = DatasetManifest.from_directory(root)
-        submitted = []
-
-        class CountingExecutor(ThreadPoolExecutor):
-            def submit(self, *args, **kwargs):
-                submitted.append(None)
-                return super().submit(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", CountingExecutor)
-        # Read as each frame is yielded: frames submitted beyond the one just finished.
-        frames = pipeline.iter_frames(manifest, prefetch_workers=1)
-        ahead = [len(submitted) - (index + 1) for index, _ in enumerate(frames)]
-        assert ahead == [min(3, 11 - index) for index in range(12)]
-
-    @pytest.mark.parametrize("prefetch_workers", [0, 1])
-    def test_frame_fields_are_freed_before_its_record(self, monkeypatch, small_dataset, prefetch_workers):
+    def test_frame_fields_are_freed_before_its_record(self, monkeypatch, small_dataset):
         _, root = small_dataset
         manifest = DatasetManifest.from_directory(root)
         stacks = {}  # frame id -> weakrefs to its fine and coarse FieldStacks and their arrays
         load = pipeline._load_fields
 
         def recording(manifest, frame_id, *args):
-            if prefetch_workers == 0:
-                # Serial: the frame before this one is gone before this one loads.
-                assert not [frame for frame, refs in stacks.items() if any(ref() is not None for ref in refs)]
+            # The frame before this one is gone before this one loads.
+            assert not [frame for frame, refs in stacks.items() if any(ref() is not None for ref in refs)]
             fine, coarse = load(manifest, frame_id, *args)
             stacks[frame_id] = [weakref.ref(item) for item in (fine, coarse, fine.stack, coarse.stack)]
             return fine, coarse
 
         monkeypatch.setattr(pipeline, "_load_fields", recording)
         records = 0
-        for record, _ in pipeline.iter_frames(manifest, prefetch_workers=prefetch_workers):
+        for record, _ in pipeline.iter_frames(manifest):
             assert all(ref() is None for ref in stacks[record.frame_id])
             records += 1
         assert records == len(stacks) == 12
@@ -307,8 +305,7 @@ class TestRun:
         assert by_id[5].status.startswith("skipped:io")
         assert by_id[6].status == "accepted"
 
-    @pytest.mark.parametrize("prefetch_workers", [0, 1])
-    def test_frame_raster_of_the_wrong_shape_is_skipped(self, tmp_path, small_dataset, prefetch_workers):
+    def test_frame_raster_of_the_wrong_shape_is_skipped(self, tmp_path, small_dataset):
         # Frame 10's rasters shrunk from 640x400 to 320x200: alignment must not
         # run against fields of the wrong shape; the frame gets a skipped:io
         # record that names the file and both shapes, and the run goes on.
@@ -322,7 +319,7 @@ class TestRun:
             write_pgm(frame_dir / name, read_pgm(frame_dir / name)[::2, ::2])
         manifest = DatasetManifest.from_directory(clone)
         assert (manifest.intrinsics.width, manifest.intrinsics.height) == (640, 400)
-        _, records = run_dataset(manifest, prefetch_workers=prefetch_workers)
+        _, records = run_dataset(manifest)
         by_id = {r.frame_id: r for r in records}
         status = by_id[10].status
         assert status.startswith("skipped:io:")
