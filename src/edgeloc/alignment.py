@@ -3,7 +3,9 @@ analytic Jacobians, and a damped Gauss-Newton solver on SE(3).
 
 Each frame is aligned once, from its prior. Two recovery mechanisms widen
 the basin of that single attempt: a coarse-to-fine stage (``solve_two_scale``
-aligns on block-downsampled fields first) and escape probes (``solve`` scores
+aligns on block-downsampled fields first), which the caller runs only when
+the prior's predicted error is large (``align_frame`` without coarse fields
+is one fine ``solve``), and escape probes (``solve`` scores
 fixed camera-frame translation offsets once the damped iteration stalls: 12
 near ones on the 6 axis directions after a plausible fit, 130 far ones on the
 26 lattice directions after a poor fit).
@@ -60,6 +62,13 @@ REJECT_POSE_INCONSISTENT = "pose-inconsistent"
 REJECT_HIGH_REPROJ = "high-reproj-error"
 REJECT_TOO_FEW_SAMPLES = "too-few-samples"
 REJECT_LOW_INFORMATION = "low-information"
+
+# Which start the fine solve had: the coarse stage did not run, it ran and
+# did not converge (the fine solve started from the prior), or the fine
+# solve started from the coarse pose.
+COARSE_SKIPPED = "skipped"
+COARSE_UNUSED = "unused"
+COARSE_USED = "used"
 
 _MAX_DAMPING = 1e10
 _ENERGY_SLACK = 1e-12
@@ -146,6 +155,7 @@ class AlignmentResult:
     active_counts: tuple[int, ...] = ()
     info_min_eig: float = 0.0
     probe_rounds: int = 0  # escape probes taken; each adds one energy_history entry
+    coarse: str = COARSE_SKIPPED  # COARSE_SKIPPED, COARSE_UNUSED or COARSE_USED
 
 
 class _Prepared:
@@ -320,14 +330,16 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
     J^T J d = -J^T r (built once per pose, multiplicative Levenberg damping on
     the diagonal) or, from a converged pose, takes one round of escape
     probes. A step that raises the energy, or a system with no finite
-    solution, multiplies the damping by 10; sample drops are re-evaluated at
-    every candidate pose. Converges on step norm, relative energy decrease,
-    or damping past ``_MAX_DAMPING`` once some system was solvable; stops
-    unconverged with none solvable or at the iteration cap. A probe that
-    strictly lowers the energy resumes the iteration from it, which recovers
-    from truncation plateaus around wrong poses; none is taken when every
-    active sample with a positive weight reads the cap, where a probe could
-    only win by losing samples. Each accepted step and winning probe adds one
+    solution, multiplies the damping by 10, and an accepted step divides it
+    by 3: a decrease slower than the increase (Madsen, Nielsen & Tingleff,
+    2004, section 3.2) spends fewer rejected trials climbing back. Sample
+    drops are re-evaluated at every candidate pose. Converges on step norm,
+    relative energy decrease, or damping past ``_MAX_DAMPING`` once some
+    system was solvable; stops unconverged with none solvable or at the
+    iteration cap. A probe that strictly lowers the energy resumes the
+    iteration from it, which recovers from truncation plateaus around wrong
+    poses; none is taken when every active sample with a positive weight
+    reads the cap, where a probe could only win by losing samples. Each accepted step and winning probe adds one
     ``energy_history`` entry; one that leaves the jump gate around the prior
     ends the solve there, not converged and ``pose-inconsistent``. With
     fewer than ``min_samples`` active samples at the start pose the loop
@@ -403,7 +415,7 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
                 damping *= 10.0
                 continue
             pose, current = candidate, trial
-            damping = max(damping / 10.0, 1e-12)
+            damping = max(damping / 3.0, 1e-12)
             iterations += 1
             rel_decrease = (energy_now - trial[0]) / max(energy_now, 1e-300)
             converged = _norm(delta) < cfg.step_tol or rel_decrease < cfg.energy_tol
@@ -452,7 +464,8 @@ def solve_two_scale(problem: AlignmentProblem, coarse_fields: FieldStack) -> Ali
     truncation radius in coarse pixels, widening the basin of attraction by
     ``COARSE_SCALE``; the full-resolution solve then starts inside it. Falls
     back to the problem's own start pose when the coarse stage does not
-    converge, which includes a coarse solve stopped at the pose gate.
+    converge, which includes a coarse solve stopped at the pose gate. The
+    result's ``coarse`` says which start the fine solve had.
     """
     k = problem.intrinsics
     coarse_k = CameraIntrinsics(
@@ -465,10 +478,9 @@ def solve_two_scale(problem: AlignmentProblem, coarse_fields: FieldStack) -> Ali
     )
     coarse_problem = replace(problem, fields=coarse_fields, intrinsics=coarse_k)
     coarse = solve(coarse_problem)
-    initial = problem.start_pose
     if coarse.converged:
-        initial = coarse.pose
-    return solve(replace(problem, initial=initial))
+        return replace(solve(replace(problem, initial=coarse.pose)), coarse=COARSE_USED)
+    return replace(solve(problem), coarse=COARSE_UNUSED)
 
 
 def _within_jump(pose: Pose, prior: Pose, config: PipelineConfig) -> bool:
@@ -478,9 +490,11 @@ def _within_jump(pose: Pose, prior: Pose, config: PipelineConfig) -> bool:
     return jump <= config.max_translation_jump_m and turn <= math.radians(config.max_rotation_jump_deg)
 
 
-def align_frame(problem: AlignmentProblem, coarse_fields: FieldStack) -> AlignmentResult:
-    """One validated coarse-to-fine attempt from the problem's start pose."""
-    return validate(solve_two_scale(problem, coarse_fields), problem.prior, problem.config)
+def align_frame(problem: AlignmentProblem, coarse_fields: FieldStack | None) -> AlignmentResult:
+    """One validated attempt from the problem's start pose: coarse-to-fine,
+    or, with no coarse fields, one fine ``solve``."""
+    result = solve(problem) if coarse_fields is None else solve_two_scale(problem, coarse_fields)
+    return validate(result, problem.prior, problem.config)
 
 
 def validate(result: AlignmentResult, prior: Pose, config: PipelineConfig) -> AlignmentResult:

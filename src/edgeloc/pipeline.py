@@ -5,11 +5,17 @@ predict -> select -> extract -> align -> validate -> commit.
 it yields each frame's record, and its pose when accepted, as the frame
 finishes; ``run_dataset`` collects it.
 
-Per frame, extraction reads the rasters, builds the per-label edge masks,
-their coarse masks (from the edge pixels alone) and one fine and one
-coarse stack of distance fields; selection tests the packed map, which is
-built once per map, against the prior; alignment reads the field stacks
-in place.
+Per frame, extraction reads the rasters, builds the per-label edge masks
+and one fine stack of distance fields; selection tests the packed map,
+which is built once per map, against the prior; alignment reads the field
+stacks in place. The coarse stage runs only where the prior may be far
+off: it is skipped when the last frame that ran the chain was accepted and
+the prior's predicted error (``PosePredictor.predicted_error_m``) is at
+most ``_COARSE_TRIGGER_M``. Only a frame that runs it builds the coarse
+masks (from the edge pixels alone) and the coarse stack, and is aligned
+coarse-to-fine; any other frame is one fine solve from the prior. So the
+first frame, whose start is the unchecked initial pose, and every frame
+after a drop run the stage.
 
 Memory: one frame's arrays are alive at a time, and none of them when its
 record is yielded.
@@ -36,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import AlignmentProblem, align_frame
+from .alignment import COARSE_SKIPPED, AlignmentProblem, align_frame
 from .compact_map import CompactMap, read_map
 from .config import PipelineConfig
 from .edge_features import FieldStack, build_edge_masks, build_fields, coarsen_mask
@@ -46,6 +52,9 @@ from .predictor import PosePredictor
 from .selection import select_landmarks
 
 _log = logging.getLogger(__name__)
+
+# A prior whose predicted error is larger than this runs the coarse stage.
+_COARSE_TRIGGER_M = 0.05
 
 
 class ManifestError(ValueError):
@@ -126,6 +135,7 @@ class FrameRecord:
     iterations: int
     mean_reproj_error: float
     sample_count: int
+    coarse: str = COARSE_SKIPPED  # AlignmentResult.coarse: skipped | unused | used
 
     def to_json(self) -> str:
         # JSON has no Infinity or NaN: a frame without an estimate logs null.
@@ -139,9 +149,11 @@ def _load_fields(
     frame_id: int,
     label_names: tuple[str, ...],
     config: PipelineConfig,
-) -> tuple[FieldStack, FieldStack]:
-    """Read one frame's rasters and build fine and coarse per-label fields;
-    ValueError if the label raster's shape is not the intrinsics'."""
+    coarse: bool,
+) -> tuple[FieldStack, FieldStack | None]:
+    """Read one frame's rasters and build the fine per-label fields, and the
+    coarse ones when ``coarse`` (None otherwise); ValueError if the label
+    raster's shape is not the intrinsics'."""
     frame_dir = manifest.frames_dir / f"{frame_id:06d}"
     labels_img = read_pgm(frame_dir / "labels.pgm")
     shape = (manifest.intrinsics.height, manifest.intrinsics.width)
@@ -157,8 +169,9 @@ def _load_fields(
         boundary_margin=config.boundary_margin_px,
     )
     fine = build_fields(masks, d_max=config.dt_truncation_px)
-    coarse = build_fields([coarsen_mask(m) for m in masks], d_max=config.dt_truncation_px)
-    return fine, coarse
+    if not coarse:
+        return fine, None
+    return fine, build_fields([coarsen_mask(m) for m in masks], d_max=config.dt_truncation_px)
 
 
 def write_debug_overlay(path, fields, samples, prior, pose, intrinsics) -> None:
@@ -218,6 +231,7 @@ def iter_frames(
 
 def _frame_loop(manifest, config, compact_map, odometry, debug_dir):
     predictor = PosePredictor(odometry)
+    last_accepted = False  # whether the last frame that ran the chain was accepted
     for frame_id in manifest.frame_ids:
         if frame_id not in odometry:
             yield FrameRecord(frame_id, "skipped:missing-odometry", 0, math.inf, 0), None
@@ -229,18 +243,22 @@ def _frame_loop(manifest, config, compact_map, odometry, debug_dir):
             continue
 
         prior = predictor.predict_prior(frame_id)
-        status, result, sample_count = _run_frame(manifest, config, compact_map, frame_id, prior, debug_dir)
+        predicted_error = predictor.predicted_error_m(prior)
+        coarse = not last_accepted or predicted_error is None or predicted_error > _COARSE_TRIGGER_M
+        status, result, sample_count = _run_frame(manifest, config, compact_map, frame_id, prior, coarse, debug_dir)
+        last_accepted = result is not None and result.accepted
         if result is None:
             yield FrameRecord(frame_id, status, 0, math.inf, 0), None
             continue
         if result.accepted:
             predictor.commit(frame_id, result.pose)
-        record = FrameRecord(frame_id, status, result.iterations, result.mean_reproj_error, sample_count)
+        record = FrameRecord(frame_id, status, result.iterations, result.mean_reproj_error, sample_count, result.coarse)
         yield record, result.pose if result.accepted else None
 
 
-def _run_frame(manifest, config, compact_map, frame_id, prior, debug_dir):
-    """One frame's extraction, selection, alignment and debug overlay.
+def _run_frame(manifest, config, compact_map, frame_id, prior, coarse, debug_dir):
+    """One frame's extraction, selection, alignment and debug overlay; the
+    coarse stage runs when ``coarse``.
 
     Returns (status, AlignmentResult, sample count); the result is None
     when extraction, selection or alignment raised, and the status is then
@@ -249,7 +267,7 @@ def _run_frame(manifest, config, compact_map, frame_id, prior, debug_dir):
     record is built.
     """
     try:
-        fields, coarse_fields = _load_fields(manifest, frame_id, compact_map.label_names, config)
+        fields, coarse_fields = _load_fields(manifest, frame_id, compact_map.label_names, config, coarse)
     except (OSError, ValueError) as err:
         return f"skipped:io:{err}", None, 0
     try:

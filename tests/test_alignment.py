@@ -270,7 +270,7 @@ class TestSolve:
             samples=samples, fields=fields, prior=prior, intrinsics=scene.intrinsics, config=cfg
         )
         result = al.align_frame(problem, coarse)
-        assert result.accepted
+        assert result.accepted and result.coarse == al.COARSE_USED
         assert np.linalg.norm(result.pose.translation - gt.translation) < 1e-2
         assert math.degrees(rotation_angle(gt.rotation.T @ result.pose.rotation)) < 0.05
 
@@ -291,6 +291,60 @@ class TestSolve:
         assert result.reject_reason == single.reject_reason
         assert np.array_equal(result.pose.translation, single.pose.translation)
         assert np.array_equal(result.pose.rotation, single.pose.rotation)
+
+    def test_frame_without_coarse_fields_gets_one_validated_fine_solve(self, monkeypatch):
+        # The coarse stage skipped: align_frame is validate(solve(problem)).
+        problem = _small_synthetic_problem()
+        single = al.validate(al.solve(problem), problem.prior, problem.config)
+        solved = []
+        original = al.solve
+        monkeypatch.setattr(al, "solve", lambda p: solved.append(p.intrinsics.width) or original(p))
+        result = al.align_frame(problem, None)
+        assert solved == [problem.intrinsics.width]
+        assert result.accepted and single.accepted
+        assert result.coarse == al.COARSE_SKIPPED
+        assert result_digest(result) == result_digest(single)
+
+    def test_coarse_stop_at_the_gate_leaves_the_fine_solve_at_the_prior(self, monkeypatch):
+        # From 1.5 m off, the coarse solve stops at the pose gate, so the fine
+        # solve starts from the prior and the coarse stage is unused.
+        _, problem, coarse = side_offset_problem()
+        starts = []
+        original = al.solve
+        monkeypatch.setattr(al, "solve", lambda p: starts.append(p.start_pose) or original(p))
+        assert al.solve_two_scale(problem, coarse).coarse == al.COARSE_UNUSED
+        assert starts[1] is problem.prior
+
+    def test_accepted_step_divides_the_damping_by_3(self, monkeypatch):
+        # Each damped system is H + damping * (diag(H) + floor); the damping
+        # is read back from its diagonal, with H rebuilt at the trial's pose.
+        problem = _small_synthetic_problem()
+        systems, bases = [], []
+        linalg_solve, perturb = np.linalg.solve, al.perturb_pose
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: systems.append(a.copy()) or linalg_solve(a, b))
+        monkeypatch.setattr(al, "perturb_pose", lambda pose, xi: bases.append(pose) or perturb(pose, xi))
+        result = al.solve(problem)
+        assert result.probe_rounds == 0 and len(systems) == len(bases)
+
+        prepared = al._Prepared(problem)
+        dampings = []
+        for system, pose in zip(systems, bases):
+            rows = al._evaluate(prepared, pose)[3]()
+            hessian = rows.T @ rows
+            floor = 1e-12 * max(float(np.trace(hessian)), 1.0)
+            dampings.append((system[0, 0] - hessian[0, 0]) / (hessian[0, 0] + floor))
+        assert dampings[0] == pytest.approx(problem.config.lambda_init, rel=1e-6)
+        accepted = rejected = 0
+        for i in range(1, len(dampings)):
+            if dampings[i - 1] < 1e-9:
+                break  # the clamp at 1e-12 is below what the diagonal resolves
+            if bases[i] is bases[i - 1]:
+                assert dampings[i] == pytest.approx(dampings[i - 1] * 10.0, rel=1e-6)
+                rejected += 1
+            else:
+                assert dampings[i] == pytest.approx(dampings[i - 1] / 3.0, rel=1e-6)
+                accepted += 1
+        assert accepted >= 3 and rejected >= 1
 
     def test_solve_stops_at_the_pose_gate(self):
         # From the prior 1.5 m off, the iteration leaves the 1 m jump gate;
@@ -1262,23 +1316,23 @@ PINNED_SOLVES = {
     ),
     "small-synthetic": (
         _small_synthetic_problem,
-        "daa833b48a5d56c248fafcad9f2192337c6224f2636289c00bd66cfb37a2679b",
+        "98bc5f362c67a8408aeca0cf77596f905ab35cf99c14215214b802b62fe93800",
     ),
     "small-synthetic-3-iterations": (
         lambda: replace(_small_synthetic_problem(), config=PipelineConfig(max_iterations=3)),
-        "71e9ebb679d70096d88ae92c02d7dc52c22a75ee8c45351aa57b34112d166724",
+        "b206e316c7fbd048ccc38c710fc87169c95176de9e0b1b0983257f38fde78033",
     ),
     "side-offset": (
         lambda: side_offset_problem()[1],
-        "0da1d63b7e2f32c3c6118ed7810161cb7f33d6676e9415eb2d30fd34adc8d371",
+        "ea8f861b4b78a00f0c09dc4caa65af048da18728ed5706e7ee0ea7534c9f199f",
     ),
     "side-offset-wide-gate": (
         lambda: replace(side_offset_problem()[1], config=WIDE_GATE),
-        "db461dcf0a7129a94140b03284f43bce891de0541fcd89e2d0f85f72c09a980f",
+        "01079ffc307f2b325caf3bb951a3231beb10bca827cb94d297ac27cf7a6f3882",
     ),
     "corner-probe": (
         corner_probe_problem,
-        "56f0b120c705269727088e86e82eeb26b639c2cb971fc50762ab5f901c436994",
+        "8367fc1b503a562ce172cdba1fed576e179cd8018a769fd3b8caaffe9ddcf5e9",
     ),
     "cap-plateau": (
         cap_plateau_problem,

@@ -201,7 +201,7 @@ class TestRunCommand:
         assert (overlay == 255).any()  # reprojected samples marked bright
         # Pinned overlay bytes: a change in which samples are drawn, or where, moves them.
         digest = hashlib.sha256((debug / "000003.pgm").read_bytes()).hexdigest()
-        assert digest == "3fe6ec93a81347694da4e81d64b28b65a300d056d72541848f7dde567c84a0cf"
+        assert digest == "3f05563c02d7f61008e34eb06fd557be7480a5f6a356f9820739fde4eb787ff9"
 
     def test_debug_rasters_for_a_map_without_labels(self, dataset, tmp_path):
         # No labels, no fields: every frame drops, and each overlay is the

@@ -192,21 +192,27 @@ class TestRun:
         _, root = small_dataset
         manifest = DatasetManifest.from_directory(root)
         stacks = {}  # frame id -> weakrefs to its fine and coarse FieldStacks and their arrays
+        coarse_built = {}  # frame id -> whether it built a coarse stack
         load = pipeline._load_fields
 
         def recording(manifest, frame_id, *args):
             # The frame before this one is gone before this one loads.
             assert not [frame for frame, refs in stacks.items() if any(ref() is not None for ref in refs)]
             fine, coarse = load(manifest, frame_id, *args)
-            stacks[frame_id] = [weakref.ref(item) for item in (fine, coarse, fine.stack, coarse.stack)]
+            built = (fine, fine.stack) if coarse is None else (fine, coarse, fine.stack, coarse.stack)
+            stacks[frame_id] = [weakref.ref(item) for item in built]
+            coarse_built[frame_id] = coarse is not None
             return fine, coarse
 
         monkeypatch.setattr(pipeline, "_load_fields", recording)
         records = 0
         for record, _ in pipeline.iter_frames(manifest):
             assert all(ref() is None for ref in stacks[record.frame_id])
+            # The coarse stack is None exactly where the coarse stage was skipped.
+            assert coarse_built[record.frame_id] == (record.coarse != al.COARSE_SKIPPED)
             records += 1
         assert records == len(stacks) == 12
+        assert coarse_built[0] and not all(coarse_built.values())
 
     def test_bad_odometry_fails_at_the_call(self, tmp_path, small_dataset):
         import shutil
@@ -273,7 +279,9 @@ class TestRun:
                 "iterations",
                 "mean_reproj_error",
                 "sample_count",
+                "coarse",
             }
+            assert payload["coarse"] in (al.COARSE_SKIPPED, al.COARSE_UNUSED, al.COARSE_USED)
 
     def test_corner_preset_tracks_through_the_turn(self, tmp_path):
         scene = syn.generate_scene(5, "urban-corner", n_frames=60, noise=syn.NoiseConfig(odometry_drift_per_m=0.004))
@@ -364,6 +372,56 @@ def trajectory_sha(trajectory):
     return hashlib.sha256("".join(format_pose_line(f, p) + "\n" for f, p in trajectory).encode()).hexdigest()
 
 
+class TestCoarseTrigger:
+    """The coarse stage runs unless the last frame that ran the chain was
+    accepted and the prior's predicted error is at most 5 cm."""
+
+    @staticmethod
+    def coarse_frames(monkeypatch, tmp_path, preset, seed, drift, n_frames):
+        """Run a dataset; the ids of the frames that built coarse masks, and the records."""
+        scene = syn.generate_scene(seed, preset, n_frames=n_frames, noise=syn.NoiseConfig(odometry_drift_per_m=drift))
+        root = syn.write_dataset(scene, tmp_path / preset)
+        coarsened = []
+        coarsen = pipeline.coarsen_mask
+        monkeypatch.setattr(pipeline, "coarsen_mask", lambda mask: coarsened.append(mask) or coarsen(mask))
+        frames, records = [], []
+        for record, _ in pipeline.iter_frames(DatasetManifest.from_directory(root)):
+            if coarsened:
+                frames.append(record.frame_id)
+                coarsened.clear()
+            records.append(record)
+        # The log says where the stage ran.
+        assert [r.frame_id for r in records if r.coarse != al.COARSE_SKIPPED] == frames
+        return frames, records
+
+    def test_low_drift_runs_the_stage_on_the_first_two_frames_only(self, monkeypatch, tmp_path):
+        # Frame 0 starts from the unchecked initial pose, and frame 1 from the
+        # first fix, which has no drift rate yet.
+        frames, records = self.coarse_frames(monkeypatch, tmp_path, "urban-straight", 7, 0.005, 8)
+        assert frames == [0, 1]
+        assert all(r.status == "accepted" for r in records)
+
+    def test_high_drift_runs_the_stage_on_every_frame(self, monkeypatch, tmp_path):
+        frames, records = self.coarse_frames(monkeypatch, tmp_path, "urban-corner", 5, 0.3, 6)
+        assert frames == list(range(6))
+        assert all(r.status == "accepted" for r in records)
+
+    def test_frame_after_a_drop_runs_the_stage(self, monkeypatch, tmp_path):
+        # Frame 4 is dropped; frame 5 runs the stage although its predicted
+        # error is small, and frame 6, after an accepted frame, skips it again.
+        align, aligned = pipeline.align_frame, []
+
+        def dropping_frame_4(problem, coarse_fields):
+            result = align(problem, coarse_fields)
+            aligned.append(result)
+            return replace(result, accepted=False, reject_reason=al.REJECT_DIVERGED) if len(aligned) == 5 else result
+
+        monkeypatch.setattr(pipeline, "align_frame", dropping_frame_4)
+        frames, records = self.coarse_frames(monkeypatch, tmp_path, "urban-straight", 7, 0.005, 8)
+        assert [r.status for r in records] == ["accepted"] * 4 + ["dropped:diverged"] + ["accepted"] * 3
+        assert frames == [0, 1, 5]
+
+
 class TestPinnedCornerRecovery:
     def test_probe_rounds_trajectory_and_log_are_pinned(self, tmp_path):
         # Urban corner, 0.3 m/m odometry drift and a wall over frames 22-27:
@@ -377,8 +435,8 @@ class TestPinnedCornerRecovery:
         trajectory, records = run_dataset(DatasetManifest.from_directory(root))
         log_text = "".join(r.to_json() + "\n" for r in records)
         log_sha = hashlib.sha256(log_text.encode()).hexdigest()
-        assert trajectory_sha(trajectory) == "bb9a99ed7472b506fc62caca4a147d185e7c6baa2e88f4a306ba6fc978352158"
-        assert log_sha == "d6ecf96bb7285bc11b9fe46283297a746474c1c9344c04bb7f3e7d34cea3f17b"
+        assert trajectory_sha(trajectory) == "d172dde6bb69562a8561e011e749b41843fdc30ad52e96302bfa838a258b8b10"
+        assert log_sha == "b9c0f4af53c9827332b3c171aa6d7fb64b60804b89a88f83e103294b43e08873"
 
 
 # The corner-recovery scene and the six stress scenes: (preset, scene seed,
@@ -400,12 +458,12 @@ STRESS_SCENES = {
 # everywhere, so a change to what the solver does there shows in the first,
 # second and fourth; the others track without a wall.
 STRESS_TRAJECTORY_PINS = {
-    "corner-seed-1": "7cd0886dc788ab2045288b31bc72e068ca6122d119994a794496ed1b579bed88",
-    "corner-seed-2": "f4f00a52cc5a7a696b18e21c8a470120192b6f51690691033aadfe45bf962613",
-    "corner-seed-5-drift-0.2": "373c968abc12909f4597c1ce405c7dbb56f69855b88dc586eb9611ff121f2bc6",
-    "straight-seed-3-gap": "55f17a96b94181fea5de53b70cfda909eac00b01943b12ac9c9f7bcf73fa3676",
-    "straight-seed-11-noisy": "58659ec82b5b8989cd2110bf5dfefdca2bfc327a371d471077ca631815b5852d",
-    "sparse-seed-4": "bec9ff578049c9c5178d9b432325e91175b132922cb9ac78bd245f97f4f9fa79",
+    "corner-seed-1": "e795b4dd66fb33de7f16bfe38dc405eacc001855ecf57455b3d8baf4ca681468",
+    "corner-seed-2": "c841f2e9987c640949a0d94e46dee2b9bbeb350832637edb1b328bf73dc4938e",
+    "corner-seed-5-drift-0.2": "91084e91dc7efda06889ebd0a4e00d24f1c056aa2701debd93076df4be6e616e",
+    "straight-seed-3-gap": "e8c2a147b44994decaba92f1ad49c64a9730cabb7cfd9a589a55e2bed661ef22",
+    "straight-seed-11-noisy": "cf7c3d220c8dfc14db7d963a6847dcda5fc2e7717cf9a0ae978e64101d3b44f5",
+    "sparse-seed-4": "374d9ce2d1d1aee82e5c68cb3bd0a48d31b9dfc811231282ee82048534ab7e1a",
 }
 
 

@@ -141,3 +141,43 @@ class TestCommit:
         p.commit(100, skewed)
         assert p.anchor_pose.rotation.tobytes() == projected.rotation.tobytes()
         assert p.anchor_pose.translation.tobytes() == projected.translation.tobytes()
+
+
+class TestDriftRate:
+    """predicted_error_m is d * r: d the odometry distance from the anchor to
+    the prior, r the largest |estimate.t - prior.t| / d over the last 5
+    accepted frames whose anchor was accepted too."""
+
+    def test_no_rate_before_a_second_accepted_frame(self):
+        # Unit steps along x. The first commit replaces the unchecked initial
+        # pose, so it records no rate; the second records 0.02 / 1.
+        p = PosePredictor({fid: pose_of(fid) for fid in range(4)})
+        p.set_anchor(0, Pose.identity())
+        assert p.predicted_error_m(p.predict_prior(1)) is None
+        p.commit(1, pose_of(1.5))
+        assert p.predicted_error_m(p.predict_prior(2)) is None
+        p.commit(2, pose_of(2.52))
+        assert p.predicted_error_m(p.predict_prior(3)) == pytest.approx(0.02)
+        assert p.predicted_error_m(p.predict_prior(2)) == 0.0  # d = 0 at the anchor
+
+    def test_no_rate_when_the_odometry_did_not_move(self):
+        odometry = {0: pose_of(0.0), 1: pose_of(1.0), 2: pose_of(1.0, yaw=0.2), 3: pose_of(3.0)}
+        p = PosePredictor(odometry)
+        p.set_anchor(0, Pose.identity())
+        p.commit(1, pose_of(1.0))
+        p.commit(2, pose_of(1.3))  # d = 0: turned in place, no rate for 0.3 m
+        assert p.predicted_error_m(p.predict_prior(3)) is None
+
+    def test_rate_is_the_largest_of_the_last_five(self):
+        # Unit steps along x, each fix ``rate`` m ahead of its prior: the 0.5
+        # leaves the window of five with the sixth rate.
+        rates = (0.5, 0.1, 0.2, 0.1, 0.1, 0.1)
+        p = PosePredictor({fid: pose_of(fid) for fid in range(len(rates) + 4)})
+        p.set_anchor(0, Pose.identity())
+        p.commit(1, pose_of(1.0))
+        seen = []
+        for fid, rate in enumerate(rates, start=2):
+            p.commit(fid, pose_of(p.predict_prior(fid).translation[0] + rate))
+            seen.append(p.predicted_error_m(p.predict_prior(fid + 1)))  # d = 1
+        assert seen == pytest.approx([0.5, 0.5, 0.5, 0.5, 0.5, 0.2])
+        assert p.predicted_error_m(p.predict_prior(len(rates) + 3)) == pytest.approx(2 * 0.2)  # d = 2
