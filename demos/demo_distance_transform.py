@@ -8,7 +8,8 @@ terminal.
 
 import numpy as np
 
-from edgeloc import SemanticEdgeMask, build_fields, sample_field
+from edgeloc import SemanticEdgeMask, build_fields
+from edgeloc.edge_features import bilinear_gather
 
 SHADES = " .:-=+*#%@"
 
@@ -33,8 +34,9 @@ def main():
     print(ascii_grid(distance, 0.0, fields.d_max))
     print("\nhorizontal gradient G_u (dark = negative, bright = positive):")
     height, width = distance.shape
-    grad_u = [[sample_field(fields, "demo", u, v)[1] for u in range(width)] for v in range(height)]
-    print(ascii_grid(np.array(grad_u), -1.0, 1.0))
+    v, u = np.mgrid[0:height, 0:width].astype(float)
+    grad_u, _ = bilinear_gather(fields.stack, fields.layer["demo"] * height * width, u, v)[1]()
+    print(ascii_grid(grad_u, -1.0, 1.0))
 
     print("\nstats:")
     print(f"  V range      [{distance.min():.2f}, {distance.max():.2f}] px")

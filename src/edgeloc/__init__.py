@@ -24,7 +24,6 @@ from .edge_features import (
     build_edge_masks,
     build_fields,
     coarsen_mask,
-    sample_field,
 )
 from .evaluation import ErrorReport, evaluate_trajectories
 from .geometry import CameraIntrinsics, Pose, skew
@@ -68,7 +67,6 @@ __all__ = [
     "parse_map",
     "render_frame",
     "run_dataset",
-    "sample_field",
     "select_landmarks",
     "serialize_map",
     "skew",

@@ -17,8 +17,10 @@ around the prior (``_within_jump``, the gate ``validate`` applies), it ends
 there as ``pose-inconsistent`` instead of iterating on an estimate that
 cannot be accepted.
 ``solve`` is one loop: each pass tries one damped system or, from a
-converged pose, takes one probe round, and an accepted step or a winning
+stalled pose, takes one probe round, and an accepted step or a winning
 probe adds one history entry and meets the jump gate once.
+Each solve has one outcome, its ``reject_reason``; an end that ``solve``
+does not reject, a stop at the iteration cap included, goes to the gates.
 A probe round projects and scores its candidate poses in array passes over
 small blocks of candidates; ``_evaluate`` serves the single poses of the
 damped iteration. Each pose the iteration visits is projected and read from
@@ -64,13 +66,18 @@ REJECT_TOO_FEW_SAMPLES = "too-few-samples"
 REJECT_LOW_INFORMATION = "low-information"
 
 # Which start the fine solve had: the coarse stage did not run, it ran and
-# did not converge (the fine solve started from the prior), or the fine
+# set a reject reason (the fine solve started from the prior), or the fine
 # solve started from the coarse pose.
 COARSE_SKIPPED = "skipped"
 COARSE_UNUSED = "unused"
 COARSE_USED = "used"
 
+# Damped Gauss-Newton: the starting damping, its ceiling, and the step norm
+# and relative energy decrease below which the iteration stalls.
+_LAMBDA_INIT = 1e-4
 _MAX_DAMPING = 1e10
+_STEP_TOL = 1e-6
+_ENERGY_TOL = 1e-9
 _ENERGY_SLACK = 1e-12
 
 # Trust region: the linearized model is only valid over a fraction of the
@@ -144,7 +151,6 @@ class AlignmentProblem:
 @dataclass(frozen=True, eq=False)
 class AlignmentResult:
     pose: Pose
-    converged: bool
     iterations: int
     mean_reproj_error: float  # final energy / active residual count
     inlier_count: int
@@ -245,37 +251,6 @@ def perturb_pose(pose: Pose, xi: np.ndarray) -> Pose:
     return Pose._trusted(pose.rotation @ so3_exp(xi[3:]), pose.translation + xi[:3])
 
 
-def residual(problem: AlignmentProblem, pose: Pose, point_r: np.ndarray, label: str) -> float | None:
-    """Residual of one frame-r sample; None when dropped at this pose."""
-    single = _single_prepared(problem, point_r, label)
-    _, count, residuals = _evaluate(single, pose)[:3]
-    if count == 0:
-        return None
-    return float(residuals[0] / math.sqrt(problem.config.weight_for(label)))
-
-
-def jacobian_row(problem: AlignmentProblem, pose: Pose, point_r: np.ndarray, label: str) -> np.ndarray | None:
-    """Analytic 6-vector Jacobian row of one sample; None when dropped."""
-    single = _single_prepared(problem, point_r, label)
-    _, count, _, jacobian_rows = _evaluate(single, pose)[:4]
-    if count == 0:
-        return None
-    return jacobian_rows()[0] / math.sqrt(problem.config.weight_for(label))
-
-
-def _single_prepared(problem: AlignmentProblem, point_r: np.ndarray, label: str) -> _Prepared:
-    point_r = np.asarray(point_r, dtype=float).reshape(1, 3)
-    single = LandmarkSamples((label,), point_r, np.zeros(1, dtype=int), np.array([-1]))
-    return _Prepared(replace(problem, samples=single))
-
-
-def energy(problem: AlignmentProblem, pose: Pose) -> tuple[float, int]:
-    """Total weighted squared residual and the active-sample count."""
-    prepared = _Prepared(problem)
-    value, count = _evaluate(prepared, pose)[:2]
-    return value, count
-
-
 def _probe_escape(prepared: _Prepared, pose: Pose, energy_now: float, count_now: int, min_samples: int, offsets):
     """Best strictly-lower-energy pose among fixed translation probes, or None.
 
@@ -328,22 +303,27 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
 
     One loop: each pass tries one damped system of the normal equations
     J^T J d = -J^T r (built once per pose, multiplicative Levenberg damping on
-    the diagonal) or, from a converged pose, takes one round of escape
-    probes. A step that raises the energy, or a system with no finite
-    solution, multiplies the damping by 10, and an accepted step divides it
-    by 3: a decrease slower than the increase (Madsen, Nielsen & Tingleff,
-    2004, section 3.2) spends fewer rejected trials climbing back. Sample
-    drops are re-evaluated at every candidate pose. Converges on step norm,
-    relative energy decrease, or damping past ``_MAX_DAMPING`` once some
-    system was solvable; stops unconverged with none solvable or at the
-    iteration cap. A probe that strictly lowers the energy resumes the
-    iteration from it, which recovers from truncation plateaus around wrong
-    poses; none is taken when every active sample with a positive weight
-    reads the cap, where a probe could only win by losing samples. Each accepted step and winning probe adds one
-    ``energy_history`` entry; one that leaves the jump gate around the prior
-    ends the solve there, not converged and ``pose-inconsistent``. With
-    fewer than ``min_samples`` active samples at the start pose the loop
-    does not run, and the result is ``too-few-samples``.
+    the diagonal) or, from a stalled pose, takes one round of escape probes.
+    A step that raises the energy, or a system with no finite solution,
+    multiplies the damping by 10, and an accepted step divides it by 3: a
+    decrease slower than the increase (Madsen, Nielsen & Tingleff, 2004,
+    section 3.2) spends fewer rejected trials climbing back. Sample drops
+    are re-evaluated at every candidate pose. The iteration stalls on step
+    norm, relative energy decrease, or damping past ``_MAX_DAMPING`` once
+    some system was solvable. A probe that strictly lowers the energy
+    resumes the iteration from it, which recovers from truncation plateaus
+    around wrong poses; none is taken when every active sample with a
+    positive weight reads the cap, where a probe could only win by losing
+    samples. Each accepted step and winning probe adds one
+    ``energy_history`` entry.
+
+    The one outcome, ``reject_reason``, is set where the solve learns it:
+    ``too-few-samples`` below ``min_samples`` active samples at the start
+    (the loop does not run) or after an accepted step, ``pose-inconsistent``
+    at the first step or probe outside the jump gate around the prior, and
+    ``diverged`` when the damping passes ``_MAX_DAMPING`` with no solvable
+    system at the pose. Any other end, the iteration cap included, leaves
+    ``none`` for ``validate``'s gates to judge the pose reached.
     """
     cfg = problem.config
     prepared = _Prepared(problem)
@@ -354,8 +334,8 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
     current = _evaluate(prepared, pose)
     history = [current[0]]
     active_counts = [current[1]]
-    damping = cfg.lambda_init
-    converged = any_solvable = False
+    damping = _LAMBDA_INIT
+    stalled = any_solvable = False  # stalled: take a probe round next
     reject_reason = REJECT_TOO_FEW_SAMPLES if current[1] < cfg.min_samples else REJECT_NONE
     iterations = probe_rounds = 0
     hessian_pose = None  # the pose whose rows gave ``hessian``
@@ -363,13 +343,14 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
     while reject_reason == REJECT_NONE:
         energy_now, count_now, residuals, jacobian_rows, at_cap = current
         if damping > _MAX_DAMPING:
-            # Damping escalation exhausted: with no solvable system this is a
-            # genuine failure; otherwise no step can lower the energy anymore,
-            # i.e. a local minimum -- converged, gates decide.
+            # Damping escalation exhausted: with no solvable system at this
+            # pose the solve failed; otherwise no step can lower the energy
+            # anymore, a local minimum.
             if not any_solvable:
+                reject_reason = REJECT_DIVERGED
                 break
-            converged = True
-        if converged:
+            stalled = True
+        if stalled:
             if probe_rounds >= _MAX_PROBE_ROUNDS or at_cap():
                 break
             if count_now > 0 and energy_now / count_now <= cfg.max_mean_reproj_px:
@@ -382,11 +363,10 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
             pose = escape[2]
             current = _evaluate(prepared, pose)  # the probe's energy and count, bit for bit
             probe_rounds += 1
-            converged = False
-            damping = cfg.lambda_init
+            stalled = False
+            damping = _LAMBDA_INIT
         else:
-            # Too few samples or the iteration cap: diverged.
-            if iterations >= cfg.max_iterations or count_now < cfg.min_samples:
+            if iterations >= cfg.max_iterations:
                 break
             if hessian_pose is not pose:
                 jacobian = jacobian_rows()
@@ -418,7 +398,7 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
             damping = max(damping / 3.0, 1e-12)
             iterations += 1
             rel_decrease = (energy_now - trial[0]) / max(energy_now, 1e-300)
-            converged = _norm(delta) < cfg.step_tol or rel_decrease < cfg.energy_tol
+            stalled = _norm(delta) < _STEP_TOL or rel_decrease < _ENERGY_TOL
             if iterations % 100 == 0:
                 pose = orthonormalize(pose)
                 current = _evaluate(prepared, pose)
@@ -426,11 +406,12 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
         active_counts.append(current[1])
         if not _within_jump(pose, problem.prior, cfg):
             reject_reason = REJECT_POSE_INCONSISTENT
-            converged = False
+        elif current[1] < cfg.min_samples:
+            reject_reason = REJECT_TOO_FEW_SAMPLES  # a probe keeps min_samples, so a step lost them
 
     # Gating quantities from the evaluation of the solution; when the solve
     # ended on the pose of the last normal equations, their matrix serves.
-    # A solve that started with too few samples has none.
+    # A solve that ends with too few samples has none.
     energy_final, count_final, _, jacobian_rows, _ = current
     if count_final > 0 and reject_reason != REJECT_TOO_FEW_SAMPLES:
         if hessian_pose is not pose:
@@ -444,7 +425,6 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
 
     return AlignmentResult(
         pose=pose,
-        converged=converged,
         iterations=iterations,
         mean_reproj_error=mean_error,
         inlier_count=count_final,
@@ -463,9 +443,10 @@ def solve_two_scale(problem: AlignmentProblem, coarse_fields: FieldStack) -> Ali
     The coarse fields (built from block-OR downsampled masks) keep their
     truncation radius in coarse pixels, widening the basin of attraction by
     ``COARSE_SCALE``; the full-resolution solve then starts inside it. Falls
-    back to the problem's own start pose when the coarse stage does not
-    converge, which includes a coarse solve stopped at the pose gate. The
-    result's ``coarse`` says which start the fine solve had.
+    back to the problem's own start pose when the coarse solve sets a
+    reject reason (a stop at the pose gate, or too few samples); a stop at
+    the cap hands its pose over. The result's ``coarse`` says which start
+    the fine solve had.
     """
     k = problem.intrinsics
     coarse_k = CameraIntrinsics(
@@ -478,7 +459,7 @@ def solve_two_scale(problem: AlignmentProblem, coarse_fields: FieldStack) -> Ali
     )
     coarse_problem = replace(problem, fields=coarse_fields, intrinsics=coarse_k)
     coarse = solve(coarse_problem)
-    if coarse.converged:
+    if coarse.reject_reason == REJECT_NONE:
         return replace(solve(replace(problem, initial=coarse.pose)), coarse=COARSE_USED)
     return replace(solve(problem), coarse=COARSE_UNUSED)
 
@@ -500,18 +481,16 @@ def align_frame(problem: AlignmentProblem, coarse_fields: FieldStack | None) -> 
 def validate(result: AlignmentResult, prior: Pose, config: PipelineConfig) -> AlignmentResult:
     """Apply the acceptance gates and fill accepted / reject_reason.
 
-    A reason ``solve`` has already set (too few samples, or a stop at the
-    pose gate) passes straight through. The information gate is checked
-    before the convergence flag: an unobservable problem cannot converge,
-    and the eigenvalue floor is the more useful diagnosis. The jump gate is
-    checked here too, for results built elsewhere.
+    A reason ``solve`` has already set (too few samples, a stop at the pose
+    gate, or no solvable system) passes straight through. Any other pose the
+    solve reached, a stop at the iteration cap included, is judged by the
+    information, jump and residual gates. The jump gate is checked here too,
+    for results built elsewhere.
     """
     if result.reject_reason != REJECT_NONE:
         return replace(result, accepted=False)
     if result.info_min_eig < config.min_information:
         return replace(result, accepted=False, reject_reason=REJECT_LOW_INFORMATION)
-    if not result.converged:
-        return replace(result, accepted=False, reject_reason=REJECT_DIVERGED)
     if not _within_jump(result.pose, prior, config):
         return replace(result, accepted=False, reject_reason=REJECT_POSE_INCONSISTENT)
     if result.mean_reproj_error > config.max_mean_reproj_px:

@@ -26,9 +26,6 @@ class PipelineConfig:
     # alignment
     max_iterations: int = 50
     min_samples: int = 30
-    step_tol: float = 1e-6
-    energy_tol: float = 1e-9
-    lambda_init: float = 1e-4
     max_translation_jump_m: float = 1.0
     max_rotation_jump_deg: float = 3.0
     max_mean_reproj_px: float = 3.0
@@ -49,10 +46,8 @@ class PipelineConfig:
         return 1.0
 
 
-# Every numeric value must be finite and >= 0; these must also be > 0. A zero
-# lambda_init never grows under the x10 damping escalation, so a rejected
-# step would be retried forever.
-_POSITIVE_KEYS = frozenset({"dt_truncation_px", "sample_spacing_px", "max_iterations", "lambda_init"})
+# Every numeric value must be finite and >= 0; these must also be > 0.
+_POSITIVE_KEYS = frozenset({"dt_truncation_px", "sample_spacing_px", "max_iterations"})
 
 
 def _check(name: str, value) -> None:

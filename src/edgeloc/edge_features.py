@@ -38,10 +38,6 @@ DEFAULT_BOUNDARY_MARGIN_PX = 2
 COARSE_SCALE = 4
 
 
-class OutOfBoundsPixel(ValueError):
-    """Sample location outside the field's valid interpolation domain."""
-
-
 class DimensionMismatch(ValueError):
     """Input rasters do not share the same shape."""
 
@@ -239,8 +235,8 @@ def bilinear_gather(grids: np.ndarray, offset, u, v):
     it is multiplying by 1.0 or 0.5: the same correctly rounded quotient.
 
     Every location must lie in the grid, 0 <= u <= W - 1 and 0 <= v <= H - 1,
-    as the solver's validity mask and sample_field's check ensure; there the
-    integer cast is the floor, and no lower bound is needed.
+    as the solver's validity mask ensures; there the integer cast is the
+    floor, and no lower bound is needed.
     """
     height, width = grids.shape[-2:]
     iu = np.minimum(u.astype(int), max(width - 2, 0))
@@ -292,20 +288,6 @@ def bilinear_gather(grids: np.ndarray, offset, u, v):
         return grad_u, grad_v
 
     return value, slope
-
-
-def sample_field(fields: FieldStack, label: str, u: float, v: float) -> tuple[float, float, float]:
-    """Bilinear (V, G_u, G_v) of ``label``'s field at a sub-pixel location;
-    see bilinear_gather.
-
-    Valid domain is 0 <= u <= width-1, 0 <= v <= height-1 (inclusive).
-    """
-    height, width = fields.stack.shape[1:]
-    if not (0.0 <= u <= width - 1 and 0.0 <= v <= height - 1):
-        raise OutOfBoundsPixel(f"({u:.2f}, {v:.2f}) outside [0, {width - 1}] x [0, {height - 1}]")
-    offset = fields.layer[label] * height * width
-    value, slope = bilinear_gather(fields.stack, offset, np.float64(u), np.float64(v))
-    return tuple(float(x) for x in (value, *slope()))
 
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:

@@ -111,6 +111,14 @@ class NoiseConfig:
     edge_dropout: float = 0.0
     occluders: tuple[OccluderBox, ...] = ()
 
+    def __post_init__(self):
+        # A negative or NaN drift or jitter would silently mean none.
+        for name in ("odometry_drift_per_m", "edge_jitter_px", "edge_dropout"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.edge_dropout > 1:
+            raise ValueError(f"edge_dropout must be <= 1, got {self.edge_dropout}")
+
 
 @dataclass(frozen=True, eq=False)
 class SyntheticScene:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -14,6 +15,7 @@ from edgeloc import synthetic as syn
 from edgeloc.config import PipelineConfig
 from edgeloc.edge_features import build_edge_masks, build_fields, coarsen_mask
 from edgeloc.geometry import MIN_PROJECTION_DEPTH, CameraIntrinsics, Pose, rotation_angle, rotation_zyx, so3_exp
+from edgeloc.pipeline import FrameRecord
 from edgeloc.selection import LandmarkSamples, select_landmarks
 
 from test_edge_features import three_index_gather
@@ -59,6 +61,24 @@ def single_sample_problem(fields, point_r, prior=None, config=None):
     )
 
 
+def sample_residual(problem, pose):
+    """The residual of a one-sample problem at ``pose``, scaled by sqrt(weight);
+    None when the sample is dropped."""
+    _, count, residuals = al._evaluate(al._Prepared(problem), pose)[:3]
+    return float(residuals[0]) if count else None
+
+
+def sample_row(problem, pose):
+    """The Jacobian row of a one-sample problem at ``pose``; None when the sample is dropped."""
+    _, count, _, rows = al._evaluate(al._Prepared(problem), pose)[:4]
+    return rows()[0] if count else None
+
+
+def energy(problem, pose):
+    """Total weighted squared residual and the active-sample count."""
+    return al._evaluate(al._Prepared(problem), pose)[:2]
+
+
 class TestResidual:
     def test_zero_on_edge_pixel(self):
         mask = np.zeros((240, 320), dtype=bool)
@@ -67,13 +87,13 @@ class TestResidual:
         # a point projecting exactly onto row 120: v = cy + fy*y/z = 120
         y = (120 - K.cy) * 4.0 / K.fy
         problem = single_sample_problem(field, [0.0, y, 4.0])
-        value = al.residual(problem, Pose.identity(), [0.0, y, 4.0], "lane")
+        value = sample_residual(problem, Pose.identity())
         assert abs(value) < 1e-12
 
     def test_empty_mask_gives_truncation_value(self):
         field = mask_field("lane", np.zeros((240, 320), bool), d_max=20.0)
         problem = single_sample_problem(field, [0.0, 0.0, 5.0])
-        value = al.residual(problem, Pose.identity(), [0.0, 0.0, 5.0], "lane")
+        value = sample_residual(problem, Pose.identity())
         assert value == 20.0
 
     def test_hand_built_field_bilinear_value(self):
@@ -90,32 +110,32 @@ class TestResidual:
         problem = al.AlignmentProblem(samples=samples, fields=fields, prior=Pose.identity(), intrinsics=k)
         # manual bilinear at (3.5, 2.25): rows 2,3 cols 3,4
         expected = (4.0 * 0.5 + 8.0 * 0.5) * 0.75 + (2.0 * 0.5 + 6.0 * 0.5) * 0.25
-        value = al.residual(problem, Pose.identity(), point, "lane")
+        value = sample_residual(problem, Pose.identity())
         assert abs(value - expected) < 1e-12
 
     def test_behind_camera_dropped(self):
         field = ramp_field("lane", 0.1, 0.0, 5.0)
-        problem = single_sample_problem(field, [0.0, 0.0, 5.0])
-        assert al.residual(problem, Pose.identity(), [0.0, 0.0, -5.0], "lane") is None
+        problem = single_sample_problem(field, [0.0, 0.0, -5.0])
+        assert sample_residual(problem, Pose.identity()) is None
 
     def test_out_of_bounds_dropped(self):
         field = ramp_field("lane", 0.1, 0.0, 5.0)
         problem = single_sample_problem(field, [50.0, 0.0, 5.0])
-        assert al.residual(problem, Pose.identity(), [50.0, 0.0, 5.0], "lane") is None
+        assert sample_residual(problem, Pose.identity()) is None
 
 
 class TestEnergy:
     def test_zero_when_all_residuals_zero(self):
         field = ramp_field("lane", 0.0, 0.0, 0.0)
         problem = single_sample_problem(field, [0.0, 0.0, 5.0])
-        value, count = al.energy(problem, Pose.identity())
+        value, count = energy(problem, Pose.identity())
         assert value == 0.0 and count == 1
 
     def test_three_four_gives_twenty_five(self):
         fields = ef.FieldStack(["a", "b"], np.stack([ramp_grid(0.0, 0.0, 3.0), ramp_grid(0.0, 0.0, 4.0)]), d_max=1e9)
         samples = block_samples({"a": [[0.0, 0.0, 5.0]], "b": [[0.1, 0.0, 5.0]]})
         problem = al.AlignmentProblem(samples=samples, fields=fields, prior=Pose.identity(), intrinsics=K)
-        value, count = al.energy(problem, Pose.identity())
+        value, count = energy(problem, Pose.identity())
         assert abs(value - 25.0) < 1e-12 and count == 2
 
     def test_matches_independent_resummation(self):
@@ -135,15 +155,15 @@ class TestEnergy:
         fields = build_fields(masks)
         problem = al.AlignmentProblem(samples=samples, fields=fields, prior=Pose.identity(), intrinsics=K, config=cfg)
         pose = Pose.identity()
-        value, count = al.energy(problem, pose)
-        # oracle: per-sample scalar residuals, summed with weights
+        value, count = energy(problem, pose)
+        # oracle: per-sample residuals, each already scaled by sqrt(weight), summed
         total = 0.0
         n = 0
         for label, pts in points.items():
             for p in pts:
-                r = al.residual(problem, pose, p, label)
+                r = sample_residual(replace(problem, samples=block_samples({label: p})), pose)
                 if r is not None:
-                    total += cfg.weight_for(label) * r * r
+                    total += r * r
                     n += 1
         assert abs(value - total) < 1e-9
         assert count == n
@@ -153,7 +173,7 @@ class TestJacobianRow:
     def test_zero_gradient_gives_zero_row(self):
         field = ramp_field("lane", 0.0, 0.0, 7.0)
         problem = single_sample_problem(field, [0.2, 0.1, 5.0])
-        row = al.jacobian_row(problem, Pose.identity(), [0.2, 0.1, 5.0], "lane")
+        row = sample_row(problem, Pose.identity())
         assert np.allclose(row, 0.0, atol=1e-15)
 
     def test_frontoparallel_translation_entry(self):
@@ -161,7 +181,7 @@ class TestJacobianRow:
         field = ramp_field("lane", 1.0, 0.0, 3.0)
         point = np.array([0.0, 0.0, 5.0])
         problem = single_sample_problem(field, point)
-        row = al.jacobian_row(problem, Pose.identity(), point, "lane")
+        row = sample_row(problem, Pose.identity())
         assert abs(row[0] - (-K.fx / 5.0)) < 1e-9
 
     def test_matches_finite_differences_on_ramps(self):
@@ -180,7 +200,7 @@ class TestJacobianRow:
             prior = Pose.identity()
             world = pose.apply(point_cam)  # in frame r == world here
             problem = single_sample_problem(field, world, prior=prior)
-            row = al.jacobian_row(problem, pose, world, "lane")
+            row = sample_row(problem, pose)
             if row is None:
                 continue
             fd = np.zeros(6)
@@ -188,8 +208,8 @@ class TestJacobianRow:
             for i in range(6):
                 delta = np.zeros(6)
                 delta[i] = step
-                plus = al.residual(problem, al.perturb_pose(pose, delta), world, "lane")
-                minus = al.residual(problem, al.perturb_pose(pose, -delta), world, "lane")
+                plus = sample_residual(problem, al.perturb_pose(pose, delta))
+                minus = sample_residual(problem, al.perturb_pose(pose, -delta))
                 if plus is None or minus is None:
                     ok = False
                     break
@@ -248,7 +268,7 @@ class TestSolve:
     def test_fixed_point_converges_immediately(self):
         problem = noiseless_grid_setup()
         result = al.solve(problem)
-        assert result.converged
+        assert result.reject_reason == al.REJECT_NONE
         assert result.iterations <= 2
         assert np.linalg.norm(result.pose.translation) < 1e-6
         assert result.energy < 1e-12
@@ -315,6 +335,43 @@ class TestSolve:
         assert al.solve_two_scale(problem, coarse).coarse == al.COARSE_UNUSED
         assert starts[1] is problem.prior
 
+    def test_a_stop_at_the_iteration_cap_goes_to_the_gates(self):
+        # Three iterations leave the prior 0.1 m off 8 mm from the truth; the
+        # gates accept that pose rather than dropping the frame as diverged.
+        problem = replace(_small_synthetic_problem(), config=PipelineConfig(max_iterations=3))
+        truth = syn.generate_scene(4, "sparse", n_frames=2).pose_of(0)
+        result = al.align_frame(problem, None)
+        assert result.iterations == 3 and result.accepted
+        assert np.linalg.norm(result.pose.translation - truth.translation) < 0.01
+
+    def test_coarse_stop_at_the_cap_hands_its_pose_over(self, monkeypatch):
+        problem = replace(_small_synthetic_problem(), config=PipelineConfig(max_iterations=3))
+        scene = syn.generate_scene(4, "sparse", n_frames=2)
+        masks = build_edge_masks(*syn.render_frame(scene, 0), scene.compact_map.label_names)
+        coarse = build_fields([coarsen_mask(m) for m in masks], d_max=problem.config.dt_truncation_px)
+        solves = []
+        original = al.solve
+        monkeypatch.setattr(al, "solve", lambda p: solves.append((p.start_pose, original(p))) or solves[-1][1])
+        assert al.solve_two_scale(problem, coarse).coarse == al.COARSE_USED
+        (_, coarse_result), (fine_start, _) = solves
+        assert coarse_result.iterations == 3 and coarse_result.reject_reason == al.REJECT_NONE
+        assert fine_start is coarse_result.pose
+
+    def test_a_step_that_loses_samples_ends_too_few_samples(self):
+        # On a ramp that falls to the left, 40 samples from the left border
+        # rightwards: the first accepted step carries two of them out of view,
+        # below min_samples = 40. Such a frame logs no mean residual.
+        z = 5.0
+        u, v = np.linspace(0.0, 30.0, 40), np.linspace(20.0, 220.0, 40)
+        points = np.column_stack([(u - K.cx) * z / K.fx, (v - K.cy) * z / K.fy, np.full(40, z)])
+        field = ramp_field("lane", 1.0, 0.0, 5.0)
+        problem = single_sample_problem(field, points, config=PipelineConfig(min_samples=40))
+        result = al.align_frame(problem, None)
+        assert not result.accepted and result.reject_reason == al.REJECT_TOO_FEW_SAMPLES
+        assert result.iterations == 1 and result.active_counts == (40, 38)
+        record = FrameRecord(0, f"dropped:{result.reject_reason}", result.iterations, result.mean_reproj_error, 40)
+        assert json.loads(record.to_json())["mean_reproj_error"] is None
+
     def test_accepted_step_divides_the_damping_by_3(self, monkeypatch):
         # Each damped system is H + damping * (diag(H) + floor); the damping
         # is read back from its diagonal, with H rebuilt at the trial's pose.
@@ -333,7 +390,7 @@ class TestSolve:
             hessian = rows.T @ rows
             floor = 1e-12 * max(float(np.trace(hessian)), 1.0)
             dampings.append((system[0, 0] - hessian[0, 0]) / (hessian[0, 0] + floor))
-        assert dampings[0] == pytest.approx(problem.config.lambda_init, rel=1e-6)
+        assert dampings[0] == pytest.approx(al._LAMBDA_INIT, rel=1e-6)
         accepted = rejected = 0
         for i in range(1, len(dampings)):
             if dampings[i - 1] < 1e-9:
@@ -352,30 +409,32 @@ class TestSolve:
         _, problem, _ = side_offset_problem()
         result = al.solve(problem)
         assert result.reject_reason == al.REJECT_POSE_INCONSISTENT
-        assert not result.converged
         assert not al._within_jump(result.pose, problem.prior, problem.config)
         assert result.iterations < problem.config.max_iterations
         validated = al.validate(result, problem.prior, problem.config)
         assert not validated.accepted and validated.reject_reason == al.REJECT_POSE_INCONSISTENT
 
-    def test_no_solvable_system_is_not_converged(self, monkeypatch):
+    def test_no_solvable_system_is_diverged(self, monkeypatch):
+        # solve itself sets the reason, and validate passes it through.
         def singular(a, b):
             raise np.linalg.LinAlgError("singular")
 
         monkeypatch.setattr(al.np.linalg, "solve", singular)
         problem = _small_synthetic_problem()
         result = al.solve(problem)
-        assert not result.converged and result.iterations == 0 and result.probe_rounds == 0
-        assert al.validate(result, problem.prior, problem.config).reject_reason == al.REJECT_DIVERGED
+        assert result.reject_reason == al.REJECT_DIVERGED
+        assert result.iterations == 0 and result.probe_rounds == 0
+        validated = al.validate(result, problem.prior, problem.config)
+        assert not validated.accepted and validated.reject_reason == al.REJECT_DIVERGED
 
     def test_every_step_rejected_converges_at_the_start_pose(self, monkeypatch):
         monkeypatch.setattr(al, "_ENERGY_SLACK", -math.inf)
         monkeypatch.setattr(al, "_MAX_PROBE_ROUNDS", 0)
         problem = _small_synthetic_problem()
         result = al.solve(problem)
-        assert result.converged and result.iterations == 0
+        assert result.reject_reason == al.REJECT_NONE and result.iterations == 0
         assert result.pose is problem.start_pose
-        assert result.energy_history == (al.energy(problem, problem.start_pose)[0],)
+        assert result.energy_history == (energy(problem, problem.start_pose)[0],)
 
     def test_long_solve_reorthonormalizes(self, monkeypatch):
         # Small step caps keep the iteration going past the re-orthonormalization
@@ -458,8 +517,8 @@ class TestSolve:
         )
         pose = problem.start_pose
         moved_pose = gauge.compose(pose)
-        e0, n0 = al.energy(problem, pose)
-        e1, n1 = al.energy(moved, moved_pose)
+        e0, n0 = energy(problem, pose)
+        e1, n1 = energy(moved, moved_pose)
         assert n0 == n1
         assert abs(e0 - e1) <= 1e-9 * max(e0, 1.0)
 
@@ -582,7 +641,6 @@ class TestValidate:
     def _result(self, **kwargs):
         base = dict(
             pose=Pose.identity(),
-            converged=True,
             iterations=5,
             mean_reproj_error=0.5,
             inlier_count=200,
@@ -619,15 +677,16 @@ class TestValidate:
         out = al.validate(self._result(info_min_eig=1e-9), Pose.identity(), cfg)
         assert out.reject_reason == al.REJECT_LOW_INFORMATION
 
-    def test_not_converged_rejected(self):
+    def test_reason_set_by_the_solve_passes_through(self):
         cfg = PipelineConfig()
-        out = al.validate(self._result(converged=False), Pose.identity(), cfg)
-        assert out.reject_reason == al.REJECT_DIVERGED
+        for reason in (al.REJECT_DIVERGED, al.REJECT_TOO_FEW_SAMPLES, al.REJECT_POSE_INCONSISTENT):
+            out = al.validate(self._result(reject_reason=reason), Pose.identity(), cfg)
+            assert not out.accepted and out.reject_reason == reason
 
     def test_accepted_implies_gates(self):
         cfg = PipelineConfig()
         out = al.validate(self._result(), Pose.identity(), cfg)
-        assert out.converged
+        assert out.accepted
         assert out.mean_reproj_error <= cfg.max_mean_reproj_px
         assert out.info_min_eig >= cfg.min_information
 
@@ -1312,45 +1371,44 @@ def out_of_view_problem():
 PINNED_SOLVES = {
     "noiseless-grid": (
         noiseless_grid_setup,
-        "4720cb8fc5aacd2f0f8446cd59b32dbe9960f9ce0fc48c1be5405e940292516f",
+        "ed09cedf0fe58beae70fb59322c3c5bba3340ade39ea95a2392b7c0439e00ea7",
     ),
     "small-synthetic": (
         _small_synthetic_problem,
-        "98bc5f362c67a8408aeca0cf77596f905ab35cf99c14215214b802b62fe93800",
+        "50f9629e704b9aac7a31b794fbc4ebb452929c49ca1b55a6c26beeb056dd2af6",
     ),
     "small-synthetic-3-iterations": (
         lambda: replace(_small_synthetic_problem(), config=PipelineConfig(max_iterations=3)),
-        "b206e316c7fbd048ccc38c710fc87169c95176de9e0b1b0983257f38fde78033",
+        "1dd21b6b164410f5b6b1238f56994810da009b9f7c81cce827279775f08cdbbe",
     ),
     "side-offset": (
         lambda: side_offset_problem()[1],
-        "ea8f861b4b78a00f0c09dc4caa65af048da18728ed5706e7ee0ea7534c9f199f",
+        "55f96e0a7ef525d1f74d2d5431eaea63ab3a7b7ab0aac81ec590345d5cfdd811",
     ),
     "side-offset-wide-gate": (
         lambda: replace(side_offset_problem()[1], config=WIDE_GATE),
-        "01079ffc307f2b325caf3bb951a3231beb10bca827cb94d297ac27cf7a6f3882",
+        "f1ab8f4387f085ee228ca90f2ec7ce5a40a0405438d8cf45a94843e2d798c4a1",
     ),
     "corner-probe": (
         corner_probe_problem,
-        "8367fc1b503a562ce172cdba1fed576e179cd8018a769fd3b8caaffe9ddcf5e9",
+        "fabb8cbddb96c010a9140dfff830bf246126b4d0a7c25f2ec74ca158546cf146",
     ),
     "cap-plateau": (
         cap_plateau_problem,
-        "99ef67f8061ed5b1705efa94f994e18d2b1bc70e391cd900573dfeed8b45e5c1",
+        "c374e9fd66f2411d44eab8008c119e51d582614897c2fa1d49d212dfcd5bfc06",
     ),
     "too-few-samples": (
         lambda: single_sample_problem(ramp_field("lane", 0.2, 0.0, 5.0), [0.0, 0.0, 5.0]),
-        "26f557145ecba302a4e78cbd9c131a709574115b3a4a22c7090b1a2613ceb18c",
+        "d8e1306e91509ea940b6de410f633d5c890e74fc045c4b1a82f3c1531167ff48",
     ),
-    "no-samples": (no_sample_problem, "5e7bb8680407bd7c8d44d98d3c7868cdba3b24a4a6fdaa91320030ff11da9138"),
-    "all-out-of-view": (out_of_view_problem, "5e7bb8680407bd7c8d44d98d3c7868cdba3b24a4a6fdaa91320030ff11da9138"),
+    "no-samples": (no_sample_problem, "fdcae9e3560e43de1eb6d22375d496902c6fe5f3e3a882991dfd3101eb830c2d"),
+    "all-out-of-view": (out_of_view_problem, "fdcae9e3560e43de1eb6d22375d496902c6fe5f3e3a882991dfd3101eb830c2d"),
 }
 
 
 def result_digest(result):
     """SHA-256 of the pose bytes and every other field ``solve`` sets."""
     fields = (
-        result.converged,
         result.iterations,
         result.probe_rounds,
         result.energy,

@@ -78,6 +78,24 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--drift-rate", "nan", "odometry_drift_per_m must be finite and >= 0, got nan"),
+            ("--edge-jitter", "nan", "edge_jitter_px must be finite and >= 0, got nan"),
+            ("--edge-jitter", "-3", "edge_jitter_px must be finite and >= 0, got -3.0"),
+            ("--edge-dropout", "-1", "edge_dropout must be finite and >= 0, got -1.0"),
+            ("--edge-dropout", "2", "edge_dropout must be <= 1, got 2.0"),
+        ],
+    )
+    def test_noise_value_it_cannot_use_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, value, message):
+        # A negative or NaN drift or jitter would silently mean none.
+        out = tmp_path / "noisy"
+        code = main(["synth", "--preset", "sparse", "--out", str(out), "--frames", "2", flag, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_non_empty_output_directory_exits_2_and_changes_nothing(self, tmp_path, capsys):
         # A shorter dataset written over a longer one would leave its extra
         # frames behind, with no odometry.
@@ -137,17 +155,17 @@ class TestErrorsNameTheirFile:
 
     def test_config_error_in_run(self, dataset, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
-        config.write_text("max_iterations = 30\nlambda_init = nan\n", encoding="ascii")
+        config.write_text("max_iterations = 30\nmax_mean_reproj_px = nan\n", encoding="ascii")
         out = tmp_path / "t.txt"
         assert main(["run", "--dataset", str(dataset), "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: {config}: config line 2: lambda_init must be finite and >= 0, got nan\n"
+        assert err == f"error: {config}: config line 2: max_mean_reproj_px must be finite and >= 0, got nan\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("lambda_init = abc", "lambda_init: expected a number, got 'abc'"),
+            ("min_information = abc", "min_information: expected a number, got 'abc'"),
             ("max_iterations = 5.0", "max_iterations: expected an integer, got '5.0'"),
             ("label_weights = pole:0.5, lane_line:x", "label_weights entry 'lane_line': expected a number, got 'x'"),
         ],

@@ -193,7 +193,7 @@ class TestGradients:
         v = fields["x"].distance
         expected_u = (v[5, 8 + 1] - v[5, 8 - 1]) / 2.0
         expected_v = (v[5 + 1, 8] - v[5 - 1, 8]) / 2.0
-        _, grad_u, grad_v = ef.sample_field(fields, "x", 8.0, 5.0)
+        _, grad_u, grad_v = gather_at(v, 8.0, 5.0)
         assert grad_u == expected_u
         assert grad_v == expected_v
 
@@ -533,17 +533,6 @@ class TestSampledGradient:
         index = np.arange(u.size) % 3
         assert_flat_reads_match(grids, u, v, index)
 
-    @settings(deadline=None, max_examples=50)
-    @given(grids_and_points())
-    def test_sample_field_matches_reference_grids(self, case):
-        grids, u, v, index = case
-        fields = ef.FieldStack(["x"], grids[:1], d_max=100.0)
-        ref_u, ref_v = gradients(grids[:1])
-        for point_u, point_v in zip(u[:16], v[:16]):
-            at = (0, np.float64(point_u), np.float64(point_v))
-            expected = (ef.bilinear_gather(g, *at)[0] for g in (grids[:1], ref_u, ref_v))
-            assert ef.sample_field(fields, "x", point_u, point_v) == tuple(float(x) for x in expected)
-
 
 class TestFieldRegression:
     """Fields of a small rendered frame pinned to the oracle, and their slopes
@@ -568,30 +557,21 @@ class TestFieldRegression:
                 assert grad_v.tobytes() == np.gradient(expected, axis=0).tobytes()
 
 
-def one_field(grid, d_max):
-    """A one-label FieldStack, label "x", of an (H, W) grid."""
-    return ef.FieldStack(["x"], grid[None], d_max)
+def gather_at(grid, u, v):
+    """(V, G_u, G_v) of bilinear_gather on one (H, W) grid at one location."""
+    value, slope = ef.bilinear_gather(grid[None], 0, np.float64(u), np.float64(v))
+    return (float(value), *(float(g) for g in slope()))
 
 
-class TestSampleField:
-    def make_field(self):
-        return one_field(np.arange(12, dtype=float).reshape(3, 4), d_max=100.0)
-
+class TestBilinearGatherAtAPoint:
     def test_integer_pixel_exact(self):
-        fields = self.make_field()
-        value, _, _ = ef.sample_field(fields, "x", 2.0, 1.0)
-        assert value == fields.stack[0, 1, 2]
+        grid = np.arange(12, dtype=float).reshape(3, 4)
+        value, _, _ = gather_at(grid, 2.0, 1.0)
+        assert value == grid[1, 2]
 
     def test_midpoint_average(self):
-        fields = one_field(np.array([[2.0, 4.0], [2.0, 4.0]]), d_max=10.0)
-        value, _, _ = ef.sample_field(fields, "x", 0.5, 0.0)
+        value, _, _ = gather_at(np.array([[2.0, 4.0], [2.0, 4.0]]), 0.5, 0.0)
         assert value == 3.0
-
-    def test_out_of_bounds_raises(self):
-        with pytest.raises(ef.OutOfBoundsPixel):
-            ef.sample_field(self.make_field(), "x", -0.5, 1.0)
-        with pytest.raises(ef.OutOfBoundsPixel):
-            ef.sample_field(self.make_field(), "x", 1.0, 2.5)
 
     def test_hand_computed_bilinear(self):
         grid = np.zeros((8, 8))
@@ -601,19 +581,18 @@ class TestSampleField:
         grid[4, 5] = 4.0
         # at (u, v) = (4.25, 3.5): weights .75*.5, .25*.5, .75*.5, .25*.5
         expected = 1.0 * 0.375 + 2.0 * 0.125 + 3.0 * 0.375 + 4.0 * 0.125
-        value, _, _ = ef.sample_field(one_field(grid, d_max=10.0), "x", 4.25, 3.5)
+        value, _, _ = gather_at(grid, 4.25, 3.5)
         assert abs(value - expected) < 1e-12
 
     @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1)])
     def test_one_pixel_wide_or_tall_field(self, shape):
         grid = np.arange(5.0)[: shape[0] * shape[1]].reshape(shape) * 2.0
-        fields = one_field(grid, d_max=100.0)
         for i in range(grid.size):
             v, u = np.unravel_index(i, shape)
-            assert ef.sample_field(fields, "x", float(u), float(v))[0] == grid[v, u]
+            assert gather_at(grid, float(u), float(v))[0] == grid[v, u]
         if grid.size > 1:
             u, v = (1.5, 0.0) if shape[1] > 1 else (0.0, 1.5)
-            assert ef.sample_field(fields, "x", u, v)[0] == 3.0
+            assert gather_at(grid, u, v)[0] == 3.0
 
 
 class TestBuildEdgeMasks:

@@ -458,7 +458,7 @@ STRESS_SCENES = {
 # everywhere, so a change to what the solver does there shows in the first,
 # second and fourth; the others track without a wall.
 STRESS_TRAJECTORY_PINS = {
-    "corner-seed-1": "e795b4dd66fb33de7f16bfe38dc405eacc001855ecf57455b3d8baf4ca681468",
+    "corner-seed-1": "79a7f3c1f9413aeb97dd0c67bcf6c2450bc6f353aace0f280424a305cfbc7666",
     "corner-seed-2": "c841f2e9987c640949a0d94e46dee2b9bbeb350832637edb1b328bf73dc4938e",
     "corner-seed-5-drift-0.2": "91084e91dc7efda06889ebd0a4e00d24f1c056aa2701debd93076df4be6e616e",
     "straight-seed-3-gap": "e8c2a147b44994decaba92f1ad49c64a9730cabb7cfd9a589a55e2bed661ef22",
@@ -694,7 +694,6 @@ BAD_CONFIG_LINES = [
     "dt_truncation_px = nan",
     "dt_truncation_px = 0",
     "sample_spacing_px = 0.0",
-    "lambda_init = 0",
     "depth_tolerance_m = -0.1",
     "max_translation_jump_m = inf",
     "min_samples = -1",
@@ -721,6 +720,12 @@ class TestConfigFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             parse_config_text("definitely_not_a_key = 3\n")
+
+    @pytest.mark.parametrize("key", ["step_tol", "energy_tol", "lambda_init"])
+    def test_solver_numerics_are_not_config_keys(self, key):
+        # They are constants of the solver, alignment._STEP_TOL and its peers.
+        with pytest.raises(ValueError, match=f"^config line 1: unknown config key '{key}'$"):
+            parse_config_text(f"{key} = 1e-4\n")
 
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
@@ -765,8 +770,8 @@ class TestConfigFile:
             parse_config_text("max_iterations = 1" + "0" * 400)
 
     def test_zero_allowed_where_only_non_negative_required(self):
-        cfg = parse_config_text("min_samples = 0\nstep_tol = 0\nlabel_weights = pole:0\n")
-        assert cfg.min_samples == 0 and cfg.step_tol == 0.0 and cfg.weight_for("pole") == 0.0
+        cfg = parse_config_text("min_samples = 0\nmin_information = 0\nlabel_weights = pole:0\n")
+        assert cfg.min_samples == 0 and cfg.min_information == 0.0 and cfg.weight_for("pole") == 0.0
 
     def test_defaults_match_documented_values(self):
         cfg = PipelineConfig()
@@ -777,9 +782,6 @@ class TestConfigFile:
         assert cfg.dt_truncation_px == 20.0
         assert cfg.max_iterations == 50
         assert cfg.min_samples == 30
-        assert cfg.step_tol == 1e-6
-        assert cfg.energy_tol == 1e-9
-        assert cfg.lambda_init == 1e-4
         assert cfg.max_translation_jump_m == 1.0
         assert cfg.max_rotation_jump_deg == 3.0
         assert cfg.max_mean_reproj_px == 3.0
