@@ -9,6 +9,15 @@ The on-disk format is line-oriented UTF-8 text:
 
 ``#`` starts a comment, fields are whitespace separated, coordinates are
 meters in the world frame written with at most 6 decimals (mm resolution).
+
+Each landmark kind has one validator, which checks a stack of landmarks in
+array passes: ``_segment_fault`` (endpoints, length, radius) and
+``_wireframe_fault`` (point count, gaps, planarity). The constructors run it
+on one landmark. ``parse_map`` reads every line with its format checks,
+converts all numbers in one pass, runs the segment validator once and the
+wireframe validator once per point count, and builds the landmarks through
+``_trusted`` without checking them again. Whatever the kind of error, the
+one raised is that of the first failing line in file order.
 """
 
 from __future__ import annotations
@@ -54,6 +63,67 @@ class SemanticLabel:
             raise ValueError(f"unknown label category {self.category!r}")
 
 
+def _segment_fault(
+    p0: np.ndarray, p1: np.ndarray, radius: np.ndarray, has_radius: np.ndarray
+) -> tuple[int, str] | None:
+    """The index and message of the first segment of a stack that breaks an
+    invariant, or None. ``p0`` and ``p1`` are (K, 3) float64 endpoints;
+    ``radius`` (K,) is read where ``has_radius`` is set."""
+    # math.dist, unlike numpy, overflows to inf without a warning. A
+    # non-finite endpoint makes the length NaN or inf, so it fails too.
+    length = np.array([math.dist(a, b) for a, b in zip(p0.tolist(), p1.tolist())])
+    short = ~((MIN_SEGMENT_LENGTH_M < length) & (length < math.inf))
+    bad_radius = has_radius & ~((0.0 < radius) & (radius < math.inf))
+    fails = np.flatnonzero(short | bad_radius)
+    if not fails.size:
+        return None
+    i = int(fails[0])
+    if not short[i]:
+        return i, f"pole radius must be finite and > 0, got {radius[i]}"
+    for name, point in (("p0", p0[i]), ("p1", p1[i])):
+        if not np.isfinite(point).all():
+            return i, f"segment endpoint {name} is not finite: {point.tolist()}"
+    if length[i] == math.inf:
+        return i, "segment length overflows"
+    return i, f"degenerate segment (shorter than {MIN_SEGMENT_LENGTH_M} m)"
+
+
+def _wireframe_fault(points: np.ndarray) -> tuple[int, str] | None:
+    """The index and message of the first wireframe of a (K, n, 3) float64
+    stack that breaks an invariant, or None. Each wireframe's operations
+    are those of one (n, 3) array, so a stack decides as its rows would."""
+    n = points.shape[1]
+    if n < 3:
+        return 0, f"wireframe needs at least 3 points, got {n}"
+    finite = np.isfinite(points).all(axis=2)
+    # Finite coordinates near the float limit overflow to inf or NaN
+    # here, and the checks below reject them. A wireframe whose centered
+    # points are not finite gets a NaN deviation without an SVD, which
+    # would raise on a NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.linalg.norm(np.roll(points, -1, axis=1) - points, axis=2)
+        centered = points - points.mean(axis=1, keepdims=True)
+        solvable = np.isfinite(centered).all(axis=(1, 2))
+        deviation = np.full(len(points), math.nan)
+        if solvable.any():
+            centered = centered[solvable]
+            _, _, vt = np.linalg.svd(centered, full_matrices=False)
+            # matmul gives the bits of one wireframe's centered @ vt[-1]; einsum does not.
+            deviation[solvable] = np.abs(np.matmul(centered, vt[:, -1, :, None])[..., 0]).max(axis=1)
+    close = gaps.min(axis=1) <= MIN_SEGMENT_LENGTH_M
+    # Written so that a NaN deviation (coordinates that overflow) fails.
+    fails = np.flatnonzero(~finite.all(axis=1) | close | ~(deviation <= MAX_PLANARITY_DEVIATION_M))
+    if not fails.size:
+        return None
+    i = int(fails[0])
+    if not finite[i].all():
+        bad = int(np.flatnonzero(~finite[i])[0])
+        return i, f"wireframe point {bad} is not finite: {points[i, bad].tolist()}"
+    if close[i]:
+        return i, "consecutive wireframe points closer than 0.01 m"
+    return i, f"wireframe is not planar (max deviation {deviation[i]:.3f} m)"
+
+
 @dataclass(frozen=True, eq=False)
 class LineSegmentLandmark:
     label: SemanticLabel
@@ -69,18 +139,23 @@ class LineSegmentLandmark:
         p1.setflags(write=False)
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "p1", p1)
-        # math.dist, unlike numpy, overflows to inf without a warning. A
-        # non-finite endpoint makes the length NaN or inf, so it fails too.
-        length = math.dist(p0.tolist(), p1.tolist())
-        if not MIN_SEGMENT_LENGTH_M < length < math.inf:
-            for name, point in (("p0", p0), ("p1", p1)):
-                if not np.isfinite(point).all():
-                    raise ValueError(f"segment endpoint {name} is not finite: {point.tolist()}")
-            if length == math.inf:
-                raise ValueError("segment length overflows")
-            raise ValueError(f"degenerate segment (shorter than {MIN_SEGMENT_LENGTH_M} m)")
-        if self.pole_radius is not None and not 0.0 < self.pole_radius < math.inf:
-            raise ValueError(f"pole radius must be finite and > 0, got {self.pole_radius}")
+        has_radius = self.pole_radius is not None
+        radius = np.array([self.pole_radius if has_radius else math.nan], dtype=float)
+        fault = _segment_fault(p0[None], p1[None], radius, np.array([has_radius]))
+        if fault is not None:
+            raise ValueError(fault[1])
+
+    @classmethod
+    def _trusted(cls, label, p0, p1, pole_radius, landmark_id) -> "LineSegmentLandmark":
+        """A segment from read-only float64 (3,) endpoints that passed
+        _segment_fault: no copy and no check."""
+        segment = object.__new__(cls)
+        object.__setattr__(segment, "label", label)
+        object.__setattr__(segment, "p0", p0)
+        object.__setattr__(segment, "p1", p1)
+        object.__setattr__(segment, "pole_radius", pole_radius)
+        object.__setattr__(segment, "landmark_id", landmark_id)
+        return segment
 
     @property
     def is_pole(self) -> bool:
@@ -100,24 +175,19 @@ class WireframeLandmark:
         points = np.array(self.points, dtype=float).reshape(-1, 3)
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
-        n = points.shape[0]
-        if n < 3:
-            raise ValueError(f"wireframe needs at least 3 points, got {n}")
-        if not np.isfinite(points).all():
-            bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
-            raise ValueError(f"wireframe point {bad} is not finite: {points[bad].tolist()}")
-        # Finite coordinates near the float limit overflow to inf or NaN
-        # here, and the checks below reject them.
-        with np.errstate(over="ignore", invalid="ignore"):
-            gaps = np.linalg.norm(np.roll(points, -1, axis=0) - points, axis=1)
-            if gaps.min() <= MIN_SEGMENT_LENGTH_M:
-                raise ValueError("consecutive wireframe points closer than 0.01 m")
-            centered = points - points.mean(axis=0)
-            _, _, vt = np.linalg.svd(centered, full_matrices=False)
-            deviation = np.abs(centered @ vt[-1]).max()
-        # Written so that a NaN deviation (coordinates that overflow) fails.
-        if not deviation <= MAX_PLANARITY_DEVIATION_M:
-            raise ValueError(f"wireframe is not planar (max deviation {deviation:.3f} m)")
+        fault = _wireframe_fault(points[None])
+        if fault is not None:
+            raise ValueError(fault[1])
+
+    @classmethod
+    def _trusted(cls, label, points, landmark_id) -> "WireframeLandmark":
+        """A wireframe from a read-only float64 (n, 3) array that passed
+        _wireframe_fault: no copy and no check."""
+        wireframe = object.__new__(cls)
+        object.__setattr__(wireframe, "label", label)
+        object.__setattr__(wireframe, "points", points)
+        object.__setattr__(wireframe, "landmark_id", landmark_id)
+        return wireframe
 
 
 Landmark = LineSegmentLandmark | WireframeLandmark
@@ -237,94 +307,168 @@ def _parse_float(token: str, line_number: int) -> float:
     return value
 
 
-def parse_map(data: bytes | str) -> CompactMap:
-    """Parse map-file content; raises MapFormatError with a line number."""
-    try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    except UnicodeDecodeError as err:
-        raise MapFormatError(f"not UTF-8 text: {err.reason}", line_number=data.count(b"\n", 0, err.start) + 1) from None
-    labels: dict[str, SemanticLabel] = {}
-    landmarks: list[Landmark] = []
-    saw_header = False
-    next_id = 0
+# A landmark as its line is read: line number, label, the range of its
+# number tokens, and a wireframe's point count (None for a segment). A
+# segment's tokens are its radius, if it has one, then its 6 coordinates:
+# the order in which a line-by-line read converts them.
+_Record = tuple[int, SemanticLabel, int, int, int | None]
 
+
+def _read_records(text: str, labels: dict[str, SemanticLabel], records: list[_Record], tokens: list[str]) -> None:
+    """Read the lines of map text with their format checks, filling
+    ``labels``, ``records`` and ``tokens`` (number tokens, not converted).
+    Raises the MapFormatError of the first line with a format error."""
+    saw_header = False
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
+        fields = line.split()
         if not saw_header:
-            if tokens != ["CMAP", "1"]:
+            if fields != ["CMAP", "1"]:
                 raise MapFormatError("missing or invalid 'CMAP 1' header", line_number=line_number)
             saw_header = True
             continue
 
-        kind = tokens[0]
-        if kind == "LABEL":
-            if len(tokens) != 3:
+        kind = fields[0]
+        if kind == "SEG":
+            body = fields[1:]
+            radius = body.pop()[len("radius="):] if body and body[-1].startswith("radius=") else None
+            if len(body) != 7 or body[0] not in labels:
+                if radius is not None:
+                    _parse_float(radius, line_number)  # the radius is read before the fields
+                if len(body) != 7:
+                    raise MapFormatError("SEG needs a label and 6 coordinates", line_number=line_number)
+                raise MapFormatError(
+                    f"unregistered label {body[0]!r}", line_number=line_number, landmark_id=len(records)
+                )
+            start = len(tokens)
+            if radius is not None:
+                tokens.append(radius)
+            tokens += body[1:]
+            records.append((line_number, labels[body[0]], start, len(tokens), None))
+        elif kind == "WF":
+            if len(fields) < 3:
+                raise MapFormatError("WF needs a label and a point count", line_number=line_number)
+            name = fields[1]
+            if name not in labels:
+                raise MapFormatError(
+                    f"unregistered label {name!r}", line_number=line_number, landmark_id=len(records)
+                )
+            try:
+                count = int(fields[2])
+            except ValueError:
+                raise MapFormatError(
+                    f"invalid point count {fields[2]!r}", line_number=line_number
+                ) from None
+            if len(fields) - 3 != 3 * count:
+                raise MapFormatError(
+                    f"WF declares {count} points but carries {len(fields) - 3} coordinates",
+                    line_number=line_number,
+                )
+            start = len(tokens)
+            tokens += fields[3:]
+            records.append((line_number, labels[name], start, len(tokens), count))
+        elif kind == "LABEL":
+            if len(fields) != 3:
                 raise MapFormatError("LABEL needs a name and a category", line_number=line_number)
-            name, category = tokens[1], tokens[2]
+            name, category = fields[1], fields[2]
             if category not in VALID_CATEGORIES:
                 raise MapFormatError(f"unknown label category {category!r}", line_number=line_number)
             if name in labels:
                 raise MapFormatError(f"duplicate label {name!r}", line_number=line_number)
             labels[name] = SemanticLabel(name, category)
-        elif kind == "SEG":
-            radius = None
-            body = tokens[1:]
-            if body and body[-1].startswith("radius="):
-                radius = _parse_float(body[-1][len("radius="):], line_number)
-                body = body[:-1]
-            if len(body) != 7:
-                raise MapFormatError("SEG needs a label and 6 coordinates", line_number=line_number)
-            name = body[0]
-            if name not in labels:
-                raise MapFormatError(
-                    f"unregistered label {name!r}", line_number=line_number, landmark_id=next_id
-                )
-            coords = [_parse_float(tok, line_number) for tok in body[1:]]
-            try:
-                landmark = LineSegmentLandmark(
-                    labels[name], coords[:3], coords[3:], pole_radius=radius, landmark_id=next_id
-                )
-            except ValueError as err:
-                raise MapFormatError(str(err), line_number=line_number, landmark_id=next_id) from None
-            landmarks.append(landmark)
-            next_id += 1
-        elif kind == "WF":
-            if len(tokens) < 3:
-                raise MapFormatError("WF needs a label and a point count", line_number=line_number)
-            name = tokens[1]
-            if name not in labels:
-                raise MapFormatError(
-                    f"unregistered label {name!r}", line_number=line_number, landmark_id=next_id
-                )
-            try:
-                count = int(tokens[2])
-            except ValueError:
-                raise MapFormatError(
-                    f"invalid point count {tokens[2]!r}", line_number=line_number
-                ) from None
-            coord_tokens = tokens[3:]
-            if len(coord_tokens) != 3 * count:
-                raise MapFormatError(
-                    f"WF declares {count} points but carries {len(coord_tokens)} coordinates",
-                    line_number=line_number,
-                )
-            coords = np.array(
-                [_parse_float(tok, line_number) for tok in coord_tokens]
-            ).reshape(-1, 3)
-            try:
-                landmark = WireframeLandmark(labels[name], coords, landmark_id=next_id)
-            except ValueError as err:
-                raise MapFormatError(str(err), line_number=line_number, landmark_id=next_id) from None
-            landmarks.append(landmark)
-            next_id += 1
         else:
             raise MapFormatError(f"unknown record type {kind!r}", line_number=line_number)
 
     if not saw_header:
         raise MapFormatError("empty map file, missing 'CMAP 1' header", line_number=1)
+
+
+def _values(tokens: list[str], records: list[_Record]) -> tuple[np.ndarray, MapFormatError | None]:
+    """The number tokens as float64, converted in one pass. If one is not a
+    finite number, ``_parse_float`` finds the first record that carries
+    one: the records from it on are dropped, and its error is returned
+    with the values of the records before it."""
+    try:
+        values = np.array(tokens, dtype=float)
+        if np.isfinite(values).all():
+            return values, None
+    except ValueError:
+        pass
+    floats: list[float] = []
+    for index, (line_number, _, start, stop, _) in enumerate(records):
+        try:
+            floats += [_parse_float(token, line_number) for token in tokens[start:stop]]
+        except MapFormatError as err:
+            del records[index:]
+            return np.array(floats), err
+    return np.array(floats), None
+
+
+def _landmarks(records: list[_Record], values: np.ndarray) -> list[Landmark]:
+    """The landmarks of ``records``, checked in one array pass for the
+    segments and one per wireframe point count. Raises the MapFormatError
+    of the first landmark that breaks an invariant."""
+    landmarks: list[Landmark] = [None] * len(records)
+    faults: list[tuple[int, str]] = []
+    segments: list[int] = []
+    by_count: dict[int, list[int]] = {}
+    for i, record in enumerate(records):
+        if record[4] is None:
+            segments.append(i)
+        else:
+            by_count.setdefault(record[4], []).append(i)
+    if segments:
+        start = np.array([records[i][2] for i in segments], dtype=np.intp)
+        has_radius = np.array([records[i][3] - records[i][2] == 7 for i in segments])
+        ends = values[(start + has_radius)[:, None] + np.arange(6)].reshape(-1, 2, 3)
+        radius = np.full(len(segments), math.nan)
+        radius[has_radius] = values[start[has_radius]]
+        fault = _segment_fault(ends[:, 0], ends[:, 1], radius, has_radius)
+        if fault is not None:
+            faults.append((segments[fault[0]], fault[1]))
+        ends.setflags(write=False)
+        radii = [r if has else None for r, has in zip(radius.tolist(), has_radius.tolist())]
+        for i, p0, p1, r in zip(segments, list(ends[:, 0]), list(ends[:, 1]), radii):
+            landmarks[i] = LineSegmentLandmark._trusted(records[i][1], p0, p1, r, i)
+    for count, members in by_count.items():
+        start = np.array([records[i][2] for i in members], dtype=np.intp)
+        points = values[start[:, None] + np.arange(3 * count)].reshape(len(members), count, 3)
+        fault = _wireframe_fault(points)
+        if fault is not None:
+            faults.append((members[fault[0]], fault[1]))
+        points.setflags(write=False)
+        for i, wireframe in zip(members, points):
+            landmarks[i] = WireframeLandmark._trusted(records[i][1], wireframe, i)
+    if faults:
+        index, message = min(faults)
+        raise MapFormatError(message, line_number=records[index][0], landmark_id=index)
+    return landmarks
+
+
+def parse_map(data: bytes | str) -> CompactMap:
+    """Parse map-file content; raises MapFormatError with a line number.
+
+    The lines are read with their format checks, the numbers converted in
+    one pass and the landmarks checked in array passes; the error raised
+    is that of the first failing line, as a line-by-line read finds it."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as err:
+        raise MapFormatError(f"not UTF-8 text: {err.reason}", line_number=data.count(b"\n", 0, err.start) + 1) from None
+    labels: dict[str, SemanticLabel] = {}
+    records: list[_Record] = []
+    tokens: list[str] = []
+    line_error = None
+    try:
+        _read_records(text, labels, records, tokens)
+    except MapFormatError as err:
+        line_error = err
+    values, token_error = _values(tokens, records)
+    landmarks = _landmarks(records, values)  # raises for a landmark before both errors' lines
+    if token_error or line_error:
+        raise token_error or line_error
     return CompactMap(tuple(labels.values()), tuple(landmarks))
 
 

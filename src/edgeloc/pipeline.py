@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -120,11 +121,15 @@ def _frame_ids(frames_dir: Path) -> tuple[int, ...]:
     Frame rasters are read from ``{id:06d}``: ManifestError names a
     digit-named directory with any other name, such as ``1`` or ``²``."""
     ids = []
-    for entry in frames_dir.iterdir():
-        if entry.is_dir() and entry.name.isdigit():
-            if not (entry.name.isascii() and entry.name == f"{int(entry.name):06d}"):
-                raise ManifestError(f"frame directory name is not a zero-padded 6-digit frame id: {entry}")
-            ids.append(int(entry.name))
+    with os.scandir(frames_dir) as entries:  # DirEntry.is_dir stats only symlinks
+        for entry in entries:
+            name = entry.name
+            if name.isdigit() and entry.is_dir():
+                if not (name.isascii() and name == f"{int(name):06d}"):
+                    raise ManifestError(
+                        f"frame directory name is not a zero-padded 6-digit frame id: {frames_dir / name}"
+                    )
+                ids.append(int(name))
     return tuple(sorted(ids))
 
 

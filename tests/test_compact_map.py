@@ -116,6 +116,44 @@ class TestParse:
         assert seg.is_pole
 
 
+class TestFirstFailingLine:
+    # parse_map checks the landmarks only after every line is read, and
+    # converts the numbers in one pass; its error must be the first bad line's.
+    @pytest.mark.parametrize(
+        "lines, message, line_number, landmark_id",
+        [
+            (
+                ["WF a 4 0 0 0 1 0 0 1 1 0.4 0 1 0", "SEG a 0 0 zero 1 0 0"],
+                "wireframe is not planar (max deviation 0.103 m)", 3, 0,
+            ),
+            (["SEG a 0 0 zero 1 0 0", "SEG a 0 0 0 0.001 0 0"], "expected a number, got 'zero'", 3, None),
+            (["SEG a 0 0 0 1 0 radius=abc"], "expected a number, got 'abc'", 3, None),
+            (["SEG a 0 0 0 1 0 radius=0.2"], "SEG needs a label and 6 coordinates", 3, None),
+            (["SEG a 0 0 0 1 0 0", "SEG b 0 0 0 1 0 0 radius=x"], "expected a number, got 'x'", 4, None),
+            (["SEG a 0 0 0 0.001 0 0", "FOO 1"], "degenerate segment (shorter than 0.01 m)", 3, 0),
+            (
+                ["SEG a 0 0 0 1 0 0 radius=nan", "WF a 2 0 0 0 1 0 0"],
+                "expected a finite number, got 'nan'", 3, None,
+            ),
+            (
+                ["SEG a 0 0 0 1 0 0 radius=-1", "WF a 2 0 0 0 1 0 0"],
+                "pole radius must be finite and > 0, got -1.0", 3, 0,
+            ),
+            (["WF a 2 0 0 0 1 0 0", "SEG a 0 0 0 0 0 0"], "wireframe needs at least 3 points, got 2", 3, 0),
+            (
+                ["SEG a 0 0 0 1 0 0", "WF a 4 0 0 0 1 0 0 1 1 0 0 1 0", "SEG a 0 0 0 0 0 0"],
+                "degenerate segment (shorter than 0.01 m)", 5, 2,
+            ),
+        ],
+    )
+    def test_first_failing_line_wins(self, lines, message, line_number, landmark_id):
+        text = "\n".join(["CMAP 1", "LABEL a road", *lines]) + "\n"
+        with pytest.raises(cm.MapFormatError) as err:
+            cm.parse_map(text)
+        assert (err.value.line_number, err.value.landmark_id) == (line_number, landmark_id)
+        assert str(err.value) == str(cm.MapFormatError(message, line_number, landmark_id))
+
+
 class TestSerialize:
     def test_empty_map_is_header_only(self):
         assert cm.serialize_map(cm.CompactMap(())) == b"CMAP 1\n"
@@ -313,6 +351,62 @@ class TestRoundTripProperty:
         parsed = cm.parse_map(data)
         assert cm.maps_equal(parsed, compact_map)
         assert cm.serialize_map(parsed) == data
+
+
+micro = st.integers(-(10**9), 10**9)
+
+
+@st.composite
+def faulty_landmarks(draw, label):
+    """The map line of a landmark that breaks one invariant, and a call of
+    its constructor with the same values."""
+    x, y, z = draw(micro), draw(micro), draw(micro)
+    kind = draw(st.sampled_from(["short", "radius", "overflow", "few", "close", "bent"]))
+    if kind in ("short", "radius", "overflow"):
+        if kind == "short":  # at most sqrt(3) * 5 mm long
+            step = [draw(st.integers(-5000, 5000)) for _ in range(3)]
+        else:
+            step = [10**6, 0, 0]
+        p0 = [x / 1e6, y / 1e6, z / 1e6]
+        p1 = [(x + step[0]) / 1e6, (y + step[1]) / 1e6, (z + step[2]) / 1e6]
+        radius = None
+        if kind == "overflow":
+            p0[0], p1[0] = 1e308, -1e308
+        if kind == "radius":
+            radius = draw(st.sampled_from([0.0, -0.5, -1e-06, -1000.0]))
+        suffix = [] if radius is None else [f"radius={radius!r}"]
+        line = " ".join(["SEG", label.name, *map(repr, p0 + p1), *suffix])
+        return line, lambda: cm.LineSegmentLandmark(label, p0, p1, pole_radius=radius)
+    if kind == "few":
+        points = np.array([[x, y, z]] * draw(st.integers(0, 2)), dtype=float).reshape(-1, 3) / 1e6
+    else:  # a square in a plane normal to one axis, side 1 to 10 m
+        side = draw(st.integers(10**6, 10**7))
+        corners = np.array([[0, 0, 0], [side, 0, 0], [side, side, 0], [0, side, 0]])
+        if kind == "close":  # its first side at most 7.1 mm long
+            corners[1] = [draw(st.integers(-5000, 5000)), draw(st.integers(-5000, 5000)), 0]
+        else:  # one corner lifted; the deviation is a quarter of the lift
+            corners[2, 2] = draw(st.integers(3 * 10**5, 10**6))
+        axes = draw(st.permutations([0, 1, 2]))
+        points = (corners[:, axes] + [x, y, z]) / 1e6
+    line = " ".join(["WF", label.name, str(len(points)), *map(repr, points.ravel().tolist())])
+    return line, lambda: cm.WireframeLandmark(label, points)
+
+
+class TestInjectedFault:
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_error_is_the_constructors_message_with_line_and_landmark(self, data):
+        compact_map = data.draw(compact_maps())
+        line, construct = data.draw(faulty_landmarks(data.draw(st.sampled_from(compact_map.labels))))
+        with pytest.raises(ValueError) as expected:
+            construct()
+        landmark_id = data.draw(st.integers(0, len(compact_map.landmarks)))
+        lines = cm.serialize_map(compact_map).decode().splitlines()
+        at = 1 + len(compact_map.labels) + landmark_id
+        lines.insert(at, line)
+        with pytest.raises(cm.MapFormatError) as err:
+            cm.parse_map("\n".join(lines))
+        assert str(err.value) == f"{expected.value} (line {at + 1}, landmark {landmark_id})"
 
 
 # Tokens a map line could carry: numbers of every size and spelling, names,

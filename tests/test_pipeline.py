@@ -88,6 +88,21 @@ class TestManifest:
         _, root = small_dataset
         assert DatasetManifest.from_directory(root).frame_ids == tuple(range(12))
 
+    def test_symlinked_frame_directories_are_followed(self, tmp_path, small_dataset):
+        # A digit-named file and a dangling link are not frames.
+        _, root = small_dataset
+        clone = tmp_path / "linked"
+        clone.mkdir()
+        for item in ("map.cmap", "odometry.txt", "intrinsics.txt", "initial_pose.txt"):
+            (clone / item).write_bytes((root / item).read_bytes())
+        frames = clone / "frames"
+        frames.mkdir()
+        for frame_id in (0, 3):
+            (frames / f"{frame_id:06d}").symlink_to(root / "frames" / f"{frame_id:06d}", target_is_directory=True)
+        (frames / "000005").write_bytes(b"")
+        (frames / "000007").symlink_to(tmp_path / "missing", target_is_directory=True)
+        assert DatasetManifest.from_directory(clone).frame_ids == (0, 3)
+
     def test_intrinsics_raster_mismatch(self, tmp_path, small_dataset):
         _, root = small_dataset
         clone = tmp_path / "mismatch"
