@@ -3,12 +3,12 @@ analytic Jacobians, and a damped Gauss-Newton solver on SE(3).
 
 Each frame is aligned once, from its prior. Two recovery mechanisms widen
 the basin of that single attempt: a coarse-to-fine stage (``solve_two_scale``
-aligns on block-downsampled fields first), which the caller runs only when
-the prior's predicted error is large (``align_frame`` without coarse fields
-is one fine ``solve``), and escape probes (``solve`` scores
-fixed camera-frame translation offsets once the damped iteration stalls: 12
-near ones on the 6 axis directions after a plausible fit, 130 far ones on the
-26 lattice directions after a poor fit).
+aligns on block-downsampled fields first, and a coarse reject is the frame's
+verdict), which the caller runs only when the prior's predicted error is
+large (``align_frame`` without coarse fields is one fine ``solve``), and
+escape probes (``solve`` scores fixed camera-frame translation offsets once
+the damped iteration stalls: 12 near ones on the 6 axis directions after a
+plausible fit, 130 far ones on the 26 lattice directions after a poor fit).
 No probe is taken on the truncation plateau, where every active sample with
 a positive weight reads the cap ``d_max``: the energy has neither gradient
 nor contrast there, and a probe could only lower it by losing samples.
@@ -65,9 +65,8 @@ REJECT_HIGH_REPROJ = "high-reproj-error"
 REJECT_TOO_FEW_SAMPLES = "too-few-samples"
 REJECT_LOW_INFORMATION = "low-information"
 
-# Which start the fine solve had: the coarse stage did not run, it ran and
-# set a reject reason (the fine solve started from the prior), or the fine
-# solve started from the coarse pose.
+# The coarse stage did not run, set a reject reason (its result is the
+# frame's, and no fine solve runs), or handed its pose to the fine solve.
 COARSE_SKIPPED = "skipped"
 COARSE_UNUSED = "unused"
 COARSE_USED = "used"
@@ -156,7 +155,6 @@ class AlignmentResult:
     inlier_count: int
     accepted: bool = False
     reject_reason: str = REJECT_NONE
-    energy: float = math.inf
     energy_history: tuple[float, ...] = ()
     active_counts: tuple[int, ...] = ()
     info_min_eig: float = 0.0
@@ -429,7 +427,6 @@ def solve(problem: AlignmentProblem) -> AlignmentResult:
         mean_reproj_error=mean_error,
         inlier_count=count_final,
         reject_reason=reject_reason,
-        energy=energy_final,
         energy_history=tuple(history),
         active_counts=tuple(active_counts),
         info_min_eig=info_min_eig,
@@ -442,11 +439,12 @@ def solve_two_scale(problem: AlignmentProblem, coarse_fields: FieldStack) -> Ali
 
     The coarse fields (built from block-OR downsampled masks) keep their
     truncation radius in coarse pixels, widening the basin of attraction by
-    ``COARSE_SCALE``; the full-resolution solve then starts inside it. Falls
-    back to the problem's own start pose when the coarse solve sets a
-    reject reason (a stop at the pose gate, or too few samples); a stop at
-    the cap hands its pose over. The result's ``coarse`` says which start
-    the fine solve had.
+    ``COARSE_SCALE``; the full-resolution solve then starts inside it. A
+    coarse reject reason (a stop at the pose gate, too few samples, no
+    solvable system) is the frame's verdict: no fine solve runs, and the
+    coarse result is returned, ``unused``, with ``mean_reproj_error`` inf
+    (logged as null), as a residual in coarse pixels compares with no other
+    frame's. Any other end, the cap included, hands its pose over (``used``).
     """
     k = problem.intrinsics
     coarse_k = CameraIntrinsics(
@@ -459,9 +457,9 @@ def solve_two_scale(problem: AlignmentProblem, coarse_fields: FieldStack) -> Ali
     )
     coarse_problem = replace(problem, fields=coarse_fields, intrinsics=coarse_k)
     coarse = solve(coarse_problem)
-    if coarse.reject_reason == REJECT_NONE:
-        return replace(solve(replace(problem, initial=coarse.pose)), coarse=COARSE_USED)
-    return replace(solve(problem), coarse=COARSE_UNUSED)
+    if coarse.reject_reason != REJECT_NONE:
+        return replace(coarse, mean_reproj_error=math.inf, coarse=COARSE_UNUSED)
+    return replace(solve(replace(problem, initial=coarse.pose)), coarse=COARSE_USED)
 
 
 def _within_jump(pose: Pose, prior: Pose, config: PipelineConfig) -> bool:

@@ -140,7 +140,7 @@ class FrameRecord:
     iterations: int
     mean_reproj_error: float
     sample_count: int
-    coarse: str = COARSE_SKIPPED  # AlignmentResult.coarse: skipped | unused | used
+    coarse: str = COARSE_SKIPPED  # AlignmentResult.coarse: skipped | unused (a coarse reject) | used
 
     def to_json(self) -> str:
         # JSON has no Infinity or NaN: a frame without an estimate logs null.

@@ -271,7 +271,7 @@ class TestSolve:
         assert result.reject_reason == al.REJECT_NONE
         assert result.iterations <= 2
         assert np.linalg.norm(result.pose.translation) < 1e-6
-        assert result.energy < 1e-12
+        assert result.energy_history[-1] < 1e-12
 
     def test_recovers_perturbed_pose_on_synthetic_scene(self):
         # Single-frame sanity bound; the tighter RMSE budget over a full
@@ -294,23 +294,20 @@ class TestSolve:
         assert np.linalg.norm(result.pose.translation - gt.translation) < 1e-2
         assert math.degrees(rotation_angle(gt.rotation.T @ result.pose.rotation)) < 0.05
 
-    def test_rejected_frame_gets_one_coarse_and_one_fine_solve(self, monkeypatch):
-        # A prior 1.5 m off to the side cannot be pulled back in; the frame
-        # is dropped after its single coarse-to-fine attempt, with no retry.
+    def test_rejected_frame_gets_one_coarse_solve_only(self, monkeypatch):
+        # A prior 1.5 m off to the side cannot be pulled back in: the coarse
+        # solve stops at the pose gate, and its verdict and pose are the
+        # frame's, with no fine solve after it.
         scene, problem, coarse = side_offset_problem()
-        prior, cfg = problem.prior, problem.config
-        single = al.validate(al.solve_two_scale(problem, coarse), prior, cfg)
-        assert not single.accepted
-
-        solved = []
+        solves = []
         original = al.solve
-        monkeypatch.setattr(al, "solve", lambda p: solved.append(p.intrinsics.width) or original(p))
+        monkeypatch.setattr(al, "solve", lambda p: solves.append((p.intrinsics.width, original(p))) or solves[-1][1])
         result = al.align_frame(problem, coarse)
-        assert solved == [scene.intrinsics.width // ef.COARSE_SCALE, scene.intrinsics.width]
-        assert not result.accepted
-        assert result.reject_reason == single.reject_reason
-        assert np.array_equal(result.pose.translation, single.pose.translation)
-        assert np.array_equal(result.pose.rotation, single.pose.rotation)
+        [(width, coarse_result)] = solves
+        assert width == scene.intrinsics.width // ef.COARSE_SCALE
+        assert coarse_result.reject_reason == al.REJECT_POSE_INCONSISTENT
+        assert not result.accepted and result.reject_reason == coarse_result.reject_reason
+        assert result.pose is coarse_result.pose
 
     def test_frame_without_coarse_fields_gets_one_validated_fine_solve(self, monkeypatch):
         # The coarse stage skipped: align_frame is validate(solve(problem)).
@@ -325,15 +322,21 @@ class TestSolve:
         assert result.coarse == al.COARSE_SKIPPED
         assert result_digest(result) == result_digest(single)
 
-    def test_coarse_stop_at_the_gate_leaves_the_fine_solve_at_the_prior(self, monkeypatch):
-        # From 1.5 m off, the coarse solve stops at the pose gate, so the fine
-        # solve starts from the prior and the coarse stage is unused.
+    def test_coarse_stop_at_the_gate_is_the_result_with_no_residual(self, monkeypatch):
+        # From 1.5 m off, the coarse solve stops at the pose gate. Its result
+        # is returned with the coarse stage unused, its iterations and pose
+        # kept, and no mean residual: one in coarse pixels compares with none.
         _, problem, coarse = side_offset_problem()
-        starts = []
+        solves = []
         original = al.solve
-        monkeypatch.setattr(al, "solve", lambda p: starts.append(p.start_pose) or original(p))
-        assert al.solve_two_scale(problem, coarse).coarse == al.COARSE_UNUSED
-        assert starts[1] is problem.prior
+        monkeypatch.setattr(al, "solve", lambda p: solves.append(original(p)) or solves[-1])
+        result = al.solve_two_scale(problem, coarse)
+        [coarse_result] = solves
+        assert coarse_result.reject_reason == al.REJECT_POSE_INCONSISTENT
+        assert math.isfinite(coarse_result.mean_reproj_error)
+        assert result.coarse == al.COARSE_UNUSED and result.mean_reproj_error == math.inf
+        assert result.iterations == coarse_result.iterations and result.pose is coarse_result.pose
+        assert result.reject_reason == al.REJECT_POSE_INCONSISTENT
 
     def test_a_stop_at_the_iteration_cap_goes_to_the_gates(self):
         # Three iterations leave the prior 0.1 m off 8 mm from the truth; the
@@ -443,7 +446,7 @@ class TestSolve:
         monkeypatch.setattr(al, "_MAX_STEP_ROTATION_RAD", 5e-5)
         problem = _small_synthetic_problem()
         cut = al.solve(replace(problem, config=replace(problem.config, max_iterations=100)))
-        assert cut.iterations == 100 and cut.energy_history[-1] == cut.energy
+        assert cut.iterations == 100 and cut.energy_history[-1] == energy(problem, cut.pose)[0]
         result = al.solve(replace(problem, config=replace(problem.config, max_iterations=150)))
         assert result.iterations > 100
         assert len(result.energy_history) == 1 + result.iterations + result.probe_rounds
@@ -500,7 +503,7 @@ class TestSolve:
         b = al.solve(problem)
         assert np.array_equal(a.pose.translation, b.pose.translation)
         assert np.array_equal(a.pose.rotation, b.pose.rotation)
-        assert a.energy == b.energy and a.iterations == b.iterations
+        assert a.energy_history == b.energy_history and a.iterations == b.iterations
 
     def test_gauge_equivariance_of_energy_and_step(self):
         # The mathematically exact part: moving the whole world frame by a
@@ -644,7 +647,6 @@ class TestValidate:
             iterations=5,
             mean_reproj_error=0.5,
             inlier_count=200,
-            energy=100.0,
             info_min_eig=10.0,
         )
         base.update(kwargs)
@@ -1411,7 +1413,7 @@ def result_digest(result):
     fields = (
         result.iterations,
         result.probe_rounds,
-        result.energy,
+        result.energy_history[-1],
         result.energy_history,
         result.active_counts,
         result.inlier_count,

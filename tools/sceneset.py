@@ -9,15 +9,16 @@ Each scene is built with ``edgeloc.synthetic`` in a temporary directory and
 run with ``edgeloc.pipeline.iter_frames``. Per scene it prints accepted /
 total frames, ``rmse_m``, ``rmse_deg``, ``max_err_m`` (the same definitions
 as perfbench), solver evaluations per frame, the frames that ran the coarse
-stage, and the SHA-256 of the trajectory file text. Then, per set, the
-accepted total, the medians over the scenes and the largest error of any
-accepted frame.
+stage, and the SHA-256 of the trajectory file text and of the JSONL log
+text (``edgeloc run --log``'s lines). Then, per set, the accepted total, the
+medians over the scenes and the largest error of any accepted frame.
 
 ``--out`` writes the run as JSON. ``--compare`` reads such a file from
 another run (say, of the parent commit) and prints this run's per-scene
-ratios to it, their medians, and every frame whose status changed, with its
-error in both runs. ``--frames`` shortens every scene (walls and deleted
-frames outside it are left out); ``--scenes`` runs only the named ones.
+ratios to it, their medians, every trajectory or log digest that changed,
+and every frame whose status changed, with its error in both runs.
+``--frames`` shortens every scene (walls and deleted frames outside it are
+left out); ``--scenes`` runs only the named ones.
 
 The harness imports ``edgeloc`` from the ``src`` beside this script, so a
 copy of it in another checkout measures that checkout. It counts
@@ -135,13 +136,14 @@ class _Counting:
 def run_scene(root: Path) -> dict:
     manifest = DatasetManifest.from_directory(root)
     groundtruth = read_trajectory(manifest.groundtruth_path)
-    trajectory, statuses, coarse_frames = [], {}, []
+    trajectory, statuses, coarse_frames, log = [], {}, [], []
     with _Counting(alignment, "_evaluate") as evaluations, _Counting(alignment, "solve_two_scale") as two_scale:
         for record, pose in iter_frames(manifest):
             if two_scale.calls:
                 coarse_frames.append(record.frame_id)
                 two_scale.calls = 0
             statuses[record.frame_id] = record.status
+            log.append(record.to_json() + "\n")
             if pose is not None:
                 trajectory.append((record.frame_id, pose))
     errors = {}
@@ -158,6 +160,7 @@ def run_scene(root: Path) -> dict:
         "evaluations_per_frame": evaluations.calls / max(len(statuses), 1),
         "coarse_frames": coarse_frames,
         "trajectory_sha256": hashlib.sha256(text.encode("ascii")).hexdigest(),
+        "log_sha256": hashlib.sha256("".join(log).encode("ascii")).hexdigest(),
         # frame id -> [status, translation error in m or null]
         "frame_status": {str(f): [status, errors.get(f)] for f, status in statuses.items()},
     }
@@ -175,12 +178,13 @@ def _median(values):
 def print_run(run: dict) -> None:
     for set_name, scenes in run["sets"].items():
         print(f"== {set_name}")
-        print(f"{'scene':26} {'acc':>7} {'rmse_m':>8} {'rmse_deg':>8} {'max_err_m':>9} {'evals':>7} coarse trajectory")
+        print(f"{'scene':26} {'acc':>7} {'rmse_m':>8} {'rmse_deg':>8} {'max_err_m':>9} {'evals':>7} coarse"
+              f" {'trajectory':64}  log")
         for name, s in scenes.items():
             print(
                 f"{name:26} {s['accepted']:>3}/{s['frames']:<3} {_fmt(s['rmse_m']):>8} {_fmt(s['rmse_deg']):>8}"
                 f" {_fmt(s['max_err_m']):>9} {_fmt(s['evaluations_per_frame'], '.1f'):>7}"
-                f"  {len(s['coarse_frames']):>6}  {s['trajectory_sha256']}"
+                f"  {len(s['coarse_frames']):>6}  {s['trajectory_sha256']}  {s['log_sha256']}"
             )
         worst = max((e for s in scenes.values() for _, e in s["frame_status"].values() if e is not None), default=None)
         medians = "  ".join(f"{m} {_fmt(_median([s[m] for s in scenes.values()]))}" for m in METRICS)
@@ -203,6 +207,10 @@ def print_comparison(run: dict, other: dict) -> None:
                 ratios[m].append(ratio)
                 cells.append(f"{m} {_fmt(ratio, '.3f')}")
             print(f"{name:26} accepted {was['accepted']:>3} -> {now['accepted']:<3} " + "  ".join(cells))
+            for digest in ("trajectory", "log"):
+                old_sha, new_sha = was.get(f"{digest}_sha256"), now[f"{digest}_sha256"]
+                if new_sha != old_sha:
+                    print(f"    {digest}: {old_sha or '-'} -> {new_sha}")
             for frame_id, (status, error) in now["frame_status"].items():
                 old_status, old_error = was["frame_status"].get(frame_id, ["absent", None])
                 if status != old_status:
